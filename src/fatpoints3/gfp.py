@@ -61,16 +61,17 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     """A square root of a mod an odd prime p, or None for a non-residue.
 
     Primes congruent to 3 mod 4 use the one-exponentiation shortcut
-    a^((p+1)/4); the general case falls back to Tonelli-Shanks.
+    a^((p+1)/4), which squares back to a exactly when a is a residue; the
+    general case falls back to Tonelli-Shanks.
     """
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) != 1:
-        return None
     if p % 4 == 3:
         x = pow(a, (p + 1) // 4, p)
-        return x
+        return x if x * x % p == a else None
+    if legendre(a, p) != 1:
+        return None
     # Tonelli-Shanks
     q = p - 1
     s = 0
@@ -142,12 +143,12 @@ def kernel_mod(mat: np.ndarray, p: int) -> np.ndarray:
 def kernel_from_rref(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Right-kernel basis read off an already reduced matrix."""
     cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = (-int(m[row, f])) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-m[: len(pivots)][:, free].T) % p
     return basis
 
 
@@ -247,12 +248,10 @@ def pinterp(xs: Sequence[int], ys: Sequence[int], p: int) -> list[int]:
     poly: list[int] = []
     base = [1]
     # Newton form: build incrementally for O(n^2)
-    coeffs: list[int] = []
     for i in range(n):
         val = peval(poly, xs[i], p)
         denom = peval(base, xs[i], p)
         c = (ys[i] - val) * pow(denom, -1, p) % p
-        coeffs.append(c)
         poly = padd(poly, pscale(base, c, p), p)
         base = pmul(base, [(-xs[i]) % p, 1], p)
     return poly

@@ -29,11 +29,12 @@ sampled points, and every probe, independent of call order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -102,11 +103,19 @@ def _segre_forms(q: Sequence[int], p: int) -> tuple[list[int], list[int], list[i
 
 
 def _form_eval(coeffs: Sequence[int], s: int, t: int, n: int, p: int) -> int:
-    """Value of the degree-n binary form with ascending coefficients."""
-    full = list(coeffs) + [0] * (n + 1 - len(coeffs))
+    """Value of the degree-n binary form with ascending coefficients.
+
+    Homogeneous Horner: the step for coefficient i multiplies the running
+    value by s and adds c_i t^(n-i).
+    """
     val = 0
-    for i in range(n + 1):
-        val = (val + full[i] * pow(s, i, p) % p * pow(t, n - i, p)) % p
+    tpow = 1
+    for i in range(n, -1, -1):
+        if i < len(coeffs):
+            val = (val * s + coeffs[i] * tpow) % p
+        else:
+            val = val * s % p
+        tpow = tpow * t % p
     return val
 
 
@@ -201,13 +210,68 @@ def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
     )
 
 
-def _smooth_at(geom: Geometry, pt: DPoint) -> bool:
-    p = geom.prime
-    jac = np.array(
-        [_quad_grad(_qbar_coeffs(p), pt.coords, p), _quad_grad(geom.qprime, pt.coords, p)],
-        dtype=np.int64,
+def _proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    """Whether two short vectors span at most a line: every 2x2 minor is 0."""
+    n = len(a)
+    return not any(
+        (a[i] * b[j] - a[j] * b[i]) % p for i in range(n) for j in range(i + 1, n)
     )
-    return gfp.rank_mod(jac, p) == 2
+
+
+def _jacobian(geom: Geometry, pt: DPoint) -> tuple[list[int], list[int]]:
+    """Gradients of the two quadrics at the point: the curve's 2x4 Jacobian.
+
+    The fixed quadric xw - yz has gradient (w, -z, -y, x).
+    """
+    p = geom.prime
+    x, y, z, w = pt.coords
+    return ([w, -z % p, -y % p, x], _quad_grad(geom.qprime, pt.coords, p))
+
+
+def _smooth_at(geom: Geometry, pt: DPoint) -> bool:
+    """The Jacobian has rank 2, i.e. one of its six 2x2 minors is nonzero."""
+    return not _proportional(*_jacobian(geom, pt), geom.prime)
+
+
+def _tangent_basis(g1: Sequence[int], g2: Sequence[int], p: int) -> list[tuple[int, ...]]:
+    """Right-kernel basis of a rank-2 matrix with rows g1, g2 (length 4).
+
+    The same basis ``gfp.kernel_mod`` returns: the pivots c1 < c2 of the
+    reduced echelon form are the first nonzero column and the first column
+    independent of it, and by Cramer's rule column f reduces to
+    (D(f, c2), D(c1, f)) / D(c1, c2), with D the 2x2 minor on two columns.
+    The free column f gets the vector e_f minus that combination.
+    """
+    def minor(i: int, j: int) -> int:
+        return (g1[i] * g2[j] - g1[j] * g2[i]) % p
+
+    c1 = next(c for c in range(4) if g1[c] % p or g2[c] % p)
+    c2 = next(c for c in range(c1 + 1, 4) if minor(c1, c))
+    inv = pow(minor(c1, c2), -1, p)
+    basis = []
+    for f in range(4):
+        if f in (c1, c2):
+            continue
+        vec = [0, 0, 0, 0]
+        vec[f] = 1
+        vec[c1] = -minor(f, c2) * inv % p
+        vec[c2] = -minor(c1, f) * inv % p
+        basis.append(tuple(vec))
+    return basis
+
+
+def _curve_tangent(geom: Geometry, pt: DPoint) -> Optional[tuple[int, ...]]:
+    """A tangent direction of the curve at a smooth point, not along the point.
+
+    Tries the two kernel basis vectors of the Jacobian, then their sum.
+    """
+    p = geom.prime
+    basis = _tangent_basis(*_jacobian(geom, pt), p)
+    total = tuple(sum(col) % p for col in zip(*basis))
+    for cand in basis + [total]:
+        if any(cand) and not _proportional(pt.coords, cand, p):
+            return cand
+    return None
 
 
 def _curve_value(geom: Geometry, pt: DPoint) -> int:
@@ -347,10 +411,7 @@ def _point_rows(geom: Geometry, idx: int, d: int) -> np.ndarray:
     exps = monomial_exponents(d)
     cols = [j for j in range(4) if j != pt.chart]
     ea = exps[:, cols]
-    pw = np.ones((3, d + 1), dtype=np.int64)
-    for j in range(3):
-        for t in range(1, d + 1):
-            pw[j, t] = pw[j, t - 1] * pt.affine[j] % p
+    pw = _power_table(pt.affine, d, p)
     rows = np.empty((len(_ALPHAS), exps.shape[0]), dtype=np.int64)
     for ri, alpha in enumerate(_ALPHAS):
         acc = np.ones(exps.shape[0], dtype=np.int64)
@@ -460,37 +521,40 @@ def solve_system(geom: Geometry, clazz: ThreefoldClass) -> SystemData:
 # evaluation helpers
 
 
-def monomial_values(z: Sequence[int], d: int, p: int) -> np.ndarray:
+def _power_table(z, d: int, p: int) -> np.ndarray:
+    """z[..., j]^t mod p for t = 0..d, as an array of shape z.shape + (d+1,)."""
+    z = np.asarray(z, dtype=np.int64) % p
+    pw = np.ones(z.shape + (d + 1,), dtype=np.int64)
+    for t in range(1, d + 1):
+        pw[..., t] = pw[..., t - 1] * z % p
+    return pw
+
+
+def monomial_values(z, d: int, p: int) -> np.ndarray:
+    """Every degree-d monomial at a point z, or at each row of an (n, 4) stack."""
     exps = monomial_exponents(d)
-    pw = np.ones((4, d + 1), dtype=np.int64)
-    for j in range(4):
-        zj = z[j] % p
-        for t in range(1, d + 1):
-            pw[j, t] = pw[j, t - 1] * zj % p
-    out = pw[0, exps[:, 0]]
+    pw = _power_table(z, d, p)
+    out = pw[..., 0, exps[:, 0]]
     for j in range(1, 4):
-        out = out * pw[j, exps[:, j]] % p
+        out = out * pw[..., j, exps[:, j]] % p
     return out
 
 
-def derivative_values(z: Sequence[int], v: Sequence[int], d: int, p: int) -> np.ndarray:
-    """Directional derivative of every degree-d monomial at z along v."""
+def derivative_values(z, v, d: int, p: int) -> np.ndarray:
+    """Directional derivative of every degree-d monomial at z along v.
+
+    z and v are single points, or (n, 4) stacks paired row by row.
+    """
     exps = monomial_exponents(d)
-    pw = np.ones((4, d + 1), dtype=np.int64)
-    for j in range(4):
-        zj = z[j] % p
-        for t in range(1, d + 1):
-            pw[j, t] = pw[j, t - 1] * zj % p
-    total = np.zeros(exps.shape[0], dtype=np.int64)
+    pw = _power_table(z, d, p)
+    v = np.asarray(v, dtype=np.int64) % p
+    total = np.zeros(pw.shape[:-2] + (exps.shape[0],), dtype=np.int64)
     for k in range(4):
-        vk = v[k] % p
-        if vk == 0:
-            continue
-        factor = exps[:, k] % p * vk % p
-        prod = np.ones(exps.shape[0], dtype=np.int64)
+        factor = exps[:, k] % p * v[..., k, None] % p
+        prod = np.ones_like(total)
         for j in range(4):
             drop = 1 if j == k else 0
-            prod = prod * pw[j, np.maximum(exps[:, j] - drop, 0)] % p
+            prod = prod * pw[..., j, np.maximum(exps[:, j] - drop, 0)] % p
         total = (total + factor * prod) % p
     return total
 
@@ -502,16 +566,21 @@ def section_values(kernel: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
     return gfp.matmul_mod(kernel, row.reshape(-1, 1), p).ravel()
 
 
-def _rank_le_1(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    a = a % p
-    b = b % p
-    if not a.any() or not b.any():
-        return True
-    i = int(np.nonzero(a)[0][0])
-    if int(b[i]) == 0:
-        return False
-    lam = int(b[i]) * pow(int(a[i]), -1, p) % p
-    return not ((a * lam - b) % p).any()
+def _rank_le_1(a: np.ndarray, b: np.ndarray, p: int):
+    """Whether a and b span at most a line; row by row for (n, k) stacks.
+
+    With i the first nonzero entry of a, b is a multiple of a exactly when
+    a * b[i] - b * a[i] vanishes; a zero row on either side always passes.
+    """
+    a2 = np.atleast_2d(a) % p
+    b2 = np.atleast_2d(b) % p
+    rows = np.arange(a2.shape[0])
+    lead = (a2 != 0).argmax(axis=1)
+    ai = a2[rows, lead][:, None]
+    bi = b2[rows, lead][:, None]
+    dependent = ~((a2 * bi - b2 * ai) % p).any(axis=1)
+    out = ~a2.any(axis=1) | ~b2.any(axis=1) | dependent
+    return out if np.ndim(a) == 2 else bool(out[0])
 
 
 def _random_proj_point(rng: random.Random, p: int) -> tuple[int, int, int, int]:
@@ -658,16 +727,83 @@ class ProbeReport:
         }
 
 
-def _zero_row_witness(
-    kind: str, pts: list, evs: np.ndarray, extra: Optional[dict] = None
-) -> Optional[Witness]:
-    for i in range(evs.shape[0]):
-        if not evs[i].any():
-            data = {"point": list(map(int, pts[i]))}
-            if extra:
-                data.update(extra)
-            return Witness(kind, data)
-    return None
+# candidates per stacked evaluation: memory stays bounded for any probe count
+_BLOCK = 64
+
+
+def _first_hit(
+    candidates: Iterable, hits: Callable[[list], np.ndarray], count_all: bool = False
+) -> tuple[int, object]:
+    """Scan candidates in draw order, one block of at most _BLOCK at a time.
+
+    ``hits`` maps a block to one flag per candidate.  Returns a count and
+    the first flagged candidate (None if there is none); the count is the
+    number of candidates or, when a candidate is flagged and ``count_all``
+    is not set, its 1-based index.  With ``count_all`` the candidates
+    after the deciding block are drawn and counted, not evaluated; without
+    it they are never drawn.
+    """
+    stream = iter(candidates)
+    seen = 0
+    while True:
+        block = list(itertools.islice(stream, _BLOCK))
+        if not block:
+            return seen, None
+        flagged = np.flatnonzero(hits(block))
+        if flagged.size:
+            k = int(flagged[0])
+            if count_all:
+                return seen + len(block) + sum(1 for _ in stream), block[k]
+            return seen + k + 1, block[k]
+        seen += len(block)
+
+
+class _Evaluator:
+    """The kernel's basis forms evaluated at stacks of points and tangents."""
+
+    def __init__(self, kernel: np.ndarray, d: int, p: int):
+        self.kernel_t = kernel.T
+        self.d = d
+        self.p = p
+
+    def _values(self, rows: np.ndarray) -> np.ndarray:
+        return gfp.matmul_mod(rows, self.kernel_t, self.p)
+
+    def at(self, points: list) -> np.ndarray:
+        """One row of basis values per point."""
+        return self._values(monomial_values(np.array(points), self.d, self.p))
+
+    def vanishing(self, points: list) -> np.ndarray:
+        """Per point: does every form vanish there?"""
+        return ~self.at(points).any(axis=1)
+
+    def unseparated(self, pairs: list) -> np.ndarray:
+        """Per pair: do the forms fail to tell the two points apart?"""
+        vals = self.at([z for pair in pairs for z in pair])
+        return _rank_le_1(vals[0::2], vals[1::2], self.p)
+
+    def flat(self, tangents: list) -> np.ndarray:
+        """Per (point, direction): do the forms fail to separate the direction?"""
+        zs = np.array([z for z, _ in tangents])
+        vs = np.array([v for _, v in tangents])
+        rows = np.concatenate([
+            monomial_values(zs, self.d, self.p),
+            derivative_values(zs, vs, self.d, self.p),
+        ])
+        vals = self._values(rows)
+        return _rank_le_1(vals[: len(tangents)], vals[len(tangents):], self.p)
+
+
+def _point_data(z) -> dict:
+    return {"point": list(map(int, z))}
+
+
+def _pair_data(z1, z2) -> dict:
+    return {"pair": [list(map(int, z1)), list(map(int, z2))]}
+
+
+def _tangent_data(z, v) -> dict:
+    return {"point": list(map(int, z)), "direction": list(map(int, v))}
 
 
 def probe_base_locus(
@@ -699,22 +835,20 @@ def probe_base_locus(
             [Witness("empty-system", {"h0": 0})], checked,
         )
     kernel = sysd.kernel
+    evaluator = _Evaluator(kernel, d, p)
     assigned = list(geom.points[: c.r])
     assigned_coords = {pt.coords for pt in assigned}
     tag = format_class(c)
 
-    def batch_eval(points: list) -> np.ndarray:
-        rows = np.stack([monomial_values(z, d, p) for z in points])
-        return gfp.matmul_mod(rows, kernel.T, p)
+    def fired(kind: str, data: dict) -> ProbeReport:
+        return ProbeReport("base-locus", True, [Witness(kind, data)], checked)
 
-    if c.r >= 1:
-        rng = random.Random(derive_seed("probe-line", p, geom.seed, tag, nprobes))
-        pts = []
+    def line_points(rng: random.Random):
         if c.r >= 2:
             p1, p2 = assigned[0].coords, assigned[1].coords
             for _ in range(nprobes):
                 lam, mu = rng.randrange(1, p), rng.randrange(1, p)
-                pts.append(tuple((lam * p1[j] + mu * p2[j]) % p for j in range(4)))
+                yield tuple((lam * p1[j] + mu * p2[j]) % p for j in range(4))
         else:
             p1 = assigned[0].coords
             for _ in range(4):
@@ -723,40 +857,47 @@ def probe_base_locus(
                     lam = rng.randrange(1, p)
                     z = tuple((p1[j] + lam * direction[j]) % p for j in range(4))
                     if any(z):
-                        pts.append(z)
-        pts = [z for z in pts if z not in assigned_coords]
-        if pts:
-            checked["on-line"] = len(pts)
-            w = _zero_row_witness("on-line", pts, batch_eval(pts), {"through": "deepest pair"})
-            if w:
-                return ProbeReport("base-locus", True, [w], checked)
+                        yield z
+
+    def fresh_points(draw, rng: random.Random):
+        """Unassigned draws, at most nprobes of them out of 4 * nprobes."""
+        found = 0
+        for _ in range(4 * nprobes):
+            if found == nprobes:
+                return
+            z = draw(rng)
+            if z is not None and z not in assigned_coords:
+                found += 1
+                yield z
+
+    def curve_coords(rng: random.Random) -> Optional[tuple]:
+        pt = _sample_curve_point(geom, rng)
+        return None if pt is None else pt.coords
+
+    # every valid candidate counts, also those past the witness
+    if c.r >= 1:
+        rng = random.Random(derive_seed("probe-line", p, geom.seed, tag, nprobes))
+        pts = (z for z in line_points(rng) if z not in assigned_coords)
+        n, z = _first_hit(pts, evaluator.vanishing, count_all=True)
+        if n:
+            checked["on-line"] = n
+        if z is not None:
+            return fired("on-line", dict(_point_data(z), through="deepest pair"))
 
     rng = random.Random(derive_seed("probe-curve", p, geom.seed, tag, nprobes))
-    pts = []
-    for _ in range(4 * nprobes):
-        if len(pts) == nprobes:
-            break
-        z = _sample_curve_point(geom, rng)
-        if z is not None and z.coords not in assigned_coords:
-            pts.append(z.coords)
-    if pts:
-        checked["on-curve"] = len(pts)
-        w = _zero_row_witness("on-curve", pts, batch_eval(pts))
-        if w:
-            return ProbeReport("base-locus", True, [w], checked)
+    n, z = _first_hit(fresh_points(curve_coords, rng), evaluator.vanishing, count_all=True)
+    if n:
+        checked["on-curve"] = n
+    if z is not None:
+        return fired("on-curve", _point_data(z))
 
     rng = random.Random(derive_seed("probe-generic", p, geom.seed, tag, nprobes))
-    pts = []
-    for _ in range(4 * nprobes):
-        if len(pts) == nprobes:
-            break
-        z = _random_proj_point(rng, p)
-        if z not in assigned_coords:
-            pts.append(z)
-    checked["generic"] = len(pts)
-    w = _zero_row_witness("generic", pts, batch_eval(pts))
-    if w:
-        return ProbeReport("base-locus", True, [w], checked)
+    checked["generic"], z = _first_hit(
+        fresh_points(lambda r: _random_proj_point(r, p), rng), evaluator.vanishing,
+        count_all=True,
+    )
+    if z is not None:
+        return fired("generic", _point_data(z))
 
     notes: tuple[str, ...] = ()
     if sysd.curve_degree == 1 and d >= 1:
@@ -764,12 +905,7 @@ def probe_base_locus(
         found = hunt_common_zeros(geom, kernel, d, assigned, frozenset(), rng)
         checked["isolated-hunt"] = 1
         if found:
-            z = found[0]
-            return ProbeReport(
-                "base-locus", True,
-                [Witness("isolated-on-curve", {"point": list(map(int, z.coords))})],
-                checked,
-            )
+            return fired("isolated-on-curve", _point_data(found[0].coords))
         notes = ("exact hunt found no unassigned curve point",)
 
     return ProbeReport("base-locus", False, [], checked, notes)
@@ -805,25 +941,17 @@ def probe_separation(
             [Witness("insufficient-sections", {"h0": sysd.h0})], checked,
         )
     kernel = sysd.kernel
+    evaluator = _Evaluator(kernel, d, p)
     assigned = list(geom.points[: c.r])
     assigned_coords = {pt.coords for pt in assigned}
     tag = format_class(c)
 
-    def ev(z: Sequence[int]) -> np.ndarray:
-        return section_values(kernel, monomial_values(z, d, p), p)
+    def fired(kind: str, data: dict) -> ProbeReport:
+        return ProbeReport("separation", True, [Witness(kind, data)], checked)
 
-    def pair_witness(kind: str, z1, z2, extra=None) -> Optional[Witness]:
-        if _rank_le_1(ev(z1), ev(z2), p):
-            data = {"pair": [list(map(int, z1)), list(map(int, z2))]}
-            if extra:
-                data.update(extra)
-            return Witness(kind, data)
-        return None
-
-    # pairs on the line spanned by the two deepest assigned points
-    if c.r >= 1:
-        rng = random.Random(derive_seed("sep-line", p, geom.seed, tag, nprobes))
-        pairs = []
+    # pairs on the line spanned by the two deepest assigned points; every
+    # valid pair counts, also those past the witness
+    def line_pairs(rng: random.Random):
         if c.r >= 2:
             p1, p2 = assigned[0].coords, assigned[1].coords
             for _ in range(nprobes):
@@ -832,7 +960,7 @@ def probe_separation(
                     continue
                 z1 = tuple((p1[j] + l1 * p2[j]) % p for j in range(4))
                 z2 = tuple((p1[j] + l2 * p2[j]) % p for j in range(4))
-                pairs.append((z1, z2))
+                yield z1, z2
         else:
             p1 = assigned[0].coords
             for _ in range(max(1, nprobes // 2)):
@@ -842,16 +970,17 @@ def probe_separation(
                     continue
                 z1 = tuple((p1[j] + l1 * direction[j]) % p for j in range(4))
                 z2 = tuple((p1[j] + l2 * direction[j]) % p for j in range(4))
-                pairs.append((z1, z2))
-        pairs = [
-            (z1, z2) for z1, z2 in pairs
+                yield z1, z2
+
+    if c.r >= 1:
+        rng = random.Random(derive_seed("sep-line", p, geom.seed, tag, nprobes))
+        pairs = (
+            (z1, z2) for z1, z2 in line_pairs(rng)
             if z1 not in assigned_coords and z2 not in assigned_coords and z1 != z2
-        ]
-        checked["pair-on-line"] = len(pairs)
-        for z1, z2 in pairs:
-            w = pair_witness("pair-on-line", z1, z2)
-            if w:
-                return ProbeReport("separation", True, [w], checked)
+        )
+        checked["pair-on-line"], pair = _first_hit(pairs, evaluator.unseparated, count_all=True)
+        if pair is not None:
+            return fired("pair-on-line", _pair_data(*pair))
 
     # random pairs: curve/curve, generic/generic, mixed
     def fresh_curve(rng: random.Random) -> Optional[tuple]:
@@ -861,81 +990,62 @@ def probe_separation(
                 return z.coords
         return None
 
-    for cat, mk1, mk2 in (
-        ("pair-on-curve", fresh_curve, fresh_curve),
-        ("pair-generic", _random_proj_point, _random_proj_point),
-        ("pair-mixed", fresh_curve, _random_proj_point),
-    ):
-        rng = random.Random(derive_seed("sep-" + cat, p, geom.seed, tag, nprobes))
-        count = 0
+    def fresh_generic(rng: random.Random) -> tuple:
+        return _random_proj_point(rng, p)
+
+    def random_pairs(rng: random.Random, mk1, mk2):
         for _ in range(nprobes):
-            z1 = mk1(rng) if mk1 is not _random_proj_point else _random_proj_point(rng, p)
-            z2 = mk2(rng) if mk2 is not _random_proj_point else _random_proj_point(rng, p)
+            z1 = mk1(rng)
+            z2 = mk2(rng)
             if z1 is None or z2 is None or z1 == z2:
                 continue
             if z1 in assigned_coords or z2 in assigned_coords:
                 continue
-            count += 1
-            w = pair_witness(cat, z1, z2)
-            if w:
-                checked[cat] = count
-                return ProbeReport("separation", True, [w], checked)
-        checked[cat] = count
+            yield z1, z2
+
+    for cat, mk1, mk2 in (
+        ("pair-on-curve", fresh_curve, fresh_curve),
+        ("pair-generic", fresh_generic, fresh_generic),
+        ("pair-mixed", fresh_curve, fresh_generic),
+    ):
+        rng = random.Random(derive_seed("sep-" + cat, p, geom.seed, tag, nprobes))
+        checked[cat], pair = _first_hit(random_pairs(rng, mk1, mk2), evaluator.unseparated)
+        if pair is not None:
+            return fired(cat, _pair_data(*pair))
 
     # tangent directions, generic and along the curve
-    rng = random.Random(derive_seed("sep-tangent", p, geom.seed, tag, nprobes))
-    count = 0
-    for _ in range(nprobes):
-        z = _random_proj_point(rng, p)
-        if z in assigned_coords:
-            continue
-        v = _random_proj_point(rng, p)
-        if _rank_le_1(np.array(z, dtype=np.int64), np.array(v, dtype=np.int64), p):
-            continue
-        count += 1
-        dv = section_values(kernel, derivative_values(z, v, d, p), p)
-        if _rank_le_1(ev(z), dv, p):
-            checked["tangent-generic"] = count
-            return ProbeReport(
-                "separation", True,
-                [Witness("tangent-generic",
-                         {"point": list(map(int, z)), "direction": list(map(int, v))})],
-                checked,
-            )
-    checked["tangent-generic"] = count
+    def generic_tangents(rng: random.Random):
+        for _ in range(nprobes):
+            z = _random_proj_point(rng, p)
+            if z in assigned_coords:
+                continue
+            v = _random_proj_point(rng, p)
+            if _proportional(z, v, p):
+                continue
+            yield z, v
 
-    rng = random.Random(derive_seed("sep-tangent-curve", p, geom.seed, tag, nprobes))
-    count = 0
-    for _ in range(nprobes):
-        zpt = _sample_curve_point(geom, rng)
-        if zpt is None or zpt.coords in assigned_coords:
-            continue
-        jac = np.array(
-            [_quad_grad(_qbar_coeffs(p), zpt.coords, p),
-             _quad_grad(geom.qprime, zpt.coords, p)],
-            dtype=np.int64,
-        )
-        basis = gfp.kernel_mod(jac, p)
-        zvec = np.array(zpt.coords, dtype=np.int64)
-        v = None
-        candidates = list(basis) + ([basis.sum(axis=0) % p] if basis.size else [])
-        for cand in candidates:
-            if cand.any() and not _rank_le_1(zvec, cand, p):
-                v = tuple(int(x) for x in cand)
-                break
-        if v is None:
-            continue
-        count += 1
-        dv = section_values(kernel, derivative_values(zpt.coords, v, d, p), p)
-        if _rank_le_1(ev(zpt.coords), dv, p):
-            checked["tangent-on-curve"] = count
-            return ProbeReport(
-                "separation", True,
-                [Witness("tangent-on-curve",
-                         {"point": list(map(int, zpt.coords)), "direction": list(v)})],
-                checked,
-            )
-    checked["tangent-on-curve"] = count
+    def curve_tangents(rng: random.Random):
+        for _ in range(nprobes):
+            zpt = _sample_curve_point(geom, rng)
+            if zpt is None or zpt.coords in assigned_coords:
+                continue
+            v = _curve_tangent(geom, zpt)
+            if v is not None:
+                yield zpt.coords, v
+
+    for cat, label, tangents in (
+        ("tangent-generic", "sep-tangent", generic_tangents),
+        ("tangent-on-curve", "sep-tangent-curve", curve_tangents),
+    ):
+        rng = random.Random(derive_seed(label, p, geom.seed, tag, nprobes))
+        checked[cat], zv = _first_hit(tangents(rng), evaluator.flat)
+        if zv is not None:
+            return fired(cat, _tangent_data(*zv))
+
+    def pair_witness(kind: str, z1, z2) -> Optional[ProbeReport]:
+        if evaluator.unseparated([(z1, z2)])[0]:
+            return fired(kind, _pair_data(z1, z2))
+        return None
 
     notes: list[str] = []
     # a forced base point defeats every pairing
@@ -946,9 +1056,9 @@ def probe_separation(
         if found:
             z = found[0].coords
             other = _random_proj_point(random.Random(derive_seed("sep-pair", p, geom.seed, tag)), p)
-            w = pair_witness("unseparated-base-point", z, other)
-            if w:
-                return ProbeReport("separation", True, [w], checked)
+            report = pair_witness("unseparated-base-point", z, other)
+            if report:
+                return report
         notes.append("degree-1 hunt found no base point")
 
     # curve degree 2: each curve point has a partner no form separates
@@ -960,13 +1070,13 @@ def probe_separation(
             if zpt is None or zpt.coords in assigned_coords:
                 continue
             tried += 1
-            w1 = ev(zpt.coords)
+            checked["conjugate-hunt"] = tried
+            w1 = evaluator.at([zpt.coords])[0]
             if not w1.any():
                 other = _random_proj_point(rng, p)
-                w = pair_witness("unseparated-base-point", zpt.coords, other)
-                if w:
-                    checked["conjugate-hunt"] = tried
-                    return ProbeReport("separation", True, [w], checked)
+                report = pair_witness("unseparated-base-point", zpt.coords, other)
+                if report:
+                    return report
                 continue
             coeff_kernel = gfp.kernel_mod(w1.reshape(1, -1), p)
             sub = gfp.matmul_mod(coeff_kernel, kernel, p)
@@ -974,10 +1084,9 @@ def probe_separation(
                 geom, sub, d, assigned, frozenset([zpt.coords]), rng
             )
             for z2 in partners:
-                w = pair_witness("conjugate-pair", zpt.coords, z2.coords)
-                if w:
-                    checked["conjugate-hunt"] = tried
-                    return ProbeReport("separation", True, [w], checked)
+                report = pair_witness("conjugate-pair", zpt.coords, z2.coords)
+                if report:
+                    return report
             if tried >= 4:
                 break
         checked["conjugate-hunt"] = tried

@@ -175,6 +175,14 @@ def test_base_probe_eighth_point():
     assert z not in {pt.coords for pt in geom0().points[:7]}
 
 
+def test_probes_with_no_candidates_stay_quiet():
+    # zero probes per category: nothing to evaluate, nothing fires
+    b = base("L3(2; 1^3)", nprobes=0)
+    assert not b.fired and b.checked == {"generic": 0}
+    s = sep("L3(2; 1^3)", nprobes=0)
+    assert not s.fired and set(s.checked.values()) == {0}
+
+
 def test_base_probe_empty_system():
     r = base("L3(0; 1)")
     assert r.fired and r.witnesses[0].kind == "empty-system"
@@ -273,3 +281,52 @@ def test_derive_seed_stability():
     assert oracle.derive_seed("a", 1) == oracle.derive_seed("a", 1)
     assert oracle.derive_seed("a", 1) != oracle.derive_seed("a", 2)
     assert oracle.derive_seed("a", 1) != oracle.derive_seed("b", 1)
+
+
+# ---------------------------------------------------------------------------
+# a prime congruent to 1 mod 4: square roots go through Tonelli-Shanks
+
+TS_PRIME = 65537
+FROZEN_TS = [
+    # class, (dim, h1) per seed, base kind, separation kind (None: quiet)
+    ("L3(1; 1)", [(2, 0), (2, 0)], None, "pair-on-line"),
+    ("L3(2; 1^7)", [(2, 0), (2, 0)], "isolated-on-curve", "pair-on-line"),
+    ("L3(3; 1^10)", [(9, 0), (9, 0)], None, "conjugate-pair"),
+    ("L3(4; 2, 1^5)", [(25, 0), (25, 0)], None, None),
+    ("L3(2; 1^9)", [(1, 1), (1, 1)], "on-curve", "pair-on-line"),
+    ("L3(3; 2, 2)", [(11, 0), (11, 0)], "on-line", "pair-on-line"),
+    ("L3(5; 2^5, 1^7)", [(28, 0), (28, 0)], None, None),
+    ("L3(3; 1^11)", [(8, 0), (8, 0)], "isolated-on-curve", "pair-on-curve"),
+    ("L3(4; 3, 3)", [(15, 1), (15, 1)], "on-line", "pair-on-line"),
+]
+
+
+def test_battery_at_prime_one_mod_four(monkeypatch):
+    assert TS_PRIME % 4 == 1
+    shanks = []
+    real_sqrt = gfp.sqrt_mod
+
+    def spy(a, p):
+        root = real_sqrt(a, p)
+        if p == TS_PRIME and root is not None and a % p:
+            assert root * root % p == a % p
+            shanks.append(a)
+        return root
+
+    monkeypatch.setattr(gfp, "sqrt_mod", spy)
+    oracle.get_geometry.cache_clear()  # build the geometries under the spy
+    for txt, dims, base_kind, sep_kind in FROZEN_TS:
+        r = oracle.run_battery(parse_class(txt), primes=(TS_PRIME,), seeds=(0, 1), probes=8)
+        assert [(t.dim, t.h1) for t in r.trials] == dims, txt
+        assert r.base.fired == (base_kind is not None), txt
+        assert r.separation.fired == (sep_kind is not None), txt
+        if base_kind:
+            assert r.base.first.witnesses[0].kind == base_kind, txt
+        if sep_kind:
+            assert r.separation.first.witnesses[0].kind == sep_kind, txt
+    assert shanks  # nonzero residues had their roots taken at p = 1 mod 4
+    for seed in (0, 1):
+        g = oracle.build_geometry(TS_PRIME, seed)
+        for pt in g.points:
+            assert oracle._quad_eval(g.qprime, pt.coords, TS_PRIME) == 0
+            assert oracle._smooth_at(g, pt)
