@@ -145,10 +145,6 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _parse(txt: str):
-    return parse_class(txt)
-
-
 def _require_space_class(c, command: str) -> ThreefoldClass:
     if not isinstance(c, ThreefoldClass):
         raise UsageError(f"{command} expects a space class L3(d; ...), got {format_class(c)}")
@@ -193,7 +189,7 @@ def _classification_text(cl, certs) -> str:
 
 
 def cmd_classify(args) -> int:
-    c = _require_space_class(_parse(args.cls), "classify")
+    c = _require_space_class(parse_class(args.cls), "classify")
     mode = Mode(args.mode)
     cl = classify(c, mode=mode)
     certs = None
@@ -220,7 +216,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    c = _parse(args.cls)
+    c = parse_class(args.cls)
     if isinstance(c, PlaneClass):
         plane, origin = c, "input"
     elif isinstance(c, QuadricClass):
@@ -264,7 +260,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_vdim(args) -> int:
-    c = _parse(args.cls)
+    c = parse_class(args.cls)
     if isinstance(c, ThreefoldClass):
         obj = {
             "schema": 1,
@@ -312,7 +308,7 @@ def _battery_args(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def cmd_oracle(args) -> int:
-    c = _require_space_class(_parse(args.cls), "oracle")
+    c = _require_space_class(parse_class(args.cls), "oracle")
     _require_curve_mode(Mode(args.mode))
     primes, seeds = _battery_args(args)
     report = oracle_mod.run_battery(c, primes, seeds, probes=args.probes)

@@ -79,12 +79,11 @@ class Condition:
         }
 
 
-def _norm(c: ThreefoldClass, drop_zeros: bool) -> ThreefoldClass:
+def _norm(c: ThreefoldClass) -> ThreefoldClass:
     s = c.sorted_desc()
-    if drop_zeros and 0 in s.mults:
+    if 0 in s.mults:
         warnings.warn(
-            "zero multiplicities dropped before applying point-count "
-            "thresholds; pass drop_zeros=False to keep them",
+            "zero multiplicities dropped before applying point-count thresholds",
             stacklevel=3,
         )
         return s.normalized()
@@ -96,14 +95,14 @@ def _padded_tops(mults: tuple[int, ...], k: int) -> list[int]:
     return ms[:k]
 
 
-def check_nonspecial(c: ThreefoldClass, drop_zeros: bool = True) -> tuple[Verdict, list[Condition]]:
+def check_nonspecial(c: ThreefoldClass) -> tuple[Verdict, list[Condition]]:
     """Sufficient non-speciality test; Yes or Unknown, never a refusal.
 
     Yes when 2d >= m1+m2+m3+m4, d >= m1+m2-1, and (r <= 8 or 4d >= sum m_i).
     Anything else (including negative multiplicities, which the inequalities
     do not cover) is Unknown.
     """
-    s = _norm(c, drop_zeros)
+    s = _norm(c)
     d, ms, r = s.d, s.mults, s.r
     if any(m < 0 for m in ms):
         return Verdict.UNKNOWN, [
@@ -129,10 +128,10 @@ def check_nonspecial(c: ThreefoldClass, drop_zeros: bool = True) -> tuple[Verdic
     return (Verdict.YES if ok else Verdict.UNKNOWN), conds
 
 
-def check_bpf(c: ThreefoldClass, drop_zeros: bool = True) -> tuple[bool, list[Condition]]:
+def check_bpf(c: ThreefoldClass) -> tuple[bool, list[Condition]]:
     """Base-point-freeness test: m_r >= 0, d >= m1+m2, and 4d >= sum(m)+2
     once r >= 8.  An iff in on-anticanonical mode."""
-    s = _norm(c, drop_zeros)
+    s = _norm(c)
     d, ms, r = s.d, s.mults, s.r
     m1, m2 = _padded_tops(ms, 2)
     mr = ms[-1] if ms else 0
@@ -151,11 +150,11 @@ def check_bpf(c: ThreefoldClass, drop_zeros: bool = True) -> tuple[bool, list[Co
     return ok, conds
 
 
-def check_very_ample(c: ThreefoldClass, drop_zeros: bool = True) -> tuple[bool, list[Condition]]:
+def check_very_ample(c: ThreefoldClass) -> tuple[bool, list[Condition]]:
     """Very-ampleness test: m_r > 0, d >= m1+m2+1 (d >= m1+1 when r = 1,
     d >= 1 when r = 0), and 4d >= sum(m)+3 once r >= 9.  An iff in
     on-anticanonical mode."""
-    s = _norm(c, drop_zeros)
+    s = _norm(c)
     d, ms, r = s.d, s.mults, s.r
     m1, m2 = _padded_tops(ms, 2)
     mr = ms[-1] if ms else 1
@@ -218,11 +217,10 @@ class Classification:
         }
 
 
-def classify(c: ThreefoldClass, mode: Mode = Mode.ON_ANTICANONICAL,
-             drop_zeros: bool = True) -> Classification:
-    ns, ns_conds = check_nonspecial(c, drop_zeros)
-    bp, bp_conds = check_bpf(c, drop_zeros)
-    va, va_conds = check_very_ample(c, drop_zeros)
+def classify(c: ThreefoldClass, mode: Mode = Mode.ON_ANTICANONICAL) -> Classification:
+    ns, ns_conds = check_nonspecial(c)
+    bp, bp_conds = check_bpf(c)
+    va, va_conds = check_very_ample(c)
     return Classification(
         clazz=c,
         mode=mode,

@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -663,20 +663,21 @@ def hunt_common_zeros(
     polys = [q for q in polys if q is not None]
     if not polys:
         return []
+
+    def off_assigned(g: list[int]) -> list[int]:
+        for pt in assigned:
+            if pt.st[1] == 1:
+                g, _ = gfp.divide_out_root(g, pt.st[0], p)
+        return g
+
     g = polys[0]
     for q in polys[1:]:
         g = gfp.pgcd(g, q, p)
-    for pt in assigned:
-        if pt.st[1] == 1:
-            g, _ = gfp.divide_out_root(g, pt.st[0], p)
+    g = off_assigned(g)
     if gfp.pdeg(g) > 2 * len(assigned) + 6:
         extra = combo_resultant()
         if extra is not None:
-            g2 = gfp.pgcd(g, extra, p)
-            for pt in assigned:
-                if pt.st[1] == 1:
-                    g2, _ = gfp.divide_out_root(g2, pt.st[0], p)
-            g = g2
+            g = off_assigned(gfp.pgcd(g, extra, p))
     roots = gfp.rational_roots(g, p, rng)
 
     fibers = [(x, 1) for x in roots] + [(1, 0)] + [pt.st for pt in assigned]
@@ -731,47 +732,67 @@ class ProbeReport:
 _BLOCK = 64
 
 
-def _first_hit(
-    candidates: Iterable, hits: Callable[[list], np.ndarray], count_all: bool = False
-) -> tuple[int, object]:
-    """Scan candidates in draw order, one block of at most _BLOCK at a time.
+class _Probe:
+    """One probe call: what its candidate streams need, its ``checked``
+    counts, and the kernel's basis forms evaluated at stacked candidates."""
 
-    ``hits`` maps a block to one flag per candidate.  Returns a count and
-    the first flagged candidate (None if there is none); the count is the
-    number of candidates or, when a candidate is flagged and ``count_all``
-    is not set, its 1-based index.  With ``count_all`` the candidates
-    after the deciding block are drawn and counted, not evaluated; without
-    it they are never drawn.
-    """
-    stream = iter(candidates)
-    seen = 0
-    while True:
-        block = list(itertools.islice(stream, _BLOCK))
-        if not block:
-            return seen, None
-        flagged = np.flatnonzero(hits(block))
-        if flagged.size:
-            k = int(flagged[0])
-            if count_all:
-                return seen + len(block) + sum(1 for _ in stream), block[k]
-            return seen + k + 1, block[k]
-        seen += len(block)
+    def __init__(self, target: str, geom: Geometry, clazz: ThreefoldClass,
+                 nprobes: int, sysd: Optional[SystemData]):
+        c = clazz.normalized()
+        self.sysd = solve_system(geom, c) if sysd is None else sysd
+        self.target = target
+        self.geom = geom
+        self.p, self.d = geom.prime, c.d
+        self.nprobes = nprobes
+        self.tag = format_class(c)
+        self.assigned = list(geom.points[: c.r])
+        self.assigned_coords = {pt.coords for pt in self.assigned}
+        self.checked: dict[str, int] = {}
 
+    def rng(self, label: str, *extra: object) -> random.Random:
+        return random.Random(derive_seed(label, self.p, self.geom.seed, self.tag, *extra))
 
-class _Evaluator:
-    """The kernel's basis forms evaluated at stacks of points and tangents."""
+    def fired(self, kind: str, data: dict) -> ProbeReport:
+        return ProbeReport(self.target, True, [Witness(kind, data)], self.checked)
 
-    def __init__(self, kernel: np.ndarray, d: int, p: int):
-        self.kernel_t = kernel.T
-        self.d = d
-        self.p = p
+    def scan(self, min_h0: int, short_kind: str, categories: tuple) -> Optional[ProbeReport]:
+        """Fire at once on fewer than min_h0 forms, else on the first witness.
 
-    def _values(self, rows: np.ndarray) -> np.ndarray:
-        return gfp.matmul_mod(rows, self.kernel_t, self.p)
+        The categories run in table order, each scanning its candidates in
+        draw order one block of at most _BLOCK at a time; None when none of
+        them fired.
+        """
+        if self.sysd.h0 < min_h0:
+            return self.fired(short_kind, {"h0": self.sysd.h0})
+        for name, label, stream, test, data, count, needs_point in categories:
+            if needs_point and not self.assigned:
+                continue
+            candidates = stream(self, self.rng(label, self.nprobes))
+            n, hit = 0, None
+            while hit is None:
+                block = list(itertools.islice(candidates, _BLOCK))
+                if not block:
+                    break
+                flagged = np.flatnonzero(test(self, block))
+                if not flagged.size:
+                    n += len(block)
+                    continue
+                k = int(flagged[0])
+                hit = block[k]
+                if count == _TO_WITNESS:
+                    n += k + 1
+                else:  # the rest of the stream is drawn and counted, not evaluated
+                    n += len(block) + sum(1 for _ in candidates)
+            if n or count != _EVERY_IF_ANY:
+                self.checked[name] = n
+            if hit is not None:
+                return self.fired(name, data(hit))
+        return None
 
     def at(self, points: list) -> np.ndarray:
         """One row of basis values per point."""
-        return self._values(monomial_values(np.array(points), self.d, self.p))
+        rows = monomial_values(np.array(points), self.d, self.p)
+        return gfp.matmul_mod(rows, self.sysd.kernel.T, self.p)
 
     def vanishing(self, points: list) -> np.ndarray:
         """Per point: does every form vanish there?"""
@@ -790,20 +811,167 @@ class _Evaluator:
             monomial_values(zs, self.d, self.p),
             derivative_values(zs, vs, self.d, self.p),
         ])
-        vals = self._values(rows)
+        vals = gfp.matmul_mod(rows, self.sysd.kernel.T, self.p)
         return _rank_le_1(vals[: len(tangents)], vals[len(tangents):], self.p)
+
+
+# ---------------------------------------------------------------------------
+# candidate streams: each takes the probe and its seeded stream and yields
+# candidates off the assigned points
+
+
+def _lin(lam: int, a: Sequence[int], mu: int, b: Sequence[int], p: int) -> tuple:
+    return tuple((lam * a[j] + mu * b[j]) % p for j in range(4))
+
+
+def _line_points(pr: _Probe, rng: random.Random):
+    """Points on the line through the two deepest assigned points; with one
+    assigned point, on four random lines through it."""
+    p, p1 = pr.p, pr.assigned[0].coords
+    if len(pr.assigned) >= 2:
+        p2 = pr.assigned[1].coords
+        for _ in range(pr.nprobes):
+            lam, mu = rng.randrange(1, p), rng.randrange(1, p)
+            z = _lin(lam, p1, mu, p2, p)
+            if z not in pr.assigned_coords:
+                yield z
+    else:
+        for _ in range(4):
+            direction = _random_proj_point(rng, p)
+            for _ in range(max(1, pr.nprobes // 4)):
+                z = _lin(1, p1, rng.randrange(1, p), direction, p)
+                if any(z) and z not in pr.assigned_coords:
+                    yield z
+
+
+def _line_pairs(pr: _Probe, rng: random.Random):
+    """Pairs on the line through the two deepest assigned points; with one
+    assigned point, each pair on a fresh random line through it."""
+    p, p1 = pr.p, pr.assigned[0].coords
+    two = len(pr.assigned) >= 2
+    for _ in range(pr.nprobes if two else max(1, pr.nprobes // 2)):
+        p2 = pr.assigned[1].coords if two else _random_proj_point(rng, p)
+        l1, l2 = rng.randrange(1, p), rng.randrange(1, p)
+        if l1 == l2:
+            continue
+        z1, z2 = _lin(1, p1, l1, p2, p), _lin(1, p1, l2, p2, p)
+        if z1 not in pr.assigned_coords and z2 not in pr.assigned_coords:
+            yield z1, z2
+
+
+def _curve_point(pr: _Probe, rng: random.Random) -> Optional[tuple]:
+    pt = _sample_curve_point(pr.geom, rng)
+    return None if pt is None else pt.coords
+
+
+def _generic_point(pr: _Probe, rng: random.Random) -> tuple:
+    return _random_proj_point(rng, pr.p)
+
+
+def _fresh_curve_point(pr: _Probe, rng: random.Random) -> Optional[tuple]:
+    """An unassigned curve point, within 64 draws."""
+    for _ in range(64):
+        z = _curve_point(pr, rng)
+        if z is not None and z not in pr.assigned_coords:
+            return z
+    return None
+
+
+def _fresh_points(draw: Callable):
+    """Unassigned draws, at most nprobes of them out of 4 * nprobes."""
+    def stream(pr: _Probe, rng: random.Random):
+        found = 0
+        for _ in range(4 * pr.nprobes):
+            if found == pr.nprobes:
+                return
+            z = draw(pr, rng)
+            if z is not None and z not in pr.assigned_coords:
+                found += 1
+                yield z
+    return stream
+
+
+def _random_pairs(draw1: Callable, draw2: Callable):
+    """nprobes draws of a pair, kept when both are distinct unassigned points."""
+    def stream(pr: _Probe, rng: random.Random):
+        for _ in range(pr.nprobes):
+            z1, z2 = draw1(pr, rng), draw2(pr, rng)
+            if z1 is None or z2 is None or z1 == z2:
+                continue
+            if z1 not in pr.assigned_coords and z2 not in pr.assigned_coords:
+                yield z1, z2
+    return stream
+
+
+def _generic_tangents(pr: _Probe, rng: random.Random):
+    for _ in range(pr.nprobes):
+        z = _random_proj_point(rng, pr.p)
+        if z in pr.assigned_coords:
+            continue
+        v = _random_proj_point(rng, pr.p)
+        if not _proportional(z, v, pr.p):
+            yield z, v
+
+
+def _curve_tangents(pr: _Probe, rng: random.Random):
+    for _ in range(pr.nprobes):
+        zpt = _sample_curve_point(pr.geom, rng)
+        if zpt is None or zpt.coords in pr.assigned_coords:
+            continue
+        v = _curve_tangent(pr.geom, zpt)
+        if v is not None:
+            yield zpt.coords, v
 
 
 def _point_data(z) -> dict:
     return {"point": list(map(int, z))}
 
 
-def _pair_data(z1, z2) -> dict:
-    return {"pair": [list(map(int, z1)), list(map(int, z2))]}
+def _line_point_data(z) -> dict:
+    return dict(_point_data(z), through="deepest pair")
 
 
-def _tangent_data(z, v) -> dict:
+def _pair_data(pair) -> dict:
+    return {"pair": [list(map(int, z)) for z in pair]}
+
+
+def _tangent_data(zv) -> dict:
+    z, v = zv
     return {"point": list(map(int, z)), "direction": list(map(int, v))}
+
+
+# count rules for ``checked``: every valid candidate counts, also those past
+# the witness (_EVERY_IF_ANY leaves a zero count out), or only the candidates
+# up to and including the witness (_TO_WITNESS)
+_EVERY, _EVERY_IF_ANY, _TO_WITNESS = "every", "every-if-any", "to-witness"
+
+# The random categories, run in this order by ``_Probe.scan``.  Columns: the
+# category (a ``checked`` key and the witness kind), its derive_seed label,
+# candidate stream, test per block, witness data, count rule, and whether it
+# needs an assigned point (the line categories).  Labels and draw order are
+# part of the output.
+_BASE_CATEGORIES = (
+    ("on-line", "probe-line", _line_points,
+     _Probe.vanishing, _line_point_data, _EVERY_IF_ANY, True),
+    ("on-curve", "probe-curve", _fresh_points(_curve_point),
+     _Probe.vanishing, _point_data, _EVERY_IF_ANY, False),
+    ("generic", "probe-generic", _fresh_points(_generic_point),
+     _Probe.vanishing, _point_data, _EVERY, False),
+)
+_SEPARATION_CATEGORIES = (
+    ("pair-on-line", "sep-line", _line_pairs,
+     _Probe.unseparated, _pair_data, _EVERY, True),
+    ("pair-on-curve", "sep-pair-on-curve", _random_pairs(_fresh_curve_point, _fresh_curve_point),
+     _Probe.unseparated, _pair_data, _TO_WITNESS, False),
+    ("pair-generic", "sep-pair-generic", _random_pairs(_generic_point, _generic_point),
+     _Probe.unseparated, _pair_data, _TO_WITNESS, False),
+    ("pair-mixed", "sep-pair-mixed", _random_pairs(_fresh_curve_point, _generic_point),
+     _Probe.unseparated, _pair_data, _TO_WITNESS, False),
+    ("tangent-generic", "sep-tangent", _generic_tangents,
+     _Probe.flat, _tangent_data, _TO_WITNESS, False),
+    ("tangent-on-curve", "sep-tangent-curve", _curve_tangents,
+     _Probe.flat, _tangent_data, _TO_WITNESS, False),
+)
 
 
 def probe_base_locus(
@@ -819,96 +987,22 @@ def probe_base_locus(
     of the ambient space, and (only when the curve degree is exactly 1) the
     exact resultant hunt for the single forced curve point.
     """
-    c = clazz.normalized()
-    checked: dict[str, int] = {}
-    if any(m < 0 for m in c.mults):
-        return ProbeReport(
-            "base-locus", True,
-            [Witness("invalid-multiplicity", {"class": format_class(c)})], checked,
-        )
-    if sysd is None:
-        sysd = solve_system(geom, c)
-    p, d = geom.prime, c.d
-    if sysd.h0 == 0:
-        return ProbeReport(
-            "base-locus", True,
-            [Witness("empty-system", {"h0": 0})], checked,
-        )
-    kernel = sysd.kernel
-    evaluator = _Evaluator(kernel, d, p)
-    assigned = list(geom.points[: c.r])
-    assigned_coords = {pt.coords for pt in assigned}
-    tag = format_class(c)
-
-    def fired(kind: str, data: dict) -> ProbeReport:
-        return ProbeReport("base-locus", True, [Witness(kind, data)], checked)
-
-    def line_points(rng: random.Random):
-        if c.r >= 2:
-            p1, p2 = assigned[0].coords, assigned[1].coords
-            for _ in range(nprobes):
-                lam, mu = rng.randrange(1, p), rng.randrange(1, p)
-                yield tuple((lam * p1[j] + mu * p2[j]) % p for j in range(4))
-        else:
-            p1 = assigned[0].coords
-            for _ in range(4):
-                direction = _random_proj_point(rng, p)
-                for _ in range(max(1, nprobes // 4)):
-                    lam = rng.randrange(1, p)
-                    z = tuple((p1[j] + lam * direction[j]) % p for j in range(4))
-                    if any(z):
-                        yield z
-
-    def fresh_points(draw, rng: random.Random):
-        """Unassigned draws, at most nprobes of them out of 4 * nprobes."""
-        found = 0
-        for _ in range(4 * nprobes):
-            if found == nprobes:
-                return
-            z = draw(rng)
-            if z is not None and z not in assigned_coords:
-                found += 1
-                yield z
-
-    def curve_coords(rng: random.Random) -> Optional[tuple]:
-        pt = _sample_curve_point(geom, rng)
-        return None if pt is None else pt.coords
-
-    # every valid candidate counts, also those past the witness
-    if c.r >= 1:
-        rng = random.Random(derive_seed("probe-line", p, geom.seed, tag, nprobes))
-        pts = (z for z in line_points(rng) if z not in assigned_coords)
-        n, z = _first_hit(pts, evaluator.vanishing, count_all=True)
-        if n:
-            checked["on-line"] = n
-        if z is not None:
-            return fired("on-line", dict(_point_data(z), through="deepest pair"))
-
-    rng = random.Random(derive_seed("probe-curve", p, geom.seed, tag, nprobes))
-    n, z = _first_hit(fresh_points(curve_coords, rng), evaluator.vanishing, count_all=True)
-    if n:
-        checked["on-curve"] = n
-    if z is not None:
-        return fired("on-curve", _point_data(z))
-
-    rng = random.Random(derive_seed("probe-generic", p, geom.seed, tag, nprobes))
-    checked["generic"], z = _first_hit(
-        fresh_points(lambda r: _random_proj_point(r, p), rng), evaluator.vanishing,
-        count_all=True,
-    )
-    if z is not None:
-        return fired("generic", _point_data(z))
+    pr = _Probe("base-locus", geom, clazz, nprobes, sysd)
+    report = pr.scan(1, "empty-system", _BASE_CATEGORIES)
+    if report is not None:
+        return report
 
     notes: tuple[str, ...] = ()
-    if sysd.curve_degree == 1 and d >= 1:
-        rng = random.Random(derive_seed("probe-hunt", p, geom.seed, tag))
-        found = hunt_common_zeros(geom, kernel, d, assigned, frozenset(), rng)
-        checked["isolated-hunt"] = 1
+    if pr.sysd.curve_degree == 1 and pr.d >= 1:
+        found = hunt_common_zeros(
+            geom, pr.sysd.kernel, pr.d, pr.assigned, frozenset(), pr.rng("probe-hunt")
+        )
+        pr.checked["isolated-hunt"] = 1
         if found:
-            return fired("isolated-on-curve", _point_data(found[0].coords))
+            return pr.fired("isolated-on-curve", _point_data(found[0].coords))
         notes = ("exact hunt found no unassigned curve point",)
 
-    return ProbeReport("base-locus", False, [], checked, notes)
+    return ProbeReport("base-locus", False, [], pr.checked, notes)
 
 
 def probe_separation(
@@ -925,153 +1019,42 @@ def probe_separation(
     degree-1 class has a base point (which defeats every pairing), and a
     degree-2 class identifies each curve point with a partner.
     """
-    c = clazz.normalized()
-    checked: dict[str, int] = {}
-    if any(m < 0 for m in c.mults):
-        return ProbeReport(
-            "separation", True,
-            [Witness("invalid-multiplicity", {"class": format_class(c)})], checked,
-        )
-    if sysd is None:
-        sysd = solve_system(geom, c)
-    p, d = geom.prime, c.d
-    if sysd.h0 <= 1:
-        return ProbeReport(
-            "separation", True,
-            [Witness("insufficient-sections", {"h0": sysd.h0})], checked,
-        )
-    kernel = sysd.kernel
-    evaluator = _Evaluator(kernel, d, p)
-    assigned = list(geom.points[: c.r])
-    assigned_coords = {pt.coords for pt in assigned}
-    tag = format_class(c)
-
-    def fired(kind: str, data: dict) -> ProbeReport:
-        return ProbeReport("separation", True, [Witness(kind, data)], checked)
-
-    # pairs on the line spanned by the two deepest assigned points; every
-    # valid pair counts, also those past the witness
-    def line_pairs(rng: random.Random):
-        if c.r >= 2:
-            p1, p2 = assigned[0].coords, assigned[1].coords
-            for _ in range(nprobes):
-                l1, l2 = rng.randrange(1, p), rng.randrange(1, p)
-                if l1 == l2:
-                    continue
-                z1 = tuple((p1[j] + l1 * p2[j]) % p for j in range(4))
-                z2 = tuple((p1[j] + l2 * p2[j]) % p for j in range(4))
-                yield z1, z2
-        else:
-            p1 = assigned[0].coords
-            for _ in range(max(1, nprobes // 2)):
-                direction = _random_proj_point(rng, p)
-                l1, l2 = rng.randrange(1, p), rng.randrange(1, p)
-                if l1 == l2:
-                    continue
-                z1 = tuple((p1[j] + l1 * direction[j]) % p for j in range(4))
-                z2 = tuple((p1[j] + l2 * direction[j]) % p for j in range(4))
-                yield z1, z2
-
-    if c.r >= 1:
-        rng = random.Random(derive_seed("sep-line", p, geom.seed, tag, nprobes))
-        pairs = (
-            (z1, z2) for z1, z2 in line_pairs(rng)
-            if z1 not in assigned_coords and z2 not in assigned_coords and z1 != z2
-        )
-        checked["pair-on-line"], pair = _first_hit(pairs, evaluator.unseparated, count_all=True)
-        if pair is not None:
-            return fired("pair-on-line", _pair_data(*pair))
-
-    # random pairs: curve/curve, generic/generic, mixed
-    def fresh_curve(rng: random.Random) -> Optional[tuple]:
-        for _ in range(64):
-            z = _sample_curve_point(geom, rng)
-            if z is not None and z.coords not in assigned_coords:
-                return z.coords
-        return None
-
-    def fresh_generic(rng: random.Random) -> tuple:
-        return _random_proj_point(rng, p)
-
-    def random_pairs(rng: random.Random, mk1, mk2):
-        for _ in range(nprobes):
-            z1 = mk1(rng)
-            z2 = mk2(rng)
-            if z1 is None or z2 is None or z1 == z2:
-                continue
-            if z1 in assigned_coords or z2 in assigned_coords:
-                continue
-            yield z1, z2
-
-    for cat, mk1, mk2 in (
-        ("pair-on-curve", fresh_curve, fresh_curve),
-        ("pair-generic", fresh_generic, fresh_generic),
-        ("pair-mixed", fresh_curve, fresh_generic),
-    ):
-        rng = random.Random(derive_seed("sep-" + cat, p, geom.seed, tag, nprobes))
-        checked[cat], pair = _first_hit(random_pairs(rng, mk1, mk2), evaluator.unseparated)
-        if pair is not None:
-            return fired(cat, _pair_data(*pair))
-
-    # tangent directions, generic and along the curve
-    def generic_tangents(rng: random.Random):
-        for _ in range(nprobes):
-            z = _random_proj_point(rng, p)
-            if z in assigned_coords:
-                continue
-            v = _random_proj_point(rng, p)
-            if _proportional(z, v, p):
-                continue
-            yield z, v
-
-    def curve_tangents(rng: random.Random):
-        for _ in range(nprobes):
-            zpt = _sample_curve_point(geom, rng)
-            if zpt is None or zpt.coords in assigned_coords:
-                continue
-            v = _curve_tangent(geom, zpt)
-            if v is not None:
-                yield zpt.coords, v
-
-    for cat, label, tangents in (
-        ("tangent-generic", "sep-tangent", generic_tangents),
-        ("tangent-on-curve", "sep-tangent-curve", curve_tangents),
-    ):
-        rng = random.Random(derive_seed(label, p, geom.seed, tag, nprobes))
-        checked[cat], zv = _first_hit(tangents(rng), evaluator.flat)
-        if zv is not None:
-            return fired(cat, _tangent_data(*zv))
+    pr = _Probe("separation", geom, clazz, nprobes, sysd)
+    report = pr.scan(2, "insufficient-sections", _SEPARATION_CATEGORIES)
+    if report is not None:
+        return report
+    p, d, kernel = pr.p, pr.d, pr.sysd.kernel
 
     def pair_witness(kind: str, z1, z2) -> Optional[ProbeReport]:
-        if evaluator.unseparated([(z1, z2)])[0]:
-            return fired(kind, _pair_data(z1, z2))
+        if pr.unseparated([(z1, z2)])[0]:
+            return pr.fired(kind, _pair_data((z1, z2)))
         return None
 
     notes: list[str] = []
     # a forced base point defeats every pairing
-    if sysd.curve_degree == 1 and d >= 1:
-        rng = random.Random(derive_seed("sep-hunt-base", p, geom.seed, tag))
-        found = hunt_common_zeros(geom, kernel, d, assigned, frozenset(), rng)
-        checked["base-point-hunt"] = 1
+    if pr.sysd.curve_degree == 1 and d >= 1:
+        found = hunt_common_zeros(
+            geom, kernel, d, pr.assigned, frozenset(), pr.rng("sep-hunt-base")
+        )
+        pr.checked["base-point-hunt"] = 1
         if found:
-            z = found[0].coords
-            other = _random_proj_point(random.Random(derive_seed("sep-pair", p, geom.seed, tag)), p)
-            report = pair_witness("unseparated-base-point", z, other)
+            other = _random_proj_point(pr.rng("sep-pair"), p)
+            report = pair_witness("unseparated-base-point", found[0].coords, other)
             if report:
                 return report
         notes.append("degree-1 hunt found no base point")
 
     # curve degree 2: each curve point has a partner no form separates
-    if sysd.curve_degree == 2 and d >= 1:
-        rng = random.Random(derive_seed("sep-conjugate", p, geom.seed, tag))
+    if pr.sysd.curve_degree == 2 and d >= 1:
+        rng = pr.rng("sep-conjugate")
         tried = 0
         for _ in range(8):
             zpt = _sample_curve_point(geom, rng)
-            if zpt is None or zpt.coords in assigned_coords:
+            if zpt is None or zpt.coords in pr.assigned_coords:
                 continue
             tried += 1
-            checked["conjugate-hunt"] = tried
-            w1 = evaluator.at([zpt.coords])[0]
+            pr.checked["conjugate-hunt"] = tried
+            w1 = pr.at([zpt.coords])[0]
             if not w1.any():
                 other = _random_proj_point(rng, p)
                 report = pair_witness("unseparated-base-point", zpt.coords, other)
@@ -1081,7 +1064,7 @@ def probe_separation(
             coeff_kernel = gfp.kernel_mod(w1.reshape(1, -1), p)
             sub = gfp.matmul_mod(coeff_kernel, kernel, p)
             partners = hunt_common_zeros(
-                geom, sub, d, assigned, frozenset([zpt.coords]), rng
+                geom, sub, d, pr.assigned, frozenset([zpt.coords]), rng
             )
             for z2 in partners:
                 report = pair_witness("conjugate-pair", zpt.coords, z2.coords)
@@ -1089,10 +1072,10 @@ def probe_separation(
                     return report
             if tried >= 4:
                 break
-        checked["conjugate-hunt"] = tried
+        pr.checked["conjugate-hunt"] = tried
         notes.append("degree-2 hunt found no unseparated pair")
 
-    return ProbeReport("separation", False, [], checked, tuple(notes))
+    return ProbeReport("separation", False, [], pr.checked, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -1181,8 +1164,6 @@ def run_battery(
     always covers the full battery.
     """
     c = clazz.normalized()
-    if any(m < 0 for m in c.mults):
-        raise ValueError("negative multiplicity")
     need = max(npoints, c.r)
     systems: list[SystemData] = []
     trials: list[TrialResult] = []

@@ -275,3 +275,30 @@ def test_sweep_output_deterministic(tmp_path, capsys):
 def test_csv_not_offered_outside_sweep(capsys):
     code, _, err = run(capsys, "classify", "L3(1)", "--format", "csv")
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# the public contract: exported names and exit codes
+
+
+PUBLIC_NAMES = [
+    "Certificate", "ClassParseError", "Classification", "Condition", "CremonaStep",
+    "DEFAULT_PROBES", "DEFAULT_SEEDS", "Geometry", "Goal", "Mode", "OracleReport",
+    "PRIMES", "PlaneClass", "QuadricClass", "ReductionLog", "ReductionStatus",
+    "SurfaceCheck", "SystemData", "ThreefoldClass", "Verdict", "__version__",
+    "build_certificate", "build_geometry", "check_bpf", "check_nonspecial",
+    "check_very_ample", "classify", "conditions_matrix", "cremona_reduce", "edim3",
+    "format_class", "get_geometry", "is_standard_form", "k_int", "pair", "parse_class",
+    "plane_canonical", "probe_base_locus", "probe_separation", "quadric_canonical",
+    "quadric_to_plane", "residual", "restrict_to_quadric", "restricted_plane_class",
+    "run_battery", "self_int", "solve_system", "surface_predicate", "vdim2", "vdim3",
+    "vdim_quadric",
+]
+
+
+def test_public_contract():
+    import fatpoints3
+
+    assert sorted(fatpoints3.__all__) == PUBLIC_NAMES
+    assert all(hasattr(fatpoints3, name) for name in PUBLIC_NAMES)
+    assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DISAGREE, cli.EXIT_INVARIANT) == (0, 1, 2, 3)

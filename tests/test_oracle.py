@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from fatpoints3 import gfp, oracle
+from fatpoints3 import cli, gfp, oracle
 from fatpoints3.divclass import ThreefoldClass, parse_class
 
 P0 = oracle.PRIMES[0]
@@ -183,6 +183,58 @@ def test_probes_with_no_candidates_stay_quiet():
     assert not s.fired and set(s.checked.values()) == {0}
 
 
+QUIET_NO_POINT = {
+    "target": "base-locus", "fired": False, "witnesses": [],
+    "checked": {"generic": 16, "on-curve": 16}, "notes": [],
+}
+QUIET_SEP_NO_POINT = {
+    "target": "separation", "fired": False, "witnesses": [],
+    "checked": {"pair-generic": 16, "pair-mixed": 16, "pair-on-curve": 16,
+                "tangent-generic": 16, "tangent-on-curve": 16},
+    "notes": [],
+}
+
+
+@pytest.mark.parametrize("txt", ["L3(2)", "L3(3)"])
+def test_probes_without_assigned_points(txt):
+    # no assigned point: the line categories do not run and leave no count
+    assert base(txt).to_dict() == QUIET_NO_POINT
+    assert sep(txt).to_dict() == QUIET_SEP_NO_POINT
+
+
+PROBE_STREAMS = [
+    # derive_seed label, extra parts after (prime, seed, class): the random
+    # categories also take the probe count, the hunts do not
+    ("probe-line", (0,)), ("probe-curve", (0,)), ("probe-generic", (0,)),
+    ("probe-hunt", ()),
+    ("sep-line", (0,)), ("sep-pair-on-curve", (0,)), ("sep-pair-generic", (0,)),
+    ("sep-pair-mixed", (0,)), ("sep-tangent", (0,)), ("sep-tangent-curve", (0,)),
+    ("sep-hunt-base", ()), ("sep-pair", ()),
+    ("probe-line", (0,)), ("probe-curve", (0,)), ("probe-generic", (0,)),
+    ("sep-line", (0,)), ("sep-pair-on-curve", (0,)), ("sep-pair-generic", (0,)),
+    ("sep-pair-mixed", (0,)), ("sep-tangent", (0,)), ("sep-tangent-curve", (0,)),
+    ("sep-conjugate", ()),
+]
+
+
+def test_probe_stream_labels(monkeypatch):
+    # the labels and their order fix every draw; with no probes every
+    # category still seeds its stream and the curve-degree hunts run
+    g = geom0()
+    seen = []
+    real = oracle.derive_seed
+
+    def spy(*parts):
+        seen.append((parts[0], parts[4:]))
+        return real(*parts)
+
+    monkeypatch.setattr(oracle, "derive_seed", spy)
+    for txt in ("L3(3; 1^11)", "L3(3; 1^10)"):  # curve degree 1, then 2
+        base(txt, nprobes=0)
+        sep(txt, nprobes=0)
+    assert seen == PROBE_STREAMS
+
+
 def test_base_probe_empty_system():
     r = base("L3(0; 1)")
     assert r.fired and r.witnesses[0].kind == "empty-system"
@@ -275,6 +327,27 @@ def test_battery_flags_special_class():
 def test_battery_rejects_negative_multiplicity():
     with pytest.raises(ValueError):
         oracle.run_battery(ThreefoldClass(2, (1, -2)))
+
+
+NEGATIVE = "L3(2; 1, -1)"
+
+
+@pytest.mark.parametrize("entry", [
+    "conditions_matrix", "solve_system", "probe_base_locus", "probe_separation",
+    "run_battery", "cli",
+])
+def test_negative_multiplicity_is_rejected(entry, capsys):
+    # one check where the class reaches the exact kernels; every entry
+    # point raises through it, and the CLI reports a usage error
+    if entry == "cli":
+        assert cli.main(["oracle", NEGATIVE]) == 1
+        assert "negative multiplicity" in capsys.readouterr().err
+        return
+    args = (parse_class(NEGATIVE),)
+    if entry != "run_battery":
+        args = (geom0(),) + args
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        getattr(oracle, entry)(*args)
 
 
 def test_derive_seed_stability():
