@@ -29,9 +29,7 @@ from .divclass import (
     edim3,
     format_class,
     k_int,
-    quadric_to_plane,
     residual,
-    restrict_to_quadric,
     restricted_plane_class,
     vdim3,
 )

@@ -198,6 +198,8 @@ class Geometry:
     delta: list[int]
     points: tuple[DPoint, ...]
     _rows: dict = field(default_factory=dict, repr=False)
+    # (d, mults, kernel) of the last class solved here, see _kernel
+    _last: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
@@ -429,9 +431,8 @@ def _mult_rows(m: int) -> int:
     return math.comb(m + 2, 3)
 
 
-def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
-    """Stacked interpolation conditions for the class at the sampled points."""
-    c = clazz.normalized()
+def _check_conditions(geom: Geometry, c: ThreefoldClass) -> None:
+    """Reject a normalized class whose conditions this geometry cannot hold."""
     if any(m < 0 for m in c.mults):
         raise ValueError("negative multiplicity")
     if c.d < 0 or c.d > MAX_DEGREE:
@@ -442,11 +443,69 @@ def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
         raise ValueError(f"multiplicity above the supported bound {MAX_MULT}")
     if c.r > len(geom.points):
         raise ValueError("geometry holds fewer sampled points than the class needs")
-    ncols = monomial_exponents(c.d).shape[0]
-    blocks = [_point_rows(geom, i, c.d)[: _mult_rows(m)] for i, m in enumerate(c.mults)]
+
+
+def _condition_rows(geom: Geometry, d: int, done: tuple, mults: tuple) -> np.ndarray:
+    """The rows imposing ``mults`` beyond the ``done`` multiplicities.
+
+    ``done`` is no longer than ``mults`` and no entry of it is larger; the
+    graded row layout makes the rows of each point a slice of ``_point_rows``.
+    """
+    done = done + (0,) * (len(mults) - len(done))
+    blocks = [
+        _point_rows(geom, i, d)[_mult_rows(o): _mult_rows(m)]
+        for i, (o, m) in enumerate(zip(done, mults))
+    ]
     if not blocks:
-        return np.zeros((0, ncols), dtype=np.int64)
+        return np.zeros((0, monomial_exponents(d).shape[0]), dtype=np.int64)
     return np.vstack(blocks)
+
+
+def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
+    """Stacked interpolation conditions for the class at the sampled points."""
+    c = clazz.normalized()
+    _check_conditions(geom, c)
+    return _condition_rows(geom, c.d, (), c.mults)
+
+
+def _kernel(geom: Geometry, c: ThreefoldClass) -> np.ndarray:
+    """Kernel basis of the class's conditions, as ``kernel_from_rref`` reads
+    it off the reduced ``conditions_matrix``: identity on the free columns.
+
+    When the last class solved on this geometry has the same degree and no
+    larger multiplicity at any point, its kernel ``K`` already satisfies
+    every condition but the extra rows ``B``.  The forms left are ``N K``
+    with ``N`` the kernel of ``B K^T``, and ``N K`` is again identity on
+    the free columns (the free columns of ``B K^T`` pick them out of the
+    old ones), so it is exactly the basis a full elimination would give.
+    Any other class starts from the identity, which is the full elimination.
+    The kernel is kept on the geometry, so each geometry holds one.
+    """
+    p = geom.prime
+    last = geom._last
+    if (last is not None and last[0] == c.d and len(last[1]) <= len(c.mults)
+            and all(o <= m for o, m in zip(last[1], c.mults))):
+        done, base = last[1], last[2]
+    else:
+        done, base = (), None
+    rows = _condition_rows(geom, c.d, done, c.mults)
+    if base is None:
+        red, pivots = gfp.rref_mod(rows, p)
+        kernel = gfp.kernel_from_rref(red, pivots, p)
+    elif rows.shape[0] == 0:
+        kernel = base
+    else:
+        red, pivots = gfp.rref_mod(gfp.matmul_mod(rows, base.T, p), p)
+        coeffs = gfp.kernel_from_rref(red, pivots, p)
+        # coeffs is identity on its free columns: only the pivot rows of
+        # base need a product
+        free = np.ones(len(base), dtype=bool)
+        free[pivots] = False
+        kernel = (base[free] + gfp.matmul_mod(coeffs[:, pivots], base[pivots], p)) % p
+    # shared with the returned SystemData and the next solve on this geometry
+    kernel.flags.writeable = False
+    geom._last = (c.d, c.mults, kernel)
+    return kernel
 
 
 @dataclass
@@ -488,9 +547,11 @@ class SystemData:
 def solve_system(geom: Geometry, clazz: ThreefoldClass) -> SystemData:
     """Exact dimension of the class's space of forms on this geometry."""
     c = clazz.normalized()
-    if any(m < 0 for m in c.mults):
+    if c.d >= 0:
+        _check_conditions(geom, c)
+    elif any(m < 0 for m in c.mults):
         raise ValueError("negative multiplicity")
-    if c.d < -3:
+    elif c.d < -3:
         raise ValueError("degree below -3 is outside the model")
     vd = vdim3(c)
     ed = edim3(c)
@@ -501,14 +562,11 @@ def solve_system(geom: Geometry, clazz: ThreefoldClass) -> SystemData:
             np.zeros((0, 0), dtype=np.int64), geom,
         )
     else:
-        mat = conditions_matrix(geom, c)
-        red, pivots = gfp.rref_mod(mat, geom.prime)
-        kernel = gfp.kernel_from_rref(red, pivots, geom.prime)
-        rank = len(pivots)
-        h0 = mat.shape[1] - rank
+        kernel = _kernel(geom, c)
+        h0, n_cols = kernel.shape
         data = SystemData(
-            c, geom.prime, geom.seed, mat.shape[1], mat.shape[0], rank,
-            h0, h0 - 1, h0 - (vd + 1), vd, ed, e, kernel, geom,
+            c, geom.prime, geom.seed, n_cols, sum(_mult_rows(m) for m in c.mults),
+            n_cols - h0, h0, h0 - 1, h0 - (vd + 1), vd, ed, e, kernel, geom,
         )
     if data.dim < data.edim or data.h1 < 0:
         raise AssertionError(

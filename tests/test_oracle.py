@@ -1,6 +1,7 @@
 """Tests for the finite-field verification engine."""
 
 import json
+import pathlib
 import random
 
 import numpy as np
@@ -327,6 +328,26 @@ def test_battery_flags_special_class():
 def test_battery_rejects_negative_multiplicity():
     with pytest.raises(ValueError):
         oracle.run_battery(ThreefoldClass(2, (1, -2)))
+
+
+def test_battery_is_independent_of_solve_order():
+    # each geometry keeps the kernel of the last class solved on it; the
+    # reports must not depend on which class that was, or on whether the
+    # geometry was warm at all
+    golden = pathlib.Path(__file__).parent / "data" / "golden_oracle.json"
+    classes = sorted(json.loads(golden.read_text(encoding="utf-8")))
+
+    def report(txt):
+        r = oracle.run_battery(parse_class(txt), seeds=(0, 1), probes=16)
+        return json.dumps(r.to_dict(), sort_keys=True)
+
+    forward = {txt: report(txt) for txt in classes}
+    backward = {txt: report(txt) for txt in reversed(classes)}
+    cold = {}
+    for txt in classes:
+        oracle.get_geometry.cache_clear()
+        cold[txt] = report(txt)
+    assert forward == backward == cold
 
 
 NEGATIVE = "L3(2; 1, -1)"

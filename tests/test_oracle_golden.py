@@ -13,7 +13,10 @@ The data under ``tests/data`` holds:
 * each probe report of those classes on every geometry of that battery,
   fired or not, so quiet reports have their counts pinned too;
 * the JSON stdout of ``fatpoints3 sweep --format json --dmax 3 --rmax 6
-  --mmax 2 --probes 8``.
+  --mmax 2 --probes 8``;
+* the JSON stdout of ``fatpoints3 sweep --format json --dmax 2 --rmax 3
+  --prime 65537 --probes 4``: a prime congruent to 1 mod 4, where square
+  roots go through Tonelli-Shanks (twelve classes, all AGREE).
 
 To re-record (only ever on purpose, from a commit whose output is trusted):
 
@@ -35,6 +38,7 @@ from fatpoints3.divclass import parse_class
 DATA = pathlib.Path(__file__).parent / "data"
 ORACLE_FILE = DATA / "golden_oracle.json"
 SWEEP_FILE = DATA / "golden_sweep.json"
+SWEEP_TS_FILE = DATA / "golden_sweep_65537.json"
 
 ORACLE_CLASSES = (
     # the benchmark's oracle_classes list
@@ -51,6 +55,8 @@ ORACLE_CLASSES = (
 ORACLE_ARGS = ("--format", "json", "--trials", "2", "--probes", "16")
 SWEEP_ARGS = ("sweep", "--format", "json", "--dmax", "3", "--rmax", "6",
               "--mmax", "2", "--probes", "8")
+SWEEP_TS_ARGS = ("sweep", "--format", "json", "--dmax", "2", "--rmax", "3",
+                 "--prime", "65537", "--probes", "4")
 TRIAL_SEEDS = (0, 1)
 REPORT_PROBES = 16
 
@@ -107,6 +113,10 @@ def test_sweep_cli_bytes():
     assert _sweep_stdout() == SWEEP_FILE.read_text(encoding="utf-8")
 
 
+def test_sweep_cli_bytes_at_prime_one_mod_four():
+    assert _cli_stdout(*SWEEP_TS_ARGS) == SWEEP_TS_FILE.read_text(encoding="utf-8")
+
+
 def test_goldens_cover_every_pair_category(golden_oracle):
     # the recorded reports reach each random category at least once, so the
     # byte checks above pin their draw order and counts
@@ -130,6 +140,7 @@ def record() -> None:
     ORACLE_FILE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
     SWEEP_FILE.write_text(_sweep_stdout(), encoding="utf-8")
+    SWEEP_TS_FILE.write_text(_cli_stdout(*SWEEP_TS_ARGS), encoding="utf-8")
 
 
 if __name__ == "__main__":

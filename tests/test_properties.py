@@ -5,6 +5,11 @@ Each closed form replaced a general routine (a loop, a numpy rank, a
 per-point evaluation); the references below are those general routines,
 kept here so the two are compared on inputs hypothesis picks, including
 the degenerate ones (zero rows, rank 0 and 1, no free columns).
+
+The exact kernels everything rests on, ``rref_mod`` and ``matmul_mod``, are
+checked against pure-Python integer arithmetic, and ``solve_system`` on a
+warm geometry (which restricts the last kernel solved there) against a
+fresh elimination of the full condition matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints3 import gfp, oracle
+from fatpoints3.divclass import ThreefoldClass
 
 P = 1000003
 PRIMES = (P, 65537, oracle.PRIMES[0])
@@ -34,10 +40,10 @@ def kernel_from_rref_loop(m, pivots, p):
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=8):
+def matrices(draw, max_rows=6, max_cols=8, primes=PRIMES):
     """Matrices mod p of a chosen kind: random, zero, low rank, or square
     of full rank (no free column)."""
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(primes))
     kind = draw(st.sampled_from(("random", "zero", "low-rank", "full")))
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(1, max_cols))
@@ -234,6 +240,172 @@ def test_form_eval_matches_power_sum(p, coeffs, s, t, extra):
     n = max(len(coeffs) - 1, 0) + extra
     expected = sum(c * pow(s, i, p) * pow(t, n - i, p) for i, c in enumerate(coeffs)) % p
     assert oracle._form_eval(coeffs, s, t, n, p) == expected
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels against integer arithmetic
+
+
+def bareiss_rank_profile(mat, p):
+    """Rank and pivot columns mod p by fraction-free elimination over Z.
+
+    After k steps every entry below the pivot rows is a (k+1)-minor of the
+    input, divided exactly by the previous pivot (Sylvester's identity), so
+    no fraction and no inverse mod p is ever formed.  A pivot is an entry
+    that is nonzero mod p: a column is skipped when every minor bordering
+    the pivot minor vanishes mod p, which is the rank profile over GF(p).
+    """
+    a = [[int(x) for x in row] for row in mat]
+    rows = len(a)
+    cols = mat.shape[1]
+    prev, r, pivots = 1, 0, []
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c] % p), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
+                assert num % prev == 0
+                a[i][j] = num // prev
+        prev = a[r][c]
+        pivots.append(c)
+        r += 1
+    return r, pivots
+
+
+@SETTINGS
+@given(matrices(primes=PRIMES + (5, 7)))
+def test_rref_rank_matches_bareiss(case):
+    mat, p = case
+    _, pivots = gfp.rref_mod(mat, p)
+    rank, bareiss_pivots = bareiss_rank_profile(mat, p)
+    assert len(pivots) == gfp.rank_mod(mat, p) == rank
+    assert pivots == bareiss_pivots
+
+
+MATMUL_PRIMES = oracle.PRIMES + (65537,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(MATMUL_PRIMES),
+    st.integers(1, 3), st.sampled_from((1, 2, 84, 969, 2**15)) | st.integers(1, 969),
+    st.integers(1, 3), st.integers(0, 2**32 - 1),
+)
+def test_matmul_mod_matches_big_integers(p, rows, inner, cols, seed):
+    # entries just below 2^31 (also at and above p = 2^31 - 1), and inner
+    # dimensions up to the 969 monomials of degree 16 and the 2^15 limit
+    rng = np.random.default_rng(seed)
+    a = rng.integers(2**31 - 2**12, 2**31, size=(rows, inner), dtype=np.int64)
+    b = rng.integers(2**31 - 2**12, 2**31, size=(inner, cols), dtype=np.int64)
+    small = rng.random(b.shape) < 0.2
+    b[small] = rng.integers(0, 4, size=int(small.sum()))
+    got = gfp.matmul_mod(a, b, p)
+    ai, bi = a.tolist(), b.tolist()
+    expected = [
+        [sum(ai[i][k] * bi[k][j] for k in range(inner)) % p for j in range(cols)]
+        for i in range(rows)
+    ]
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# solves on a warm geometry against a fresh elimination
+
+WARM_PRIME = P
+
+
+def fresh_solve(geom, c):
+    """Rank and kernel of the full condition matrix, eliminated from scratch."""
+    red, pivots = gfp.rref_mod(oracle.conditions_matrix(geom, c), geom.prime)
+    return len(pivots), gfp.kernel_from_rref(red, pivots, geom.prime)
+
+
+def solve_walk(npoints, walk):
+    """Solve the classes one after another on one warm geometry; check each."""
+    geom = oracle.get_geometry(WARM_PRIME, 0, npoints)
+    out = []
+    for d, mults in walk:
+        c = ThreefoldClass(d, mults)
+        sysd = oracle.solve_system(geom, c)
+        rank, kernel = fresh_solve(geom, c)
+        assert sysd.rank == rank, (d, mults)
+        assert sysd.h0 == kernel.shape[0] == sysd.n_cols - rank, (d, mults)
+        assert sysd.kernel.dtype == kernel.dtype
+        assert np.array_equal(sysd.kernel, kernel), (d, mults)
+        out.append(sysd)
+    return out
+
+
+@st.composite
+def class_walks(draw):
+    """A geometry size and a sequence of classes, each a move from the last:
+    the same class, a superset, a subset, another degree, or any class."""
+    npoints = draw(st.sampled_from((16, 20)))
+    mult = st.integers(1, 3)
+
+    def any_class():
+        return draw(st.integers(0, 6)), draw(st.lists(mult, max_size=npoints))
+
+    d, ms = any_class()
+    walk = [(d, tuple(ms))]
+    for _ in range(draw(st.integers(1, 8))):
+        move = draw(st.sampled_from(("same", "superset", "subset", "degree", "any")))
+        ms = sorted(ms, reverse=True)
+        if move == "superset":
+            if ms and (len(ms) == npoints or draw(st.booleans())):
+                i = draw(st.integers(0, len(ms) - 1))
+                ms[i] = min(ms[i] + 1, oracle.MAX_MULT)
+            else:
+                ms.append(draw(mult))
+        elif move == "subset" and ms:
+            i = draw(st.integers(0, len(ms) - 1))
+            ms[i] -= 1
+            ms = [m for m in ms if m]
+        elif move == "degree":
+            d = draw(st.integers(0, 6))
+        elif move == "any":
+            d, ms = any_class()
+        walk.append((d, tuple(ms)))
+    return npoints, walk
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_walks())
+def test_warm_solves_match_fresh_elimination(case):
+    solve_walk(*case)
+
+
+def test_warm_solves_named_moves():
+    # each move the memo must get right, in one walk on one geometry
+    sysd = solve_walk(16, [
+        (3, (2, 1, 1)),
+        (3, (2, 1, 1)),        # the same class twice: no new row
+        (3, (2, 2, 1, 1, 1)),  # a superset: only the extra rows
+        (3, (2, 1)),           # a subset: from scratch
+        (4, (2, 1)),           # another degree: from scratch
+        (1, (1,) * 5),         # no form left
+        (1, (2,) + (1,) * 4),  # extends a full-rank predecessor
+        (1, ()),               # r = 0: every monomial is free
+        (1, (1,)),             # extends the identity kernel
+        (6, (3,) * 10),
+        (6, (3,) * 10 + (1,)),
+        (oracle.MAX_DEGREE, (oracle.MAX_MULT,) * 2),  # the caps
+        (oracle.MAX_DEGREE, (oracle.MAX_MULT,) * 2 + (4,)),
+    ])
+    assert sysd[5].h0 == 0 and sysd[6].h0 == 0
+    assert sysd[7].h0 == 4 and sysd[8].h0 == 3
+    # r > 16 needs a larger geometry
+    big = solve_walk(20, [
+        (3, (1,) * 16),
+        (3, (1,) * 18),
+        (3, (2,) * 2 + (1,) * 18),
+        (4, (2,) * 17),
+    ])
+    assert [s.clazz.r for s in big] == [16, 18, 20, 17]
 
 
 # ---------------------------------------------------------------------------
