@@ -135,8 +135,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write --out {out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 

@@ -385,11 +385,19 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             raise ClassParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ClassParseError("integer too long", start) from None
+
+
+# parse_class refuses more points than this, before expanding m^k; every
+# checker box and CLI cap stays far below it
+_MAX_POINTS = 10_000
 
 
 def parse_class(text: str) -> AnyClass:
@@ -415,16 +423,18 @@ def parse_class(text: str) -> AnyClass:
     if sc.peek() == ";":
         sc.expect(";")
         while sc.peek() not in (")", ""):
+            pos = sc.pos
             m = sc.integer()
+            k = 1
             if sc.peek() == "^":
                 sc.expect("^")
-                exp_pos = sc.pos
+                pos = sc.pos
                 k = sc.integer()
                 if k < 1:
-                    raise ClassParseError("exponent must be positive", exp_pos)
-                mults.extend([m] * k)
-            else:
-                mults.append(m)
+                    raise ClassParseError("exponent must be positive", pos)
+            if len(mults) + k > _MAX_POINTS:
+                raise ClassParseError(f"more than {_MAX_POINTS} points", pos)
+            mults.extend([m] * k)
             if sc.peek() == ",":
                 sc.expect(",")
             elif sc.peek() != ")":

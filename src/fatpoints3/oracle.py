@@ -32,7 +32,8 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -88,18 +89,18 @@ def _quad_grad(q: Sequence[int], z: Sequence[int], p: int) -> list[int]:
     return [x % p for x in g]
 
 
-def _segre_forms(q: Sequence[int], p: int) -> tuple[list[int], list[int], list[int]]:
+def _segre_forms(q: Sequence[int], p: int) -> tuple[tuple[int, ...], ...]:
     """Restriction of a quadric to the chart (s,t),(u,v) -> (su,sv,tu,tv).
 
     The pullback is A(s,t) u^2 + B(s,t) uv + C(s,t) v^2 with quadratic
-    coefficient forms; each is returned as a list ascending in s (t = 1),
+    coefficient forms; each is returned as a tuple ascending in s (t = 1),
     formal degree 2.
     """
     g = lambda i, j: q[_QPOS[(i, j)]]
     a = [g(2, 2), g(0, 2), g(0, 0)]
     b = [g(2, 3), (g(0, 3) + g(1, 2)) % p, g(0, 1)]
     c = [g(3, 3), g(1, 3), g(1, 1)]
-    return ([x % p for x in a], [x % p for x in b], [x % p for x in c])
+    return tuple(tuple(x % p for x in f) for f in (a, b, c))
 
 
 def _form_eval(coeffs: Sequence[int], s: int, t: int, n: int, p: int) -> int:
@@ -186,20 +187,19 @@ def _make_dpoint(s: int, t: int, u: int, v: int, p: int) -> DPoint:
     return DPoint(st, uv, coords, chart, affine)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Geometry:
-    """A fixed prime field, a random smooth curve, and points on it."""
+    """A fixed prime field, a random smooth curve, and points on it.
+
+    Compared by identity: its solver state is a ``_Workspace`` keyed by it."""
 
     prime: int
     seed: int
     attempt: int
     qprime: tuple[int, ...]
-    forms: tuple[list[int], list[int], list[int]]
-    delta: list[int]
+    forms: tuple[tuple[int, ...], ...]
+    delta: tuple[int, ...]
     points: tuple[DPoint, ...]
-    _rows: dict = field(default_factory=dict, repr=False)
-    # (d, mults, kernel) of the last class solved here, see _kernel
-    _last: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
@@ -228,11 +228,6 @@ def _jacobian(geom: Geometry, pt: DPoint) -> tuple[list[int], list[int]]:
     p = geom.prime
     x, y, z, w = pt.coords
     return ([w, -z % p, -y % p, x], _quad_grad(geom.qprime, pt.coords, p))
-
-
-def _smooth_at(geom: Geometry, pt: DPoint) -> bool:
-    """The Jacobian has rank 2, i.e. one of its six 2x2 minors is nonzero."""
-    return not _proportional(*_jacobian(geom, pt), geom.prime)
 
 
 def _tangent_basis(g1: Sequence[int], g2: Sequence[int], p: int) -> list[tuple[int, ...]]:
@@ -284,6 +279,8 @@ def _curve_value(geom: Geometry, pt: DPoint) -> int:
 
 
 def _sample_curve_point(geom: Geometry, rng: random.Random) -> Optional[DPoint]:
+    """A random curve point; smooth, as ``build_geometry`` accepts only a
+    squarefree discriminant.  None after 512 fibers without one."""
     p = geom.prime
     for _ in range(512):
         k = rng.randrange(p + 1)
@@ -295,9 +292,7 @@ def _sample_curve_point(geom: Geometry, rng: random.Random) -> Optional[DPoint]:
         if not roots:
             continue
         u, v = roots[rng.randrange(len(roots))]
-        pt = _make_dpoint(s, t, u, v, p)
-        if _smooth_at(geom, pt):
-            return pt
+        return _make_dpoint(s, t, u, v, p)
     return None
 
 
@@ -317,11 +312,11 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
         qprime = tuple(rng.randrange(prime) for _ in _QUAD_PAIRS)
         forms = _segre_forms(qprime, prime)
         a, b, c = forms
-        delta = gfp.padd(
+        delta = tuple(gfp.padd(
             gfp.pmul(b, b, prime),
             gfp.pscale(gfp.pmul(a, c, prime), -4, prime),
             prime,
-        )
+        ))
         if not _squarefree_binary_form(delta, 4, prime):
             continue
         geom = Geometry(prime, seed, attempt, qprime, forms, delta, ())
@@ -344,8 +339,7 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
             seen.add(pt.coords)
             points.append(pt)
         if ok and len(points) == npoints:
-            geom.points = tuple(points)
-            return geom
+            return replace(geom, points=tuple(points))
     raise RuntimeError(f"no smooth configuration found for prime={prime} seed={seed}")
 
 
@@ -373,19 +367,6 @@ def monomial_exponents(d: int) -> np.ndarray:
     return np.array(tuples, dtype=np.int64)
 
 
-def _falling_table() -> np.ndarray:
-    t = np.zeros((MAX_DEGREE + 1, MAX_MULT), dtype=np.int64)
-    for e in range(MAX_DEGREE + 1):
-        for a in range(MAX_MULT):
-            if a <= e:
-                v = 1
-                for i in range(a):
-                    v *= e - i
-                t[e, a] = v
-    return t
-
-
-_FF = _falling_table()
 _ALPHAS = sorted(
     (
         (i, j, k)
@@ -398,33 +379,22 @@ _ALPHAS = sorted(
 )
 
 
-def _point_rows(geom: Geometry, idx: int, d: int) -> np.ndarray:
-    """All vanishing-condition rows at one sampled point, orders 0..MAX_MULT-1.
+@lru_cache(maxsize=None)
+def _chart_rows(d: int, chart: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of the condition rows that depends on the chart, not the point.
 
-    Row layout follows the graded order on derivative multi-indices, so the
-    first C(m+2,3) rows are exactly the conditions for multiplicity m.
+    Entry (alpha, e) of a point's rows is the derivative of the monomial
+    x^e along alpha at the point's affine coordinates z: the product over
+    the three coordinates j of the falling factorial e_j (e_j - 1) ...
+    (e_j - alpha_j + 1) and z_j^(e_j - alpha_j).  Returns the products of
+    the falling factorials, at most 16^4, shape (len(_ALPHAS), N), and the
+    exponents clipped at 0, shape (3, len(_ALPHAS), N); the clip only hits
+    entries whose falling factorial is 0.
     """
-    key = (idx, d)
-    cached = geom._rows.get(key)
-    if cached is not None:
-        return cached
-    p = geom.prime
-    pt = geom.points[idx]
-    exps = monomial_exponents(d)
-    cols = [j for j in range(4) if j != pt.chart]
-    ea = exps[:, cols]
-    pw = _power_table(pt.affine, d, p)
-    rows = np.empty((len(_ALPHAS), exps.shape[0]), dtype=np.int64)
-    for ri, alpha in enumerate(_ALPHAS):
-        acc = np.ones(exps.shape[0], dtype=np.int64)
-        for j in range(3):
-            e = ea[:, j]
-            a = alpha[j]
-            acc = acc * _FF[e, a] % p
-            acc = acc * pw[j, np.maximum(e - a, 0)] % p
-        rows[ri] = acc
-    geom._rows[key] = rows
-    return rows
+    exps = monomial_exponents(d)[:, [j for j in range(4) if j != chart]].T[:, None, :]
+    alphas = np.array(_ALPHAS, dtype=np.int64).T[:, :, None]
+    ff = np.prod([np.where(i < alphas, exps - i, 1) for i in range(MAX_MULT - 1)], axis=(0, 1))
+    return ff, np.maximum(exps - alphas, 0)
 
 
 def _mult_rows(m: int) -> int:
@@ -445,27 +415,58 @@ def _check_conditions(geom: Geometry, c: ThreefoldClass) -> None:
         raise ValueError("geometry holds fewer sampled points than the class needs")
 
 
-def _condition_rows(geom: Geometry, d: int, done: tuple, mults: tuple) -> np.ndarray:
-    """The rows imposing ``mults`` beyond the ``done`` multiplicities.
+class _Workspace:
+    """The solver state of one geometry, alive exactly as long as it is.
 
-    ``done`` is no longer than ``mults`` and no entry of it is larger; the
-    graded row layout makes the rows of each point a slice of ``_point_rows``.
+    ``tables[d]`` holds the degree-d condition rows of the first points in
+    use, shape (points, len(_ALPHAS), N).  The graded ``_ALPHAS`` layout
+    makes the first C(m+2, 3) rows of a point its conditions for
+    multiplicity m.  ``last`` is the (d, mults, kernel) of the last class
+    solved on the geometry, see ``_kernel``.
     """
-    done = done + (0,) * (len(mults) - len(done))
-    blocks = [
-        _point_rows(geom, i, d)[_mult_rows(o): _mult_rows(m)]
-        for i, (o, m) in enumerate(zip(done, mults))
-    ]
-    if not blocks:
-        return np.zeros((0, monomial_exponents(d).shape[0]), dtype=np.int64)
-    return np.vstack(blocks)
+
+    def __init__(self) -> None:
+        self.tables: dict[int, np.ndarray] = {}
+        self.last: Optional[tuple] = None
+
+    def rows(self, geom: Geometry, d: int, done: tuple, mults: tuple) -> np.ndarray:
+        """The rows imposing ``mults`` beyond the ``done`` multiplicities.
+
+        ``done`` is no longer than ``mults`` and no entry of it is larger.
+        The table grows to the first ``len(mults)`` points when it is shorter.
+        """
+        r, p = len(mults), geom.prime
+        table = self.tables.get(d)
+        n = 0 if table is None else len(table)
+        if table is None or n < r:
+            grown = np.empty((r, len(_ALPHAS), monomial_exponents(d).shape[0]), dtype=np.int64)
+            if n:
+                grown[:n] = table
+            for i, pt in enumerate(geom.points[n:r], n):
+                ff, exps = _chart_rows(d, pt.chart)
+                pw = _power_table(pt.affine, d, p)
+                grown[i] = ff * pw[0, exps[0]] % p * pw[1, exps[1]] % p * pw[2, exps[2]] % p
+            table = self.tables[d] = grown
+        start = np.array([_mult_rows(o) for o in done] + [0] * (r - len(done)), dtype=np.int64)
+        count = np.array([_mult_rows(m) for m in mults], dtype=np.int64) - start
+        point = np.repeat(np.arange(r), count)
+        # the k-th row gathered for a point is its row start + k
+        offset = np.repeat(start - np.cumsum(count) + count, count)
+        return table[point, np.arange(point.size) + offset]
+
+
+_WORKSPACES: "weakref.WeakKeyDictionary[Geometry, _Workspace]" = weakref.WeakKeyDictionary()
+
+
+def _workspace(geom: Geometry) -> _Workspace:
+    return _WORKSPACES.setdefault(geom, _Workspace())
 
 
 def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
     """Stacked interpolation conditions for the class at the sampled points."""
     c = clazz.normalized()
     _check_conditions(geom, c)
-    return _condition_rows(geom, c.d, (), c.mults)
+    return _workspace(geom).rows(geom, c.d, (), c.mults)
 
 
 def _kernel(geom: Geometry, c: ThreefoldClass) -> np.ndarray:
@@ -479,16 +480,17 @@ def _kernel(geom: Geometry, c: ThreefoldClass) -> np.ndarray:
     the free columns (the free columns of ``B K^T`` pick them out of the
     old ones), so it is exactly the basis a full elimination would give.
     Any other class starts from the identity, which is the full elimination.
-    The kernel is kept on the geometry, so each geometry holds one.
+    The kernel is kept in the geometry's workspace, so each geometry holds one.
     """
     p = geom.prime
-    last = geom._last
+    ws = _workspace(geom)
+    last = ws.last
     if (last is not None and last[0] == c.d and len(last[1]) <= len(c.mults)
             and all(o <= m for o, m in zip(last[1], c.mults))):
         done, base = last[1], last[2]
     else:
         done, base = (), None
-    rows = _condition_rows(geom, c.d, done, c.mults)
+    rows = ws.rows(geom, c.d, done, c.mults)
     if base is None:
         red, pivots = gfp.rref_mod(rows, p)
         kernel = gfp.kernel_from_rref(red, pivots, p)
@@ -504,7 +506,7 @@ def _kernel(geom: Geometry, c: ThreefoldClass) -> np.ndarray:
         kernel = (base[free] + gfp.matmul_mod(coeffs[:, pivots], base[pivots], p)) % p
     # shared with the returned SystemData and the next solve on this geometry
     kernel.flags.writeable = False
-    geom._last = (c.d, c.mults, kernel)
+    ws.last = (c.d, c.mults, kernel)
     return kernel
 
 
@@ -617,11 +619,10 @@ def derivative_values(z, v, d: int, p: int) -> np.ndarray:
     return total
 
 
-def section_values(kernel: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate every basis form against a monomial (or derivative) row."""
-    if kernel.size == 0:
-        return np.zeros(kernel.shape[0], dtype=np.int64)
-    return gfp.matmul_mod(kernel, row.reshape(-1, 1), p).ravel()
+def _form_values(forms: np.ndarray, points: list, d: int, p: int) -> np.ndarray:
+    """The degree-d forms (one coefficient row each) at each point: one row
+    of values per point."""
+    return gfp.matmul_mod(monomial_values(np.array(points), d, p), forms.T, p)
 
 
 def _rank_le_1(a: np.ndarray, b: np.ndarray, p: int):
@@ -690,12 +691,7 @@ def hunt_common_zeros(
     if sections.shape[0] == 0 or d < 1:
         return []
     xs = list(range(4 * d + 1))
-    xpow = np.ones((len(xs), d + 1), dtype=np.int64)
-    for n, x in enumerate(xs):
-        acc = 1
-        for i in range(d, -1, -1):
-            xpow[n, i] = acc  # x^(d-i)
-            acc = acc * x % p
+    xpow = _power_table(xs, d, p)[:, ::-1]  # x^(d-i) in column i
     gamma_fibers = [_fiber_quadratic(geom, x, 1) for x in xs]
 
     def combo_resultant() -> Optional[list[int]]:
@@ -740,19 +736,19 @@ def hunt_common_zeros(
 
     fibers = [(x, 1) for x in roots] + [(1, 0)] + [pt.st for pt in assigned]
     assigned_coords = {pt.coords for pt in assigned}
-    found: dict[tuple, DPoint] = {}
+    candidates: dict[tuple, DPoint] = {}
     for s, t in fibers:
         a, b, c = _fiber_quadratic(geom, s, t)
         if a == 0 and b == 0 and c == 0:
             continue
         for u, v in _quad_roots(a, b, c, p):
             z = _make_dpoint(s, t, u, v, p)
-            if z.coords in assigned_coords or z.coords in exclude:
-                continue
-            ev = section_values(sections, monomial_values(z.coords, d, p), p)
-            if not ev.any():
-                found.setdefault(z.coords, z)
-    return [found[k] for k in sorted(found)]
+            if z.coords not in assigned_coords and z.coords not in exclude:
+                candidates.setdefault(z.coords, z)
+    if not candidates:
+        return []
+    zero = ~_form_values(sections, list(candidates), d, p).any(axis=1)
+    return [candidates[k] for k in sorted(itertools.compress(candidates, zero))]
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +845,7 @@ class _Probe:
 
     def at(self, points: list) -> np.ndarray:
         """One row of basis values per point."""
-        rows = monomial_values(np.array(points), self.d, self.p)
-        return gfp.matmul_mod(rows, self.sysd.kernel.T, self.p)
+        return _form_values(self.sysd.kernel, points, self.d, self.p)
 
     def vanishing(self, points: list) -> np.ndarray:
         """Per point: does every form vanish there?"""

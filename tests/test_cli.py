@@ -4,9 +4,13 @@ Everything goes through cli.main(argv) in-process; the acceptance suite
 separately exercises the installed console script through a subprocess.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints3 import cli
 
@@ -275,6 +279,69 @@ def test_sweep_output_deterministic(tmp_path, capsys):
 def test_csv_not_offered_outside_sweep(capsys):
     code, _, err = run(capsys, "classify", "L3(1)", "--format", "csv")
     assert code == 1
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # a missing directory and a directory in place of the file
+    for target in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run(capsys, "classify", "L3(5; 2^5, 1^7)", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write --out") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the cheap subcommands: any input ends in an exit code, never a
+# traceback
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own exit, e.g. on -h
+            code = exc.code
+    return code, err.getvalue()
+
+
+@st.composite
+def class_texts(draw):
+    """Class strings of any of the three models, or arbitrary text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=30))
+    head = draw(st.sampled_from(("L3", "LQ", "L2")))
+    degs = [draw(st.integers(-5, 40)) for _ in range(2 if head == "LQ" else 1)]
+    items = draw(st.lists(
+        st.tuples(st.integers(-3, 12), st.none() | st.integers(0, 12)), max_size=8
+    ))
+    body = ", ".join(f"{m}" if k is None else f"{m}^{k}" for m, k in items)
+    return f"{head}({','.join(map(str, degs))}; {body})"
+
+
+@st.composite
+def cheap_argv(draw):
+    command = draw(st.sampled_from(("classify", "vdim", "reduce", "oracle")))
+    if command == "oracle":
+        d = draw(st.integers(-5, 3))
+        mults = draw(st.lists(st.integers(-1, 6), max_size=18))
+        probes = draw(st.integers(0, 2))
+        text = f"L3({d}; {', '.join(map(str, mults))})"
+        return ["oracle", text, "--trials", "1", "--probes", str(probes)]
+    argv = [command, draw(class_texts())]
+    argv += ["--format", draw(st.sampled_from(("text", "json", "csv")))]
+    if command == "classify":
+        argv += ["--mode", draw(st.sampled_from(("on-anticanonical", "general-position", "x")))]
+        argv += ["--certificates"] if draw(st.booleans()) else []
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:zero multiplicities dropped")
+@settings(max_examples=200, deadline=None)
+@given(cheap_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
 
 
 # ---------------------------------------------------------------------------

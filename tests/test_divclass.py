@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fatpoints3 import divclass
 from fatpoints3.divclass import (
     ClassParseError,
     PlaneClass,
@@ -220,3 +223,56 @@ def test_random_roundtrip_property():
         else:
             c = QuadricClass(rng.randrange(-4, 9), rng.randrange(-4, 9), mults)
         assert parse_class(format_class(c)) == c
+
+
+def test_parse_bounds_the_point_count():
+    # m^k is refused before it is expanded: 10^18 copies would not fit
+    with pytest.raises(ClassParseError, match="points") as err:
+        parse_class("L3(2; 1^1000000000000000000)")
+    assert err.value.pos == 8
+    limit = divclass._MAX_POINTS
+    assert parse_class(f"L3(2; 1^{limit})").r == limit
+    # a plain entry past the bound is refused at its own position
+    text = f"L3(2; 3, 1^{limit - 1}, 2)"
+    with pytest.raises(ClassParseError, match="points") as err:
+        parse_class(text)
+    assert err.value.pos == text.rindex("2")
+
+
+def test_parse_rejects_integers_int_cannot_read():
+    # non-ASCII digits and more digits than int() converts
+    for bad in ("L3(\u00b2)", "L3(2; 1^\u0663)", "L3(" + "9" * 5000 + ")"):
+        with pytest.raises(ClassParseError):
+            parse_class(bad)
+
+
+INTEGERS = st.sampled_from((
+    "0", "1", "2", "-1", "+3", "12", "10000", "10001", "99999999999999999999",
+    "\u00b2", "\u0663", "", "x",
+))
+
+
+@st.composite
+def class_like_texts(draw):
+    """Class strings near the grammar: heads, integers and separators are
+    drawn from valid and invalid choices."""
+    head = draw(st.sampled_from(("L3", "LQ", "L2", "l3", "L4", "")))
+    degs = draw(INTEGERS) + ("," + draw(INTEGERS) if draw(st.booleans()) else "")
+    items = draw(st.lists(st.tuples(INTEGERS, st.none() | INTEGERS), max_size=5))
+    body = ", ".join(m if k is None else f"{m}^{k}" for m, k in items)
+    sep = draw(st.sampled_from(("; ", ",", "")))
+    close = draw(st.sampled_from((")", "", ") x")))
+    return f"{head}({degs}{sep}{body}{close}"
+
+
+CLASS_TEXTS = st.text(max_size=40) | class_like_texts()
+
+
+@settings(max_examples=400, deadline=None)
+@given(CLASS_TEXTS)
+def test_parse_class_fuzz(text):
+    try:
+        c = parse_class(text)
+    except ClassParseError:
+        return
+    assert parse_class(format_class(c)) == c

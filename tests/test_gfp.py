@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints3 import gfp
 
@@ -164,6 +166,42 @@ def test_rational_roots_reconstruction():
         f = gfp.pmul(f, [c0, c1, 1], P)
         found = gfp.rational_roots(f, P, random.Random(99))
         assert found == roots
+
+
+SMALL_PRIMES = [q for q in range(3, 102) if gfp.is_probable_prime(q)]
+
+
+@st.composite
+def small_field_polys(draw):
+    """A nonzero polynomial over a small odd prime field: random of degree
+    0-8, a product of linear factors with repeats, or irreducible quadratics
+    times linear factors."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    coeff = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(("random", "repeated", "irreducible")))
+    if kind == "random":
+        return draw(st.lists(coeff, max_size=8)) + [draw(st.integers(1, p - 1))], p
+    f = [draw(st.integers(1, p - 1))]
+    for root in draw(st.lists(coeff, max_size=5)):
+        for _ in range(draw(st.integers(1, 3) if kind == "repeated" else st.just(1))):
+            f = gfp.pmul(f, [(-root) % p, 1], p)
+    if kind == "irreducible":
+        residues = {x * x % p for x in range(p)}
+        for _ in range(draw(st.integers(1, 2))):
+            b = draw(coeff)
+            # x^2 + bx + c with discriminant b^2 - 4c a non-residue
+            disc = draw(st.sampled_from([n for n in range(1, p) if n not in residues]))
+            c = (b * b - disc) * pow(4, -1, p) % p
+            f = gfp.pmul(f, [c, b, 1], p)
+    return f, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_field_polys(), st.integers(0, 2**32))
+def test_rational_roots_match_brute_force(case, seed):
+    f, p = case
+    expected = [x for x in range(p) if gfp.peval(f, x, p) == 0]
+    assert gfp.rational_roots(f, p, random.Random(seed)) == expected
 
 
 def test_divide_out_root():

@@ -1,8 +1,13 @@
 """Tests for the finite-field verification engine."""
 
+import dataclasses
+import gc
+import itertools
 import json
+import math
 import pathlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ def test_geometry_is_well_formed():
     for pt in g.points:
         assert oracle._quad_eval(qbar, pt.coords, P0) == 0
         assert oracle._quad_eval(g.qprime, pt.coords, P0) == 0
-        assert oracle._smooth_at(g, pt)
+        assert not oracle._proportional(*oracle._jacobian(g, pt), P0)
     assert oracle._squarefree_binary_form(g.delta, 4, P0)
 
 
@@ -171,8 +176,7 @@ def test_base_probe_eighth_point():
     assert r.fired and r.witnesses[0].kind == "isolated-on-curve"
     z = tuple(r.witnesses[0].data["point"])
     sysd = oracle.solve_system(geom0(), parse_class("L3(2; 1^7)"))
-    ev = oracle.section_values(sysd.kernel, oracle.monomial_values(z, 2, P0), P0)
-    assert not ev.any()
+    assert not oracle._form_values(sysd.kernel, [z], 2, P0).any()
     assert z not in {pt.coords for pt in geom0().points[:7]}
 
 
@@ -285,8 +289,7 @@ def test_sep_probe_conjugate_pair():
     assert r.fired and r.witnesses[0].kind == "conjugate-pair"
     z1, z2 = (tuple(z) for z in r.witnesses[0].data["pair"])
     sysd = oracle.solve_system(geom0(), parse_class("L3(3; 1^10)"))
-    e1 = oracle.section_values(sysd.kernel, oracle.monomial_values(z1, 3, P0), P0)
-    e2 = oracle.section_values(sysd.kernel, oracle.monomial_values(z2, 3, P0), P0)
+    e1, e2 = oracle._form_values(sysd.kernel, [z1, z2], 3, P0)
     assert oracle._rank_le_1(e1, e2, P0)
     assert e1.any() and e2.any()  # a genuine pair, not a hidden base point
 
@@ -423,4 +426,122 @@ def test_battery_at_prime_one_mod_four(monkeypatch):
         g = oracle.build_geometry(TS_PRIME, seed)
         for pt in g.points:
             assert oracle._quad_eval(g.qprime, pt.coords, TS_PRIME) == 0
-            assert oracle._smooth_at(g, pt)
+            assert not oracle._proportional(*oracle._jacobian(g, pt), TS_PRIME)
+
+
+# ---------------------------------------------------------------------------
+# curve draws
+
+
+def test_curve_draws_are_smooth_points_of_both_quadrics():
+    # a squarefree discriminant makes the curve smooth, so the draws are not
+    # checked one by one: every draw must lie on both quadrics with a
+    # Jacobian of rank 2
+    for p in oracle.PRIMES + (TS_PRIME,):
+        qbar = oracle._qbar_coeffs(p)
+        for seed in range(6):
+            g = oracle.get_geometry(p, seed)
+            rng = random.Random(oracle.derive_seed("test-draws", p, seed))
+            for _ in range(300):
+                z = oracle._sample_curve_point(g, rng).coords
+                assert oracle._quad_eval(qbar, z, p) == 0
+                assert oracle._quad_eval(g.qprime, z, p) == 0
+                jac = [oracle._quad_grad(qbar, z, p), oracle._quad_grad(g.qprime, z, p)]
+                assert gfp.rank_mod(np.array(jac, dtype=np.int64), p) == 2
+
+
+# ---------------------------------------------------------------------------
+# the condition rows and the solver workspace of a geometry
+
+
+def reference_conditions(geom, clazz):
+    """Condition rows in pure Python integers: for each point and each
+    alpha with |alpha| < m, in graded order, the derivative d^alpha of every
+    monomial in the point's affine chart, at the point."""
+    p, rows = geom.prime, []
+    exps = oracle.monomial_exponents(clazz.d).tolist()
+    for pt, m in zip(geom.points, clazz.mults):
+        alphas = sorted(
+            (a for a in itertools.product(range(m), repeat=3) if sum(a) < m),
+            key=lambda a: (sum(a), a),
+        )
+        for alpha in alphas:
+            row = []
+            for e in exps:
+                val = 1
+                affine_e = [e[j] for j in range(4) if j != pt.chart]
+                for ej, aj, zj in zip(affine_e, alpha, pt.affine):
+                    val = val * math.perm(ej, aj) * pow(zj, max(ej - aj, 0), p) % p
+                row.append(val)
+            rows.append(row)
+    return rows
+
+
+def test_conditions_match_pure_python_derivatives():
+    real = oracle.build_geometry(P0, 5, 5)
+    # off-curve points in each of the four affine charts
+    pts = tuple(
+        oracle._make_dpoint(s, 1, u, 1, TS_PRIME)
+        for s, u in ((3, 5), (7, 0), (0, 11), (0, 0))
+    )
+    assert [pt.chart for pt in pts] == [0, 1, 2, 3]
+    charts = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
+    for geom in (real, charts):
+        for d in range(5):
+            for mults in ((1,), (2, 1), (3, 3, 2), (5, 4, 3, 2), (5, 5, 1, 1, 1)):
+                c = ThreefoldClass(d, mults[: len(geom.points)])
+                mat = oracle.conditions_matrix(geom, c)
+                assert mat.tolist() == reference_conditions(geom, c), (geom.prime, d, mults)
+
+
+def test_geometry_is_frozen():
+    g = oracle.build_geometry(P0, 3, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.points = ()
+
+
+def test_cache_clear_drops_the_workspace():
+    oracle.get_geometry.cache_clear()
+    g = oracle.get_geometry(P0, 0)
+    oracle.solve_system(g, parse_class("L3(3; 2, 1^4)"))
+    ws = oracle._workspace(g)
+    assert ws.last is not None and list(ws.tables) == [3]
+    refs = (weakref.ref(g), weakref.ref(ws))
+    del g, ws
+    oracle.get_geometry.cache_clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    fresh = oracle._workspace(oracle.get_geometry(P0, 0))
+    assert fresh.last is None and not fresh.tables
+
+
+def test_cached_and_fresh_geometries_give_identical_kernels():
+    classes = [parse_class(txt) for txt in (
+        "L3(4; 2, 1^5)", "L3(4; 2^2, 1^5)", "L3(4; 3, 2, 1^6)", "L3(4; 1^3)",
+        "L3(4; 2^3, 1^8)", "L3(3; 2, 1^4)", "L3(4)",
+    )]
+    cached = oracle.get_geometry(P0, 2)
+    fresh = oracle.build_geometry(P0, 2)
+    assert oracle._workspace(cached) is not oracle._workspace(fresh)
+    for first, second in ((cached, fresh), (fresh, cached)):
+        one = [oracle.solve_system(first, c).kernel for c in classes]
+        other = [oracle.solve_system(second, c).kernel for c in reversed(classes)][::-1]
+        for c, a, b in zip(classes, one, other):
+            assert np.array_equal(a, b), c
+
+
+def test_growing_the_row_table_matches_a_fresh_solve():
+    g = oracle.build_geometry(P0, 4)
+    tables = oracle._workspace(g).tables
+    oracle.solve_system(g, parse_class("L3(5; 2^3)"))
+    assert tables[5].shape[0] == 3  # only the points in use
+    for txt in ("L3(5; 1^16)", "L3(5; 2^3, 1^13)"):
+        c = parse_class(txt)
+        grown = oracle.solve_system(g, c)
+        assert tables[5].shape[0] == 16
+        fresh_geom = oracle.build_geometry(P0, 4)
+        fresh = oracle.solve_system(fresh_geom, c)
+        assert np.array_equal(grown.kernel, fresh.kernel), txt
+        assert np.array_equal(
+            oracle.conditions_matrix(g, c), oracle.conditions_matrix(fresh_geom, c)
+        )
