@@ -216,9 +216,10 @@ class Classification:
 
 
 def classify(c: ThreefoldClass, mode: Mode = Mode.ON_ANTICANONICAL) -> Classification:
-    ns, ns_conds = check_nonspecial(c)
-    bp, bp_conds = check_bpf(c)
-    va, va_conds = check_very_ample(c)
+    s = _norm(c)  # once, so a dropped zero is reported once, at the caller
+    ns, ns_conds = check_nonspecial(s)
+    bp, bp_conds = check_bpf(s)
+    va, va_conds = check_very_ample(s)
     return Classification(
         clazz=c,
         mode=mode,
@@ -395,6 +396,15 @@ class Certificate:
 _MAX_STEPS = 64
 
 
+def _out_of_budget(goal: Goal, start: ThreefoldClass, steps: list[CertStep],
+                   cur: ThreefoldClass, augmented: tuple[AugmentedCheck, ...] = ()) -> Certificate:
+    """A chain cut off after _MAX_STEPS steps proves nothing: it fails at
+    its last step."""
+    return Certificate(goal, start, tuple(steps),
+                       Terminal(cur, "aborted: step budget exhausted", (), False),
+                       augmented, len(steps))
+
+
 def _bump(c: ThreefoldClass, i: int) -> ThreefoldClass:
     ms = list(c.mults)
     ms[i] += 1
@@ -441,7 +451,9 @@ def build_certificate(c: ThreefoldClass, goal: Goal) -> Certificate:
 def _certificate_ns(start: ThreefoldClass) -> Certificate:
     steps: list[CertStep] = []
     cur = start
-    while _positive_count(cur) >= 9 and len(steps) < _MAX_STEPS:
+    while _positive_count(cur) >= 9:
+        if len(steps) == _MAX_STEPS:
+            return _out_of_budget(Goal.NONSPECIAL, start, steps, cur)
         step = _make_step(len(steps) + 1, cur, Goal.NONSPECIAL, clamped=False, with_ns=False)
         steps.append(step)
         if not step.passed:
@@ -449,10 +461,6 @@ def _certificate_ns(start: ThreefoldClass) -> Certificate:
                                Terminal(step.next_class, "aborted: failing step", (), False),
                                failed_at=step.index)
         cur = step.next_class
-    if _positive_count(cur) >= 9:
-        return Certificate(Goal.NONSPECIAL, start, tuple(steps),
-                           Terminal(cur, "aborted: step budget exhausted", (), False),
-                           failed_at=len(steps))
     term = Terminal(cur, "at most 8 points: dimension count for general points of P^3")
     return Certificate(Goal.NONSPECIAL, start, tuple(steps), term)
 
@@ -466,8 +474,8 @@ def _certificate_bpf(start: ThreefoldClass) -> Certificate:
     steps: list[CertStep] = []
     cur = start
     for _ in range(mr):
-        if len(steps) >= _MAX_STEPS:
-            break
+        if len(steps) == _MAX_STEPS:
+            return _out_of_budget(Goal.BPF, start, steps, cur)
         step = _make_step(len(steps) + 1, cur, Goal.BPF, clamped=False, with_ns=True)
         steps.append(step)
         if not step.passed:
@@ -495,26 +503,22 @@ def _certificate_va(start: ThreefoldClass) -> Certificate:
 
     steps: list[CertStep] = []
     cur = start
-    failed_at: Optional[int] = None
-    while len(steps) < _MAX_STEPS:
+    while True:
+        if len(steps) == _MAX_STEPS:
+            return _out_of_budget(Goal.VERY_AMPLE, start, steps, cur, augmented)
         mr_cur = min(cur.mults) if cur.mults else 0
         clamped = mr_cur == 1
         step = _make_step(len(steps) + 1, cur, Goal.VERY_AMPLE, clamped=clamped, with_ns=True)
         steps.append(step)
         if not step.passed:
-            failed_at = step.index
-            break
+            return Certificate(Goal.VERY_AMPLE, start, tuple(steps),
+                               Terminal(cur, "aborted: failing step", (), False),
+                               augmented, step.index)
         cur = step.next_class
         if clamped:
             break
         if not cur.mults:
             break
-
-    if failed_at is not None:
-        cert = Certificate(Goal.VERY_AMPLE, start, tuple(steps),
-                           Terminal(cur, "aborted: failing step", (), False),
-                           augmented, failed_at)
-        return cert
 
     # The clamped step also needs the residual to stay base point free.
     bpf_ok, bpf_conds = check_bpf(cur)

@@ -130,16 +130,6 @@ def _squarefree_binary_form(f: Sequence[int], n: int, p: int) -> bool:
     return gfp.resultant_formal(fs, ft, n - 1, n - 1, p) != 0
 
 
-def _norm_pair(a: int, b: int, p: int) -> tuple[int, int]:
-    a %= p
-    b %= p
-    if b:
-        return (a * pow(b, -1, p) % p, 1)
-    if not a:
-        raise ValueError("zero parameter pair")
-    return (1, 0)
-
-
 def _quad_roots(a: int, b: int, c: int, p: int) -> list[tuple[int, int]]:
     """Projective roots (u:v) of a u^2 + b uv + c v^2 over GF(p)."""
     a, b, c = a % p, b % p, c % p
@@ -165,26 +155,21 @@ def _quad_roots(a: int, b: int, c: int, p: int) -> list[tuple[int, int]]:
 # the sampled geometry
 
 
-@dataclass(frozen=True)
-class DPoint:
-    """A rational point of the sampled curve, in every chart we need."""
-
-    st: tuple[int, int]
-    uv: tuple[int, int]
-    coords: tuple[int, int, int, int]
-    chart: int
-    affine: tuple[int, int, int]
+def _segre_point(s: int, t: int, u: int, v: int, p: int) -> tuple[int, int, int, int]:
+    """The point (su:sv:tu:tv) for nonzero pairs (s, t) and (u, v), scaled
+    so that its first nonzero coordinate is 1: the form every point takes."""
+    raw = (s * u % p, s * v % p, t * u % p, t * v % p)
+    inv = pow(next(c for c in raw if c), -1, p)
+    return tuple(c * inv % p for c in raw)
 
 
-def _make_dpoint(s: int, t: int, u: int, v: int, p: int) -> DPoint:
-    st = _norm_pair(s, t, p)
-    uv = _norm_pair(u, v, p)
-    raw = (st[0] * uv[0] % p, st[0] * uv[1] % p, st[1] * uv[0] % p, st[1] * uv[1] % p)
-    chart = next(k for k in range(4) if raw[k])
-    inv = pow(raw[chart], -1, p)
-    coords = tuple(c * inv % p for c in raw)
-    affine = tuple(coords[j] for j in range(4) if j != chart)
-    return DPoint(st, uv, coords, chart, affine)
+def _fiber_of(pt: Sequence[int], p: int) -> tuple[int, int]:
+    """The fiber (s:t) of a point (su:sv:tu:tv), as (s/t, 1) or (1, 0).
+
+    (x:z) = (s:t) unless u = 0, and then (y:w) = (s:t).
+    """
+    s, t = (pt[0], pt[2]) if pt[0] or pt[2] else (pt[1], pt[3])
+    return (s * pow(t, -1, p) % p, 1) if t else (1, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +184,7 @@ class Geometry:
     qprime: tuple[int, ...]
     forms: tuple[tuple[int, ...], ...]
     delta: tuple[int, ...]
-    points: tuple[DPoint, ...]
+    points: tuple[tuple[int, int, int, int], ...]
 
 
 def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
@@ -220,14 +205,14 @@ def _proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
     )
 
 
-def _jacobian(geom: Geometry, pt: DPoint) -> tuple[list[int], list[int]]:
+def _jacobian(geom: Geometry, pt: Sequence[int]) -> tuple[list[int], list[int]]:
     """Gradients of the two quadrics at the point: the curve's 2x4 Jacobian.
 
     The fixed quadric xw - yz has gradient (w, -z, -y, x).
     """
     p = geom.prime
-    x, y, z, w = pt.coords
-    return ([w, -z % p, -y % p, x], _quad_grad(geom.qprime, pt.coords, p))
+    x, y, z, w = pt
+    return ([w, -z % p, -y % p, x], _quad_grad(geom.qprime, pt, p))
 
 
 def _tangent_basis(g1: Sequence[int], g2: Sequence[int], p: int) -> list[tuple[int, ...]]:
@@ -257,7 +242,7 @@ def _tangent_basis(g1: Sequence[int], g2: Sequence[int], p: int) -> list[tuple[i
     return basis
 
 
-def _curve_tangent(geom: Geometry, pt: DPoint) -> Optional[tuple[int, ...]]:
+def _curve_tangent(geom: Geometry, pt: Sequence[int]) -> Optional[tuple[int, ...]]:
     """A tangent direction of the curve at a smooth point, not along the point.
 
     Tries the two kernel basis vectors of the Jacobian, then their sum.
@@ -266,33 +251,38 @@ def _curve_tangent(geom: Geometry, pt: DPoint) -> Optional[tuple[int, ...]]:
     basis = _tangent_basis(*_jacobian(geom, pt), p)
     total = tuple(sum(col) % p for col in zip(*basis))
     for cand in basis + [total]:
-        if any(cand) and not _proportional(pt.coords, cand, p):
+        if any(cand) and not _proportional(pt, cand, p):
             return cand
     return None
 
 
-def _curve_value(geom: Geometry, pt: DPoint) -> int:
+def _curve_value(geom: Geometry, pt: Sequence[int]) -> int:
     p = geom.prime
-    if _quad_eval(_qbar_coeffs(p), pt.coords, p):
+    if _quad_eval(_qbar_coeffs(p), pt, p):
         return 1
-    return _quad_eval(geom.qprime, pt.coords, p)
+    return _quad_eval(geom.qprime, pt, p)
 
 
-def _sample_curve_point(geom: Geometry, rng: random.Random) -> Optional[DPoint]:
+def _fiber_points(geom: Geometry, s: int, t: int) -> list[tuple[int, int, int, int]]:
+    """The curve's rational points over (s:t), in ``_quad_roots`` order;
+    [] when there is none or the fiber form vanishes identically."""
+    p = geom.prime
+    a, b, c = _fiber_quadratic(geom, s, t)
+    if a == 0 and b == 0 and c == 0:
+        return []
+    return [_segre_point(s, t, u, v, p) for u, v in _quad_roots(a, b, c, p)]
+
+
+def _sample_curve_point(geom: Geometry, rng: random.Random) -> Optional[tuple]:
     """A random curve point; smooth, as ``build_geometry`` accepts only a
     squarefree discriminant.  None after 512 fibers without one."""
     p = geom.prime
     for _ in range(512):
         k = rng.randrange(p + 1)
         s, t = ((1, 0) if k == p else (k, 1))
-        a, b, c = _fiber_quadratic(geom, s, t)
-        if a == 0 and b == 0 and c == 0:
-            continue
-        roots = _quad_roots(a, b, c, p)
-        if not roots:
-            continue
-        u, v = roots[rng.randrange(len(roots))]
-        return _make_dpoint(s, t, u, v, p)
+        pts = _fiber_points(geom, s, t)
+        if pts:
+            return pts[rng.randrange(len(pts))]
     return None
 
 
@@ -321,8 +311,7 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
             continue
         geom = Geometry(prime, seed, attempt, qprime, forms, delta, ())
         prng = random.Random(derive_seed("points", prime, seed, attempt))
-        points: list[DPoint] = []
-        seen: set[tuple[int, ...]] = set()
+        points: list[tuple] = []
         ok = True
         for _ in range(64 * npoints):
             if len(points) == npoints:
@@ -331,12 +320,11 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
             if pt is None:
                 ok = False
                 break
-            if pt.coords in seen:
+            if pt in points:
                 continue
             if _curve_value(geom, pt):
                 ok = False
                 break
-            seen.add(pt.coords)
             points.append(pt)
         if ok and len(points) == npoints:
             return replace(geom, points=tuple(points))
@@ -443,8 +431,9 @@ class _Workspace:
             if n:
                 grown[:n] = table
             for i, pt in enumerate(geom.points[n:r], n):
-                ff, exps = _chart_rows(d, pt.chart)
-                pw = _power_table(pt.affine, d, p)
+                chart = next(k for k in range(4) if pt[k])
+                ff, exps = _chart_rows(d, chart)
+                pw = _power_table(pt[:chart] + pt[chart + 1:], d, p)
                 grown[i] = ff * pw[0, exps[0]] % p * pw[1, exps[1]] % p * pw[2, exps[2]] % p
             table = self.tables[d] = grown
         start = np.array([_mult_rows(o) for o in done] + [0] * (r - len(done)), dtype=np.int64)
@@ -625,21 +614,19 @@ def _form_values(forms: np.ndarray, points: list, d: int, p: int) -> np.ndarray:
     return gfp.matmul_mod(monomial_values(np.array(points), d, p), forms.T, p)
 
 
-def _rank_le_1(a: np.ndarray, b: np.ndarray, p: int):
-    """Whether a and b span at most a line; row by row for (n, k) stacks.
+def _rank_le_1(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Row by row for (n, k) stacks: do the rows of a and b span at most a line?
 
     With i the first nonzero entry of a, b is a multiple of a exactly when
     a * b[i] - b * a[i] vanishes; a zero row on either side always passes.
     """
-    a2 = np.atleast_2d(a) % p
-    b2 = np.atleast_2d(b) % p
-    rows = np.arange(a2.shape[0])
-    lead = (a2 != 0).argmax(axis=1)
-    ai = a2[rows, lead][:, None]
-    bi = b2[rows, lead][:, None]
-    dependent = ~((a2 * bi - b2 * ai) % p).any(axis=1)
-    out = ~a2.any(axis=1) | ~b2.any(axis=1) | dependent
-    return out if np.ndim(a) == 2 else bool(out[0])
+    a, b = a % p, b % p
+    rows = np.arange(a.shape[0])
+    lead = (a != 0).argmax(axis=1)
+    ai = a[rows, lead][:, None]
+    bi = b[rows, lead][:, None]
+    dependent = ~((a * bi - b * ai) % p).any(axis=1)
+    return ~a.any(axis=1) | ~b.any(axis=1) | dependent
 
 
 def _random_proj_point(rng: random.Random, p: int) -> tuple[int, int, int, int]:
@@ -674,10 +661,10 @@ def hunt_common_zeros(
     geom: Geometry,
     sections: np.ndarray,
     d: int,
-    assigned: Sequence[DPoint],
+    assigned: Sequence[tuple],
     exclude: frozenset,
     rng: random.Random,
-) -> list[DPoint]:
+) -> list[tuple]:
     """Rational curve points, off the assigned set, where every form vanishes.
 
     Eliminates the fiber coordinate by a resultant against the curve
@@ -718,10 +705,12 @@ def hunt_common_zeros(
     if not polys:
         return []
 
+    assigned_fibers = [_fiber_of(pt, p) for pt in assigned]
+
     def off_assigned(g: list[int]) -> list[int]:
-        for pt in assigned:
-            if pt.st[1] == 1:
-                g, _ = gfp.divide_out_root(g, pt.st[0], p)
+        for s, t in assigned_fibers:
+            if t:
+                g, _ = gfp.divide_out_root(g, s, p)
         return g
 
     g = polys[0]
@@ -734,21 +723,13 @@ def hunt_common_zeros(
             g = off_assigned(gfp.pgcd(g, extra, p))
     roots = gfp.rational_roots(g, p, rng)
 
-    fibers = [(x, 1) for x in roots] + [(1, 0)] + [pt.st for pt in assigned]
-    assigned_coords = {pt.coords for pt in assigned}
-    candidates: dict[tuple, DPoint] = {}
-    for s, t in fibers:
-        a, b, c = _fiber_quadratic(geom, s, t)
-        if a == 0 and b == 0 and c == 0:
-            continue
-        for u, v in _quad_roots(a, b, c, p):
-            z = _make_dpoint(s, t, u, v, p)
-            if z.coords not in assigned_coords and z.coords not in exclude:
-                candidates.setdefault(z.coords, z)
+    fibers = [(x, 1) for x in roots] + [(1, 0)] + assigned_fibers
+    taken = exclude.union(assigned)
+    candidates = sorted({z for s, t in fibers for z in _fiber_points(geom, s, t)} - taken)
     if not candidates:
         return []
-    zero = ~_form_values(sections, list(candidates), d, p).any(axis=1)
-    return [candidates[k] for k in sorted(itertools.compress(candidates, zero))]
+    zero = ~_form_values(sections, candidates, d, p).any(axis=1)
+    return list(itertools.compress(candidates, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +780,8 @@ class _Probe:
         self.p, self.d = geom.prime, c.d
         self.nprobes = nprobes
         self.tag = format_class(c)
-        self.assigned = list(geom.points[: c.r])
-        self.assigned_coords = {pt.coords for pt in self.assigned}
+        self.assigned = geom.points[: c.r]
+        self.assigned_coords = set(self.assigned)
         self.checked: dict[str, int] = {}
 
     def rng(self, label: str, *extra: object) -> random.Random:
@@ -880,9 +861,9 @@ def _lin(lam: int, a: Sequence[int], mu: int, b: Sequence[int], p: int) -> tuple
 def _line_points(pr: _Probe, rng: random.Random):
     """Points on the line through the two deepest assigned points; with one
     assigned point, on four random lines through it."""
-    p, p1 = pr.p, pr.assigned[0].coords
+    p, p1 = pr.p, pr.assigned[0]
     if len(pr.assigned) >= 2:
-        p2 = pr.assigned[1].coords
+        p2 = pr.assigned[1]
         for _ in range(pr.nprobes):
             lam, mu = rng.randrange(1, p), rng.randrange(1, p)
             z = _lin(lam, p1, mu, p2, p)
@@ -900,10 +881,10 @@ def _line_points(pr: _Probe, rng: random.Random):
 def _line_pairs(pr: _Probe, rng: random.Random):
     """Pairs on the line through the two deepest assigned points; with one
     assigned point, each pair on a fresh random line through it."""
-    p, p1 = pr.p, pr.assigned[0].coords
+    p, p1 = pr.p, pr.assigned[0]
     two = len(pr.assigned) >= 2
     for _ in range(pr.nprobes if two else max(1, pr.nprobes // 2)):
-        p2 = pr.assigned[1].coords if two else _random_proj_point(rng, p)
+        p2 = pr.assigned[1] if two else _random_proj_point(rng, p)
         l1, l2 = rng.randrange(1, p), rng.randrange(1, p)
         if l1 == l2:
             continue
@@ -913,8 +894,7 @@ def _line_pairs(pr: _Probe, rng: random.Random):
 
 
 def _curve_point(pr: _Probe, rng: random.Random) -> Optional[tuple]:
-    pt = _sample_curve_point(pr.geom, rng)
-    return None if pt is None else pt.coords
+    return _sample_curve_point(pr.geom, rng)
 
 
 def _generic_point(pr: _Probe, rng: random.Random) -> tuple:
@@ -968,12 +948,12 @@ def _generic_tangents(pr: _Probe, rng: random.Random):
 
 def _curve_tangents(pr: _Probe, rng: random.Random):
     for _ in range(pr.nprobes):
-        zpt = _sample_curve_point(pr.geom, rng)
-        if zpt is None or zpt.coords in pr.assigned_coords:
+        z = _sample_curve_point(pr.geom, rng)
+        if z is None or z in pr.assigned_coords:
             continue
-        v = _curve_tangent(pr.geom, zpt)
+        v = _curve_tangent(pr.geom, z)
         if v is not None:
-            yield zpt.coords, v
+            yield z, v
 
 
 def _point_data(z) -> dict:
@@ -1052,7 +1032,7 @@ def probe_base_locus(
         )
         pr.checked["isolated-hunt"] = 1
         if found:
-            return pr.fired("isolated-on-curve", _point_data(found[0].coords))
+            return pr.fired("isolated-on-curve", _point_data(found[0]))
         notes = ("exact hunt found no unassigned curve point",)
 
     return ProbeReport("base-locus", False, [], pr.checked, notes)
@@ -1092,7 +1072,7 @@ def probe_separation(
         pr.checked["base-point-hunt"] = 1
         if found:
             other = _random_proj_point(pr.rng("sep-pair"), p)
-            report = pair_witness("unseparated-base-point", found[0].coords, other)
+            report = pair_witness("unseparated-base-point", found[0], other)
             if report:
                 return report
         notes.append("degree-1 hunt found no base point")
@@ -1102,25 +1082,25 @@ def probe_separation(
         rng = pr.rng("sep-conjugate")
         tried = 0
         for _ in range(8):
-            zpt = _sample_curve_point(geom, rng)
-            if zpt is None or zpt.coords in pr.assigned_coords:
+            z1 = _sample_curve_point(geom, rng)
+            if z1 is None or z1 in pr.assigned_coords:
                 continue
             tried += 1
             pr.checked["conjugate-hunt"] = tried
-            w1 = pr.at([zpt.coords])[0]
+            w1 = pr.at([z1])[0]
             if not w1.any():
                 other = _random_proj_point(rng, p)
-                report = pair_witness("unseparated-base-point", zpt.coords, other)
+                report = pair_witness("unseparated-base-point", z1, other)
                 if report:
                     return report
                 continue
             coeff_kernel = gfp.kernel_mod(w1.reshape(1, -1), p)
             sub = gfp.matmul_mod(coeff_kernel, kernel, p)
             partners = hunt_common_zeros(
-                geom, sub, d, pr.assigned, frozenset([zpt.coords]), rng
+                geom, sub, d, pr.assigned, frozenset([z1]), rng
             )
             for z2 in partners:
-                report = pair_witness("conjugate-pair", zpt.coords, z2.coords)
+                report = pair_witness("conjugate-pair", z1, z2)
                 if report:
                     return report
             if tried >= 4:
@@ -1208,7 +1188,6 @@ def run_battery(
     clazz: ThreefoldClass,
     primes: Sequence[int] = PRIMES,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    npoints: int = DEFAULT_POINTS,
     probes: int = 0,
 ) -> OracleReport:
     """Dimensions over every (prime, seed) pair, plus optional probes.
@@ -1217,7 +1196,7 @@ def run_battery(
     always covers the full battery.
     """
     c = clazz.normalized()
-    need = max(npoints, c.r)
+    need = max(DEFAULT_POINTS, c.r)
     systems: list[SystemData] = []
     trials: list[TrialResult] = []
     for prime in primes:

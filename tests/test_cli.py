@@ -67,6 +67,18 @@ def test_classify_certificates_skip_failed_goals(capsys):
     assert obj["certificates"] == {"nonspecial": None, "bpf": None, "very-ample": None}
 
 
+def test_classify_certificates_out_of_budget(capsys):
+    # the chains need 100 and 70 steps, beyond the 64-step budget
+    code, out, _ = run(capsys, "classify", "L3(1000; 100^9)", "--certificates")
+    assert code == 0
+    for goal in ("nonspecial", "bpf", "very-ample"):
+        assert f"certificate[{goal}]: FAILED at step 64, 64 steps" in out
+    code, out, _ = run(capsys, "classify", "L3(300; 70^3)", "--certificates")
+    assert code == 0
+    assert "certificate[bpf]: ok, 0 steps" in out
+    assert "certificate[very-ample]: FAILED at step 64, 64 steps" in out
+
+
 def test_classify_general_position_mode(capsys):
     code, out, _ = run(capsys, "classify", "L3(4; 2, 1^5)",
                        "--mode", "general-position", "--format", "json")

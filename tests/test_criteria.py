@@ -217,6 +217,47 @@ def test_certificates_serialize():
         assert json.loads(blob)["schema"] == 1
 
 
+# chains that need more than the 64-step budget (100 and 70 steps); a chain
+# cut off there has proved nothing
+OVER_BUDGET = [
+    ("L3(1000; 100^9)", Goal.NONSPECIAL),
+    ("L3(1000; 100^9)", Goal.BPF),
+    ("L3(1000; 100^9)", Goal.VERY_AMPLE),
+    ("L3(300; 70^3)", Goal.VERY_AMPLE),
+]
+
+
+@pytest.mark.parametrize("txt, goal", OVER_BUDGET)
+def test_certificate_out_of_budget_fails(txt, goal):
+    c = parse_class(txt)
+    cert = build_certificate(c, goal)
+    assert not cert.ok
+    assert cert.failed_at == len(cert.steps) == 64
+    assert all(step.passed for step in cert.steps)
+    assert cert.terminal.rule == "aborted: step budget exhausted"
+    assert not cert.terminal.ok
+    # very ampleness keeps its bumped-class checks
+    assert len(cert.augmented) == (c.r if goal is Goal.VERY_AMPLE else 0)
+
+
+def test_certificate_of_exactly_the_budget_passes():
+    assert build_certificate(parse_class("L3(1000; 64^9)"), Goal.BPF).ok
+    cert = build_certificate(parse_class("L3(300; 64^3)"), Goal.VERY_AMPLE)
+    assert cert.ok and len(cert.steps) == 64 and cert.steps[-1].clamped
+
+
+def test_classify_warns_once_at_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cl = classify(parse_class("L3(3; 0, 1)"))
+    assert [str(w.message) for w in caught] == [
+        "zero multiplicities dropped before applying point-count thresholds"
+    ]
+    assert caught[0].filename == __file__
+    assert cl.clazz == ThreefoldClass(3, (0, 1))
+    assert (cl.nonspecial, cl.bpf, cl.very_ample) == (Verdict.YES, True, True)
+
+
 def test_certificate_reductions_preserve_invariants():
     cert = build_certificate(parse_class("L3(4; 1^11)"), Goal.NONSPECIAL)
     for step in cert.steps:

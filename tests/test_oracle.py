@@ -25,11 +25,11 @@ def geom0():
 def test_geometry_is_well_formed():
     g = geom0()
     assert len(g.points) == oracle.DEFAULT_POINTS
-    assert len({pt.coords for pt in g.points}) == len(g.points)
+    assert len(set(g.points)) == len(g.points)
     qbar = oracle._qbar_coeffs(P0)
     for pt in g.points:
-        assert oracle._quad_eval(qbar, pt.coords, P0) == 0
-        assert oracle._quad_eval(g.qprime, pt.coords, P0) == 0
+        assert oracle._quad_eval(qbar, pt, P0) == 0
+        assert oracle._quad_eval(g.qprime, pt, P0) == 0
         assert not oracle._proportional(*oracle._jacobian(g, pt), P0)
     assert oracle._squarefree_binary_form(g.delta, 4, P0)
 
@@ -38,7 +38,7 @@ def test_geometry_determinism():
     a = oracle.build_geometry(P0, 3, 6)
     b = oracle.build_geometry(P0, 3, 6)
     assert a.qprime == b.qprime
-    assert [pt.coords for pt in a.points] == [pt.coords for pt in b.points]
+    assert a.points == b.points
 
 
 def test_segre_restriction_identity():
@@ -177,7 +177,7 @@ def test_base_probe_eighth_point():
     z = tuple(r.witnesses[0].data["point"])
     sysd = oracle.solve_system(geom0(), parse_class("L3(2; 1^7)"))
     assert not oracle._form_values(sysd.kernel, [z], 2, P0).any()
-    assert z not in {pt.coords for pt in geom0().points[:7]}
+    assert z not in geom0().points[:7]
 
 
 def test_probes_with_no_candidates_stay_quiet():
@@ -290,7 +290,7 @@ def test_sep_probe_conjugate_pair():
     z1, z2 = (tuple(z) for z in r.witnesses[0].data["pair"])
     sysd = oracle.solve_system(geom0(), parse_class("L3(3; 1^10)"))
     e1, e2 = oracle._form_values(sysd.kernel, [z1, z2], 3, P0)
-    assert oracle._rank_le_1(e1, e2, P0)
+    assert oracle._rank_le_1(e1[None], e2[None], P0)[0]
     assert e1.any() and e2.any()  # a genuine pair, not a hidden base point
 
 
@@ -351,6 +351,45 @@ def test_battery_is_independent_of_solve_order():
         oracle.get_geometry.cache_clear()
         cold[txt] = report(txt)
     assert forward == backward == cold
+
+
+# at the bounds: MAX_DEGREE 16 and MAX_MULT 5 on more than 16 points, and
+# the two hunts with 18 and 19 assigned fibers; frozen from the reports
+FROZEN_BOUNDS = [
+    # class, dim per prime, base kind, separation kind (None: quiet)
+    ("L3(16; 5^2, 1^18)", [880] * 3, None, None),
+    ("L3(5; 1^19)", [36] * 3, "isolated-on-curve", "pair-on-curve"),
+    ("L3(5; 1^18)", [37] * 3, None, "conjugate-pair"),
+]
+
+
+def test_battery_at_the_degree_and_multiplicity_bounds():
+    for txt, dims, base_kind, sep_kind in FROZEN_BOUNDS:
+        c = parse_class(txt)
+        r = oracle.run_battery(c, seeds=(0,), probes=4)
+        assert [t.dim for t in r.trials] == dims, txt
+        for t in r.trials:
+            geom = oracle.get_geometry(t.prime, t.seed, c.r)
+            mat = oracle.conditions_matrix(geom, c)
+            _, pivots = gfp.rref_mod(mat, t.prime)
+            assert t.dim == mat.shape[1] - len(pivots) - 1, txt
+        for summary, kind in ((r.base, base_kind), (r.separation, sep_kind)):
+            assert summary.fired == (kind is not None), txt
+            if kind is None:
+                continue
+            witness = summary.first.witnesses[0]
+            assert witness.kind == kind, txt
+            prime, seed, _ = summary.trials[-1]
+            geom = oracle.get_geometry(prime, seed, c.r)
+            kernel = gfp.kernel_mod(oracle.conditions_matrix(geom, c), prime)
+            if "pair" in witness.data:  # a pair no form separates
+                zs = [tuple(z) for z in witness.data["pair"]]
+                vals = oracle._form_values(kernel, zs, c.d, prime)
+                assert gfp.rank_mod(vals, prime) <= 1, txt
+            else:  # a base point: off the assigned set, where every form vanishes
+                z = tuple(witness.data["point"])
+                assert z not in geom.points[: c.r], txt
+                assert not oracle._form_values(kernel, [z], c.d, prime).any(), txt
 
 
 NEGATIVE = "L3(2; 1, -1)"
@@ -425,7 +464,7 @@ def test_battery_at_prime_one_mod_four(monkeypatch):
     for seed in (0, 1):
         g = oracle.build_geometry(TS_PRIME, seed)
         for pt in g.points:
-            assert oracle._quad_eval(g.qprime, pt.coords, TS_PRIME) == 0
+            assert oracle._quad_eval(g.qprime, pt, TS_PRIME) == 0
             assert not oracle._proportional(*oracle._jacobian(g, pt), TS_PRIME)
 
 
@@ -443,7 +482,7 @@ def test_curve_draws_are_smooth_points_of_both_quadrics():
             g = oracle.get_geometry(p, seed)
             rng = random.Random(oracle.derive_seed("test-draws", p, seed))
             for _ in range(300):
-                z = oracle._sample_curve_point(g, rng).coords
+                z = oracle._sample_curve_point(g, rng)
                 assert oracle._quad_eval(qbar, z, p) == 0
                 assert oracle._quad_eval(g.qprime, z, p) == 0
                 jac = [oracle._quad_grad(qbar, z, p), oracle._quad_grad(g.qprime, z, p)]
@@ -469,8 +508,10 @@ def reference_conditions(geom, clazz):
             row = []
             for e in exps:
                 val = 1
-                affine_e = [e[j] for j in range(4) if j != pt.chart]
-                for ej, aj, zj in zip(affine_e, alpha, pt.affine):
+                chart = next(k for k in range(4) if pt[k])
+                affine_e = [e[j] for j in range(4) if j != chart]
+                affine_z = [pt[j] for j in range(4) if j != chart]
+                for ej, aj, zj in zip(affine_e, alpha, affine_z):
                     val = val * math.perm(ej, aj) * pow(zj, max(ej - aj, 0), p) % p
                 row.append(val)
             rows.append(row)
@@ -481,10 +522,10 @@ def test_conditions_match_pure_python_derivatives():
     real = oracle.build_geometry(P0, 5, 5)
     # off-curve points in each of the four affine charts
     pts = tuple(
-        oracle._make_dpoint(s, 1, u, 1, TS_PRIME)
+        oracle._segre_point(s, 1, u, 1, TS_PRIME)
         for s, u in ((3, 5), (7, 0), (0, 11), (0, 0))
     )
-    assert [pt.chart for pt in pts] == [0, 1, 2, 3]
+    assert [next(k for k in range(4) if pt[k]) for pt in pts] == [0, 1, 2, 3]
     charts = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
     for geom in (real, charts):
         for d in range(5):

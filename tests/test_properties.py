@@ -15,7 +15,7 @@ fresh elimination of the full condition matrix.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints3 import gfp, oracle
@@ -169,8 +169,7 @@ def geometry_points(draw):
         qprime = (0,) * 10
     coords = tuple(draw(vectors(p)))
     geom = oracle.Geometry(p, 0, 0, qprime, oracle._segre_forms(qprime, p), [], ())
-    pt = oracle.DPoint((0, 1), (0, 1), coords, 0, coords[1:])
-    return geom, pt
+    return geom, coords
 
 
 @SETTINGS
@@ -179,8 +178,8 @@ def test_smooth_at_matches_rank_of_jacobian(case):
     geom, pt = case
     p = geom.prime
     jac = np.array(
-        [oracle._quad_grad(oracle._qbar_coeffs(p), pt.coords, p),
-         oracle._quad_grad(geom.qprime, pt.coords, p)],
+        [oracle._quad_grad(oracle._qbar_coeffs(p), pt, p),
+         oracle._quad_grad(geom.qprime, pt, p)],
         dtype=np.int64,
     )
     # the curve is singular at the point exactly when the two gradients
@@ -207,7 +206,68 @@ def test_curve_tangents_lie_in_the_tangent_space():
         assert v is not None
         for grad in oracle._jacobian(g, pt):
             assert sum(a * b for a, b in zip(grad, v)) % p == 0
-        assert not oracle._proportional(pt.coords, v, p)
+        assert not oracle._proportional(pt, v, p)
+
+
+# ---------------------------------------------------------------------------
+# curve points as normalised coordinate tuples
+
+
+def norm_pair(a, b, p):
+    """A nonzero pair scaled to (a/b, 1), or to (1, 0) when b = 0."""
+    return (a * pow(b, -1, p) % p, 1) if b else (1, 0)
+
+
+def segre_point_loop(s, t, u, v, p):
+    """The normalisation of the old point record: both pairs normalised,
+    their products taken, then scaled by the first nonzero product."""
+    (s, t), (u, v) = norm_pair(s, t, p), norm_pair(u, v, p)
+    raw = (s * u % p, s * v % p, t * u % p, t * v % p)
+    chart = next(k for k in range(4) if raw[k])
+    inv = pow(raw[chart], -1, p)
+    return tuple(c * inv % p for c in raw)
+
+
+POINT_PRIMES = oracle.PRIMES + (65537,)
+COORD = st.sampled_from((0, 1)) | st.integers(0, 2**31)
+
+
+@SETTINGS
+@given(st.sampled_from(POINT_PRIMES), COORD, COORD, COORD, COORD)
+@example(65537, 5, 0, 3, 7)  # t = 0
+@example(P, 2, 3, 0, 1)  # u = 0
+@example(P, 2, 3, 1, 0)  # v = 0
+@example(oracle.PRIMES[0], 1, 0, 0, 1)  # both, the point (0:1:0:0)
+def test_segre_point_matches_the_old_normalisation(p, s, t, u, v):
+    s, t, u, v = s % p, t % p, u % p, v % p
+    assume((s or t) and (u or v))
+    pt = oracle._segre_point(s, t, u, v, p)
+    assert pt == segre_point_loop(s, t, u, v, p)
+    x, y, z, w = pt
+    assert (x * w - y * z) % p == 0
+    assert oracle._fiber_of(pt, p) == norm_pair(s, t, p)
+
+
+@SETTINGS
+@given(st.sampled_from(POINT_PRIMES), st.integers(0, 2), st.integers(0, 2**31), st.booleans())
+def test_fiber_points_match_a_lift_through_quad_roots(p, seed, k, at_infinity):
+    geom = oracle.get_geometry(p, seed)
+    s, t = (1, 0) if at_infinity else (k % p, 1)
+    a, b, c = oracle._fiber_quadratic(geom, s, t)
+    roots = oracle._quad_roots(a, b, c, p)
+    if p == 65537:
+        # every (u:v) with u in {0, 1}, by exhaustion
+        vs = np.arange(p, dtype=np.int64)
+        brute = [(0, 1)] if c == 0 else []
+        brute += [(1, int(v)) for v in np.flatnonzero((a + b * vs % p + c * vs % p * vs) % p == 0)]
+        assert roots == brute
+    expected = [segre_point_loop(s, t, u, v, p) for u, v in roots]
+    assert oracle._fiber_points(geom, s, t) == expected
+    qbar = oracle._qbar_coeffs(p)
+    for pt in expected:
+        assert oracle._quad_eval(qbar, pt, p) == 0
+        assert oracle._quad_eval(geom.qprime, pt, p) == 0
+        assert oracle._fiber_of(pt, p) == (s, t)
 
 
 @SETTINGS
@@ -232,7 +292,7 @@ def test_rank_le_1_rowwise_matches_rank(p, width, data):
     for k, (ra, rb) in enumerate(rows):
         expected = gfp.rank_mod(np.array([ra, rb], dtype=np.int64), p) <= 1
         assert bool(got[k]) == expected
-        assert oracle._rank_le_1(a[k], b[k], p) == expected
+        assert oracle._rank_le_1(a[k:k + 1], b[k:k + 1], p)[0] == expected
 
 
 @SETTINGS
