@@ -407,14 +407,16 @@ class _Workspace:
     """The solver state of one geometry, alive exactly as long as it is.
 
     ``tables[d]`` holds the degree-d condition rows of the first points in
-    use, shape (points, len(_ALPHAS), N).  The graded ``_ALPHAS`` layout
-    makes the first C(m+2, 3) rows of a point its conditions for
-    multiplicity m.  ``last`` is the (d, mults, kernel) of the last class
-    solved on the geometry, see ``_kernel``.
+    use, shape (points, len(_ALPHAS), N): the filled prefix of one buffer
+    sized for every point of the geometry, so growing it copies nothing.
+    The graded ``_ALPHAS`` layout makes the first C(m+2, 3) rows of a
+    point its conditions for multiplicity m.  ``last`` is the (d, mults,
+    kernel) of the last class solved on the geometry, see ``_kernel``.
     """
 
     def __init__(self) -> None:
         self.tables: dict[int, np.ndarray] = {}
+        self.buffers: dict[int, np.ndarray] = {}
         self.last: Optional[tuple] = None
 
     def rows(self, geom: Geometry, d: int, done: tuple, mults: tuple) -> np.ndarray:
@@ -427,15 +429,16 @@ class _Workspace:
         table = self.tables.get(d)
         n = 0 if table is None else len(table)
         if table is None or n < r:
-            grown = np.empty((r, len(_ALPHAS), monomial_exponents(d).shape[0]), dtype=np.int64)
-            if n:
-                grown[:n] = table
+            if table is None:
+                shape = (len(geom.points), len(_ALPHAS), monomial_exponents(d).shape[0])
+                self.buffers[d] = np.empty(shape, dtype=np.int64)
+            buffer = self.buffers[d]
             for i, pt in enumerate(geom.points[n:r], n):
                 chart = next(k for k in range(4) if pt[k])
                 ff, exps = _chart_rows(d, chart)
                 pw = _power_table(pt[:chart] + pt[chart + 1:], d, p)
-                grown[i] = ff * pw[0, exps[0]] % p * pw[1, exps[1]] % p * pw[2, exps[2]] % p
-            table = self.tables[d] = grown
+                buffer[i] = ff * pw[0, exps[0]] % p * pw[1, exps[1]] % p * pw[2, exps[2]] % p
+            table = self.tables[d] = buffer[:r]
         start = np.array([_mult_rows(o) for o in done] + [0] * (r - len(done)), dtype=np.int64)
         count = np.array([_mult_rows(m) for m in mults], dtype=np.int64) - start
         point = np.repeat(np.arange(r), count)
@@ -629,6 +632,17 @@ def _rank_le_1(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ~a.any(axis=1) | ~b.any(axis=1) | dependent
 
 
+def _vanishing_at(kernel: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """The forms of ``kernel``'s span that vanish where its rows take the
+    values w, not all zero: ``gfp.kernel_mod`` of the row w, times ``kernel``.
+    With i the first nonzero entry of w, that is kernel[f] - (w[f] / w[i])
+    kernel[i] for every other index f."""
+    i = int(np.flatnonzero(w)[0])
+    free = np.arange(len(w)) != i
+    ratio = w[free] * pow(int(w[i]), -1, p) % p
+    return (kernel[free] - np.outer(ratio, kernel[i])) % p
+
+
 def _random_proj_point(rng: random.Random, p: int) -> tuple[int, int, int, int]:
     while True:
         z = tuple(rng.randrange(p) for _ in range(4))
@@ -769,7 +783,8 @@ _BLOCK = 64
 
 class _Probe:
     """One probe call: what its candidate streams need, its ``checked``
-    counts, and the kernel's basis forms evaluated at stacked candidates."""
+    counts, and its tests on stacked candidates, through a sketch of the
+    kernel's basis forms and then the whole basis."""
 
     def __init__(self, target: str, geom: Geometry, clazz: ThreefoldClass,
                  nprobes: int, sysd: Optional[SystemData]):
@@ -783,6 +798,11 @@ class _Probe:
         self.assigned = geom.points[: c.r]
         self.assigned_coords = set(self.assigned)
         self.checked: dict[str, int] = {}
+        # C^T K for the fixed h0 x 2 matrix C with columns (1, ..., 1) and
+        # (1, 2, ..., h0): two combinations of the basis forms
+        h0 = self.sysd.h0
+        weights = np.vstack([np.ones(h0, dtype=np.int64), np.arange(1, h0 + 1)])
+        self.sketch = gfp.matmul_mod(weights, self.sysd.kernel, self.p)
 
     def rng(self, label: str, *extra: object) -> random.Random:
         return random.Random(derive_seed(label, self.p, self.geom.seed, self.tag, *extra))
@@ -824,29 +844,52 @@ class _Probe:
                 return self.fired(name, data(hit))
         return None
 
-    def at(self, points: list) -> np.ndarray:
-        """One row of basis values per point."""
-        return _form_values(self.sysd.kernel, points, self.d, self.p)
+    def _sketched(self, rows: np.ndarray, test: Callable) -> np.ndarray:
+        """``test`` per candidate on its k monomial rows, rows of shape
+        (candidates, k, N): on the first k sketch forms, then on the whole
+        basis for the candidates the sketch flags.
+
+        ``test`` maps values of shape (candidates, k, forms) to a mask.  A
+        candidate that passes it on the basis passes it on any k
+        combinations of the basis, so the sketch misses none and the mask
+        is exactly the full test's; a false alarm costs one exact check.
+        """
+        p, (n, k, n_cols) = self.p, rows.shape
+        rough = gfp.matmul_mod(rows.reshape(-1, n_cols), self.sketch[:k].T, p).reshape(n, k, k)
+        flagged = np.flatnonzero(test(rough, p))
+        mask = np.zeros(n, dtype=bool)
+        if flagged.size:
+            exact = gfp.matmul_mod(rows[flagged].reshape(-1, n_cols), self.sysd.kernel.T, p)
+            mask[flagged] = test(exact.reshape(flagged.size, k, -1), p)
+        return mask
 
     def vanishing(self, points: list) -> np.ndarray:
         """Per point: does every form vanish there?"""
-        return ~self.at(points).any(axis=1)
+        return self._sketched(monomial_values(np.array(points), self.d, self.p)[:, None], _vanish)
 
     def unseparated(self, pairs: list) -> np.ndarray:
         """Per pair: do the forms fail to tell the two points apart?"""
-        vals = self.at([z for pair in pairs for z in pair])
-        return _rank_le_1(vals[0::2], vals[1::2], self.p)
+        return self._sketched(monomial_values(np.array(pairs), self.d, self.p), _dependent)
 
     def flat(self, tangents: list) -> np.ndarray:
         """Per (point, direction): do the forms fail to separate the direction?"""
         zs = np.array([z for z, _ in tangents])
         vs = np.array([v for _, v in tangents])
-        rows = np.concatenate([
+        rows = np.stack([
             monomial_values(zs, self.d, self.p),
             derivative_values(zs, vs, self.d, self.p),
-        ])
-        vals = gfp.matmul_mod(rows, self.sysd.kernel.T, self.p)
-        return _rank_le_1(vals[: len(tangents)], vals[len(tangents):], self.p)
+        ], axis=1)
+        return self._sketched(rows, _dependent)
+
+
+def _vanish(vals: np.ndarray, p: int) -> np.ndarray:
+    """Per candidate of an (n, 1, forms) stack: is every value zero?"""
+    return ~vals[:, 0].any(axis=1)
+
+
+def _dependent(vals: np.ndarray, p: int) -> np.ndarray:
+    """Per candidate of an (n, 2, forms) stack: do its rows span at most a line?"""
+    return _rank_le_1(vals[:, 0], vals[:, 1], p)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,15 +1130,14 @@ def probe_separation(
                 continue
             tried += 1
             pr.checked["conjugate-hunt"] = tried
-            w1 = pr.at([z1])[0]
+            w1 = _form_values(kernel, [z1], d, p)[0]
             if not w1.any():
                 other = _random_proj_point(rng, p)
                 report = pair_witness("unseparated-base-point", z1, other)
                 if report:
                     return report
                 continue
-            coeff_kernel = gfp.kernel_mod(w1.reshape(1, -1), p)
-            sub = gfp.matmul_mod(coeff_kernel, kernel, p)
+            sub = _vanishing_at(kernel, w1, p)
             partners = hunt_common_zeros(
                 geom, sub, d, pr.assigned, frozenset([z1]), rng
             )

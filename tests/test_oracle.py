@@ -586,3 +586,16 @@ def test_growing_the_row_table_matches_a_fresh_solve():
         assert np.array_equal(
             oracle.conditions_matrix(g, c), oracle.conditions_matrix(fresh_geom, c)
         )
+
+
+def test_the_row_table_grows_in_place():
+    # one buffer per degree, sized for every point: growing fills more of
+    # it, and the rows already there are neither copied nor moved
+    g = oracle.build_geometry(P0, 4)
+    tables = oracle._workspace(g).tables
+    oracle.solve_system(g, parse_class("L3(5; 2^3)"))
+    first = tables[5].copy(), tables[5]
+    oracle.solve_system(g, parse_class("L3(5; 2^3, 1^13)"))
+    assert tables[5].shape[0] == 16
+    assert np.shares_memory(first[1], tables[5])
+    assert np.array_equal(tables[5][:3], first[0])

@@ -10,16 +10,24 @@ The exact kernels everything rests on, ``rref_mod`` and ``matmul_mod``, are
 checked against pure-Python integer arithmetic, and ``solve_system`` on a
 warm geometry (which restricts the last kernel solved there) against a
 fresh elimination of the full condition matrix.
+
+The probe tests run through a two-form sketch of the basis before the
+whole basis; they are checked against the full test alone, with sketches
+made to flag every candidate and on every block the golden classes
+evaluate.
 """
 
 from __future__ import annotations
+
+import json
+import pathlib
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints3 import gfp, oracle
-from fatpoints3.divclass import ThreefoldClass
+from fatpoints3.divclass import ThreefoldClass, parse_class
 
 P = 1000003
 PRIMES = (P, 65537, oracle.PRIMES[0])
@@ -374,6 +382,23 @@ def test_matmul_mod_matches_big_integers(p, rows, inner, cols, seed):
     assert got.tolist() == expected
 
 
+@SETTINGS
+@given(st.sampled_from(MATMUL_PRIMES), st.integers(1, 6), st.integers(1, 8), st.data())
+def test_vanishing_at_matches_kernel_mod(p, h0, n_cols, data):
+    # the conjugate hunt's closed form against the kernel of the 1 x h0 row
+    # w times the basis, on nonzero rows with up to h0 - 1 leading zeros
+    lead = data.draw(st.integers(0, h0 - 1))
+    w = [0] * lead + [data.draw(st.integers(1, p - 1))] + data.draw(vectors(p, h0 - lead - 1))
+    w = np.array(w, dtype=np.int64)
+    kernel = np.array(data.draw(st.lists(vectors(p, n_cols), min_size=h0, max_size=h0)),
+                      dtype=np.int64)
+    expected = gfp.matmul_mod(gfp.kernel_mod(w.reshape(1, -1), p), kernel, p)
+    got = oracle._vanishing_at(kernel, w, p)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape == (h0 - 1, n_cols)
+    assert np.array_equal(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # solves on a warm geometry against a fresh elimination
 
@@ -526,3 +551,154 @@ def test_stacked_values_match_per_point(d, case):
     z, v = pts[0], dirs[0]
     assert oracle.monomial_values(z, d, p).tolist() == monomial_reference(z, d, p)
     assert oracle.derivative_values(z, v, d, p).tolist() == derivative_reference(z, v, d, p)
+
+
+# ---------------------------------------------------------------------------
+# probe tests through the sketch, confirmed on the whole basis
+
+GOLDEN_ORACLE = pathlib.Path(__file__).parent / "data" / "golden_oracle.json"
+SKETCH_CLASSES = ("L3(2; 1^3)", "L3(3; 2, 1^4)", "L3(4; 2^2, 1^5)", "L3(6; 4, 3)")
+# monomial rows per candidate, which is also the number of sketch forms read
+PROBE_TESTS = {"vanishing": 1, "unseparated": 2, "flat": 2}
+
+
+def sketch_reference(kernel, p):
+    """C^T K in Python integers, C with columns (1, ..., 1) and (1, 2, ..., h0)."""
+    rows = kernel.tolist()
+    return [
+        [sum(c * row[j] for c, row in zip(weights, rows)) % p for j in range(kernel.shape[1])]
+        for weights in ([1] * len(rows), range(1, len(rows) + 1))
+    ]
+
+
+def value_rows(pr, kind, block):
+    """Each candidate's monomial rows, shape (candidates, k, N): a point's,
+    a pair's two, or a tangent's point and derivative along its direction."""
+    d, p = pr.d, pr.p
+    if kind == "vanishing":
+        return oracle.monomial_values(np.array(block), d, p)[:, None]
+    if kind == "unseparated":
+        return oracle.monomial_values(np.array(block), d, p)
+    zs = np.array([z for z, _ in block])
+    vs = np.array([v for _, v in block])
+    return np.stack([oracle.monomial_values(zs, d, p),
+                     oracle.derivative_values(zs, vs, d, p)], axis=1)
+
+
+def full_test(kind, rows, forms, p):
+    """The test on the forms' values, one rank per candidate: all zero for
+    ``vanishing``, rank at most 1 for the other two."""
+    n, k, n_cols = rows.shape
+    vals = gfp.matmul_mod(rows.reshape(-1, n_cols), np.asarray(forms).T, p).reshape(n, k, -1)
+    if kind == "vanishing":
+        return [not v.any() for v in vals]
+    return [gfp.rank_mod(v, p) <= 1 for v in vals]
+
+
+def sketch_probe(txt):
+    geom = oracle.get_geometry(oracle.PRIMES[0], 0)
+    return oracle._Probe("sketch", geom, parse_class(txt), 0, None)
+
+
+def random_block(draw, pr, kind):
+    """One to six candidates mixing assigned points, where every form
+    vanishes, with random points; tangent directions are random."""
+    p = pr.p
+    point = st.sampled_from(pr.assigned) | vectors(p).filter(any).map(tuple)
+    n = draw(st.integers(1, 6))
+    if kind == "vanishing":
+        return [draw(point) for _ in range(n)]
+    if kind == "unseparated":
+        return [(draw(point), draw(point)) for _ in range(n)]
+    return [(draw(point), tuple(draw(vectors(p)))) for _ in range(n)]
+
+
+@st.composite
+def false_alarm_cases(draw):
+    """A probe, a block for one of its three tests, and a sketch that flags
+    every candidate of it: the first form is zero or a random form that
+    vanishes on every monomial row of the block, the second any of those or
+    a random form."""
+    pr = sketch_probe(draw(st.sampled_from(SKETCH_CLASSES)))
+    kind = draw(st.sampled_from(tuple(PROBE_TESTS)))
+    block = random_block(draw, pr, kind)
+    rows = value_rows(pr, kind, block)
+    p, n_cols = pr.p, rows.shape[2]
+    orthogonal = gfp.kernel_mod(rows.reshape(-1, n_cols), p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forms = {
+        "zero": np.zeros(n_cols, dtype=np.int64),
+        "orthogonal": gfp.matmul_mod(
+            rng.integers(0, p, size=(1, len(orthogonal))), orthogonal, p)[0],
+        "random": rng.integers(0, p, size=n_cols),
+    }
+    first = draw(st.sampled_from(("zero", "orthogonal")))
+    second = draw(st.sampled_from(tuple(forms)))
+    return pr, kind, block, np.array([forms[first], forms[second]], dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(false_alarm_cases())
+def test_sketch_false_alarms_are_rejected_by_the_full_test(case):
+    pr, kind, block, sketch = case
+    rows = value_rows(pr, kind, block)
+    k = PROBE_TESTS[kind]
+    assert all(full_test(kind, rows, sketch[:k], pr.p))  # every candidate flagged
+    pr.sketch = sketch
+    got = getattr(pr, kind)(block)
+    assert got.tolist() == full_test(kind, rows, pr.sysd.kernel, pr.p)
+
+
+def test_sketch_false_alarms_named_cases():
+    # a zero first form flags every candidate, a random second form flags
+    # none of the assigned points: only the first k forms may be read
+    for txt in SKETCH_CLASSES:
+        pr = sketch_probe(txt)
+        assert pr.sketch.tolist() == sketch_reference(pr.sysd.kernel, pr.p)
+        z, other = pr.assigned[0], (1, 2, 3, 4)
+        blocks = {
+            "vanishing": [z, other, z],
+            "unseparated": [(z, other), (other, (4, 3, 2, 1)), (z, z)],
+            "flat": [(z, other), (other, (4, 3, 2, 1)), (other, other)],
+        }
+        rng = np.random.default_rng(0)
+        pr.sketch = np.array([[0] * pr.sketch.shape[1],
+                              rng.integers(1, pr.p, size=pr.sketch.shape[1])], dtype=np.int64)
+        for kind, block in blocks.items():
+            rows = value_rows(pr, kind, block)
+            expected = full_test(kind, rows, pr.sysd.kernel, pr.p)
+            assert expected == [True, False, True], (txt, kind)
+            assert getattr(pr, kind)(block).tolist() == expected, (txt, kind)
+
+
+def test_sketch_flags_exactly_the_full_test_on_the_golden_blocks(monkeypatch):
+    # every block the golden classes evaluate at 16 probes: the sketch is
+    # C^T K, and the sketch alone, the probe's mask and the full test agree
+    seen = []
+
+    def spy(test):
+        def recorded(pr, block):
+            mask = test(pr, block)
+            seen.append((pr, test.__name__, block, mask))
+            return mask
+        return recorded
+
+    for table in ("_BASE_CATEGORIES", "_SEPARATION_CATEGORIES"):
+        rows = getattr(oracle, table)
+        monkeypatch.setattr(oracle, table, tuple(r[:3] + (spy(r[3]),) + r[4:] for r in rows))
+    for txt in json.loads(GOLDEN_ORACLE.read_text(encoding="utf-8")):
+        c = parse_class(txt)
+        for prime in oracle.PRIMES:
+            for seed in (0, 1):
+                geom = oracle.get_geometry(prime, seed)
+                sysd = oracle.solve_system(geom, c)
+                oracle.probe_base_locus(geom, c, 16, sysd)
+                oracle.probe_separation(geom, c, 16, sysd)
+    assert {kind for _, kind, _, _ in seen} == set(PROBE_TESTS)
+    for pr, kind, block, mask in seen:
+        sketch = sketch_reference(pr.sysd.kernel, pr.p)
+        assert pr.sketch.tolist() == sketch
+        rows = value_rows(pr, kind, block)
+        full = full_test(kind, rows, pr.sysd.kernel, pr.p)
+        assert mask.tolist() == full
+        assert full_test(kind, rows, sketch[:PROBE_TESTS[kind]], pr.p) == full
