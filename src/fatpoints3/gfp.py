@@ -2,8 +2,26 @@
 
 Matrices are numpy int64 arrays with entries reduced mod p.  All primes in
 use are below 2^31, so a product of two reduced entries stays below 2^62
-and row elimination never overflows int64.  Matrix products split one
-factor into 16-bit halves so the accumulated dot products stay in range.
+and row elimination never overflows int64.
+
+``rref_mod`` is Gauss-Jordan elimination over column panels of
+``_PANEL`` columns.  Inside a panel each pivot updates only the panel's
+columns, plus one recorded transform column per pivot: row r gets a 1 in
+transform column s when it becomes the panel's s-th pivot, and the same
+scale and eliminate steps then keep every row written as a combination of
+the panel's pivot rows as they stood when the panel began.  The columns
+right of the panel take all of the panel's steps at once, as one product
+of the transform with those pivot rows.  A matrix of at most ``_PANEL``
+rows is one panel as wide as the matrix, which is the plain per-pivot
+loop with no transform and no product.  The reduced form and its pivot
+columns are unique, so the result does not depend on the panels.
+
+``matmul_mod`` splits the second factor into 16-bit halves so that every
+accumulated dot product stays exact.  With an inner dimension of at most
+``_FLOAT_INNER`` = 64 the two halves go through float64 BLAS: every dot
+product is an integer below 64 * 2^31 * 2^16 = 2^53, so float64 holds it
+exactly and the result does not depend on the summation order or the
+thread count of the BLAS.  Larger inner dimensions use int64 products.
 
 Polynomials are Python lists of ints, ascending powers, no trailing zeros
 (the zero polynomial is the empty list).
@@ -17,6 +35,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 MAX_MODULUS = 2**31  # int64-safety bound for the elimination kernels
+_PANEL = 24  # columns per elimination panel
+_FLOAT_INNER = 64  # largest inner dimension of the float64 product
 
 
 # ---------------------------------------------------------------------------
@@ -104,29 +124,72 @@ def _check_modulus(p: int) -> None:
 
 
 def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (rref, pivot column list)."""
+    """Reduced row echelon form mod p; returns (rref, pivot column list).
+
+    There are no row swaps: each pivot is taken in the first non-pivot row
+    with a nonzero entry, and the pivot rows move to the top in pivot order
+    at the end, above the zero rows.
+    """
     _check_modulus(p)
     m = np.array(mat, dtype=np.int64) % p
     rows, cols = m.shape
+    width = max(cols, 1) if rows <= _PANEL else _PANEL
+    free = np.ones(rows + 1, dtype=bool)  # the last entry stops the scan for lo
+    lo = 0  # every row above lo is a pivot row
+    order: list[int] = []  # pivot rows, in pivot order
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    for c0 in range(0, cols, width):
+        if lo == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
-        pivots.append(c)
-        r += 1
+        c1 = min(c0 + width, cols)
+        w, start, trailing = c1 - c0, len(order), c1 < cols
+        if trailing:  # the panel's columns, then its transform columns
+            panel = np.zeros((rows, 2 * w), dtype=np.int64)
+            panel[:, :w] = m[:, c0:c1]
+        else:
+            panel = m[:, c0:]
+        for c in range(w):
+            nz = np.flatnonzero(panel[lo:, c])
+            if not nz.size:
+                continue
+            pr = lo + int(nz[0])
+            if not free[pr]:  # the first nonzero is in an older pivot row
+                nz = lo + nz
+                nz = nz[free[nz]]
+                if not nz.size:
+                    continue
+                pr = int(nz[0])
+            s = len(order) - start
+            hi = w + s + 1 if trailing else w  # transform columns past s are zero
+            if trailing:
+                panel[pr, w + s] = 1
+            row = panel[pr, c:hi]
+            row *= pow(int(row[0]), -1, p)
+            row %= p
+            update = np.multiply.outer(panel[:, c], row)
+            update[pr] = 0
+            block = panel[:, c:hi]
+            block -= update
+            block %= p
+            free[pr] = False
+            order.append(pr)
+            pivots.append(c0 + c)
+            while not free[lo]:
+                lo += 1
+            if lo == rows:
+                break
+        if trailing and len(order) > start:
+            # keep the rows that did not pivot here, replace the ones that did,
+            # and add each row's recorded combination of the pivot rows
+            piv = order[start:]
+            m[:, c0:c1] = panel[:, :w]
+            rest = m[:, c1:]
+            update = matmul_mod(panel[:, w:w + len(piv)], rest[piv], p)
+            rest[piv] = 0
+            rest += update
+            rest %= p
+    if order != list(range(len(order))):
+        m = m[order + np.flatnonzero(free[:rows]).tolist()]
     return m, pivots
 
 
@@ -161,6 +224,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("inner dimension too large for the overflow-free product")
     hi = b >> 16
     lo = b & 0xFFFF
+    if a.shape[-1] <= _FLOAT_INNER:  # each dot product below 2^53: exact in float64
+        af = a.astype(np.float64)
+        hi = (af @ hi.astype(np.float64)).astype(np.int64)
+        lo = (af @ lo.astype(np.float64)).astype(np.int64)
+        return (hi % p * 65536 + lo) % p
     return ((a @ hi % p) * 65536 + a @ lo) % p
 
 

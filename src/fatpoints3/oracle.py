@@ -34,7 +34,7 @@ import math
 import random
 import weakref
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -521,6 +521,16 @@ class SystemData:
     kernel: np.ndarray
     geometry: Geometry
 
+    @cached_property
+    def sketch(self) -> np.ndarray:
+        """C^T K for the fixed h0 x 2 matrix C with columns (1, ..., 1) and
+        (1, 2, ..., h0): two combinations of the basis forms, built on the
+        first probe that reads them and shared by every later one."""
+        weights = np.vstack([np.ones(self.h0, dtype=np.int64), np.arange(1, self.h0 + 1)])
+        sketch = gfp.matmul_mod(weights, self.kernel, self.prime)
+        sketch.flags.writeable = False
+        return sketch
+
     def to_dict(self) -> dict:
         return {
             "class": format_class(self.clazz),
@@ -798,11 +808,7 @@ class _Probe:
         self.assigned = geom.points[: c.r]
         self.assigned_coords = set(self.assigned)
         self.checked: dict[str, int] = {}
-        # C^T K for the fixed h0 x 2 matrix C with columns (1, ..., 1) and
-        # (1, 2, ..., h0): two combinations of the basis forms
-        h0 = self.sysd.h0
-        weights = np.vstack([np.ones(h0, dtype=np.int64), np.arange(1, h0 + 1)])
-        self.sketch = gfp.matmul_mod(weights, self.sysd.kernel, self.p)
+        self.sketch = self.sysd.sketch
 
     def rng(self, label: str, *extra: object) -> random.Random:
         return random.Random(derive_seed(label, self.p, self.geom.seed, self.tag, *extra))
