@@ -1,6 +1,7 @@
 """Tests for the finite-field verification engine."""
 
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -599,3 +600,28 @@ def test_the_row_table_grows_in_place():
     assert tables[5].shape[0] == 16
     assert np.shares_memory(first[1], tables[5])
     assert np.array_equal(tables[5][:3], first[0])
+
+
+def test_the_sketch_is_built_once_per_kernel(monkeypatch):
+    # the dimension pass builds no sketch; a battery with probes builds one
+    # per SystemData, shared by its base-locus and separation probes
+    builds = []
+    build = oracle.SystemData.sketch.func
+
+    def counted(sysd):
+        builds.append(sysd)
+        return build(sysd)
+
+    sketch = functools.cached_property(counted)
+    sketch.__set_name__(oracle.SystemData, "sketch")
+    monkeypatch.setattr(oracle.SystemData, "sketch", sketch)
+    c = parse_class("L3(4; 1^8)")  # no probe fires: every system is probed twice
+    oracle.run_battery(c, probes=0)
+    assert builds == []
+    report = oracle.run_battery(c, seeds=(0,), probes=8)
+    assert not report.base.fired and not report.separation.fired
+    assert len(builds) == len({id(s) for s in builds}) == len(oracle.PRIMES)
+    for sysd in builds:
+        assert not sysd.sketch.flags.writeable
+        weights = np.vstack([np.ones(sysd.h0, dtype=np.int64), np.arange(1, sysd.h0 + 1)])
+        assert np.array_equal(sysd.sketch, gfp.matmul_mod(weights, sysd.kernel, sysd.prime))

@@ -7,9 +7,12 @@ kept here so the two are compared on inputs hypothesis picks, including
 the degenerate ones (zero rows, rank 0 and 1, no free columns).
 
 The exact kernels everything rests on, ``rref_mod`` and ``matmul_mod``, are
-checked against pure-Python integer arithmetic, and ``solve_system`` on a
-warm geometry (which restricts the last kernel solved there) against a
-fresh elimination of the full condition matrix.
+checked against pure-Python integer arithmetic: ``rref_mod`` on shapes on
+both sides of its column panels and on the oracle's real condition
+matrices, ``matmul_mod`` on both sides of its float64 route.
+``solve_system`` on a warm geometry (which restricts the last kernel
+solved there) is checked against a fresh elimination of the full
+condition matrix.
 
 The probe tests run through a two-form sketch of the basis before the
 whole basis; they are checked against the full test alone, with sketches
@@ -380,6 +383,138 @@ def test_matmul_mod_matches_big_integers(p, rows, inner, cols, seed):
     ]
     assert got.dtype == np.int64
     assert got.tolist() == expected
+
+
+def matmul_reference(a, b, p):
+    """(a @ b) % p in Python integers."""
+    bt = list(zip(*b.tolist()))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a.tolist()]
+
+
+def test_matmul_mod_exact_at_the_float_boundary():
+    # inner dimensions 63 and 64 go through float64, 65 through int64.  With
+    # every entry p - 1 each dot product sits just under 2^53 at 64; with the
+    # odd entries p - 2 the sum at 65 is odd and above 2^53, so float64
+    # would round it
+    p = 2**31 - 1
+    rng = np.random.default_rng(0)
+    for inner in (63, 64, 65):
+        for rows, cols in ((1, 1), (1, 7), (7, 1), (5, 9)):
+            for a, b in (
+                (np.full((rows, inner), p - 1), np.full((inner, cols), p - 1)),
+                (np.full((rows, inner), p - 2), np.full((inner, cols), p - 2)),
+                (rng.integers(p - 2**16, p, size=(rows, inner)),
+                 rng.integers(p - 2**16, p, size=(inner, cols))),
+            ):
+                got = gfp.matmul_mod(a, b, p)
+                assert got.dtype == np.int64
+                assert got.tolist() == matmul_reference(a, b, p), (inner, rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# the panel elimination against Gauss-Jordan in Python integers
+
+PANEL_PRIMES = (65537, 1000003, 2**31 - 1)
+PANEL = gfp._PANEL
+# one column short of a panel, one panel, one column over, two panels and one
+PANEL_COLS = (PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1)
+PANEL_KINDS = ("random", "thin-product", "duplicated-rows", "tall", "zero-panel", "zero",
+               "p-1")
+# the 12 classes of the benchmark's oracle workload
+ORACLE_WORKLOAD_CLASSES = (
+    "L3(5; 2^5, 1^7)", "L3(4; 1^8)", "L3(6; 3, 2^6, 1^4)", "L3(9; 4, 3^6, 2^4)",
+    "L3(3; 1^10)", "L3(8; 3^10)", "L3(7; 2^13)", "L3(2; 1^7)", "L3(4; 2, 1^13)",
+    "L3(8; 3^10, 1)", "L3(10; 3^13)", "L3(8; 3^12)",
+)
+
+
+def rref_reference(mat, p):
+    """Gauss-Jordan in Python integers, each pivot row swapped up."""
+    a = [[x % p for x in row] for row in mat.tolist()]
+    r, pivots = 0, []
+    for c in range(mat.shape[1]):
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        prow = a[r] = [x * inv % p for x in a[r]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f:
+                a[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def panel_matrix(kind, rows, cols, p, rng):
+    """A matrix of one kind: random entries, a product of thin factors (rank
+    at most 5), rows repeated with scalings, more rows than columns, a whole
+    panel of zero columns, zero, or entries p - 1 and 0 only."""
+    def entries(r, c):
+        small = rng.random((r, c)) < 0.3
+        return np.where(small, rng.integers(0, 3, size=(r, c)), rng.integers(0, p, size=(r, c)))
+
+    if kind == "thin-product":
+        k = int(rng.integers(0, 6))
+        return gfp.matmul_mod(entries(rows, k), entries(k, cols), p)
+    if kind == "duplicated-rows":
+        base = entries(int(rng.integers(1, rows + 1)), cols)
+        picks = rng.integers(0, len(base), size=rows)
+        return base[picks] * rng.integers(1, p, size=(rows, 1)) % p
+    if kind == "tall":
+        return entries(max(rows, cols + 1 + int(rng.integers(0, 8))), cols)
+    if kind == "zero-panel":
+        mat = entries(rows, cols)
+        start = PANEL * int(rng.integers(0, cols // PANEL + 1))
+        mat[:, start:start + PANEL] = 0
+        return mat
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "p-1":
+        return np.where(rng.random((rows, cols)) < 0.8, p - 1, 0)
+    return entries(rows, cols)
+
+
+def check_rref(mat, p):
+    """rref_mod equals the reference, as an int64 array, and leaves its input."""
+    before = mat.copy()
+    red, pivots = gfp.rref_mod(mat, p)
+    expected, expected_pivots = rref_reference(mat, p)
+    assert np.array_equal(mat, before)
+    assert red.dtype == np.int64 and red.shape == mat.shape
+    assert pivots == expected_pivots
+    assert red.tolist() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PANEL_PRIMES), st.sampled_from(PANEL_KINDS), st.integers(1, 80),
+       st.sampled_from(PANEL_COLS), st.integers(0, 2**32 - 1))
+def test_rref_mod_matches_gauss_jordan_across_panels(p, kind, rows, cols, seed):
+    mat = panel_matrix(kind, rows, cols, p, np.random.default_rng(seed))
+    check_rref(np.asarray(mat, dtype=np.int64), p)
+
+
+def test_rref_mod_panel_boundaries_named_cases():
+    # every kind and column count at the row counts around one panel and at
+    # 80 rows, where the trailing columns take a product after each panel
+    for i, (kind, cols, rows) in enumerate(
+            (k, c, r) for k in PANEL_KINDS for c in PANEL_COLS
+            for r in (1, PANEL, PANEL + 1, 80)):
+        p = PANEL_PRIMES[i % len(PANEL_PRIMES)]
+        mat = panel_matrix(kind, rows, cols, p, np.random.default_rng(i))
+        check_rref(np.asarray(mat, dtype=np.int64), p)
+
+
+def test_rref_mod_on_the_oracle_workload_condition_matrices():
+    # the real condition matrices, up to 130 x 286 for L3(10; 3^13)
+    for txt in ORACLE_WORKLOAD_CLASSES:
+        c = parse_class(txt).normalized()
+        geom = oracle.get_geometry(oracle.PRIMES[0], 0, max(oracle.DEFAULT_POINTS, c.r))
+        check_rref(oracle.conditions_matrix(geom, c), geom.prime)
 
 
 @SETTINGS
