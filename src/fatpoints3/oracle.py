@@ -190,6 +190,12 @@ class Geometry:
 def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
     p = geom.prime
     a, b, c = geom.forms
+    if t == 1:  # the affine fibers, by Horner in s
+        return (
+            (a[0] + s * (a[1] + s * a[2])) % p,
+            (b[0] + s * (b[1] + s * b[2])) % p,
+            (c[0] + s * (c[1] + s * c[2])) % p,
+        )
     return (
         _form_eval(a, s, t, 2, p),
         _form_eval(b, s, t, 2, p),
@@ -265,9 +271,21 @@ def _curve_value(geom: Geometry, pt: Sequence[int]) -> int:
 
 def _fiber_points(geom: Geometry, s: int, t: int) -> list[tuple[int, int, int, int]]:
     """The curve's rational points over (s:t), in ``_quad_roots`` order;
-    [] when there is none or the fiber form vanishes identically."""
+    [] when there is none or the fiber form vanishes identically.
+
+    Over (s:1) with s and c nonzero the points are (1 : v : 1/s : v/s) for
+    the roots v of a + b v + c v^2, and one inverse of 2cs gives both
+    1/(2c) = s/(2cs) and 1/s = 2c/(2cs)."""
     p = geom.prime
     a, b, c = _fiber_quadratic(geom, s, t)
+    if t == 1 and c and s % p:
+        root = gfp.sqrt_mod(b * b - 4 * a * c, p)
+        if root is None:
+            return []
+        inv = pow(2 * c * s, -1, p)
+        r_s = 2 * c * inv % p
+        vs = sorted({(-b + root) * s * inv % p, (-b - root) * s * inv % p})
+        return [(1, v, r_s, v * r_s % p) for v in vs]
     if a == 0 and b == 0 and c == 0:
         return []
     return [_segre_point(s, t, u, v, p) for u, v in _quad_roots(a, b, c, p)]
