@@ -14,6 +14,11 @@ matrices, ``matmul_mod`` on both sides of its float64 route.
 solved there) is checked against a fresh elimination of the full
 condition matrix.
 
+The fibre lift takes a shortcut over (s:1) with s and c nonzero; it is
+checked against the general lift through ``_quad_roots`` on named fibres
+that reach every branch, and the curve-point draw against a draw through
+the general lift, random stream included.
+
 The probe tests run through a two-form sketch of the basis before the
 whole basis; they are checked against the full test alone, with sketches
 made to flag every candidate and on every block the golden classes
@@ -22,10 +27,13 @@ evaluate.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
+import random
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -279,6 +287,99 @@ def test_fiber_points_match_a_lift_through_quad_roots(p, seed, k, at_infinity):
         assert oracle._quad_eval(qbar, pt, p) == 0
         assert oracle._quad_eval(geom.qprime, pt, p) == 0
         assert oracle._fiber_of(pt, p) == (s, t)
+
+
+def lift_through_quad_roots(geom, s, t):
+    """The fibre lift as it was before its fast path: the forms evaluated by
+    ``_form_eval``, the roots by ``_quad_roots``, each point by
+    ``_segre_point``."""
+    p = geom.prime
+    a, b, c = (oracle._form_eval(f, s, t, 2, p) for f in geom.forms)
+    if a == 0 and b == 0 and c == 0:
+        return []
+    return [oracle._segre_point(s, t, u, v, p) for u, v in oracle._quad_roots(a, b, c, p)]
+
+
+def forms_through(p, s, t, abc, rng):
+    """Random fibre forms whose values over (s:t) are abc."""
+    forms = []
+    for val in abc:
+        if t:  # x t^2 + y s t + z s^2 at t = 1
+            y, z = rng.randrange(p), rng.randrange(p)
+            forms.append(((val - y * s - z * s * s) % p, y, z))
+        else:  # (s:t) = (1:0) reads the s^2 coefficient
+            forms.append((rng.randrange(p), rng.randrange(p), val % p))
+    return tuple(forms)
+
+
+def fiber_cases(p):
+    """Named (s, t, (a, b, c), number of points) cases: every branch of the
+    lift, the fast one over (s:1) with s, c nonzero and the general one."""
+    nonresidue = next(n for n in range(2, p) if gfp.legendre(n, p) == -1)
+    half = pow(2, -1, p)
+    v1, v2, w = 3, p - 7, 12345
+
+    def through(c, *roots):  # c (v - r1)(v - r2), as ascending (a, b, c)
+        r1, r2 = roots if len(roots) == 2 else roots * 2
+        return (c * r1 * r2 % p, -c * (r1 + r2) % p, c)
+
+    return {
+        "two roots": (5, 1, through(w, v1, v2), 2),
+        "a root at v = 0": (5, 1, through(w, 0, v2), 2),
+        "s = p - 1": (p - 1, 1, through(w, v1, v2), 2),
+        "c = 0, b != 0": (5, 1, (7, 11, 0), 2),
+        "c = 0, b = 0": (5, 1, (7, 0, 0), 1),
+        "discriminant 0": (5, 1, through(w, v1), 1),
+        "discriminant 0 at v = 0": (5, 1, through(w, 0), 1),
+        "s = 0": (0, 1, through(w, v1, v2), 2),
+        "s = 0, c = 0": (0, 1, (7, 11, 0), 2),
+        "t = 0": (1, 0, through(w, v1, v2), 2),
+        "t = 0, c = 0": (1, 0, (7, 11, 0), 2),
+        "zero fibre form": (5, 1, (0, 0, 0), 0),
+        "non-residue discriminant": (5, 1, (-nonresidue * half * half % p, 0, 1), 0),
+        "non-residue discriminant, s = 0": (0, 1, (-nonresidue * half * half % p, 0, 1), 0),
+    }
+
+
+@pytest.mark.parametrize("p", (oracle.PRIMES[0], 65537))
+def test_fiber_points_named_cases(p):
+    # p = 2^31 - 1 takes its square roots by one power, 65537 by
+    # Tonelli-Shanks; both against the lift through _quad_roots
+    geom = oracle.get_geometry(p, 0)
+    rng = random.Random(p)
+    for name, (s, t, abc, npts) in fiber_cases(p).items():
+        g = dataclasses.replace(geom, forms=forms_through(p, s, t, abc, rng))
+        assert oracle._fiber_quadratic(g, s, t) == tuple(x % p for x in abc), name
+        expected = lift_through_quad_roots(g, s, t)
+        assert len(expected) == npts, name
+        assert oracle._fiber_points(g, s, t) == expected, name
+        for x, y, z, w in expected:
+            assert (x * w - y * z) % p == 0, name
+            assert oracle._fiber_of((x, y, z, w), p) == (s, t), name
+
+
+def reference_draw(geom, rng):
+    """``_sample_curve_point`` with the lift before its fast path."""
+    p = geom.prime
+    for _ in range(512):
+        k = rng.randrange(p + 1)
+        s, t = (1, 0) if k == p else (k, 1)
+        pts = lift_through_quad_roots(geom, s, t)
+        if pts:
+            return pts[rng.randrange(len(pts))]
+    return None
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_curve_draws_consume_the_random_stream_as_before(p):
+    # the same points, and the same random numbers consumed, including the
+    # randrange(1) that picks the one point over a double root
+    geom = oracle.get_geometry(p, 0)
+    seed = oracle.derive_seed("draw-stream", p)
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(2000):
+        assert oracle._sample_curve_point(geom, fast) == reference_draw(geom, slow)
+    assert fast.getstate() == slow.getstate()
 
 
 @SETTINGS
