@@ -188,18 +188,14 @@ class Geometry:
 
 
 def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
+    """The values f0 t^2 + f1 s t + f2 s^2 of the three forms at (s:t)."""
     p = geom.prime
     a, b, c = geom.forms
-    if t == 1:  # the affine fibers, by Horner in s
-        return (
-            (a[0] + s * (a[1] + s * a[2])) % p,
-            (b[0] + s * (b[1] + s * b[2])) % p,
-            (c[0] + s * (c[1] + s * c[2])) % p,
-        )
+    ss, st, tt = s * s, s * t, t * t
     return (
-        _form_eval(a, s, t, 2, p),
-        _form_eval(b, s, t, 2, p),
-        _form_eval(c, s, t, 2, p),
+        (a[0] * tt + a[1] * st + a[2] * ss) % p,
+        (b[0] * tt + b[1] * st + b[2] * ss) % p,
+        (c[0] * tt + c[1] * st + c[2] * ss) % p,
     )
 
 
