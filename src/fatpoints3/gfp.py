@@ -16,6 +16,14 @@ rows is one panel as wide as the matrix, which is the plain per-pivot
 loop with no transform and no product.  The reduced form and its pivot
 columns are unique, so the result does not depend on the panels.
 
+``rref_mod`` and ``kernel_from_rref`` also take a stack of B matrices of
+one shape, as a (B, rows, cols) array with one modulus; a single matrix is
+the stack of one.  The layers are reduced together, one set of numpy calls
+per pivot for all of them, as long as they take their pivots on the same
+rows and columns.  When two layers would pivot apart, each layer is reduced
+alone, from where the stack stood: it is row equivalent to the input, so
+its reduced form is the same.
+
 ``matmul_mod`` splits the second factor into 16-bit halves so that every
 accumulated dot product stays exact.  With an inner dimension of at most
 ``_FLOAT_INNER`` = 64 the two halves go through float64 BLAS: every dot
@@ -30,6 +38,7 @@ Polynomials are Python lists of ints, ascending powers, no trailing zeros
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +46,7 @@ import numpy as np
 MAX_MODULUS = 2**31  # int64-safety bound for the elimination kernels
 _PANEL = 24  # columns per elimination panel
 _FLOAT_INNER = 64  # largest inner dimension of the float64 product
+_PRODUCT_ENTRIES = 1 << 15  # entries per product of a panel's trailing update
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +87,15 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+@lru_cache(maxsize=None)
+def _nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p."""
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    return z
+
+
 def sqrt_mod(a: int, p: int) -> Optional[int]:
     """A square root of a mod an odd prime p, or None for a non-residue.
 
@@ -98,10 +117,7 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    m, c, t, x = s, pow(_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -123,16 +139,34 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} too large for the int64 kernels")
 
 
-def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def rref_mod(mat: np.ndarray, p: int, overwrite: bool = False) -> tuple[np.ndarray, list]:
     """Reduced row echelon form mod p; returns (rref, pivot column list).
 
     There are no row swaps: each pivot is taken in the first non-pivot row
     with a nonzero entry, and the pivot rows move to the top in pivot order
-    at the end, above the zero rows.
+    at the end, above the zero rows.  ``mat`` may also be a stack of shape
+    (B, rows, cols); its layers are reduced together and the pivot list
+    becomes a list of B pivot lists, one per layer.  With ``overwrite`` an
+    int64 ``mat`` is reduced in place, and its entries are lost.
     """
     _check_modulus(p)
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
+    m = mat if overwrite else np.array(mat, dtype=np.int64)
+    m %= p
+    reduced = _reduce(m[None] if m.ndim == 2 else m, p)
+    if reduced is None:  # the layers pivot differently: each alone
+        # m is row equivalent to mat layer by layer, so it has the same rref
+        layers = [rref_mod(layer, p) for layer in m]
+        return np.stack([red for red, _ in layers]), [pv for _, pv in layers]
+    if m.ndim == 2:
+        return reduced[0][0], reduced[1]
+    return reduced[0], [list(reduced[1]) for _ in range(len(m))]
+
+
+def _reduce(m: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
+    """Reduce a (B, rows, cols) stack of reduced entries in place, every
+    layer on the same pivot row and column; None when two layers would
+    pivot on different rows or columns."""
+    nb, rows, cols = m.shape
     width = max(cols, 1) if rows <= _PANEL else _PANEL
     free = np.ones(rows + 1, dtype=bool)  # the last entry stops the scan for lo
     lo = 0  # every row above lo is a pivot row
@@ -144,31 +178,32 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         c1 = min(c0 + width, cols)
         w, start, trailing = c1 - c0, len(order), c1 < cols
         if trailing:  # the panel's columns, then its transform columns
-            panel = np.zeros((rows, 2 * w), dtype=np.int64)
-            panel[:, :w] = m[:, c0:c1]
+            panel = np.zeros((nb, rows, 2 * w), dtype=np.int64)
+            panel[:, :, :w] = m[:, :, c0:c1]
         else:
-            panel = m[:, c0:]
+            panel = m[:, :, c0:]
         for c in range(w):
-            nz = np.flatnonzero(panel[lo:, c])
-            if not nz.size:
+            nz = panel[:, lo:, c] != 0
+            nz &= free[lo:rows]
+            first = nz.argmax(axis=1)
+            k = int(first[0])
+            if not nz[0, k]:  # no pivot in the first layer
+                if nz.any():
+                    return None
                 continue
-            pr = lo + int(nz[0])
-            if not free[pr]:  # the first nonzero is in an older pivot row
-                nz = lo + nz
-                nz = nz[free[nz]]
-                if not nz.size:
-                    continue
-                pr = int(nz[0])
+            if nb > 1 and (int(first.min()) != k or not nz[:, k].all()):
+                return None
+            pr = lo + k
             s = len(order) - start
             hi = w + s + 1 if trailing else w  # transform columns past s are zero
             if trailing:
-                panel[pr, w + s] = 1
-            row = panel[pr, c:hi]
-            row *= pow(int(row[0]), -1, p)
+                panel[:, pr, w + s] = 1
+            row = panel[:, pr, c:hi]
+            row *= np.array([pow(x, -1, p) for x in row[:, 0].tolist()], dtype=np.int64)[:, None]
             row %= p
-            update = np.multiply.outer(panel[:, c], row)
-            update[pr] = 0
-            block = panel[:, c:hi]
+            update = panel[:, :, c, None] * row[:, None, :]
+            update[:, pr] = 0
+            block = panel[:, :, c:hi]
             block -= update
             block %= p
             free[pr] = False
@@ -182,14 +217,20 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             # keep the rows that did not pivot here, replace the ones that did,
             # and add each row's recorded combination of the pivot rows
             piv = order[start:]
-            m[:, c0:c1] = panel[:, :w]
-            rest = m[:, c1:]
-            update = matmul_mod(panel[:, w:w + len(piv)], rest[piv], p)
-            rest[piv] = 0
-            rest += update
-            rest %= p
+            m[:, :, c0:c1] = panel[:, :, :w]
+            transform = panel[:, :, w:w + len(piv)]
+            # the product in column blocks, so that its temporaries stay small
+            step = max(1, _PRODUCT_ENTRIES // (nb * rows))
+            for b0 in range(c1, cols, step):
+                rest = m[:, :, b0:b0 + step]
+                update = matmul_mod(transform, rest[:, piv], p)
+                rest[:, piv] = 0
+                rest += update
+                rest %= p
     if order != list(range(len(order))):
-        m = m[order + np.flatnonzero(free[:rows]).tolist()]
+        perm = order + np.flatnonzero(free[:rows]).tolist()
+        for layer in m:
+            layer[:] = layer[perm]
     return m, pivots
 
 
@@ -204,14 +245,18 @@ def kernel_mod(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def kernel_from_rref(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Right-kernel basis read off an already reduced matrix."""
-    cols = m.shape[1]
+    """Right-kernel basis read off an already reduced matrix, or off each
+    layer of a (B, rows, cols) stack that shares one pivot list."""
+    cols = m.shape[-1]
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-m[: len(pivots)][:, free].T) % p
+    basis = np.zeros(m.shape[:-2] + (free.size, cols), dtype=np.int64)
+    basis[..., np.arange(free.size), free] = 1
+    coeffs = m[..., : len(pivots), :][..., free]
+    np.negative(coeffs, out=coeffs)
+    coeffs %= p
+    basis[..., pivots] = np.swapaxes(coeffs, -1, -2)
     return basis
 
 
@@ -225,11 +270,16 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     hi = b >> 16
     lo = b & 0xFFFF
     if a.shape[-1] <= _FLOAT_INNER:  # each dot product below 2^53: exact in float64
-        af = a.astype(np.float64)
-        hi = (af @ hi.astype(np.float64)).astype(np.int64)
-        lo = (af @ lo.astype(np.float64)).astype(np.int64)
-        return (hi % p * 65536 + lo) % p
-    return ((a @ hi % p) * 65536 + a @ lo) % p
+        a = a.astype(np.float64)
+        out = (a @ hi.astype(np.float64)).astype(np.int64)
+        lo = lo.astype(np.float64)
+    else:
+        out = a @ hi
+    out %= p
+    out *= 65536
+    out += (a @ lo).astype(np.int64, copy=False)
+    out %= p
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -103,23 +103,6 @@ def _segre_forms(q: Sequence[int], p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(x % p for x in f) for f in (a, b, c))
 
 
-def _form_eval(coeffs: Sequence[int], s: int, t: int, n: int, p: int) -> int:
-    """Value of the degree-n binary form with ascending coefficients.
-
-    Homogeneous Horner: the step for coefficient i multiplies the running
-    value by s and adds c_i t^(n-i).
-    """
-    val = 0
-    tpow = 1
-    for i in range(n, -1, -1):
-        if i < len(coeffs):
-            val = (val * s + coeffs[i] * tpow) % p
-        else:
-            val = val * s % p
-        tpow = tpow * t % p
-    return val
-
-
 def _squarefree_binary_form(f: Sequence[int], n: int, p: int) -> bool:
     """Squarefree test for a binary form via the resultant of its partials."""
     full = [c % p for c in f] + [0] * (n + 1 - len(f))
@@ -424,8 +407,9 @@ class _Workspace:
     use, shape (points, len(_ALPHAS), N): the filled prefix of one buffer
     sized for every point of the geometry, so growing it copies nothing.
     The graded ``_ALPHAS`` layout makes the first C(m+2, 3) rows of a
-    point its conditions for multiplicity m.  ``last`` is the (d, mults,
-    kernel) of the last class solved on the geometry, see ``_kernel``.
+    point its conditions for multiplicity m.  ``last`` is the (solution,
+    layer) of the last class solved on the geometry: its kernel is
+    ``solution.kernels[layer]``, see ``_kernels``.
     """
 
     def __init__(self) -> None:
@@ -433,13 +417,10 @@ class _Workspace:
         self.buffers: dict[int, np.ndarray] = {}
         self.last: Optional[tuple] = None
 
-    def rows(self, geom: Geometry, d: int, done: tuple, mults: tuple) -> np.ndarray:
-        """The rows imposing ``mults`` beyond the ``done`` multiplicities.
-
-        ``done`` is no longer than ``mults`` and no entry of it is larger.
-        The table grows to the first ``len(mults)`` points when it is shorter.
-        """
-        r, p = len(mults), geom.prime
+    def table(self, geom: Geometry, d: int, r: int) -> np.ndarray:
+        """The degree-d rows of at least the first r points, grown to them
+        when the table is shorter."""
+        p = geom.prime
         table = self.tables.get(d)
         n = 0 if table is None else len(table)
         if table is None or n < r:
@@ -453,12 +434,7 @@ class _Workspace:
                 pw = _power_table(pt[:chart] + pt[chart + 1:], d, p)
                 buffer[i] = ff * pw[0, exps[0]] % p * pw[1, exps[1]] % p * pw[2, exps[2]] % p
             table = self.tables[d] = buffer[:r]
-        start = np.array([_mult_rows(o) for o in done] + [0] * (r - len(done)), dtype=np.int64)
-        count = np.array([_mult_rows(m) for m in mults], dtype=np.int64) - start
-        point = np.repeat(np.arange(r), count)
-        # the k-th row gathered for a point is its row start + k
-        offset = np.repeat(start - np.cumsum(count) + count, count)
-        return table[point, np.arange(point.size) + offset]
+        return table
 
 
 _WORKSPACES: "weakref.WeakKeyDictionary[Geometry, _Workspace]" = weakref.WeakKeyDictionary()
@@ -468,52 +444,117 @@ def _workspace(geom: Geometry) -> _Workspace:
     return _WORKSPACES.setdefault(geom, _Workspace())
 
 
+def _rows(geoms: Sequence[Geometry], d: int, done: tuple, mults: tuple) -> np.ndarray:
+    """The rows imposing ``mults`` beyond the ``done`` multiplicities, one
+    layer per geometry: shape (geometries, rows, N).
+
+    ``done`` is no longer than ``mults`` and no entry of it is larger.  The
+    row indices are the same on every geometry, so they are built once and
+    each table is gathered straight into its layer.
+    """
+    r = len(mults)
+    start = np.array([_mult_rows(o) for o in done] + [0] * (r - len(done)), dtype=np.int64)
+    count = np.array([_mult_rows(m) for m in mults], dtype=np.int64) - start
+    # the k-th row gathered for a point is its row start + k
+    point = np.repeat(np.arange(r), count)
+    index = point * len(_ALPHAS) + np.arange(point.size) + np.repeat(
+        start - np.cumsum(count) + count, count)
+    n_cols = monomial_exponents(d).shape[0]
+    out = np.empty((len(geoms), index.size, n_cols), dtype=np.int64)
+    for layer, geom in zip(out, geoms):
+        table = _workspace(geom).table(geom, d, r)
+        np.take(table.reshape(-1, n_cols), index, axis=0, out=layer)
+    return out
+
+
 def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
     """Stacked interpolation conditions for the class at the sampled points."""
     c = clazz.normalized()
     _check_conditions(geom, c)
-    return _workspace(geom).rows(geom, c.d, (), c.mults)
+    return _rows([geom], c.d, (), c.mults)[0]
 
 
-def _kernel(geom: Geometry, c: ThreefoldClass) -> np.ndarray:
-    """Kernel basis of the class's conditions, as ``kernel_from_rref`` reads
-    it off the reduced ``conditions_matrix``: identity on the free columns.
+@dataclass(frozen=True, eq=False)
+class _Solution:
+    """One stacked solve: a class and its kernels, shape (geometries, h0, N),
+    which are identity on the same ``free`` columns; ``pivots`` are the
+    others."""
 
-    When the last class solved on this geometry has the same degree and no
-    larger multiplicity at any point, its kernel ``K`` already satisfies
-    every condition but the extra rows ``B``.  The forms left are ``N K``
-    with ``N`` the kernel of ``B K^T``, and ``N K`` is again identity on
-    the free columns (the free columns of ``B K^T`` pick them out of the
-    old ones), so it is exactly the basis a full elimination would give.
-    Any other class starts from the identity, which is the full elimination.
-    The kernel is kept in the geometry's workspace, so each geometry holds one.
+    d: int
+    mults: tuple
+    kernels: np.ndarray
+    free: np.ndarray
+    pivots: np.ndarray
+
+
+def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
+    """Kernel basis of the class's conditions on each geometry, all of one
+    prime, as ``kernel_from_rref`` reads it off the reduced
+    ``conditions_matrix``: identity on the free columns.
+
+    The geometries are solved as one stack, whose layers share their pivot
+    rows and columns.  When every geometry's last solved class is the same
+    one, of the same degree and with no larger multiplicity at any point,
+    and its kernels share their free columns, each kernel ``K`` already
+    satisfies every condition but the extra rows ``B``.  The forms left are
+    ``N K`` with ``N`` the kernel of ``B K^T``, and ``N K`` is again
+    identity on the free columns (the free columns of ``B K^T`` pick them
+    out of the old ones), so it is exactly the basis a full elimination
+    would give.  As ``K`` is identity on its free columns, ``B K^T`` is
+    ``B`` on those columns plus a product over the pivot columns alone.
+    Any other stack starts from the identity, which is the full
+    elimination.  When two layers pivot differently the geometries are
+    solved one by one, as stacks of one.  Each kernel is kept in its
+    geometry's workspace, so each geometry holds one.
     """
-    p = geom.prime
-    ws = _workspace(geom)
-    last = ws.last
-    if (last is not None and last[0] == c.d and len(last[1]) <= len(c.mults)
-            and all(o <= m for o, m in zip(last[1], c.mults))):
-        done, base = last[1], last[2]
+    p = geoms[0].prime
+    spaces = [_workspace(g) for g in geoms]
+    lasts = [ws.last or (None, 0) for ws in spaces]
+    last = lasts[0][0]
+    if not (last is not None and last.d == c.d and len(last.mults) <= len(c.mults)
+            and all(o <= m for o, m in zip(last.mults, c.mults))
+            and all(sol is last or (sol is not None and sol.d == last.d
+                                    and sol.mults == last.mults
+                                    and np.array_equal(sol.free, last.free))
+                    for sol, _ in lasts)):
+        last = None
+    rows = _rows(geoms, c.d, () if last is None else last.mults, c.mults)
+    if last is None:
+        red, pivots = gfp.rref_mod(rows, p, overwrite=True)
+    elif rows.shape[1] == 0:
+        return [sol.kernels[layer] for sol, layer in lasts]
     else:
-        done, base = (), None
-    rows = ws.rows(geom, c.d, done, c.mults)
-    if base is None:
-        red, pivots = gfp.rref_mod(rows, p)
+        if lasts == [(last, i) for i in range(len(last.kernels))]:
+            base = last.kernels  # every memo is its layer of one stack, in order
+        else:
+            base = np.stack([sol.kernels[layer] for sol, layer in lasts])
+        coords = gfp.matmul_mod(rows[:, :, last.pivots], base[:, :, last.pivots].swapaxes(1, 2), p)
+        coords += rows[:, :, last.free]
+        red, pivots = gfp.rref_mod(coords, p, overwrite=True)
+    if any(pv != pivots[0] for pv in pivots):
+        return [_kernels([g], c)[0] for g in geoms]
+    pivots = pivots[0]
+    if last is None:
         kernel = gfp.kernel_from_rref(red, pivots, p)
-    elif rows.shape[0] == 0:
-        kernel = base
+        free = np.ones(kernel.shape[-1], dtype=bool)
+        free[pivots] = False
     else:
-        red, pivots = gfp.rref_mod(gfp.matmul_mod(rows, base.T, p), p)
         coeffs = gfp.kernel_from_rref(red, pivots, p)
         # coeffs is identity on its free columns: only the pivot rows of
         # base need a product
-        free = np.ones(len(base), dtype=bool)
-        free[pivots] = False
-        kernel = (base[free] + gfp.matmul_mod(coeffs[:, pivots], base[pivots], p)) % p
-    # shared with the returned SystemData and the next solve on this geometry
+        kept = np.ones(base.shape[1], dtype=bool)
+        kept[pivots] = False
+        kernel = gfp.matmul_mod(coeffs[:, :, pivots], base[:, pivots], p)
+        kernel += base[:, kept]
+        kernel %= p
+        free = np.zeros(kernel.shape[-1], dtype=bool)
+        free[last.free[kept]] = True
+    # shared with the returned SystemData and the next solve on these geometries
     kernel.flags.writeable = False
-    ws.last = (c.d, c.mults, kernel)
-    return kernel
+    solution = _Solution(c.d, c.mults, kernel, np.flatnonzero(free), np.flatnonzero(~free))
+    for layer, ws in enumerate(spaces):
+        ws.last = (solution, layer)
+    return list(kernel)
 
 
 @dataclass
@@ -564,33 +605,39 @@ class SystemData:
 
 def solve_system(geom: Geometry, clazz: ThreefoldClass) -> SystemData:
     """Exact dimension of the class's space of forms on this geometry."""
+    return _solve([geom], clazz)[0]
+
+
+def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]:
+    """``solve_system`` on each geometry, all of one prime, as one stack."""
     c = clazz.normalized()
     if c.d >= 0:
-        _check_conditions(geom, c)
+        for geom in geoms:
+            _check_conditions(geom, c)
+        kernels = _kernels(geoms, c)
     elif any(m < 0 for m in c.mults):
         raise ValueError("negative multiplicity")
     elif c.d < -3:
         raise ValueError("degree below -3 is outside the model")
+    else:
+        kernels = [np.zeros((0, 0), dtype=np.int64)] * len(geoms)
     vd = vdim3(c)
     ed = edim3(c)
     e = 4 * c.d - sum(c.mults)
-    if c.d < 0:
-        data = SystemData(
-            c, geom.prime, geom.seed, 0, 0, 0, 0, -1, -(vd + 1), vd, ed, e,
-            np.zeros((0, 0), dtype=np.int64), geom,
-        )
-    else:
-        kernel = _kernel(geom, c)
+    n_rows = sum(_mult_rows(m) for m in c.mults) if c.d >= 0 else 0
+    systems = []
+    for geom, kernel in zip(geoms, kernels):
         h0, n_cols = kernel.shape
         data = SystemData(
-            c, geom.prime, geom.seed, n_cols, sum(_mult_rows(m) for m in c.mults),
+            c, geom.prime, geom.seed, n_cols, n_rows,
             n_cols - h0, h0, h0 - 1, h0 - (vd + 1), vd, ed, e, kernel, geom,
         )
-    if data.dim < data.edim or data.h1 < 0:
-        raise AssertionError(
-            f"interpolation rank exceeded the condition count for {format_class(c)}"
-        )
-    return data
+        if data.dim < data.edim or data.h1 < 0:
+            raise AssertionError(
+                f"interpolation rank exceeded the condition count for {format_class(c)}"
+            )
+        systems.append(data)
+    return systems
 
 
 # ---------------------------------------------------------------------------
@@ -1254,22 +1301,18 @@ def run_battery(
 ) -> OracleReport:
     """Dimensions over every (prime, seed) pair, plus optional probes.
 
-    Probe passes stop at the first firing geometry; the dimension pass
-    always covers the full battery.
+    The dimension pass always covers the full battery, solving the seeds of
+    each prime as one stack; probe passes stop at the first firing geometry.
     """
     c = clazz.normalized()
     need = max(DEFAULT_POINTS, c.r)
     systems: list[SystemData] = []
-    trials: list[TrialResult] = []
     for prime in primes:
-        for seed in seeds:
-            geom = get_geometry(prime, seed, need)
-            sysd = solve_system(geom, c)
-            systems.append(sysd)
-            trials.append(
-                TrialResult(prime, seed, sysd.dim, sysd.h0, sysd.h1, sysd.rank,
-                            sysd.n_rows, sysd.n_cols)
-            )
+        systems += _solve([get_geometry(prime, seed, need) for seed in seeds], c)
+    trials = [
+        TrialResult(s.prime, s.seed, s.dim, s.h0, s.h1, s.rank, s.n_rows, s.n_cols)
+        for s in systems
+    ]
     dims = [t.dim for t in trials]
     vd, ed = systems[0].vdim, systems[0].edim
     base = separation = None

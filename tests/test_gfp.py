@@ -82,6 +82,47 @@ def test_sqrt_mod_both_branches():
         assert nonresidues > 0  # about half should fail
 
 
+def sqrt_mod_loop(a, p):
+    """Tonelli-Shanks as it was, with the non-residue searched from 2 on
+    every call."""
+    a %= p
+    if a == 0:
+        return 0
+    if gfp.legendre(a, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while gfp.legendre(z, p) != -1:
+        z += 1
+    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t = t * c % p
+        x = x * b % p
+    return x
+
+
+def test_tonelli_shanks_finds_its_non_residue_once_per_prime():
+    # 998244353 = 119 * 2^23 + 1 makes Tonelli-Shanks take up to 23 steps
+    primes = (65537, 998244353)
+    gfp._nonresidue.cache_clear()
+    rng = random.Random(3)
+    for p in primes:
+        assert p % 4 == 1
+        for a in list(range(3000)) + [rng.randrange(p) for _ in range(3000)]:
+            assert gfp.sqrt_mod(a, p) == sqrt_mod_loop(a, p), (a, p)
+    info = gfp._nonresidue.cache_info()
+    assert info.misses == len(primes) and info.currsize == len(primes)
+
+
 def test_rref_rank_and_kernel():
     rng = np.random.default_rng(5)
     for _ in range(25):

@@ -45,14 +45,14 @@ def test_geometry_determinism():
 def test_segre_restriction_identity():
     g = geom0()
     rng = random.Random(77)
-    a, b, c = g.forms
     for _ in range(100):
         s, t, u, v = (rng.randrange(P0) for _ in range(4))
         z = (s * u % P0, s * v % P0, t * u % P0, t * v % P0)
         lhs = oracle._quad_eval(g.qprime, z, P0)
-        av = oracle._form_eval(a, s, t, 2, P0)
-        bv = oracle._form_eval(b, s, t, 2, P0)
-        cv = oracle._form_eval(c, s, t, 2, P0)
+        # each form is ascending in s: f0 t^2 + f1 s t + f2 s^2
+        av, bv, cv = (
+            sum(f[i] * pow(s, i, P0) * pow(t, 2 - i, P0) for i in range(3)) % P0 for f in g.forms
+        )
         rhs = (av * u % P0 * u + bv * u % P0 * v + cv * v % P0 * v) % P0
         assert lhs == rhs
 

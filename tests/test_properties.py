@@ -58,6 +58,23 @@ def kernel_from_rref_loop(m, pivots, p):
     return basis
 
 
+def form_eval(coeffs, s, t, n, p):
+    """Value of the degree-n binary form with ascending coefficients.
+
+    Homogeneous Horner: the step for coefficient i multiplies the running
+    value by s and adds c_i t^(n-i).
+    """
+    val = 0
+    tpow = 1
+    for i in range(n, -1, -1):
+        if i < len(coeffs):
+            val = (val * s + coeffs[i] * tpow) % p
+        else:
+            val = val * s % p
+        tpow = tpow * t % p
+    return val
+
+
 @st.composite
 def matrices(draw, max_rows=6, max_cols=8, primes=PRIMES):
     """Matrices mod p of a chosen kind: random, zero, low rank, or square
@@ -291,10 +308,10 @@ def test_fiber_points_match_a_lift_through_quad_roots(p, seed, k, at_infinity):
 
 def lift_through_quad_roots(geom, s, t):
     """The fibre lift as it was before its fast path: the forms evaluated by
-    ``_form_eval``, the roots by ``_quad_roots``, each point by
+    ``form_eval``, the roots by ``_quad_roots``, each point by
     ``_segre_point``."""
     p = geom.prime
-    a, b, c = (oracle._form_eval(f, s, t, 2, p) for f in geom.forms)
+    a, b, c = (form_eval(f, s, t, 2, p) for f in geom.forms)
     if a == 0 and b == 0 and c == 0:
         return []
     return [oracle._segre_point(s, t, u, v, p) for u, v in oracle._quad_roots(a, b, c, p)]
@@ -413,7 +430,7 @@ def test_rank_le_1_rowwise_matches_rank(p, width, data):
 def test_form_eval_matches_power_sum(p, coeffs, s, t, extra):
     n = max(len(coeffs) - 1, 0) + extra
     expected = sum(c * pow(s, i, p) * pow(t, n - i, p) for i, c in enumerate(coeffs)) % p
-    assert oracle._form_eval(coeffs, s, t, n, p) == expected
+    assert form_eval(coeffs, s, t, n, p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +635,90 @@ def test_rref_mod_on_the_oracle_workload_condition_matrices():
         check_rref(oracle.conditions_matrix(geom, c), geom.prime)
 
 
+# ---------------------------------------------------------------------------
+# stacked elimination against layer by layer
+
+STACK_PRIMES = oracle.PRIMES + (65537,)
+STACK_DEFECTS = ("none", "zeroed", "duplicated")
+
+
+def stack_matrix(kind, defect, layers, rows, cols, p, rng):
+    """A (layers, rows, cols) stack of independent ``panel_matrix`` layers,
+    or of layers with nonzero entries only.
+
+    The defects make the last layer pivot apart from the first: "zeroed"
+    zeroes its first row, so the first column pivots on another row or not
+    at all, and "duplicated" writes a multiple of its first row over its
+    second, so that row drops out of the second column's pivot.
+    """
+    if kind == "tall":  # one row count for every layer
+        kind, rows = "random", max(rows, cols + 1 + int(rng.integers(0, 8)))
+    if kind == "nonzero":  # layers that pivot alike
+        stack = rng.integers(1, p, size=(layers, rows, cols))
+    else:
+        stack = np.stack([np.asarray(panel_matrix(kind, rows, cols, p, rng), dtype=np.int64)
+                          for _ in range(layers)])
+    last = stack[-1]
+    if defect == "zeroed":
+        last[0] = 0
+    elif defect == "duplicated" and rows > 1:
+        last[1] = last[0] * int(rng.integers(1, p)) % p
+    return stack
+
+
+def check_stacked_rref(stack, p):
+    """rref_mod of a stack equals rref_mod of each layer, with or without
+    overwrite, and leaves its input; when the layers share their pivots,
+    so do the stacked and per-layer kernels."""
+    before = stack.copy()
+    red, pivots = gfp.rref_mod(stack, p)
+    assert np.array_equal(stack, before)
+    again, again_pivots = gfp.rref_mod(stack.copy(), p, overwrite=True)
+    assert np.array_equal(again, red) and again_pivots == pivots
+    assert red.dtype == np.int64 and red.shape == stack.shape
+    assert len(pivots) == len(stack)
+    for layer, layer_red, layer_pivots in zip(stack, red, pivots):
+        expected, expected_pivots = gfp.rref_mod(layer, p)
+        assert layer_pivots == expected_pivots
+        assert np.array_equal(layer_red, expected)
+    if all(pv == pivots[0] for pv in pivots):
+        basis = gfp.kernel_from_rref(red, pivots[0], p)
+        for layer_red, layer_basis in zip(red, basis):
+            assert np.array_equal(layer_basis, gfp.kernel_from_rref(layer_red, pivots[0], p))
+    return pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(STACK_PRIMES), st.sampled_from(PANEL_KINDS + ("nonzero",)),
+       st.sampled_from(STACK_DEFECTS), st.integers(1, 4), st.integers(1, 60),
+       st.sampled_from((5,) + PANEL_COLS), st.integers(0, 2**32 - 1))
+def test_stacked_rref_mod_matches_each_layer(p, kind, defect, layers, rows, cols, seed):
+    stack = stack_matrix(kind, defect, layers, rows, cols, p, np.random.default_rng(seed))
+    check_stacked_rref(stack, p)
+
+
+def test_stacked_rref_mod_named_cases(monkeypatch):
+    # stacks on both sides of one panel of rows, alike and made to pivot
+    # apart; the layer-by-layer fallback runs exactly for the latter
+    outcomes = []
+    reduce = gfp._reduce
+
+    def spy(m, p):
+        out = reduce(m, p)
+        outcomes.append((len(m), out is None))
+        return out
+
+    monkeypatch.setattr(gfp, "_reduce", spy)
+    for i, (defect, rows, cols) in enumerate(
+            (d, r, c) for d in STACK_DEFECTS for r in (3, PANEL, PANEL + 1, 60)
+            for c in (5, PANEL + 1, 2 * PANEL + 1)):
+        p = STACK_PRIMES[i % len(STACK_PRIMES)]
+        stack = stack_matrix("nonzero", defect, 3, rows, cols, p, np.random.default_rng(i))
+        outcomes.clear()
+        check_stacked_rref(stack, p)
+        assert ((3, True) in outcomes) == (defect != "none"), (defect, rows, cols)
+
+
 @SETTINGS
 @given(st.sampled_from(MATMUL_PRIMES), st.integers(1, 6), st.integers(1, 8), st.data())
 def test_vanishing_at_matches_kernel_mod(p, h0, n_cols, data):
@@ -702,33 +803,142 @@ def test_warm_solves_match_fresh_elimination(case):
     solve_walk(*case)
 
 
+# each move the memo must get right, in one walk on one geometry
+NAMED_MOVES = [
+    (3, (2, 1, 1)),
+    (3, (2, 1, 1)),        # the same class twice: no new row
+    (3, (2, 2, 1, 1, 1)),  # a superset: only the extra rows
+    (3, (2, 1)),           # a subset: from scratch
+    (4, (2, 1)),           # another degree: from scratch
+    (1, (1,) * 5),         # no form left
+    (1, (2,) + (1,) * 4),  # extends a full-rank predecessor
+    (1, ()),               # r = 0: every monomial is free
+    (1, (1,)),             # extends the identity kernel
+    (6, (3,) * 10),
+    (6, (3,) * 10 + (1,)),
+    (oracle.MAX_DEGREE, (oracle.MAX_MULT,) * 2),  # the caps
+    (oracle.MAX_DEGREE, (oracle.MAX_MULT,) * 2 + (4,)),
+]
+# r > 16 needs a larger geometry
+BIG_MOVES = [
+    (3, (1,) * 16),
+    (3, (1,) * 18),
+    (3, (2,) * 2 + (1,) * 18),
+    (4, (2,) * 17),
+]
+
+
 def test_warm_solves_named_moves():
-    # each move the memo must get right, in one walk on one geometry
-    sysd = solve_walk(16, [
-        (3, (2, 1, 1)),
-        (3, (2, 1, 1)),        # the same class twice: no new row
-        (3, (2, 2, 1, 1, 1)),  # a superset: only the extra rows
-        (3, (2, 1)),           # a subset: from scratch
-        (4, (2, 1)),           # another degree: from scratch
-        (1, (1,) * 5),         # no form left
-        (1, (2,) + (1,) * 4),  # extends a full-rank predecessor
-        (1, ()),               # r = 0: every monomial is free
-        (1, (1,)),             # extends the identity kernel
-        (6, (3,) * 10),
-        (6, (3,) * 10 + (1,)),
-        (oracle.MAX_DEGREE, (oracle.MAX_MULT,) * 2),  # the caps
-        (oracle.MAX_DEGREE, (oracle.MAX_MULT,) * 2 + (4,)),
-    ])
+    sysd = solve_walk(16, NAMED_MOVES)
     assert sysd[5].h0 == 0 and sysd[6].h0 == 0
     assert sysd[7].h0 == 4 and sysd[8].h0 == 3
-    # r > 16 needs a larger geometry
-    big = solve_walk(20, [
-        (3, (1,) * 16),
-        (3, (1,) * 18),
-        (3, (2,) * 2 + (1,) * 18),
-        (4, (2,) * 17),
-    ])
+    big = solve_walk(20, BIG_MOVES)
     assert [s.clazz.r for s in big] == [16, 18, 20, 17]
+
+
+# ---------------------------------------------------------------------------
+# the stacked dimension pass against per-geometry solves
+
+
+def fresh_system(prime, seed, c):
+    """``solve_system`` on a geometry built afresh: a cold memo, a stack of one."""
+    return oracle.solve_system(oracle.build_geometry(prime, seed, max(oracle.DEFAULT_POINTS, c.r)), c)
+
+
+def check_battery(c, primes, seeds):
+    """``run_battery``'s trials, and the kernel it leaves on each geometry,
+    equal ``solve_system`` on fresh geometries, one at a time."""
+    report = oracle.run_battery(c, primes=primes, seeds=seeds)
+    expected = []
+    for prime in primes:
+        for seed in seeds:
+            sysd = fresh_system(prime, seed, c)
+            expected.append(oracle.TrialResult(prime, seed, sysd.dim, sysd.h0, sysd.h1, sysd.rank,
+                                               sysd.n_rows, sysd.n_cols))
+            geom = oracle.get_geometry(prime, seed, max(oracle.DEFAULT_POINTS, c.r))
+            solution, layer = oracle._workspace(geom).last
+            kernel = solution.kernels[layer]
+            assert kernel.dtype == sysd.kernel.dtype, (c, prime, seed)
+            assert np.array_equal(kernel, sysd.kernel), (c, prime, seed)
+    assert report.trials == tuple(expected), c
+    return report
+
+
+def test_battery_solves_named_moves():
+    oracle.get_geometry.cache_clear()
+    for d, mults in NAMED_MOVES + BIG_MOVES:
+        check_battery(ThreefoldClass(d, mults), (WARM_PRIME,), (0, 1, 2))
+
+
+def test_battery_solves_after_mixed_memos():
+    # a stack whose memos disagree starts from scratch; one whose memos hold
+    # the same class from different solves extends a stack of them
+    oracle.get_geometry.cache_clear()
+    first, other, grown = (parse_class(txt) for txt in (
+        "L3(4; 2, 1^5)", "L3(4; 3, 1^2)", "L3(4; 2^2, 1^6)"))
+    seeds = (0, 1, 2)
+    geoms = [oracle.get_geometry(WARM_PRIME, seed, oracle.DEFAULT_POINTS) for seed in seeds]
+
+    def memos():
+        return [oracle._workspace(g).last[0] for g in geoms]
+
+    check_battery(first, (WARM_PRIME,), seeds)
+    oracle.solve_system(geoms[1], other)  # one layer's memo holds another class
+    assert [m.mults for m in memos()] == [first.mults, other.mults, first.mults]
+    check_battery(grown, (WARM_PRIME,), seeds)
+    check_battery(first, (WARM_PRIME,), seeds)
+    oracle.solve_system(geoms[1], other)
+    oracle.solve_system(geoms[1], first)  # the same class, from a stack of one
+    outer, middle, _ = memos()
+    assert middle is not outer and middle.mults == outer.mults
+    check_battery(grown, (WARM_PRIME,), seeds)
+    # every memo a layer of one stack, but the seeds in another order
+    check_battery(first, (WARM_PRIME,), seeds)
+    check_battery(grown, (WARM_PRIME,), seeds[::-1])
+
+
+def test_battery_solves_repeated_seeds_and_primes():
+    oracle.get_geometry.cache_clear()
+    for txt in ("L3(3; 2, 1^4)", "L3(3; 2, 1^4)", "L3(3; 2^2, 1^5)", "L3(5; 3, 2^3)"):
+        report = check_battery(parse_class(txt), (WARM_PRIME, WARM_PRIME), (0, 0))
+        assert len(report.trials) == 4
+
+
+def test_battery_solves_at_prime_one_mod_four():
+    oracle.get_geometry.cache_clear()
+    for d, mults in NAMED_MOVES[:9]:
+        check_battery(ThreefoldClass(d, mults), (65537,), (0, 1, 2))
+
+
+def test_stack_with_layers_pivoting_apart_solves_them_one_by_one(monkeypatch):
+    # a geometry whose first point is sampled twice has conditions that
+    # pivot apart from a proper one's; the stack falls back to stacks of one
+    stacks = []
+    kernels = oracle._kernels
+
+    def spy(geoms, c):
+        stacks.append(len(geoms))
+        return kernels(geoms, c)
+
+    monkeypatch.setattr(oracle, "_kernels", spy)
+
+    def pair():
+        g = oracle.build_geometry(WARM_PRIME, 0)
+        return g, dataclasses.replace(g, points=(g.points[0],) + g.points[:-1])
+
+    for first, grown in (("L3(3; 2, 1^4)", "L3(3; 2^2, 1^5)"), ("L3(4; 2^3)", "L3(4; 3, 2^3)")):
+        geoms = pair()
+        for txt in (first, grown):
+            # the grown class finds memos of one class with other free
+            # columns, and starts from scratch
+            c = parse_class(txt)
+            stacks.clear()
+            systems = oracle._solve(geoms, c)
+            assert stacks == [2, 1, 1], txt
+            fresh = [oracle.solve_system(g, c) for g in pair()]
+            for got, want in zip(systems, fresh):
+                assert (got.h0, got.rank) == (want.h0, want.rank), txt
+                assert np.array_equal(got.kernel, want.kernel), txt
 
 
 # ---------------------------------------------------------------------------
