@@ -9,10 +9,12 @@ the degenerate ones (zero rows, rank 0 and 1, no free columns).
 The exact kernels everything rests on, ``rref_mod`` and ``matmul_mod``, are
 checked against pure-Python integer arithmetic: ``rref_mod`` on shapes on
 both sides of its column panels and on the oracle's real condition
-matrices, ``matmul_mod`` on both sides of its float64 route.
-``solve_system`` on a warm geometry (which restricts the last kernel
-solved there) is checked against a fresh elimination of the full
-condition matrix.
+matrices, ``matmul_mod`` on both sides of its float64 route.  A stack of
+matrices is checked against ``rref_mod`` of each layer alone, also on
+stacks whose layers pivot apart.  ``solve_system`` on a warm geometry
+(which restricts the last kernel solved there) is checked against a fresh
+elimination of the full condition matrix, and ``run_battery``'s stacked
+solves against ``solve_system`` on freshly built geometries.
 
 The fibre lift takes a shortcut over (s:1) with s and c nonzero; it is
 checked against the general lift through ``_quad_roots`` on named fibres
