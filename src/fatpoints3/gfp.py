@@ -20,9 +20,8 @@ columns are unique, so the result does not depend on the panels.
 one shape, as a (B, rows, cols) array with one modulus; a single matrix is
 the stack of one.  The layers are reduced together, one set of numpy calls
 per pivot for all of them, as long as they take their pivots on the same
-rows and columns.  When two layers would pivot apart, each layer is reduced
-alone, from where the stack stood: it is row equivalent to the input, so
-its reduced form is the same.
+rows and columns.  When two layers would pivot apart, ``rref_mod`` returns
+None and the caller reduces the layers one at a time, as stacks of one.
 
 ``matmul_mod`` splits the second factor into 16-bit halves so that every
 accumulated dot product stays exact.  With an inner dimension of at most
@@ -139,33 +138,21 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} too large for the int64 kernels")
 
 
-def rref_mod(mat: np.ndarray, p: int, overwrite: bool = False) -> tuple[np.ndarray, list]:
+def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
     """Reduced row echelon form mod p; returns (rref, pivot column list).
 
     There are no row swaps: each pivot is taken in the first non-pivot row
     with a nonzero entry, and the pivot rows move to the top in pivot order
     at the end, above the zero rows.  ``mat`` may also be a stack of shape
-    (B, rows, cols); its layers are reduced together and the pivot list
-    becomes a list of B pivot lists, one per layer.  With ``overwrite`` an
-    int64 ``mat`` is reduced in place, and its entries are lost.
+    (B, rows, cols) whose layers take their pivots on the same rows and
+    columns; the pivot list is theirs.  For a stack whose layers would pivot
+    apart the result is None.  An int64 ``mat`` is reduced in place, and the
+    rref returned is ``mat`` itself: pass a copy to keep the entries.
     """
     _check_modulus(p)
-    m = mat if overwrite else np.array(mat, dtype=np.int64)
-    m %= p
-    reduced = _reduce(m[None] if m.ndim == 2 else m, p)
-    if reduced is None:  # the layers pivot differently: each alone
-        # m is row equivalent to mat layer by layer, so it has the same rref
-        layers = [rref_mod(layer, p) for layer in m]
-        return np.stack([red for red, _ in layers]), [pv for _, pv in layers]
-    if m.ndim == 2:
-        return reduced[0][0], reduced[1]
-    return reduced[0], [list(reduced[1]) for _ in range(len(m))]
-
-
-def _reduce(m: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
-    """Reduce a (B, rows, cols) stack of reduced entries in place, every
-    layer on the same pivot row and column; None when two layers would
-    pivot on different rows or columns."""
+    out = np.asarray(mat, dtype=np.int64)
+    out %= p
+    m = out[None] if out.ndim == 2 else out
     nb, rows, cols = m.shape
     width = max(cols, 1) if rows <= _PANEL else _PANEL
     free = np.ones(rows + 1, dtype=bool)  # the last entry stops the scan for lo
@@ -231,16 +218,16 @@ def _reduce(m: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
         perm = order + np.flatnonzero(free[:rows]).tolist()
         for layer in m:
             layer[:] = layer[perm]
-    return m, pivots
+    return out, pivots
 
 
 def rank_mod(mat: np.ndarray, p: int) -> int:
-    return len(rref_mod(mat, p)[1])
+    return len(rref_mod(np.array(mat, dtype=np.int64), p)[1])
 
 
 def kernel_mod(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel, one vector per row, shape (nullity, cols)."""
-    m, pivots = rref_mod(mat, p)
+    m, pivots = rref_mod(np.array(mat, dtype=np.int64), p)
     return kernel_from_rref(m, pivots, p)
 
 

@@ -520,7 +520,7 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
         last = None
     rows = _rows(geoms, c.d, () if last is None else last.mults, c.mults)
     if last is None:
-        red, pivots = gfp.rref_mod(rows, p, overwrite=True)
+        reduced = gfp.rref_mod(rows, p)
     elif rows.shape[1] == 0:
         return [sol.kernels[layer] for sol, layer in lasts]
     else:
@@ -530,10 +530,10 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
             base = np.stack([sol.kernels[layer] for sol, layer in lasts])
         coords = gfp.matmul_mod(rows[:, :, last.pivots], base[:, :, last.pivots].swapaxes(1, 2), p)
         coords += rows[:, :, last.free]
-        red, pivots = gfp.rref_mod(coords, p, overwrite=True)
-    if any(pv != pivots[0] for pv in pivots):
+        reduced = gfp.rref_mod(coords, p)
+    if reduced is None:  # the layers pivot apart
         return [_kernels([g], c)[0] for g in geoms]
-    pivots = pivots[0]
+    red, pivots = reduced
     if last is None:
         kernel = gfp.kernel_from_rref(red, pivots, p)
         free = np.ones(kernel.shape[-1], dtype=bool)

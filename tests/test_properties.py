@@ -10,8 +10,9 @@ The exact kernels everything rests on, ``rref_mod`` and ``matmul_mod``, are
 checked against pure-Python integer arithmetic: ``rref_mod`` on shapes on
 both sides of its column panels and on the oracle's real condition
 matrices, ``matmul_mod`` on both sides of its float64 route.  A stack of
-matrices is checked against ``rref_mod`` of each layer alone, also on
-stacks whose layers pivot apart.  ``solve_system`` on a warm geometry
+matrices is checked against ``rref_mod`` of each layer alone, and it is
+reported as pivoting apart exactly when an elimination without row swaps
+pivots two layers on different rows or columns.  ``solve_system`` on a warm geometry
 (which restricts the last kernel solved there) is checked against a fresh
 elimination of the full condition matrix, and ``run_battery``'s stacked
 solves against ``solve_system`` on freshly built geometries.
@@ -114,7 +115,7 @@ def matrices(draw, max_rows=6, max_cols=8, primes=PRIMES):
 @given(matrices())
 def test_kernel_from_rref_matches_loop(case):
     mat, p = case
-    red, pivots = gfp.rref_mod(mat, p)
+    red, pivots = gfp.rref_mod(mat.copy(), p)
     basis = gfp.kernel_from_rref(red, pivots, p)
     assert np.array_equal(basis, kernel_from_rref_loop(red, pivots, p))
     assert basis.shape == (mat.shape[1] - len(pivots), mat.shape[1])
@@ -472,7 +473,7 @@ def bareiss_rank_profile(mat, p):
 @given(matrices(primes=PRIMES + (5, 7)))
 def test_rref_rank_matches_bareiss(case):
     mat, p = case
-    _, pivots = gfp.rref_mod(mat, p)
+    _, pivots = gfp.rref_mod(mat.copy(), p)
     rank, bareiss_pivots = bareiss_rank_profile(mat, p)
     assert len(pivots) == gfp.rank_mod(mat, p) == rank
     assert pivots == bareiss_pivots
@@ -600,11 +601,11 @@ def panel_matrix(kind, rows, cols, p, rng):
 
 
 def check_rref(mat, p):
-    """rref_mod equals the reference, as an int64 array, and leaves its input."""
-    before = mat.copy()
-    red, pivots = gfp.rref_mod(mat, p)
+    """rref_mod equals the reference, as an int64 array reduced in place."""
+    work = mat.copy()
+    red, pivots = gfp.rref_mod(work, p)
     expected, expected_pivots = rref_reference(mat, p)
-    assert np.array_equal(mat, before)
+    assert red is work
     assert red.dtype == np.int64 and red.shape == mat.shape
     assert pivots == expected_pivots
     assert red.tolist() == expected
@@ -648,10 +649,11 @@ def stack_matrix(kind, defect, layers, rows, cols, p, rng):
     """A (layers, rows, cols) stack of independent ``panel_matrix`` layers,
     or of layers with nonzero entries only.
 
-    The defects make the last layer pivot apart from the first: "zeroed"
-    zeroes its first row, so the first column pivots on another row or not
-    at all, and "duplicated" writes a multiple of its first row over its
-    second, so that row drops out of the second column's pivot.
+    The defects make one layer pivot apart from the others: "zeroed"
+    zeroes the first layer's first row, so its first column pivots on a
+    later row than theirs or not at all, and "duplicated" writes a multiple
+    of the last layer's first row over its second, so that row drops out
+    of the second column's pivot.
     """
     if kind == "tall":  # one row count for every layer
         kind, rows = "random", max(rows, cols + 1 + int(rng.integers(0, 8)))
@@ -660,33 +662,52 @@ def stack_matrix(kind, defect, layers, rows, cols, p, rng):
     else:
         stack = np.stack([np.asarray(panel_matrix(kind, rows, cols, p, rng), dtype=np.int64)
                           for _ in range(layers)])
-    last = stack[-1]
     if defect == "zeroed":
-        last[0] = 0
+        stack[0, 0] = 0
     elif defect == "duplicated" and rows > 1:
-        last[1] = last[0] * int(rng.integers(1, p)) % p
+        stack[-1, 1] = stack[-1, 0] * int(rng.integers(1, p)) % p
     return stack
 
 
+def pivot_steps(mat, p):
+    """The (row, column) of each pivot of Gauss-Jordan without row swaps,
+    each pivot taken in the first unused row with a nonzero entry."""
+    a = np.asarray(mat, dtype=np.int64) % p
+    used = np.zeros(len(a), dtype=bool)
+    steps = []
+    for c in range(a.shape[1]):
+        candidates = np.flatnonzero((a[:, c] != 0) & ~used)
+        if candidates.size == 0:
+            continue
+        r = int(candidates[0])
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a = (a - factors[:, None] * a[r]) % p
+        used[r] = True
+        steps.append((r, c))
+    return steps
+
+
 def check_stacked_rref(stack, p):
-    """rref_mod of a stack equals rref_mod of each layer, with or without
-    overwrite, and leaves its input; when the layers share their pivots,
-    so do the stacked and per-layer kernels."""
-    before = stack.copy()
-    red, pivots = gfp.rref_mod(stack, p)
-    assert np.array_equal(stack, before)
-    again, again_pivots = gfp.rref_mod(stack.copy(), p, overwrite=True)
-    assert np.array_equal(again, red) and again_pivots == pivots
-    assert red.dtype == np.int64 and red.shape == stack.shape
-    assert len(pivots) == len(stack)
-    for layer, layer_red, layer_pivots in zip(stack, red, pivots):
-        expected, expected_pivots = gfp.rref_mod(layer, p)
-        assert layer_pivots == expected_pivots
+    """rref_mod of a stack is None exactly when two layers pivot on
+    different rows or columns; otherwise it reduces the stack in place, and
+    each layer and its kernel equal those of rref_mod on the layer alone."""
+    work = stack.copy()
+    reduced = gfp.rref_mod(work, p)
+    steps = [pivot_steps(layer, p) for layer in stack]
+    assert (reduced is None) == any(s != steps[0] for s in steps)
+    if reduced is None:
+        return None
+    red, pivots = reduced
+    assert red is work
+    assert pivots == [c for _, c in steps[0]]
+    basis = gfp.kernel_from_rref(red, pivots, p)
+    for layer, layer_red, layer_basis in zip(stack, red, basis):
+        expected, expected_pivots = gfp.rref_mod(layer.copy(), p)
+        assert expected_pivots == pivots
         assert np.array_equal(layer_red, expected)
-    if all(pv == pivots[0] for pv in pivots):
-        basis = gfp.kernel_from_rref(red, pivots[0], p)
-        for layer_red, layer_basis in zip(red, basis):
-            assert np.array_equal(layer_basis, gfp.kernel_from_rref(layer_red, pivots[0], p))
+        assert np.array_equal(layer_basis, gfp.kernel_from_rref(expected, pivots, p))
     return pivots
 
 
@@ -699,26 +720,16 @@ def test_stacked_rref_mod_matches_each_layer(p, kind, defect, layers, rows, cols
     check_stacked_rref(stack, p)
 
 
-def test_stacked_rref_mod_named_cases(monkeypatch):
+def test_stacked_rref_mod_named_cases():
     # stacks on both sides of one panel of rows, alike and made to pivot
-    # apart; the layer-by-layer fallback runs exactly for the latter
-    outcomes = []
-    reduce = gfp._reduce
-
-    def spy(m, p):
-        out = reduce(m, p)
-        outcomes.append((len(m), out is None))
-        return out
-
-    monkeypatch.setattr(gfp, "_reduce", spy)
+    # apart; only the latter are reported as pivoting apart
     for i, (defect, rows, cols) in enumerate(
             (d, r, c) for d in STACK_DEFECTS for r in (3, PANEL, PANEL + 1, 60)
             for c in (5, PANEL + 1, 2 * PANEL + 1)):
         p = STACK_PRIMES[i % len(STACK_PRIMES)]
         stack = stack_matrix("nonzero", defect, 3, rows, cols, p, np.random.default_rng(i))
-        outcomes.clear()
-        check_stacked_rref(stack, p)
-        assert ((3, True) in outcomes) == (defect != "none"), (defect, rows, cols)
+        pivots = check_stacked_rref(stack, p)
+        assert (pivots is None) == (defect != "none"), (defect, rows, cols)
 
 
 @SETTINGS
