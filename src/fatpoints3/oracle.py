@@ -329,8 +329,18 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
 
 
 @lru_cache(maxsize=96)
-def get_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geometry:
+def _geometry(prime: int, seed: int, npoints: int) -> Geometry:
     return build_geometry(prime, seed, npoints)
+
+
+def get_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geometry:
+    """``build_geometry``, cached once per (prime, seed, npoints): leaving
+    out ``npoints`` and passing ``DEFAULT_POINTS`` give one geometry."""
+    return _geometry(prime, seed, npoints)
+
+
+get_geometry.cache_clear = _geometry.cache_clear
+get_geometry.cache_info = _geometry.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -493,41 +503,35 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     ``conditions_matrix``: identity on the free columns.
 
     The geometries are solved as one stack, whose layers share their pivot
-    rows and columns.  When every geometry's last solved class is the same
-    one, of the same degree and with no larger multiplicity at any point,
-    and its kernels share their free columns, each kernel ``K`` already
-    satisfies every condition but the extra rows ``B``.  The forms left are
-    ``N K`` with ``N`` the kernel of ``B K^T``, and ``N K`` is again
-    identity on the free columns (the free columns of ``B K^T`` pick them
-    out of the old ones), so it is exactly the basis a full elimination
-    would give.  As ``K`` is identity on its free columns, ``B K^T`` is
-    ``B`` on those columns plus a product over the pivot columns alone.
-    Any other stack starts from the identity, which is the full
-    elimination.  When two layers pivot differently the geometries are
-    solved one by one, as stacks of one.  Each kernel is kept in its
-    geometry's workspace, so each geometry holds one.
+    rows and columns.  A stack of n geometries extends a memo only when
+    their memos are the layers 0..n-1 of one solve, in order, of a class of
+    the same degree with no larger multiplicity at any point.  Then each
+    kernel ``K`` of ``last.kernels[:n]`` already satisfies every condition
+    but the extra rows ``B``.  The forms left are ``N K`` with ``N`` the
+    kernel of ``B K^T``, and ``N K`` is again identity on the free columns
+    (the free columns of ``B K^T`` pick them out of the old ones), so it is
+    exactly the basis a full elimination would give.  As ``K`` is identity
+    on its free columns, ``B K^T`` is ``B`` on those columns plus a product
+    over the pivot columns alone.  Any other stack starts from the
+    identity, which is the full elimination and gives the same basis.  When
+    two layers pivot differently the geometries are solved one by one, as
+    stacks of one.  Each kernel is kept in its geometry's workspace, so
+    each geometry holds one.
     """
     p = geoms[0].prime
     spaces = [_workspace(g) for g in geoms]
-    lasts = [ws.last or (None, 0) for ws in spaces]
-    last = lasts[0][0]
+    last = spaces[0].last and spaces[0].last[0]
     if not (last is not None and last.d == c.d and len(last.mults) <= len(c.mults)
             and all(o <= m for o, m in zip(last.mults, c.mults))
-            and all(sol is last or (sol is not None and sol.d == last.d
-                                    and sol.mults == last.mults
-                                    and np.array_equal(sol.free, last.free))
-                    for sol, _ in lasts)):
+            and [ws.last for ws in spaces] == [(last, i) for i in range(len(geoms))]):
         last = None
     rows = _rows(geoms, c.d, () if last is None else last.mults, c.mults)
     if last is None:
         reduced = gfp.rref_mod(rows, p)
-    elif rows.shape[1] == 0:
-        return [sol.kernels[layer] for sol, layer in lasts]
     else:
-        if lasts == [(last, i) for i in range(len(last.kernels))]:
-            base = last.kernels  # every memo is its layer of one stack, in order
-        else:
-            base = np.stack([sol.kernels[layer] for sol, layer in lasts])
+        base = last.kernels[:len(geoms)]  # a view: the stack may be a prefix
+        if rows.shape[1] == 0:
+            return list(base)
         coords = gfp.matmul_mod(rows[:, :, last.pivots], base[:, :, last.pivots].swapaxes(1, 2), p)
         coords += rows[:, :, last.free]
         reduced = gfp.rref_mod(coords, p)
@@ -585,22 +589,6 @@ class SystemData:
         sketch = gfp.matmul_mod(weights, self.kernel, self.prime)
         sketch.flags.writeable = False
         return sketch
-
-    def to_dict(self) -> dict:
-        return {
-            "class": format_class(self.clazz),
-            "prime": self.prime,
-            "seed": self.seed,
-            "monomials": self.n_cols,
-            "conditions": self.n_rows,
-            "rank": self.rank,
-            "h0": self.h0,
-            "dim": self.dim,
-            "h1": self.h1,
-            "vdim": self.vdim,
-            "edim": self.edim,
-            "curve_degree": self.curve_degree,
-        }
 
 
 def solve_system(geom: Geometry, clazz: ThreefoldClass) -> SystemData:
@@ -869,7 +857,6 @@ class _Probe:
         self.assigned = geom.points[: c.r]
         self.assigned_coords = set(self.assigned)
         self.checked: dict[str, int] = {}
-        self.sketch = self.sysd.sketch
 
     def rng(self, label: str, *extra: object) -> random.Random:
         return random.Random(derive_seed(label, self.p, self.geom.seed, self.tag, *extra))
@@ -922,7 +909,7 @@ class _Probe:
         is exactly the full test's; a false alarm costs one exact check.
         """
         p, (n, k, n_cols) = self.p, rows.shape
-        rough = gfp.matmul_mod(rows.reshape(-1, n_cols), self.sketch[:k].T, p).reshape(n, k, k)
+        rough = gfp.matmul_mod(rows.reshape(-1, n_cols), self.sysd.sketch[:k].T, p).reshape(n, k, k)
         flagged = np.flatnonzero(test(rough, p))
         mask = np.zeros(n, dtype=bool)
         if flagged.size:
@@ -1304,6 +1291,8 @@ def run_battery(
     The dimension pass always covers the full battery, solving the seeds of
     each prime as one stack; probe passes stop at the first firing geometry.
     """
+    if not primes or not seeds:
+        raise ValueError("a battery needs at least one prime and one seed")
     c = clazz.normalized()
     need = max(DEFAULT_POINTS, c.r)
     systems: list[SystemData] = []

@@ -557,6 +557,28 @@ def test_cache_clear_drops_the_workspace():
     assert fresh.last is None and not fresh.tables
 
 
+def test_the_geometry_cache_keys_on_the_point_count():
+    # leaving out the point count and passing the default are one entry,
+    # with one geometry and one workspace
+    oracle.get_geometry.cache_clear()
+    g = oracle.get_geometry(P0, 0)
+    assert oracle.get_geometry(P0, 0, oracle.DEFAULT_POINTS) is g
+    assert oracle.get_geometry(P0, 0, npoints=oracle.DEFAULT_POINTS) is g
+    assert oracle.get_geometry.cache_info().misses == 1
+    assert oracle.get_geometry(P0, 0, oracle.DEFAULT_POINTS + 1) is not g
+    assert oracle.get_geometry.cache_info().misses == 2
+    oracle.get_geometry.cache_clear()
+    assert oracle.get_geometry.cache_info().currsize == 0
+    assert oracle.get_geometry(P0, 0) is not g
+
+
+def test_an_empty_battery_is_rejected():
+    c = parse_class("L3(2; 1^3)")
+    for battery in ({"seeds": ()}, {"primes": ()}):
+        with pytest.raises(ValueError, match="at least one prime and one seed"):
+            oracle.run_battery(c, **battery)
+
+
 def test_cached_and_fresh_geometries_give_identical_kernels():
     classes = [parse_class(txt) for txt in (
         "L3(4; 2, 1^5)", "L3(4; 2^2, 1^5)", "L3(4; 3, 2, 1^6)", "L3(4; 1^3)",
@@ -625,3 +647,10 @@ def test_the_sketch_is_built_once_per_kernel(monkeypatch):
         assert not sysd.sketch.flags.writeable
         weights = np.vstack([np.ones(sysd.h0, dtype=np.int64), np.arange(1, sysd.h0 + 1)])
         assert np.array_equal(sysd.sketch, gfp.matmul_mod(weights, sysd.kernel, sysd.prime))
+    # no form left: both probes fire on h0 alone and build no sketch
+    builds.clear()
+    report = oracle.run_battery(parse_class("L3(1; 1^5)"), seeds=(0,), probes=8)
+    assert [t.h0 for t in report.trials] == [0] * len(oracle.PRIMES)
+    assert report.base.first.witnesses[0].kind == "empty-system"
+    assert report.separation.first.witnesses[0].kind == "insufficient-sections"
+    assert builds == []

@@ -884,8 +884,8 @@ def test_battery_solves_named_moves():
 
 
 def test_battery_solves_after_mixed_memos():
-    # a stack whose memos disagree starts from scratch; one whose memos hold
-    # the same class from different solves extends a stack of them
+    # a stack whose memos are not the layers of one solve, in order, starts
+    # from scratch, also when they hold the same class from different solves
     oracle.get_geometry.cache_clear()
     first, other, grown = (parse_class(txt) for txt in (
         "L3(4; 2, 1^5)", "L3(4; 3, 1^2)", "L3(4; 2^2, 1^6)"))
@@ -908,6 +908,68 @@ def test_battery_solves_after_mixed_memos():
     # every memo a layer of one stack, but the seeds in another order
     check_battery(first, (WARM_PRIME,), seeds)
     check_battery(grown, (WARM_PRIME,), seeds[::-1])
+
+
+def spy_done(monkeypatch):
+    """The ``done`` multiplicities of every ``_rows`` call from here on:
+    () for a stack that starts from scratch, the memo's class for one that
+    extends it."""
+    done = []
+    rows = oracle._rows
+
+    def spy(geoms, d, done_mults, mults):
+        done.append(done_mults)
+        return rows(geoms, d, done_mults, mults)
+
+    monkeypatch.setattr(oracle, "_rows", spy)
+    return done
+
+
+def test_stack_of_one_extends_the_first_layer_of_a_deeper_stack(monkeypatch):
+    # the probe pass's stack of one on seed 0 after the dimension pass's
+    # five seeds: the memo is layer 0 of a deeper solve
+    oracle.get_geometry.cache_clear()
+    first, grown = parse_class("L3(4; 2, 1^5)"), parse_class("L3(4; 2^2, 1^6)")
+    expected = [fresh_system(WARM_PRIME, 0, c).kernel for c in (first, grown)]
+    oracle.run_battery(first, primes=(WARM_PRIME,), seeds=oracle.DEFAULT_SEEDS)
+    geom = oracle.get_geometry(WARM_PRIME, 0)
+    solution, layer = oracle._workspace(geom).last
+    assert layer == 0 and len(solution.kernels) == len(oracle.DEFAULT_SEEDS)
+    done = spy_done(monkeypatch)
+    hit = oracle.solve_system(geom, first)
+    assert np.shares_memory(hit.kernel, solution.kernels[0])
+    extended = oracle.solve_system(geom, grown)
+    assert done == [first.mults, first.mults]
+    for sysd, kernel in zip((hit, extended), expected):
+        assert np.array_equal(sysd.kernel, kernel), sysd.clazz
+
+
+def test_stack_with_memos_from_different_solves_starts_from_scratch(monkeypatch):
+    first, grown = parse_class("L3(4; 2, 1^5)"), parse_class("L3(4; 2^2, 1^6)")
+    seeds = (0, 1, 2)
+    expected = [fresh_system(WARM_PRIME, seed, grown) for seed in seeds]
+
+    def one_by_one(geoms, extra):
+        for g in geoms:
+            oracle.solve_system(g, first)
+
+    def in_another_order(geoms, extra):
+        oracle._solve(geoms[::-1], first)
+
+    def not_from_layer_0(geoms, extra):
+        oracle._solve([extra] + geoms, first)
+
+    done = spy_done(monkeypatch)
+    for memos in (one_by_one, in_another_order, not_from_layer_0):
+        geoms = [oracle.build_geometry(WARM_PRIME, seed) for seed in seeds]
+        memos(geoms, oracle.build_geometry(WARM_PRIME, 3))
+        assert all(oracle._workspace(g).last[0].mults == first.mults for g in geoms)
+        done.clear()
+        systems = oracle._solve(geoms, grown)
+        assert done == [()], memos.__name__
+        for got, want in zip(systems, expected):
+            assert (got.h0, got.rank) == (want.h0, want.rank), memos.__name__
+            assert np.array_equal(got.kernel, want.kernel), memos.__name__
 
 
 def test_battery_solves_repeated_seeds_and_primes():
@@ -942,8 +1004,8 @@ def test_stack_with_layers_pivoting_apart_solves_them_one_by_one(monkeypatch):
     for first, grown in (("L3(3; 2, 1^4)", "L3(3; 2^2, 1^5)"), ("L3(4; 2^3)", "L3(4; 3, 2^3)")):
         geoms = pair()
         for txt in (first, grown):
-            # the grown class finds memos of one class with other free
-            # columns, and starts from scratch
+            # the grown class finds memos from two stacks of one, and
+            # starts from scratch
             c = parse_class(txt)
             stacks.clear()
             systems = oracle._solve(geoms, c)
@@ -1103,7 +1165,7 @@ def test_sketch_false_alarms_are_rejected_by_the_full_test(case):
     rows = value_rows(pr, kind, block)
     k = PROBE_TESTS[kind]
     assert all(full_test(kind, rows, sketch[:k], pr.p))  # every candidate flagged
-    pr.sketch = sketch
+    pr.sysd.sketch = sketch
     got = getattr(pr, kind)(block)
     assert got.tolist() == full_test(kind, rows, pr.sysd.kernel, pr.p)
 
@@ -1113,7 +1175,7 @@ def test_sketch_false_alarms_named_cases():
     # none of the assigned points: only the first k forms may be read
     for txt in SKETCH_CLASSES:
         pr = sketch_probe(txt)
-        assert pr.sketch.tolist() == sketch_reference(pr.sysd.kernel, pr.p)
+        assert pr.sysd.sketch.tolist() == sketch_reference(pr.sysd.kernel, pr.p)
         z, other = pr.assigned[0], (1, 2, 3, 4)
         blocks = {
             "vanishing": [z, other, z],
@@ -1121,8 +1183,9 @@ def test_sketch_false_alarms_named_cases():
             "flat": [(z, other), (other, (4, 3, 2, 1)), (other, other)],
         }
         rng = np.random.default_rng(0)
-        pr.sketch = np.array([[0] * pr.sketch.shape[1],
-                              rng.integers(1, pr.p, size=pr.sketch.shape[1])], dtype=np.int64)
+        n_cols = pr.sysd.sketch.shape[1]
+        pr.sysd.sketch = np.array([[0] * n_cols, rng.integers(1, pr.p, size=n_cols)],
+                                  dtype=np.int64)
         for kind, block in blocks.items():
             rows = value_rows(pr, kind, block)
             expected = full_test(kind, rows, pr.sysd.kernel, pr.p)
@@ -1156,7 +1219,7 @@ def test_sketch_flags_exactly_the_full_test_on_the_golden_blocks(monkeypatch):
     assert {kind for _, kind, _, _ in seen} == set(PROBE_TESTS)
     for pr, kind, block, mask in seen:
         sketch = sketch_reference(pr.sysd.kernel, pr.p)
-        assert pr.sketch.tolist() == sketch
+        assert pr.sysd.sketch.tolist() == sketch
         rows = value_rows(pr, kind, block)
         full = full_test(kind, rows, pr.sysd.kernel, pr.p)
         assert mask.tolist() == full
