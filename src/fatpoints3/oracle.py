@@ -375,6 +375,19 @@ _ALPHAS = sorted(
 
 
 @lru_cache(maxsize=None)
+def _raised_monomials(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each coordinate k and degree-(d-1) exponent e, the index of the
+    degree-d monomial x^e x_k and the exponent e_k + 1, both of shape
+    (4, N'): the coefficients of the partial of g along x_k are g at the
+    indices times those exponents."""
+    index = {e: i for i, e in enumerate(map(tuple, monomial_exponents(d).tolist()))}
+    lower = monomial_exponents(d - 1)
+    raised = [[index[tuple(e)] for e in (lower + unit).tolist()]
+              for unit in np.eye(4, dtype=np.int64)]
+    return np.array(raised, dtype=np.int64).reshape(4, -1), lower.T + 1
+
+
+@lru_cache(maxsize=None)
 def _chart_rows(d: int, chart: int) -> tuple[np.ndarray, np.ndarray]:
     """The part of the condition rows that depends on the chart, not the point.
 
@@ -589,6 +602,14 @@ class SystemData:
         sketch = gfp.matmul_mod(weights, self.kernel, self.prime)
         sketch.flags.writeable = False
         return sketch
+
+    @cached_property
+    def sketch_partials(self) -> np.ndarray:
+        """The partial derivatives of the two sketch forms, shape (4, 2, N')
+        over the degree d-1 monomials, built from ``sketch`` on the first
+        tangent probe that reads them."""
+        raised, factor = _raised_monomials(self.clazz.d)
+        return (self.sketch[:, raised] * factor % self.prime).swapaxes(0, 1)
 
 
 def solve_system(geom: Geometry, clazz: ThreefoldClass) -> SystemData:
@@ -856,6 +877,7 @@ class _Probe:
         self.tag = format_class(c)
         self.assigned = geom.points[: c.r]
         self.assigned_coords = set(self.assigned)
+        self.assigned_array = np.array(self.assigned, dtype=np.int64).reshape(-1, 4)
         self.checked: dict[str, int] = {}
 
     def rng(self, label: str, *extra: object) -> random.Random:
@@ -864,10 +886,14 @@ class _Probe:
     def fired(self, kind: str, data: dict) -> ProbeReport:
         return ProbeReport(self.target, True, [Witness(kind, data)], self.checked)
 
+    def unassigned(self, points: np.ndarray) -> np.ndarray:
+        """Per point of a (..., 4) stack: is it off the assigned points?"""
+        return ~(points[..., None, :] == self.assigned_array).all(axis=-1).any(axis=-1)
+
     def scan(self, min_h0: int, short_kind: str, categories: tuple) -> Optional[ProbeReport]:
         """Fire at once on fewer than min_h0 forms, else on the first witness.
 
-        The categories run in table order, each scanning its candidates in
+        The categories run in table order, each testing its candidates in
         draw order one block of at most _BLOCK at a time; None when none of
         them fired.
         """
@@ -877,63 +903,81 @@ class _Probe:
             if needs_point and not self.assigned:
                 continue
             candidates = stream(self, self.rng(label, self.nprobes))
-            n, hit = 0, None
-            while hit is None:
-                block = list(itertools.islice(candidates, _BLOCK))
-                if not block:
-                    break
+            n, hit = len(candidates), None
+            for start in range(0, n, _BLOCK):
+                block = candidates[start:start + _BLOCK]
                 flagged = np.flatnonzero(test(self, block))
-                if not flagged.size:
-                    n += len(block)
-                    continue
-                k = int(flagged[0])
-                hit = block[k]
-                if count == _TO_WITNESS:
-                    n += k + 1
-                else:  # the rest of the stream is drawn and counted, not evaluated
-                    n += len(block) + sum(1 for _ in candidates)
+                if flagged.size:
+                    k = int(flagged[0])
+                    hit = block[k]
+                    if count == _TO_WITNESS:
+                        n = start + k + 1
+                    break
             if n or count != _EVERY_IF_ANY:
                 self.checked[name] = n
             if hit is not None:
                 return self.fired(name, data(hit))
         return None
 
-    def _sketched(self, rows: np.ndarray, test: Callable) -> np.ndarray:
-        """``test`` per candidate on its k monomial rows, rows of shape
-        (candidates, k, N): on the first k sketch forms, then on the whole
-        basis for the candidates the sketch flags.
+    def _confirm(self, rough: np.ndarray, test: Callable, rows: Callable) -> np.ndarray:
+        """``test`` per candidate on its values on the first k sketch forms,
+        rough of shape (candidates, k, k), then on the whole basis for the
+        candidates the sketch flags, whose k monomial rows ``rows(flagged)``
+        gives, shape (flagged, k, N).
 
         ``test`` maps values of shape (candidates, k, forms) to a mask.  A
         candidate that passes it on the basis passes it on any k
         combinations of the basis, so the sketch misses none and the mask
         is exactly the full test's; a false alarm costs one exact check.
         """
-        p, (n, k, n_cols) = self.p, rows.shape
-        rough = gfp.matmul_mod(rows.reshape(-1, n_cols), self.sysd.sketch[:k].T, p).reshape(n, k, k)
+        p = self.p
         flagged = np.flatnonzero(test(rough, p))
-        mask = np.zeros(n, dtype=bool)
+        mask = np.zeros(len(rough), dtype=bool)
         if flagged.size:
-            exact = gfp.matmul_mod(rows[flagged].reshape(-1, n_cols), self.sysd.kernel.T, p)
-            mask[flagged] = test(exact.reshape(flagged.size, k, -1), p)
+            exact = rows(flagged)
+            n, k, n_cols = exact.shape
+            values = gfp.matmul_mod(exact.reshape(-1, n_cols), self.sysd.kernel.T, p)
+            mask[flagged] = test(values.reshape(n, k, -1), p)
         return mask
 
-    def vanishing(self, points: list) -> np.ndarray:
+    def _sketched(self, rows: np.ndarray, test: Callable) -> np.ndarray:
+        """``_confirm`` for candidates given by their k monomial rows, rows
+        of shape (candidates, k, N)."""
+        p, (n, k, n_cols) = self.p, rows.shape
+        rough = gfp.matmul_mod(rows.reshape(-1, n_cols), self.sysd.sketch[:k].T, p).reshape(n, k, k)
+        return self._confirm(rough, test, lambda flagged: rows[flagged])
+
+    def vanishing(self, points) -> np.ndarray:
         """Per point: does every form vanish there?"""
-        return self._sketched(monomial_values(np.array(points), self.d, self.p)[:, None], _vanish)
+        return self._sketched(monomial_values(np.asarray(points), self.d, self.p)[:, None], _vanish)
 
-    def unseparated(self, pairs: list) -> np.ndarray:
+    def unseparated(self, pairs) -> np.ndarray:
         """Per pair: do the forms fail to tell the two points apart?"""
-        return self._sketched(monomial_values(np.array(pairs), self.d, self.p), _dependent)
+        return self._sketched(monomial_values(np.asarray(pairs), self.d, self.p), _dependent)
 
-    def flat(self, tangents: list) -> np.ndarray:
+    def flat(self, tangents) -> np.ndarray:
         """Per (point, direction): do the forms fail to separate the direction?"""
-        zs = np.array([z for z, _ in tangents])
-        vs = np.array([v for _, v in tangents])
-        rows = np.stack([
-            monomial_values(zs, self.d, self.p),
-            derivative_values(zs, vs, self.d, self.p),
-        ], axis=1)
-        return self._sketched(rows, _dependent)
+        p, d = self.p, self.d
+        pairs = np.asarray(tangents, dtype=np.int64)
+        zs, vs = pairs[:, 0], pairs[:, 1]
+        mono = monomial_values(zs, d, p)
+        return self._confirm(self.tangent_sketch(zs, vs, mono), _dependent, lambda flagged: np.stack(
+            [mono[flagged], derivative_values(zs[flagged], vs[flagged], d, p)], axis=1))
+
+    def tangent_sketch(self, zs: np.ndarray, vs: np.ndarray, mono: np.ndarray) -> np.ndarray:
+        """The sketch forms' values at each point z and their derivatives
+        along its v, shape (n, 2, 2), given the monomial values at z.
+
+        A sketch form g has derivative D_v g(z) = sum_k v_k (d_k g)(z), and
+        its partials d_k g are forms of degree d-1, so this reads monomial
+        values alone; ``derivative_values`` runs only on the candidates the
+        sketch flags.
+        """
+        p = self.p
+        partials = self.sysd.sketch_partials
+        slopes = gfp.matmul_mod(monomial_values(zs, self.d - 1, p), partials.reshape(8, -1).T, p)
+        along = (vs[:, :, None] % p * slopes.reshape(-1, 4, 2) % p).sum(axis=1) % p
+        return np.stack([gfp.matmul_mod(mono, self.sysd.sketch.T, p), along], axis=1)
 
 
 def _vanish(vals: np.ndarray, p: int) -> np.ndarray:
@@ -947,110 +991,409 @@ def _dependent(vals: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# candidate streams: each takes the probe and its seeded stream and yields
-# candidates off the assigned points
+# candidate streams: each takes the probe and its seeded stream and returns
+# its candidates off the assigned points, in draw order, as one array:
+# points (n, 4), pairs and tangents (n, 2, 4)
 
 
-def _lin(lam: int, a: Sequence[int], mu: int, b: Sequence[int], p: int) -> tuple:
-    return tuple((lam * a[j] + mu * b[j]) % p for j in range(4))
+def _power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p entrywise, by square and multiply; entries in [0, p)."""
+    out, base = np.ones_like(a), a.copy()
+    while e:
+        if e & 1:
+            out *= base
+            out %= p
+        e >>= 1
+        if e:
+            base *= base
+            base %= p
+    return out
 
 
-def _line_points(pr: _Probe, rng: random.Random):
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of nonzero entries, with one inversion for them all:
+    the running products are inverted once and unwound (Montgomery)."""
+    vals = a.tolist()
+    before, run = [], 1
+    for x in vals:
+        before.append(run)
+        run = run * x % p
+    inv, out = pow(run, -1, p), [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        out[i] = before[i] * inv % p
+        inv = inv * vals[i] % p
+    return np.array(out, dtype=np.int64)
+
+
+def _fiber_block(geom: Geometry, s: np.ndarray) -> tuple:
+    """``_fiber_quadratic`` over (s:1) for each entry of s in [0, p), its
+    discriminant b^2 - 4ac, and whether that is a square: (a, b, c, disc,
+    square, root).  At p = 3 (mod 4) root is disc^((p+1)/4), which squares
+    back to disc exactly on the squares; at other primes root is None and
+    Euler's criterion decides.  Each product is reduced before the next
+    one, and a c before it is scaled by 4, so no entry passes 2^62."""
+    p = geom.prime
+    ss = s * s % p
+    a, b, c = ((f[0] + f[1] * s % p + f[2] * ss % p) % p for f in geom.forms)
+    disc = (b * b - 4 * (a * c % p)) % p
+    if p % 4 == 3:
+        root = _power(disc, (p + 1) // 4, p)
+        return a, b, c, disc, root * root % p == disc, root
+    return a, b, c, disc, _power(disc, (p - 1) // 2, p) <= 1, None
+
+
+def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_curve_tangent`` at each curve point of an (n, 4) stack: the
+    directions, zero where there is none, and which rows have one.
+
+    Where the first two columns of the Jacobian are independent, its kernel
+    basis starts with e_2 - (D(2, 1) e_0 + D(0, 2) e_1) / D(0, 1), and that
+    is the direction unless it lies along the point; every other point goes
+    through ``_curve_tangent`` itself.
+    """
+    p = geom.prime
+    x, y, z, w = points.T
+    grad1 = np.stack([w, -z % p, -y % p, x], axis=1)
+    quad = np.zeros((4, 4), dtype=np.int64)
+    for (i, j), coef in zip(_QUAD_PAIRS, geom.qprime):
+        quad[i, j] += coef
+        quad[j, i] += coef
+    grad2 = gfp.matmul_mod(points, quad % p, p)
+
+    def minor(i: int, j: int) -> np.ndarray:
+        return (grad1[:, i] * grad2[:, j] - grad1[:, j] * grad2[:, i]) % p
+
+    head = minor(0, 1)
+    ok = head != 0
+    inv = _inverses(head[ok], p)
+    dirs = np.zeros_like(points)
+    dirs[:, 2] = 1
+    dirs[ok, 0] = -minor(2, 1)[ok] * inv % p
+    dirs[ok, 1] = -minor(0, 2)[ok] * inv % p
+    ok &= ~_rank_le_1(points, dirs, p)
+    dirs[~ok] = 0
+    for i in np.flatnonzero(~ok).tolist():
+        v = _curve_tangent(geom, tuple(points[i].tolist()))
+        if v is not None:
+            dirs[i], ok[i] = v, True
+    return dirs, ok
+
+
+class _Words:
+    """One category's random words, drawn in blocks and read in the order
+    the scalar draws read them.
+
+    ``randrange(n)`` takes 32-bit words until one, shifted right by
+    ``32 - n.bit_length()``, is below n, and one ``getrandbits(32 k)``
+    returns the next k words, the first in the low bits.  So a category's
+    draws are parsed from word blocks in numpy.  Its ``random.Random`` is
+    private and dropped when the category ends, so words drawn past the
+    last one read change no candidate.  ``pos`` is the first word not read.
+
+    A curve draw (``_sample_curve_point``) reads fibre words until one over
+    a fibre with points, then a word that ``randrange(1)`` or
+    ``randrange(2)`` accepts, which either does exactly when the word is
+    below 2^31.  For it every word is read once as a fibre, in numpy, and a
+    walk looks up the next word of each kind.
+    """
+
+    def __init__(self, rng: random.Random, geom: Geometry, reserve: int = 0):
+        self.rng, self.geom, self.p = rng, geom, geom.prime
+        self.words = np.zeros(0, dtype=np.int64)
+        self.pos = 0
+        self.size = -1  # the words the walk's lookups cover
+        if reserve:
+            self._draw(reserve)
+
+    def _draw(self, n: int) -> None:
+        block = self.rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+        self.words = np.concatenate([self.words, np.frombuffer(block, dtype="<u4")])
+
+    def take(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``randrange(b)`` for each bound b in turn, all of one bit length:
+        the values and the words they were read from.
+
+        A word at or above the least bound and below the largest is taken
+        only by a draw whose bound is above it, so those words, which are
+        rare, are placed one by one.
+        """
+        n = len(bounds)
+        if not n:
+            return bounds[:0], bounds[:0]
+        low, high = int(bounds.min()), int(bounds.max())
+        shift, start = 32 - high.bit_length(), self.pos
+        while True:
+            vals = self.words[start:] >> shift
+            taken = (vals < low).nonzero()[0]
+            if low < high:
+                for y in ((vals >= low) & (vals < high)).nonzero()[0].tolist():
+                    j = int(np.searchsorted(taken, y))  # the draw that reads word y
+                    if j < n and vals[y] < bounds[j]:
+                        taken = np.insert(taken, j, y)
+            if len(taken) >= n:
+                break
+            self._draw(((n - len(taken)) << high.bit_length()) // low + 32)
+        taken = taken[:n]
+        self.pos = start + int(taken[-1]) + 1
+        return vals[taken], start + taken
+
+    def points(self, count: int, tail: tuple = ()) -> np.ndarray:
+        """count draws of ``_random_proj_point``, each followed by one
+        ``randrange(b)`` per bound b of tail, all of the bit length of p:
+        shape (count, 4 + len(tail)).  A zero point is drawn again, so its
+        draws are read again from the word after it."""
+        unit = np.array((self.p,) * 4 + tail, dtype=np.int64)
+        rows = []
+        while True:
+            vals, at = self.take(np.tile(unit, count))
+            vals = vals.reshape(count, len(unit))
+            zero = (~vals[:, :4].any(axis=1)).nonzero()[0]
+            if not zero.size:
+                return np.concatenate(rows + [vals]) if rows else vals
+            k = int(zero[0])
+            rows.append(vals[:k])
+            self.pos = int(at[k * len(unit) + 3]) + 1
+            count -= k
+
+    def _build(self) -> None:
+        """The walk's lookups over the words drawn: which are fibre words
+        and how many points are over each, for each word the next word at
+        or after it over a fibre with points and below 2^31, and the count
+        of words randrange(p) accepts before it; where those are and the
+        values they give, and each fibre word's lift data."""
+        w, p, self.size = self.words, self.p, len(self.words)
+        k = w >> (32 - (p + 1).bit_length())
+        valid = k <= p
+        inner = (valid & (k > 0) & (k < p)).nonzero()[0]  # over (k:1), k nonzero
+        a, b, c, disc, square, root = _fiber_block(self.geom, k[inner])
+        npts = np.zeros(self.size, dtype=np.int64)
+        npts[inner] = square * np.where(disc == 0, 1, 2)
+        self.lifts = (inner, k[inner], b, c, disc, root)
+        # the fibres off the lift's shortcut: (0:1), (1:0), and c = 0
+        self.edge = {}
+        for j in ((k == 0) | (k == p)).nonzero()[0].tolist() + inner[c == 0].tolist():
+            kj = int(k[j])
+            self.edge[j] = _fiber_points(self.geom, *((1, 0) if kj == p else (kj, 1)))
+            npts[j] = len(self.edge[j])
+
+        def following(mask: np.ndarray) -> list:
+            at = np.where(mask, np.arange(self.size), self.size)
+            return np.minimum.accumulate(at[::-1])[::-1].tolist() + [self.size]
+
+        self.valid, self.npts = valid, npts
+        self.next_fiber = following(npts > 0)
+        self.next_pick = following(w < 1 << 31)
+        coord = w >> (32 - p.bit_length())
+        accepted = coord < p
+        self.coords_before = np.concatenate([[0], np.cumsum(accepted)]).tolist()
+        self.coords = accepted.nonzero()[0].tolist()
+        self.coord_values = coord[accepted].tolist()
+
+    def curve_draw(self) -> Optional[tuple[int, int]]:
+        """The draw ``_sample_curve_point`` reads at pos: the word of its
+        fibre and its pick among the fibre's points, or None after 512
+        fibres without one."""
+        while True:
+            if self.size != len(self.words):
+                self._build()
+            start, size = self.pos, self.size
+            fiber = self.next_fiber[start]
+            if fiber - start >= 512:
+                tried = start + self.valid[start:fiber].nonzero()[0]
+                if len(tried) >= 512:
+                    self.pos = int(tried[511]) + 1
+                    return None
+            pick = self.next_pick[min(fiber + 1, size)]
+            if pick < size:
+                self.pos = pick + 1
+                return fiber, int(self.words[pick]) >> 30 if self.npts[fiber] == 2 else 0
+            self._draw(size + 64)
+
+    def point(self) -> tuple:
+        """The draw ``_random_proj_point`` reads at pos."""
+        while True:
+            if self.size != len(self.words):
+                self._build()
+            k = self.coords_before[self.pos]
+            if k + 4 > len(self.coords):
+                self._draw(self.size + 64)
+                continue
+            self.pos = self.coords[k + 3] + 1
+            z = self.coord_values[k:k + 4]
+            if any(z):
+                return tuple(z)
+
+    def lift(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
+        """The curve points of draws from ``curve_draw``, shape (n, 4), zero
+        where a draw is None, and which rows are points.  The root and the
+        inverse of 2cs of the lift are taken for these fibres only."""
+        p = self.p
+        out = np.zeros((len(draws), 4), dtype=np.int64)
+        ok = np.array([d is not None for d in draws], dtype=bool)
+        rows = [i for i, d in enumerate(draws) if d is not None and d[0] not in self.edge]
+        if rows:
+            inner, s, b, c, disc, root = self.lifts
+            fiber, pick = np.array([draws[i] for i in rows], dtype=np.int64).T
+            j = np.searchsorted(inner, fiber)
+            if root is None:
+                r = np.array([gfp.sqrt_mod(x, p) for x in disc[j].tolist()], dtype=np.int64)
+            else:
+                r = root[j]
+            sf, bf, two_c = s[j], b[j], 2 * c[j] % p
+            inv = _inverses(two_c * sf % p, p)
+            r_s, scale = two_c * inv % p, sf * inv % p
+            v1 = (r - bf) % p * scale % p
+            v2 = (-r - bf) % p * scale % p
+            v = np.where(pick == 1, np.maximum(v1, v2), np.minimum(v1, v2))
+            out[rows] = np.stack([np.ones_like(v), v, r_s, v * r_s % p], axis=1)
+        if len(rows) < ok.sum():
+            for i, d in enumerate(draws):
+                if d is not None and d[0] in self.edge:
+                    out[i] = self.edge[d[0]][d[1]]
+        return out, ok
+
+    def curve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """count draws of ``_sample_curve_point``, lifted."""
+        return self.lift([self.curve_draw() for _ in range(count)])
+
+
+def _line_points(pr: _Probe, rng: random.Random) -> np.ndarray:
     """Points on the line through the two deepest assigned points; with one
     assigned point, on four random lines through it."""
-    p, p1 = pr.p, pr.assigned[0]
+    p, words = pr.p, _Words(rng, pr.geom)
+    p1 = np.array(pr.assigned[0], dtype=np.int64)
     if len(pr.assigned) >= 2:
-        p2 = pr.assigned[1]
-        for _ in range(pr.nprobes):
-            lam, mu = rng.randrange(1, p), rng.randrange(1, p)
-            z = _lin(lam, p1, mu, p2, p)
-            if z not in pr.assigned_coords:
-                yield z
+        lam, mu = words.take(np.full(2 * pr.nprobes, p - 1))[0].reshape(-1, 2).T + 1
+        z = (lam[:, None] * p1 % p + mu[:, None] * np.array(pr.assigned[1]) % p) % p
     else:
-        for _ in range(4):
-            direction = _random_proj_point(rng, p)
-            for _ in range(max(1, pr.nprobes // 4)):
-                z = _lin(1, p1, rng.randrange(1, p), direction, p)
-                if any(z) and z not in pr.assigned_coords:
-                    yield z
+        u = words.points(4, (p - 1,) * max(1, pr.nprobes // 4))
+        z = ((u[:, 4:, None] + 1) * u[:, None, :4] % p + p1).reshape(-1, 4) % p
+        z = z[z.any(axis=1)]
+    return z[pr.unassigned(z)]
 
 
-def _line_pairs(pr: _Probe, rng: random.Random):
+def _line_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
     """Pairs on the line through the two deepest assigned points; with one
     assigned point, each pair on a fresh random line through it."""
-    p, p1 = pr.p, pr.assigned[0]
-    two = len(pr.assigned) >= 2
-    for _ in range(pr.nprobes if two else max(1, pr.nprobes // 2)):
-        p2 = pr.assigned[1] if two else _random_proj_point(rng, p)
-        l1, l2 = rng.randrange(1, p), rng.randrange(1, p)
-        if l1 == l2:
-            continue
-        z1, z2 = _lin(1, p1, l1, p2, p), _lin(1, p1, l2, p2, p)
-        if z1 not in pr.assigned_coords and z2 not in pr.assigned_coords:
-            yield z1, z2
+    p, words = pr.p, _Words(rng, pr.geom)
+    if len(pr.assigned) >= 2:
+        ls = words.take(np.full(2 * pr.nprobes, p - 1))[0].reshape(-1, 2) + 1
+        p2 = np.array(pr.assigned[1], dtype=np.int64)
+    else:
+        u = words.points(max(1, pr.nprobes // 2), (p - 1, p - 1))
+        ls, p2 = u[:, 4:] + 1, u[:, None, :4]
+    z = (ls[:, :, None] * p2 % p + np.array(pr.assigned[0])) % p
+    return z[(ls[:, 0] != ls[:, 1]) & pr.unassigned(z).all(axis=1)]
 
 
-def _curve_point(pr: _Probe, rng: random.Random) -> Optional[tuple]:
-    return _sample_curve_point(pr.geom, rng)
+def _fresh(pr: _Probe, draw: Callable) -> np.ndarray:
+    """Unassigned draws, at most nprobes of them out of 4 * nprobes;
+    draw(k) gives the next k draws and which of them are points.  Each
+    round draws only as many as are still wanted, so none past the last."""
+    found, drawn, want = [np.zeros((0, 4), dtype=np.int64)], 0, pr.nprobes
+    while want and drawn < 4 * pr.nprobes:
+        k = min(want, 4 * pr.nprobes - drawn)
+        z, ok = draw(k)
+        found.append(z[ok & pr.unassigned(z)])
+        drawn, want = drawn + k, want - len(found[-1])
+    return np.concatenate(found)
 
 
-def _generic_point(pr: _Probe, rng: random.Random) -> tuple:
-    return _random_proj_point(rng, pr.p)
+def _curve_points(pr: _Probe, rng: random.Random) -> np.ndarray:
+    words = _Words(rng, pr.geom, 8 * pr.nprobes + 64)
+    return _fresh(pr, words.curve)
 
 
-def _fresh_curve_point(pr: _Probe, rng: random.Random) -> Optional[tuple]:
-    """An unassigned curve point, within 64 draws."""
-    for _ in range(64):
-        z = _curve_point(pr, rng)
-        if z is not None and z not in pr.assigned_coords:
-            return z
-    return None
+def _generic_points(pr: _Probe, rng: random.Random) -> np.ndarray:
+    words = _Words(rng, pr.geom)
+    return _fresh(pr, lambda k: (words.points(k), True))
 
 
-def _fresh_points(draw: Callable):
-    """Unassigned draws, at most nprobes of them out of 4 * nprobes."""
-    def stream(pr: _Probe, rng: random.Random):
-        found = 0
-        for _ in range(4 * pr.nprobes):
-            if found == pr.nprobes:
-                return
-            z = draw(pr, rng)
-            if z is not None and z not in pr.assigned_coords:
-                found += 1
-                yield z
-    return stream
+def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable] = None):
+    """count unassigned curve points, each the first of up to 64 curve draws
+    that is one, and after each a draw of ``after`` when given: the points
+    (zero where 64 draws found none), which of them were found, and the
+    ``after`` draws.
+
+    Every draw is first taken to be such a point; from the first that is
+    not one, the draws are read again.
+    """
+    zs, found, others = [np.zeros((0, 4), dtype=np.int64)], [], []
+    while len(found) < count:
+        draws, ends, more = [], [], []
+        for _ in range(count - len(found)):
+            draws.append(words.curve_draw())
+            ends.append(words.pos)
+            if after:
+                more.append(after())
+        z, ok = words.lift(draws)
+        ok &= pr.unassigned(z)
+        j = len(draws) if ok.all() else int(np.argmin(ok))
+        zs.append(z[:j])
+        found += [True] * j
+        others += more[:j]
+        if j == len(draws):
+            break
+        words.pos = ends[j]
+        z, ok = np.zeros((1, 4), dtype=np.int64), False
+        for _ in range(63):
+            one, good = words.curve(1)
+            if good[0] and pr.unassigned(one)[0]:
+                z, ok = one, True
+                break
+        zs.append(z)
+        found.append(ok)
+        if after:
+            others.append(after())
+    return np.concatenate(zs), np.array(found, dtype=bool), np.array(others, dtype=np.int64)
 
 
-def _random_pairs(draw1: Callable, draw2: Callable):
-    """nprobes draws of a pair, kept when both are distinct unassigned points."""
-    def stream(pr: _Probe, rng: random.Random):
-        for _ in range(pr.nprobes):
-            z1, z2 = draw1(pr, rng), draw2(pr, rng)
-            if z1 is None or z2 is None or z1 == z2:
-                continue
-            if z1 not in pr.assigned_coords and z2 not in pr.assigned_coords:
-                yield z1, z2
-    return stream
+def _curve_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
+    """Pairs of distinct unassigned curve points."""
+    words = _Words(rng, pr.geom, 16 * pr.nprobes + 64)
+    z, ok, _ = _fresh_curve(pr, words, 2 * pr.nprobes)
+    z, ok = z.reshape(-1, 2, 4), ok.reshape(-1, 2).all(axis=1)
+    return z[ok & (z[:, 0] != z[:, 1]).any(axis=1)]
 
 
-def _generic_tangents(pr: _Probe, rng: random.Random):
+def _generic_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
+    """Pairs of distinct unassigned points of space."""
+    z = _Words(rng, pr.geom).points(2 * pr.nprobes).reshape(-1, 2, 4)
+    return z[(z[:, 0] != z[:, 1]).any(axis=1) & pr.unassigned(z).all(axis=1)]
+
+
+def _mixed_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
+    """An unassigned curve point paired with a distinct unassigned point of
+    space."""
+    words = _Words(rng, pr.geom, 16 * pr.nprobes + 64)
+    z1, ok, z2 = _fresh_curve(pr, words, pr.nprobes, words.point)
+    z2 = z2.reshape(-1, 4)
+    z = np.stack([z1, z2], axis=1)
+    return z[ok & (z1 != z2).any(axis=1) & pr.unassigned(z2)]
+
+
+def _generic_tangents(pr: _Probe, rng: random.Random) -> np.ndarray:
+    """An unassigned point of space and a direction not along it; an
+    assigned point is skipped before its direction is drawn."""
+    z = _Words(rng, pr.geom).points(2 * pr.nprobes)
+    assigned = (~pr.unassigned(z)).tolist()
+    first, i = [], 0
     for _ in range(pr.nprobes):
-        z = _random_proj_point(rng, pr.p)
-        if z in pr.assigned_coords:
+        if assigned[i]:
+            i += 1
             continue
-        v = _random_proj_point(rng, pr.p)
-        if not _proportional(z, v, pr.p):
-            yield z, v
+        first.append(i)
+        i += 2
+    pairs = z[np.array(first, dtype=np.int64)[:, None] + [0, 1]]
+    return pairs[~_rank_le_1(pairs[:, 0], pairs[:, 1], pr.p)]
 
 
-def _curve_tangents(pr: _Probe, rng: random.Random):
-    for _ in range(pr.nprobes):
-        z = _sample_curve_point(pr.geom, rng)
-        if z is None or z in pr.assigned_coords:
-            continue
-        v = _curve_tangent(pr.geom, z)
-        if v is not None:
-            yield z, v
+def _curve_tangents(pr: _Probe, rng: random.Random) -> np.ndarray:
+    """An unassigned curve point and a tangent direction there."""
+    z, ok = _Words(rng, pr.geom, 8 * pr.nprobes + 64).curve(pr.nprobes)
+    z = z[ok & pr.unassigned(z)]
+    v, ok = _tangents(pr.geom, z)
+    return np.stack([z[ok], v[ok]], axis=1)
 
 
 def _point_data(z) -> dict:
@@ -1083,19 +1426,19 @@ _EVERY, _EVERY_IF_ANY, _TO_WITNESS = "every", "every-if-any", "to-witness"
 _BASE_CATEGORIES = (
     ("on-line", "probe-line", _line_points,
      _Probe.vanishing, _line_point_data, _EVERY_IF_ANY, True),
-    ("on-curve", "probe-curve", _fresh_points(_curve_point),
+    ("on-curve", "probe-curve", _curve_points,
      _Probe.vanishing, _point_data, _EVERY_IF_ANY, False),
-    ("generic", "probe-generic", _fresh_points(_generic_point),
+    ("generic", "probe-generic", _generic_points,
      _Probe.vanishing, _point_data, _EVERY, False),
 )
 _SEPARATION_CATEGORIES = (
     ("pair-on-line", "sep-line", _line_pairs,
      _Probe.unseparated, _pair_data, _EVERY, True),
-    ("pair-on-curve", "sep-pair-on-curve", _random_pairs(_fresh_curve_point, _fresh_curve_point),
+    ("pair-on-curve", "sep-pair-on-curve", _curve_pairs,
      _Probe.unseparated, _pair_data, _TO_WITNESS, False),
-    ("pair-generic", "sep-pair-generic", _random_pairs(_generic_point, _generic_point),
+    ("pair-generic", "sep-pair-generic", _generic_pairs,
      _Probe.unseparated, _pair_data, _TO_WITNESS, False),
-    ("pair-mixed", "sep-pair-mixed", _random_pairs(_fresh_curve_point, _generic_point),
+    ("pair-mixed", "sep-pair-mixed", _mixed_pairs,
      _Probe.unseparated, _pair_data, _TO_WITNESS, False),
     ("tangent-generic", "sep-tangent", _generic_tangents,
      _Probe.flat, _tangent_data, _TO_WITNESS, False),

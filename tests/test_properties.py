@@ -237,6 +237,30 @@ def test_tangent_basis_matches_kernel_mod(case):
     assert oracle._tangent_basis(g1, g2, p) == expected
 
 
+@SETTINGS
+@given(geometry_points(), st.integers(0, 3))
+@example((oracle.Geometry(P, 0, 0, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+                          oracle._segre_forms((1, 2, 3, 4, 5, 6, 7, 8, 9, 10), P), [], ()),
+          (1, 2, 0, 0)), 0)  # D(0, 1) = 0: not the common case
+def test_tangents_match_curve_tangent(case, extra):
+    # a stack of points at which the Jacobian has rank 2, on or off the
+    # curve, against the scalar tangent at each; points whose first two
+    # Jacobian columns are dependent take the scalar route
+    geom, pt = case
+    p = geom.prime
+    assume(any(pt) and not oracle._proportional(*oracle._jacobian(geom, pt), p))
+    g = oracle.get_geometry(p, 0)
+    others = [q for q in g.points[:extra]]
+    geom = dataclasses.replace(geom, points=())
+    stack = np.array([pt] + [q for q in others if not oracle._proportional(
+        *oracle._jacobian(geom, q), p)], dtype=np.int64)
+    dirs, ok = oracle._tangents(geom, stack)
+    for row, v, found in zip(stack.tolist(), dirs.tolist(), ok.tolist()):
+        expected = oracle._curve_tangent(geom, tuple(row))
+        assert found == (expected is not None)
+        assert tuple(v) == (expected or (0, 0, 0, 0))
+
+
 def test_curve_tangents_lie_in_the_tangent_space():
     g = oracle.get_geometry(oracle.PRIMES[0], 0)
     p = g.prime
@@ -400,6 +424,303 @@ def test_curve_draws_consume_the_random_stream_as_before(p):
     for _ in range(2000):
         assert oracle._sample_curve_point(geom, fast) == reference_draw(geom, slow)
     assert fast.getstate() == slow.getstate()
+
+
+# ---------------------------------------------------------------------------
+# candidate streams parsed from word blocks, against the scalar streams
+#
+# The references are the streams as they were before word blocks: one
+# ``randrange`` call per value, one candidate at a time.  Each returns an
+# iterator of tuples, or of pairs of tuples.
+
+
+def lin(lam, a, mu, b, p):
+    return tuple((lam * a[j] + mu * b[j]) % p for j in range(4))
+
+
+def line_points_reference(pr, rng):
+    p, p1 = pr.p, pr.assigned[0]
+    if len(pr.assigned) >= 2:
+        p2 = pr.assigned[1]
+        for _ in range(pr.nprobes):
+            lam, mu = rng.randrange(1, p), rng.randrange(1, p)
+            z = lin(lam, p1, mu, p2, p)
+            if z not in pr.assigned_coords:
+                yield z
+    else:
+        for _ in range(4):
+            direction = oracle._random_proj_point(rng, p)
+            for _ in range(max(1, pr.nprobes // 4)):
+                z = lin(1, p1, rng.randrange(1, p), direction, p)
+                if any(z) and z not in pr.assigned_coords:
+                    yield z
+
+
+def line_pairs_reference(pr, rng):
+    p, p1 = pr.p, pr.assigned[0]
+    two = len(pr.assigned) >= 2
+    for _ in range(pr.nprobes if two else max(1, pr.nprobes // 2)):
+        p2 = pr.assigned[1] if two else oracle._random_proj_point(rng, p)
+        l1, l2 = rng.randrange(1, p), rng.randrange(1, p)
+        if l1 == l2:
+            continue
+        z1, z2 = lin(1, p1, l1, p2, p), lin(1, p1, l2, p2, p)
+        if z1 not in pr.assigned_coords and z2 not in pr.assigned_coords:
+            yield z1, z2
+
+
+def curve_point_reference(pr, rng):
+    return oracle._sample_curve_point(pr.geom, rng)
+
+
+def generic_point_reference(pr, rng):
+    return oracle._random_proj_point(rng, pr.p)
+
+
+def fresh_curve_point_reference(pr, rng):
+    for _ in range(64):
+        z = curve_point_reference(pr, rng)
+        if z is not None and z not in pr.assigned_coords:
+            return z
+    return None
+
+
+def fresh_points_reference(draw):
+    def stream(pr, rng):
+        found = 0
+        for _ in range(4 * pr.nprobes):
+            if found == pr.nprobes:
+                return
+            z = draw(pr, rng)
+            if z is not None and z not in pr.assigned_coords:
+                found += 1
+                yield z
+    return stream
+
+
+def random_pairs_reference(draw1, draw2):
+    def stream(pr, rng):
+        for _ in range(pr.nprobes):
+            z1, z2 = draw1(pr, rng), draw2(pr, rng)
+            if z1 is None or z2 is None or z1 == z2:
+                continue
+            if z1 not in pr.assigned_coords and z2 not in pr.assigned_coords:
+                yield z1, z2
+    return stream
+
+
+def generic_tangents_reference(pr, rng):
+    for _ in range(pr.nprobes):
+        z = oracle._random_proj_point(rng, pr.p)
+        if z in pr.assigned_coords:
+            continue
+        v = oracle._random_proj_point(rng, pr.p)
+        if not oracle._proportional(z, v, pr.p):
+            yield z, v
+
+
+def curve_tangents_reference(pr, rng):
+    for _ in range(pr.nprobes):
+        z = oracle._sample_curve_point(pr.geom, rng)
+        if z is None or z in pr.assigned_coords:
+            continue
+        v = oracle._curve_tangent(pr.geom, z)
+        if v is not None:
+            yield z, v
+
+
+REFERENCE_STREAMS = {
+    "on-line": line_points_reference,
+    "on-curve": fresh_points_reference(curve_point_reference),
+    "generic": fresh_points_reference(generic_point_reference),
+    "pair-on-line": line_pairs_reference,
+    "pair-on-curve": random_pairs_reference(fresh_curve_point_reference,
+                                            fresh_curve_point_reference),
+    "pair-generic": random_pairs_reference(generic_point_reference, generic_point_reference),
+    "pair-mixed": random_pairs_reference(fresh_curve_point_reference, generic_point_reference),
+    "tangent-generic": generic_tangents_reference,
+    "tangent-on-curve": curve_tangents_reference,
+}
+CATEGORIES = oracle._BASE_CATEGORIES + oracle._SEPARATION_CATEGORIES
+# no assigned point, one, and several
+STREAM_CLASSES = (ThreefoldClass(3, ()), parse_class("L3(3; 2)"), parse_class("L3(4; 2, 1^5)"))
+
+
+def as_lists(candidates):
+    return [as_lists(c) if isinstance(c, tuple) else int(c) for c in candidates]
+
+
+class ScriptedRandom(random.Random):
+    """A ``random.Random`` whose 32-bit words come from a script, then from
+    a seeded stream.  ``getrandbits(k)`` takes one word shifted right by
+    32 - k for k <= 32, and k / 32 words, the first in the low bits, for a
+    multiple of 32: as CPython's generator hands its words out, which
+    ``test_word_blocks_are_the_words_of_successive_draws`` checks."""
+
+    def __init__(self, script, seed):
+        self.script, self.base = list(script)[::-1], random.Random(seed)
+        super().__init__(seed)
+
+    def word(self):
+        return self.script.pop() if self.script else self.base.getrandbits(32)
+
+    def getrandbits(self, k):
+        if k <= 32:
+            return self.word() >> (32 - k)
+        assert k % 32 == 0
+        return sum(self.word() << (32 * i) for i in range(k // 32))
+
+
+def check_streams(pr, make_rng, names=None):
+    """Every category's candidates, from the rng make_rng(label) gives,
+    equal the reference stream's from another one like it."""
+    for name, label, stream, *_, needs_point in CATEGORIES:
+        if (needs_point and not pr.assigned) or (names and name not in names):
+            continue
+        got = stream(pr, make_rng(label))
+        want = list(REFERENCE_STREAMS[name](pr, make_rng(label)))
+        assert got.dtype == np.int64, name
+        assert got.tolist() == as_lists(want), (name, pr.p, pr.tag, pr.nprobes)
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+@pytest.mark.parametrize("nprobes", (16, 64, 100))
+def test_streams_match_the_scalar_streams(p, nprobes):
+    for seed in (0, 1):
+        geom = oracle.get_geometry(p, seed)
+        for c in STREAM_CLASSES:
+            pr = oracle._Probe("streams", geom, c, nprobes, None)
+            check_streams(pr, lambda label: pr.rng(label, nprobes))
+
+
+def test_word_blocks_are_the_words_of_successive_draws():
+    for seed in range(4):
+        block = random.Random(seed).getrandbits(32 * 100)
+        one, scripted = random.Random(seed), ScriptedRandom([], seed)
+        words = [one.getrandbits(32) for _ in range(100)]
+        assert block == sum(w << (32 * i) for i, w in enumerate(words))
+        assert block == scripted.getrandbits(32 * 100)
+        for p in POINT_PRIMES:
+            for n in (p - 1, p, p + 1, 1, 2):
+                a, b = random.Random(seed), ScriptedRandom([], seed)
+                assert [a.randrange(n) for _ in range(50)] == [b.randrange(n) for _ in range(50)]
+
+
+def scripted_probes(p, nprobes=16):
+    geom = oracle.get_geometry(p, 0)
+    return [oracle._Probe("streams", geom, c, nprobes, None) for c in STREAM_CLASSES[1:]]
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_streams_on_words_only_randrange_p_accepts(p):
+    # a word whose value is p - 1 is a coordinate of a random point but is
+    # passed over by randrange(1, p): the line streams with one assigned
+    # point mix the two
+    spare = (p - 1) << (32 - p.bit_length())
+    for pr in scripted_probes(p):
+        for every in (2, 3, 7):
+            base = random.Random(every)
+            script = [spare if i % every == 0 else base.getrandbits(32) for i in range(600)]
+            check_streams(pr, lambda label: ScriptedRandom(script, every))
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_streams_on_zero_points(p):
+    # runs of zero words draw random points of zero, which are drawn again;
+    # as fibre words they lift over (0:1), a fibre off the lift's shortcut
+    for pr in scripted_probes(p):
+        for run in (4, 5, 9, 13):
+            base = random.Random(run)
+            script = [0] * run + [base.getrandbits(32) for _ in range(7)] + [0] * run * 2
+            check_streams(pr, lambda label: ScriptedRandom(script, run))
+
+
+def fibre_words(geom, s, t):
+    """The word a curve draw reads as the fibre (s:t)."""
+    p = geom.prime
+    return (p if t == 0 else s) << (32 - (p + 1).bit_length())
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_streams_on_draws_of_assigned_points(p):
+    # 70 curve draws of an assigned point: a fresh curve point is drawn
+    # again, 64 times at most, and then there is none; random points of
+    # space at an assigned point are passed over, and a tangent's direction
+    # is not drawn for one
+    for pr in scripted_probes(p):
+        pt = pr.assigned[-1]
+        s, t = oracle._fiber_of(pt, p)
+        pick = oracle._fiber_points(pr.geom, s, t).index(pt) << 30
+        coords = [x << (32 - p.bit_length()) for x in pt]
+        for draws in (1, 3, 70):
+            for script in ([fibre_words(pr.geom, s, t), pick] * draws, coords * draws,
+                           coords + [1 << 20] * 7 + coords * draws):
+                check_streams(pr, lambda label: ScriptedRandom(script, draws))
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_curve_draws_after_512_fibres_without_points(p):
+    geom = oracle.get_geometry(p, 0)
+    empty = next(s for s in range(2, p) if not oracle._fiber_points(geom, s, 1))
+    script = [fibre_words(geom, empty, 1)] * 1100
+    scalar, block = ScriptedRandom(script, 5), ScriptedRandom(script, 5)
+    want = [oracle._sample_curve_point(geom, scalar) for _ in range(40)]
+    assert want[:2] == [None, None] and want[2] is not None
+    words = oracle._Words(block, geom)
+    z, ok = words.curve(40)
+    assert ok.tolist() == [w is not None for w in want]
+    assert z.tolist() == [list(w) if w else [0] * 4 for w in want]
+    for pr in scripted_probes(p):
+        check_streams(pr, lambda label: ScriptedRandom(script, 5),
+                      ("on-curve", "pair-on-curve", "pair-mixed", "tangent-on-curve"))
+
+
+def fibre_cases(p):
+    """Fibre coordinates s for a block: 0, 1, 2, p - 2, p - 1 and random."""
+    rng = random.Random(p)
+    return st.lists(st.sampled_from((0, 1, 2, p - 2, p - 1)) | st.integers(0, p - 1),
+                    min_size=1, max_size=12)
+
+
+@SETTINGS
+@given(st.sampled_from(POINT_PRIMES), st.data())
+@example(oracle.PRIMES[0], None)
+def test_fiber_block_matches_the_scalar_lift(p, data):
+    # the block's products stay below 2^62 with every coefficient and s at
+    # p - 1 or p - 2, where a product of three would pass 2^63
+    geom = oracle.get_geometry(p, 0)
+    if data is None:  # the largest entries
+        forms = ((p - 1, p - 2, p - 1), (p - 2, p - 1, p - 2), (p - 1, p - 1, p - 2))
+        s = [p - 1, p - 2, p - 1, 0, 1]
+    else:
+        coef = st.sampled_from((0, 1, p - 2, p - 1)) | st.integers(0, p - 1)
+        forms = tuple(tuple(data.draw(coef) for _ in range(3)) for _ in range(3))
+        s = data.draw(fibre_cases(p))
+    g = dataclasses.replace(geom, forms=forms)
+    a, b, c, disc, square, root = oracle._fiber_block(g, np.array(s, dtype=np.int64))
+    for k, sk in enumerate(s):
+        abc = oracle._fiber_quadratic(g, sk, 1)
+        assert (int(a[k]), int(b[k]), int(c[k])) == abc
+        assert int(disc[k]) == (abc[1] ** 2 - 4 * abc[0] * abc[2]) % p
+        expected = gfp.sqrt_mod(int(disc[k]), p)
+        assert bool(square[k]) == (expected is not None)
+        if root is not None and expected is not None:
+            assert int(root[k]) in (expected, -expected % p)
+
+
+def test_curve_draws_of_the_streams_lift_every_fibre_branch():
+    # the block lift against _fiber_points on the named fibres, through a
+    # scripted fibre word and pick word, at both kinds of prime
+    for p in (oracle.PRIMES[0], 65537):
+        geom = oracle.get_geometry(p, 0)
+        rng = random.Random(p)
+        for name, (s, t, abc, npts) in fiber_cases(p).items():
+            g = dataclasses.replace(geom, forms=forms_through(p, s, t, abc, rng))
+            expected = oracle._fiber_points(g, s, t)
+            for pick in range(npts):
+                script = [fibre_words(g, s, t), pick << 30]
+                z, ok = oracle._Words(ScriptedRandom(script, 0), g).curve(1)
+                assert ok[0] and tuple(z[0].tolist()) == expected[pick], (p, name, pick)
 
 
 @SETTINGS
@@ -1224,3 +1545,129 @@ def test_sketch_flags_exactly_the_full_test_on_the_golden_blocks(monkeypatch):
         full = full_test(kind, rows, pr.sysd.kernel, pr.p)
         assert mask.tolist() == full
         assert full_test(kind, rows, sketch[:PROBE_TESTS[kind]], pr.p) == full
+
+
+# ---------------------------------------------------------------------------
+# the tangent sketch without derivative_values
+
+TANGENT_CLASSES = {1: "L3(1; 1)", 2: "L3(2; 1^3)", 16: "L3(16; 5^2, 3)"}
+
+
+def tangent_probe(p, d):
+    return oracle._Probe("tangents", oracle.get_geometry(p, 0), parse_class(TANGENT_CLASSES[d]),
+                         0, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(tuple(TANGENT_CLASSES)), point_stacks())
+def test_tangent_sketch_matches_the_derivative_rows(d, case):
+    # the values along v from the partials of the sketch forms are the
+    # derivative rows times the sketch, at every point and direction
+    p, pts, dirs = case
+    pr = tangent_probe(p, d)
+    zs, vs = np.array(pts, dtype=np.int64), np.array(dirs, dtype=np.int64)
+    mono = oracle.monomial_values(zs, d, p)
+    got = pr.tangent_sketch(zs, vs, mono)
+    sketch = np.array(sketch_reference(pr.sysd.kernel, p), dtype=np.int64)
+    assert got.shape == (len(pts), 2, 2)
+    assert np.array_equal(got[:, 0], gfp.matmul_mod(mono, sketch.T, p))
+    deriv = np.array([derivative_reference(z, v, d, p) for z, v in zip(pts, dirs)], dtype=np.int64)
+    assert np.array_equal(got[:, 1], gfp.matmul_mod(deriv, sketch.T, p))
+    partials = pr.sysd.sketch_partials
+    assert partials.shape == (4, 2, oracle.monomial_exponents(d - 1).shape[0])
+
+
+def spy_derivatives(monkeypatch):
+    """The (points, directions) of every ``derivative_values`` call from
+    here on."""
+    calls = []
+    values = oracle.derivative_values
+
+    def spy(z, v, d, p):
+        calls.append((np.array(z).tolist(), np.array(v).tolist()))
+        return values(z, v, d, p)
+
+    monkeypatch.setattr(oracle, "derivative_values", spy)
+    return calls
+
+
+def sketch_flags(pr, z, v):
+    """Whether the sketch flags the tangent (z, v), from the reference
+    derivative row."""
+    d, p = pr.d, pr.p
+    rows = [monomial_reference(z, d, p), derivative_reference(z, v, d, p)]
+    vals = gfp.matmul_mod(np.array(rows, dtype=np.int64),
+                          np.array(sketch_reference(pr.sysd.kernel, p), dtype=np.int64).T, p)
+    return gfp.rank_mod(vals, p) <= 1
+
+
+def test_derivative_values_runs_on_flagged_tangents_only(monkeypatch):
+    calls = spy_derivatives(monkeypatch)
+    # an assigned double point flags every direction; random tangents
+    # flag none
+    pr = sketch_probe("L3(4; 2^2, 1^5)")
+    z, rng = pr.assigned[0], random.Random(7)
+    others = [(tuple(rng.randrange(pr.p) for _ in range(4)),
+               tuple(rng.randrange(pr.p) for _ in range(4))) for _ in range(5)]
+    block = [others[0], (z, others[1][1]), others[2], others[3], (z, others[4][1])]
+    assert pr.flat(block).tolist() == [False, True, False, False, True]
+    assert calls == [([list(z)] * 2, [list(others[1][1]), list(others[4][1])])]
+    calls.clear()
+    assert not pr.flat(others).any()
+    assert calls == []
+    # every call the golden classes' probes make holds flagged tangents only
+    for txt in json.loads(GOLDEN_ORACLE.read_text(encoding="utf-8")):
+        c = parse_class(txt)
+        for prime in oracle.PRIMES:
+            geom = oracle.get_geometry(prime, 0)
+            sysd = oracle.solve_system(geom, c)
+            calls.clear()
+            oracle.probe_separation(geom, c, 16, sysd)
+            probe = oracle._Probe("separation", geom, c, 16, sysd)
+            for zs, vs in calls:
+                assert all(sketch_flags(probe, z, v) for z, v in zip(zs, vs)), txt
+
+
+def patched_reference_streams(monkeypatch):
+    """The probe tables with every stream swapped for its reference."""
+    def as_array(reference):
+        return lambda pr, rng: np.array(as_lists(list(reference(pr, rng))), dtype=np.int64)
+
+    for table in ("_BASE_CATEGORIES", "_SEPARATION_CATEGORIES"):
+        rows = getattr(oracle, table)
+        monkeypatch.setattr(oracle, table, tuple(
+            r[:2] + (as_array(REFERENCE_STREAMS[r[0]]),) + r[3:] for r in rows))
+
+
+def test_battery_at_a_prime_one_mod_four_matches_the_scalar_streams(monkeypatch):
+    # one golden class of each witness kind, and a quiet one, whose probes
+    # run every category: the block curve draws take their roots by
+    # Tonelli-Shanks here
+    golden = json.loads(GOLDEN_ORACLE.read_text(encoding="utf-8"))
+    chosen = {}
+    for txt, entry in golden.items():
+        kinds = tuple(sorted({w["kind"] for r in entry["reports"] for rep in r[2:]
+                              for w in rep["witnesses"]}))
+        chosen.setdefault(kinds, txt)
+    roots = []
+    sqrt_mod = gfp.sqrt_mod
+
+    def spy(a, p):
+        roots.append(p)
+        return sqrt_mod(a, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(gfp, "sqrt_mod", spy)
+        _, ok = oracle._Words(random.Random(0), oracle.get_geometry(65537, 0)).curve(20)
+    assert roots == [65537] * len(roots) and len(roots) >= ok.sum() == 20
+    reports = {}
+    for patch in (False, True):
+        with monkeypatch.context() as m:
+            m.setattr(gfp, "sqrt_mod", spy)
+            if patch:
+                patched_reference_streams(m)
+            for txt in chosen.values():
+                report = oracle.run_battery(parse_class(txt), primes=(65537,), probes=64)
+                reports.setdefault(txt, []).append(report.to_dict())
+    for txt, (blocks, scalar) in reports.items():
+        assert blocks == scalar, txt
