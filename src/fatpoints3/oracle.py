@@ -893,7 +893,7 @@ class _Probe:
     def scan(self, min_h0: int, short_kind: str, categories: tuple) -> Optional[ProbeReport]:
         """Fire at once on fewer than min_h0 forms, else on the first witness.
 
-        The categories run in table order, each testing its candidates in
+        The categories run in table order, each scanning its candidates in
         draw order one block of at most _BLOCK at a time; None when none of
         them fired.
         """
@@ -1107,7 +1107,8 @@ class _Words:
 
     def _draw(self, n: int) -> None:
         block = self.rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-        self.words = np.concatenate([self.words, np.frombuffer(block, dtype="<u4")])
+        block = np.frombuffer(block, dtype="<u4").astype(np.int64)
+        self.words = np.concatenate([self.words, block]) if len(self.words) else block
 
     def take(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``randrange(b)`` for each bound b in turn, all of one bit length:
@@ -1158,9 +1159,10 @@ class _Words:
     def _build(self) -> None:
         """The walk's lookups over the words drawn: which are fibre words
         and how many points are over each, for each word the next word at
-        or after it over a fibre with points and below 2^31, and the count
-        of words randrange(p) accepts before it; where those are and the
-        values they give, and each fibre word's lift data."""
+        or after it over a fibre with points and below 2^31, and each fibre
+        word's lift data.  ``point`` adds, for each word, the count of
+        words randrange(p) accepts before it, where those are and their
+        values."""
         w, p, self.size = self.words, self.p, len(self.words)
         k = w >> (32 - (p + 1).bit_length())
         valid = k <= p
@@ -1183,11 +1185,7 @@ class _Words:
         self.valid, self.npts = valid, npts
         self.next_fiber = following(npts > 0)
         self.next_pick = following(w < 1 << 31)
-        coord = w >> (32 - p.bit_length())
-        accepted = coord < p
-        self.coords_before = np.concatenate([[0], np.cumsum(accepted)]).tolist()
-        self.coords = accepted.nonzero()[0].tolist()
-        self.coord_values = coord[accepted].tolist()
+        self.coords = None  # built by the first ``point``
 
     def curve_draw(self) -> Optional[tuple[int, int]]:
         """The draw ``_sample_curve_point`` reads at pos: the word of its
@@ -1214,6 +1212,12 @@ class _Words:
         while True:
             if self.size != len(self.words):
                 self._build()
+            if self.coords is None:
+                coord = self.words >> (32 - self.p.bit_length())
+                accepted = coord < self.p
+                self.coords_before = np.concatenate([[0], np.cumsum(accepted)]).tolist()
+                self.coords = accepted.nonzero()[0].tolist()
+                self.coord_values = coord[accepted].tolist()
             k = self.coords_before[self.pos]
             if k + 4 > len(self.coords):
                 self._draw(self.size + 64)
@@ -1365,7 +1369,10 @@ def _generic_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
 def _mixed_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
     """An unassigned curve point paired with a distinct unassigned point of
     space."""
-    words = _Words(rng, pr.geom, 16 * pr.nprobes + 64)
+    # words to draw: about 6 per curve draw, and 4 per random point, each
+    # kept with chance p / 2^bits
+    per_pair = 8 + (4 << pr.p.bit_length()) // pr.p
+    words = _Words(rng, pr.geom, per_pair * pr.nprobes + 64)
     z1, ok, z2 = _fresh_curve(pr, words, pr.nprobes, words.point)
     z2 = z2.reshape(-1, 4)
     z = np.stack([z1, z2], axis=1)

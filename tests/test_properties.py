@@ -22,10 +22,17 @@ checked against the general lift through ``_quad_roots`` on named fibres
 that reach every branch, and the curve-point draw against a draw through
 the general lift, random stream included.
 
+The probe categories parse their candidates from blocks of random words;
+every category's list is checked against the scalar stream it replaced,
+kept here, on seeded streams and on scripted words that reach the rare
+branches (words only randrange(p) accepts, zero points, draws of assigned
+points, 512 fibres without a point).
+
 The probe tests run through a two-form sketch of the basis before the
 whole basis; they are checked against the full test alone, with sketches
 made to flag every candidate and on every block the golden classes
-evaluate.
+evaluate.  The tangent sketch's values along a direction, taken from the
+partials of the sketch forms, are checked against the derivative rows.
 """
 
 from __future__ import annotations
@@ -675,9 +682,8 @@ def test_curve_draws_after_512_fibres_without_points(p):
                       ("on-curve", "pair-on-curve", "pair-mixed", "tangent-on-curve"))
 
 
-def fibre_cases(p):
+def fibre_coordinates(p):
     """Fibre coordinates s for a block: 0, 1, 2, p - 2, p - 1 and random."""
-    rng = random.Random(p)
     return st.lists(st.sampled_from((0, 1, 2, p - 2, p - 1)) | st.integers(0, p - 1),
                     min_size=1, max_size=12)
 
@@ -695,7 +701,7 @@ def test_fiber_block_matches_the_scalar_lift(p, data):
     else:
         coef = st.sampled_from((0, 1, p - 2, p - 1)) | st.integers(0, p - 1)
         forms = tuple(tuple(data.draw(coef) for _ in range(3)) for _ in range(3))
-        s = data.draw(fibre_cases(p))
+        s = data.draw(fibre_coordinates(p))
     g = dataclasses.replace(geom, forms=forms)
     a, b, c, disc, square, root = oracle._fiber_block(g, np.array(s, dtype=np.int64))
     for k, sk in enumerate(s):
