@@ -642,7 +642,7 @@ def test_streams_on_zero_points(p):
             check_streams(pr, lambda label: ScriptedRandom(script, run))
 
 
-def fibre_words(geom, s, t):
+def fibre_word(geom, s, t):
     """The word a curve draw reads as the fibre (s:t)."""
     p = geom.prime
     return (p if t == 0 else s) << (32 - (p + 1).bit_length())
@@ -660,7 +660,7 @@ def test_streams_on_draws_of_assigned_points(p):
         pick = oracle._fiber_points(pr.geom, s, t).index(pt) << 30
         coords = [x << (32 - p.bit_length()) for x in pt]
         for draws in (1, 3, 70):
-            for script in ([fibre_words(pr.geom, s, t), pick] * draws, coords * draws,
+            for script in ([fibre_word(pr.geom, s, t), pick] * draws, coords * draws,
                            coords + [1 << 20] * 7 + coords * draws):
                 check_streams(pr, lambda label: ScriptedRandom(script, draws))
 
@@ -669,7 +669,7 @@ def test_streams_on_draws_of_assigned_points(p):
 def test_curve_draws_after_512_fibres_without_points(p):
     geom = oracle.get_geometry(p, 0)
     empty = next(s for s in range(2, p) if not oracle._fiber_points(geom, s, 1))
-    script = [fibre_words(geom, empty, 1)] * 1100
+    script = [fibre_word(geom, empty, 1)] * 1100
     scalar, block = ScriptedRandom(script, 5), ScriptedRandom(script, 5)
     want = [oracle._sample_curve_point(geom, scalar) for _ in range(40)]
     assert want[:2] == [None, None] and want[2] is not None
@@ -724,7 +724,7 @@ def test_curve_draws_of_the_streams_lift_every_fibre_branch():
             g = dataclasses.replace(geom, forms=forms_through(p, s, t, abc, rng))
             expected = oracle._fiber_points(g, s, t)
             for pick in range(npts):
-                script = [fibre_words(g, s, t), pick << 30]
+                script = [fibre_word(g, s, t), pick << 30]
                 z, ok = oracle._Words(ScriptedRandom(script, 0), g).curve(1)
                 assert ok[0] and tuple(z[0].tolist()) == expected[pick], (p, name, pick)
 
