@@ -35,7 +35,6 @@ from .criteria import (
     classify,
 )
 from .divclass import (
-    ClassParseError,
     PlaneClass,
     QuadricClass,
     ThreefoldClass,
@@ -55,7 +54,6 @@ from .divclass import (
 
 SWEEP_CAP_DEGREE = 12
 SWEEP_CAP_POINTS = 16
-SWEEP_CAP_MULT = 5
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -433,8 +431,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--dmax={args.dmax} exceeds the sweep cap {SWEEP_CAP_DEGREE}")
     if args.rmax < 0 or args.rmax > SWEEP_CAP_POINTS:
         raise UsageError(f"--rmax={args.rmax} outside 0..{SWEEP_CAP_POINTS}")
-    if args.mmax < 1 or args.mmax > SWEEP_CAP_MULT:
-        raise UsageError(f"--mmax={args.mmax} outside 1..{SWEEP_CAP_MULT}")
+    if args.mmax < 1 or args.mmax > oracle_mod.MAX_MULT:
+        raise UsageError(f"--mmax={args.mmax} outside 1..{oracle_mod.MAX_MULT}")
     _require_curve_mode(Mode(args.mode))
     primes, seeds = _battery_args(args)
 
@@ -494,11 +492,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ClassParseError as err:
-        # the message already carries the offending position
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, RuntimeError) as err:
+        # a ClassParseError's message already carries the offending position
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as err:

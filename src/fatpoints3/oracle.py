@@ -81,14 +81,6 @@ def _quad_eval(q: Sequence[int], z: Sequence[int], p: int) -> int:
     return total % p
 
 
-def _quad_grad(q: Sequence[int], z: Sequence[int], p: int) -> list[int]:
-    g = [0, 0, 0, 0]
-    for (i, j), c in zip(_QUAD_PAIRS, q):
-        g[i] += c * z[j]
-        g[j] += c * z[i]
-    return [x % p for x in g]
-
-
 def _segre_forms(q: Sequence[int], p: int) -> tuple[tuple[int, ...], ...]:
     """Restriction of a quadric to the chart (s,t),(u,v) -> (su,sv,tu,tv).
 
@@ -180,65 +172,6 @@ def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
         (b[0] * tt + b[1] * st + b[2] * ss) % p,
         (c[0] * tt + c[1] * st + c[2] * ss) % p,
     )
-
-
-def _proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
-    """Whether two short vectors span at most a line: every 2x2 minor is 0."""
-    n = len(a)
-    return not any(
-        (a[i] * b[j] - a[j] * b[i]) % p for i in range(n) for j in range(i + 1, n)
-    )
-
-
-def _jacobian(geom: Geometry, pt: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Gradients of the two quadrics at the point: the curve's 2x4 Jacobian.
-
-    The fixed quadric xw - yz has gradient (w, -z, -y, x).
-    """
-    p = geom.prime
-    x, y, z, w = pt
-    return ([w, -z % p, -y % p, x], _quad_grad(geom.qprime, pt, p))
-
-
-def _tangent_basis(g1: Sequence[int], g2: Sequence[int], p: int) -> list[tuple[int, ...]]:
-    """Right-kernel basis of a rank-2 matrix with rows g1, g2 (length 4).
-
-    The same basis ``gfp.kernel_mod`` returns: the pivots c1 < c2 of the
-    reduced echelon form are the first nonzero column and the first column
-    independent of it, and by Cramer's rule column f reduces to
-    (D(f, c2), D(c1, f)) / D(c1, c2), with D the 2x2 minor on two columns.
-    The free column f gets the vector e_f minus that combination.
-    """
-    def minor(i: int, j: int) -> int:
-        return (g1[i] * g2[j] - g1[j] * g2[i]) % p
-
-    c1 = next(c for c in range(4) if g1[c] % p or g2[c] % p)
-    c2 = next(c for c in range(c1 + 1, 4) if minor(c1, c))
-    inv = pow(minor(c1, c2), -1, p)
-    basis = []
-    for f in range(4):
-        if f in (c1, c2):
-            continue
-        vec = [0, 0, 0, 0]
-        vec[f] = 1
-        vec[c1] = -minor(f, c2) * inv % p
-        vec[c2] = -minor(c1, f) * inv % p
-        basis.append(tuple(vec))
-    return basis
-
-
-def _curve_tangent(geom: Geometry, pt: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A tangent direction of the curve at a smooth point, not along the point.
-
-    Tries the two kernel basis vectors of the Jacobian, then their sum.
-    """
-    p = geom.prime
-    basis = _tangent_basis(*_jacobian(geom, pt), p)
-    total = tuple(sum(col) % p for col in zip(*basis))
-    for cand in basis + [total]:
-        if any(cand) and not _proportional(pt, cand, p):
-            return cand
-    return None
 
 
 def _curve_value(geom: Geometry, pt: Sequence[int]) -> int:
@@ -675,20 +608,18 @@ def monomial_values(z, d: int, p: int) -> np.ndarray:
 def derivative_values(z, v, d: int, p: int) -> np.ndarray:
     """Directional derivative of every degree-d monomial at z along v.
 
-    z and v are single points, or (n, 4) stacks paired row by row.
+    z and v are single points, or (n, 4) stacks paired row by row.  The
+    partial along x_k of the monomial x^e x_k, for e of degree d-1, is
+    (e_k + 1) x^e, so the values are the degree d-1 monomials at z placed
+    by ``_raised_monomials``.
     """
-    exps = monomial_exponents(d)
-    pw = _power_table(z, d, p)
+    raised, factor = _raised_monomials(d)
+    lower = monomial_values(z, d - 1, p)
     v = np.asarray(v, dtype=np.int64) % p
-    total = np.zeros(pw.shape[:-2] + (exps.shape[0],), dtype=np.int64)
+    total = np.zeros(lower.shape[:-1] + (monomial_exponents(d).shape[0],), dtype=np.int64)
     for k in range(4):
-        factor = exps[:, k] % p * v[..., k, None] % p
-        prod = np.ones_like(total)
-        for j in range(4):
-            drop = 1 if j == k else 0
-            prod = prod * pw[..., j, np.maximum(exps[:, j] - drop, 0)] % p
-        total = (total + factor * prod) % p
-    return total
+        total[..., raised[k]] += v[..., k, None] * factor[k] % p * lower % p
+    return total % p
 
 
 def _form_values(forms: np.ndarray, points: list, d: int, p: int) -> np.ndarray:
@@ -1043,15 +974,20 @@ def _fiber_block(geom: Geometry, s: np.ndarray) -> tuple:
 
 
 def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_curve_tangent`` at each curve point of an (n, 4) stack: the
-    directions, zero where there is none, and which rows have one.
+    """A tangent direction of the curve, not along the point, at each point
+    of an (n, 4) stack: the directions, zero where there is none, and which
+    rows have one.
 
-    Where the first two columns of the Jacobian are independent, its kernel
-    basis starts with e_2 - (D(2, 1) e_0 + D(0, 2) e_1) / D(0, 1), and that
-    is the direction unless it lies along the point; every other point goes
-    through ``_curve_tangent`` itself.
+    The direction is the first vector of the right-kernel basis
+    ``gfp.kernel_mod`` returns for the 2x4 Jacobian, or the second where the
+    first lies along the point.  The pivots c1 < c2 of its echelon form are
+    the first nonzero column and the first column independent of it, and
+    by Cramer's rule the free column f reduces to (D(f, c2), D(c1, f)) /
+    D(c1, c2), with D the 2x2 minor on two columns; its basis vector is e_f
+    minus that combination.  Two independent vectors never both lie along
+    one point, so every point with a Jacobian of rank 2 has a direction.
     """
-    p = geom.prime
+    p, n = geom.prime, points.shape[0]
     x, y, z, w = points.T
     grad1 = np.stack([w, -z % p, -y % p, x], axis=1)
     quad = np.zeros((4, 4), dtype=np.int64)
@@ -1059,23 +995,25 @@ def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
         quad[i, j] += coef
         quad[j, i] += coef
     grad2 = gfp.matmul_mod(points, quad % p, p)
-
-    def minor(i: int, j: int) -> np.ndarray:
-        return (grad1[:, i] * grad2[:, j] - grad1[:, j] * grad2[:, i]) % p
-
-    head = minor(0, 1)
-    ok = head != 0
-    inv = _inverses(head[ok], p)
-    dirs = np.zeros_like(points)
-    dirs[:, 2] = 1
-    dirs[ok, 0] = -minor(2, 1)[ok] * inv % p
-    dirs[ok, 1] = -minor(0, 2)[ok] * inv % p
-    ok &= ~_rank_le_1(points, dirs, p)
+    minors = (grad1[:, :, None] * grad2[:, None, :] - grad1[:, None, :] * grad2[:, :, None]) % p
+    rows = np.arange(n)
+    c1 = ((grad1 != 0) | (grad2 != 0)).argmax(axis=1)
+    # D(c1, c) = 0 for c <= c1, so c2 is the first column where it is not
+    independent = minors[rows, c1] != 0
+    ok = independent.any(axis=1)
+    # a row of rank below 2 takes c2 = 3 - c1, so it too has two free columns
+    c2 = np.where(ok, independent.argmax(axis=1), 3 - c1)
+    inv = _inverses(np.where(ok, minors[rows, c1, c2], 1), p)[:, None]
+    cols = np.arange(4)
+    free = np.nonzero((cols != c1[:, None]) & (cols != c2[:, None]))[1].reshape(n, 2)
+    rows, c1, c2 = rows[:, None], c1[:, None], c2[:, None]
+    basis = np.zeros((n, 2, 4), dtype=np.int64)
+    basis[rows, [0, 1], free] = 1
+    basis[rows, [0, 1], c1] = -minors[rows, free, c2] * inv % p
+    basis[rows, [0, 1], c2] = -minors[rows, c1, free] * inv % p
+    along = _rank_le_1(points, basis[:, 0], p)
+    dirs = np.where(along[:, None], basis[:, 1], basis[:, 0])
     dirs[~ok] = 0
-    for i in np.flatnonzero(~ok).tolist():
-        v = _curve_tangent(geom, tuple(points[i].tolist()))
-        if v is not None:
-            dirs[i], ok[i] = v, True
     return dirs, ok
 
 

@@ -22,6 +22,11 @@ checked against the general lift through ``_quad_roots`` on named fibres
 that reach every branch, and the curve-point draw against a draw through
 the general lift, random stream included.
 
+The curve's tangent directions are checked against the kernel basis
+``gfp.kernel_mod`` returns for a Jacobian built here: on points hypothesis
+picks, and on named points whose pivot columns are not 0 and 1 or whose
+first basis vector lies along the point.
+
 The probe categories parse their candidates from blocks of random words;
 every category's list is checked against the scalar stream it replaced,
 kept here, on seeded streams and on scripted words that reach the rare
@@ -173,31 +178,36 @@ def vectors(p, size=4):
     return st.lists(st.integers(0, p - 1) | st.just(0), min_size=size, max_size=size)
 
 
-@st.composite
-def jacobian_rows(draw):
-    """Two rows of length 4 of rank 0, 1 or 2."""
-    p = draw(st.sampled_from(PRIMES))
-    g1 = draw(vectors(p))
-    kind = draw(st.sampled_from(("random", "multiple", "zero")))
-    if kind == "random":
-        g2 = draw(vectors(p))
-    elif kind == "multiple":
-        lam = draw(st.integers(0, p - 1))
-        g2 = [lam * x % p for x in g1]
-    else:
-        g1 = [0, 0, 0, 0] if draw(st.booleans()) else g1
-        g2 = [0, 0, 0, 0]
-    if draw(st.booleans()):
-        g1, g2 = g2, g1
-    return g1, g2, p
+def jacobian(geom, pt):
+    """The curve's 2x4 Jacobian at pt: the gradients of xw - yz and of the
+    second quadric, from their coefficients over ``_QUAD_PAIRS``."""
+    p = geom.prime
+    rows = []
+    for q in (oracle._qbar_coeffs(p), geom.qprime):
+        grad = [0, 0, 0, 0]
+        for (i, j), c in zip(oracle._QUAD_PAIRS, q):
+            grad[i] += c * pt[j]
+            grad[j] += c * pt[i]
+        rows.append([x % p for x in grad])
+    return np.array(rows, dtype=np.int64)
 
 
-@SETTINGS
-@given(jacobian_rows())
-def test_proportional_matches_rank(case):
-    g1, g2, p = case
-    rank = gfp.rank_mod(np.array([g1, g2], dtype=np.int64), p)
-    assert oracle._proportional(g1, g2, p) == (rank <= 1)
+def along(a, b, p):
+    """Do the two vectors span at most a line?"""
+    return gfp.rank_mod(np.array([a, b], dtype=np.int64), p) <= 1
+
+
+def tangent_candidates(geom, pt):
+    """At a point whose Jacobian has rank 2: the two vectors of
+    ``gfp.kernel_mod`` of the Jacobian, in its order, then their sum."""
+    p = geom.prime
+    basis = [tuple(int(x) for x in row) for row in gfp.kernel_mod(jacobian(geom, pt), p)]
+    return basis + [tuple((a + b) % p for a, b in zip(*basis))]
+
+
+def curve_tangent_reference(geom, pt):
+    """The first tangent candidate not along the point, or None."""
+    return next((v for v in tangent_candidates(geom, pt) if not along(pt, v, geom.prime)), None)
 
 
 @st.composite
@@ -218,65 +228,75 @@ def geometry_points(draw):
     return geom, coords
 
 
+def tangent_geometry(qprime, p=P):
+    return oracle.Geometry(p, 0, 0, qprime, oracle._segre_forms(qprime, p), [], ())
+
+
 @SETTINGS
 @given(geometry_points())
 def test_smooth_at_matches_rank_of_jacobian(case):
+    # the curve is smooth at the point exactly when the two gradients are
+    # independent, and exactly there does the point get a direction
     geom, pt = case
-    p = geom.prime
-    jac = np.array(
-        [oracle._quad_grad(oracle._qbar_coeffs(p), pt, p),
-         oracle._quad_grad(geom.qprime, pt, p)],
-        dtype=np.int64,
-    )
-    # the curve is singular at the point exactly when the two gradients
-    # are proportional
-    assert oracle._proportional(*oracle._jacobian(geom, pt), p) == (gfp.rank_mod(jac, p) < 2)
-
-
-@SETTINGS
-@given(jacobian_rows())
-def test_tangent_basis_matches_kernel_mod(case):
-    g1, g2, p = case
-    jac = np.array([g1, g2], dtype=np.int64)
-    if gfp.rank_mod(jac, p) < 2:
-        return
-    expected = [tuple(int(x) for x in row) for row in gfp.kernel_mod(jac, p)]
-    assert oracle._tangent_basis(g1, g2, p) == expected
+    dirs, ok = oracle._tangents(geom, np.array([pt], dtype=np.int64))
+    assert ok[0] == (gfp.rank_mod(jacobian(geom, pt), geom.prime) == 2)
+    assert ok[0] or not dirs.any()
 
 
 @SETTINGS
 @given(geometry_points(), st.integers(0, 3))
-@example((oracle.Geometry(P, 0, 0, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-                          oracle._segre_forms((1, 2, 3, 4, 5, 6, 7, 8, 9, 10), P), [], ()),
-          (1, 2, 0, 0)), 0)  # D(0, 1) = 0: not the common case
+@example((tangent_geometry((1, 2, 3, 4, 5, 6, 7, 8, 9, 10)), (1, 2, 0, 0)), 0)  # D(0, 1) = 0
 def test_tangents_match_curve_tangent(case, extra):
     # a stack of points at which the Jacobian has rank 2, on or off the
-    # curve, against the scalar tangent at each; points whose first two
-    # Jacobian columns are dependent take the scalar route
+    # curve, against the reference tangent at each.  The sum of the basis
+    # vectors is never taken: two independent vectors never both lie along
+    # one point
     geom, pt = case
     p = geom.prime
-    assume(any(pt) and not oracle._proportional(*oracle._jacobian(geom, pt), p))
-    g = oracle.get_geometry(p, 0)
-    others = [q for q in g.points[:extra]]
-    geom = dataclasses.replace(geom, points=())
-    stack = np.array([pt] + [q for q in others if not oracle._proportional(
-        *oracle._jacobian(geom, q), p)], dtype=np.int64)
+    assume(gfp.rank_mod(jacobian(geom, pt), p) == 2)
+    others = [q for q in oracle.get_geometry(p, 0).points[:extra]
+              if gfp.rank_mod(jacobian(geom, q), p) == 2]
+    stack = np.array([pt] + others, dtype=np.int64)
     dirs, ok = oracle._tangents(geom, stack)
-    for row, v, found in zip(stack.tolist(), dirs.tolist(), ok.tolist()):
-        expected = oracle._curve_tangent(geom, tuple(row))
-        assert found == (expected is not None)
-        assert tuple(v) == (expected or (0, 0, 0, 0))
+    assert ok.all()
+    for row, v in zip(stack.tolist(), dirs.tolist()):
+        expected = curve_tangent_reference(geom, row)
+        assert tuple(v) == expected
+        assert tangent_candidates(geom, row).index(expected) < 2
+
+
+TANGENT_CASES = {
+    # name: (second quadric, point, pivot columns c1 and c2, basis vector taken)
+    "c1 > 0": ((6, 6, 0, 4, 8, 7, 6, 4, 7, 5), (0, 0, 1, 0), [1, 2], 0),
+    "c2 > c1 + 1": ((4, 3, 1, 9, 5, 3, 9, 8, 5, 2), (0, 1, 0, 0), [0, 2], 0),
+    "basis 0 along the point": ((8, 7, 9, 5, 8, 2, 2, 0, 7, 2), (0, 0, 1, 0), [0, 1], 1),
+    "c1 > 0, c2 > c1 + 1, basis 0 along the point": ((0, 4, 7, 1, 4, 2, 8, 5, 1, 2), (1, 0, 0, 0), [1, 3], 1),
+}
+
+
+@pytest.mark.parametrize("name", TANGENT_CASES)
+def test_tangents_named_cases(name):
+    qprime, pt, pivots, taken = TANGENT_CASES[name]
+    geom = tangent_geometry(qprime)
+    assert gfp.rref_mod(jacobian(geom, pt), P)[1] == pivots
+    candidates = tangent_candidates(geom, pt)
+    assert along(pt, candidates[0], P) == (taken == 1)
+    dirs, ok = oracle._tangents(geom, np.array([pt], dtype=np.int64))
+    assert ok[0]
+    assert tuple(dirs[0].tolist()) == candidates[taken] == curve_tangent_reference(geom, pt)
 
 
 def test_curve_tangents_lie_in_the_tangent_space():
     g = oracle.get_geometry(oracle.PRIMES[0], 0)
     p = g.prime
-    for pt in g.points:
-        v = oracle._curve_tangent(g, pt)
-        assert v is not None
-        for grad in oracle._jacobian(g, pt):
+    dirs, ok = oracle._tangents(g, np.array(g.points, dtype=np.int64))
+    assert ok.all()
+    for pt, got in zip(g.points, dirs.tolist()):
+        v = curve_tangent_reference(g, pt)
+        assert tuple(got) == v
+        for grad in jacobian(g, pt).tolist():
             assert sum(a * b for a, b in zip(grad, v)) % p == 0
-        assert not oracle._proportional(pt, v, p)
+        assert not along(pt, v, p)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +542,7 @@ def generic_tangents_reference(pr, rng):
         if z in pr.assigned_coords:
             continue
         v = oracle._random_proj_point(rng, pr.p)
-        if not oracle._proportional(z, v, pr.p):
+        if not along(z, v, pr.p):
             yield z, v
 
 
@@ -531,7 +551,7 @@ def curve_tangents_reference(pr, rng):
         z = oracle._sample_curve_point(pr.geom, rng)
         if z is None or z in pr.assigned_coords:
             continue
-        v = oracle._curve_tangent(pr.geom, z)
+        v = curve_tangent_reference(pr.geom, z)
         if v is not None:
             yield z, v
 
@@ -743,7 +763,10 @@ def test_rank_le_1_rowwise_matches_rank(p, width, data):
             lam = data.draw(st.integers(0, p - 1))
             b = [lam * x % p for x in a]
         else:
+            a = [0] * (width + 1) if data.draw(st.booleans()) else a
             b = [0] * (width + 1)
+        if data.draw(st.booleans()):
+            a, b = b, a
         rows.append((a, b))
     a = np.array([r[0] for r in rows], dtype=np.int64)
     b = np.array([r[1] for r in rows], dtype=np.int64)
@@ -1382,7 +1405,7 @@ def derivative_reference(z, v, d, p):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from((0, 1, 16)), point_stacks())
+@given(st.sampled_from((0, 1, 2, 16)), point_stacks())
 def test_stacked_values_match_per_point(d, case):
     p, pts, dirs = case
     mono = oracle.monomial_values(np.array(pts, dtype=np.int64), d, p)
@@ -1395,10 +1418,12 @@ def test_stacked_values_match_per_point(d, case):
         single = oracle.monomial_values(z, d, p)
         assert single.shape == (ncols,)
         assert np.array_equal(mono[k], single)
-        assert np.array_equal(deriv[k], oracle.derivative_values(z, v, d, p))
-    z, v = pts[0], dirs[0]
+        unstacked = oracle.derivative_values(z, v, d, p)
+        assert unstacked.shape == (ncols,)
+        assert np.array_equal(deriv[k], unstacked)
+        assert unstacked.tolist() == derivative_reference(z, v, d, p)
+    z = pts[0]
     assert oracle.monomial_values(z, d, p).tolist() == monomial_reference(z, d, p)
-    assert oracle.derivative_values(z, v, d, p).tolist() == derivative_reference(z, v, d, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1577,6 +1602,8 @@ def test_tangent_sketch_matches_the_derivative_rows(d, case):
     sketch = np.array(sketch_reference(pr.sysd.kernel, p), dtype=np.int64)
     assert got.shape == (len(pts), 2, 2)
     assert np.array_equal(got[:, 0], gfp.matmul_mod(mono, sketch.T, p))
+    # against the reference rows, not derivative_values: both that and the
+    # sketch partials read _raised_monomials
     deriv = np.array([derivative_reference(z, v, d, p) for z, v in zip(pts, dirs)], dtype=np.int64)
     assert np.array_equal(got[:, 1], gfp.matmul_mod(deriv, sketch.T, p))
     partials = pr.sysd.sketch_partials
