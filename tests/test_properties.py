@@ -749,6 +749,36 @@ def test_curve_draws_of_the_streams_lift_every_fibre_branch():
                 assert ok[0] and tuple(z[0].tolist()) == expected[pick], (p, name, pick)
 
 
+@st.composite
+def jacobian_rows(draw):
+    """Two rows of length 4 of rank 0, 1 or 2."""
+    p = draw(st.sampled_from(PRIMES))
+    g1 = draw(vectors(p))
+    kind = draw(st.sampled_from(("random", "multiple", "zero")))
+    if kind == "random":
+        g2 = draw(vectors(p))
+    elif kind == "multiple":
+        lam = draw(st.integers(0, p - 1))
+        g2 = [lam * x % p for x in g1]
+    else:
+        g1 = [0, 0, 0, 0] if draw(st.booleans()) else g1
+        g2 = [0, 0, 0, 0]
+    if draw(st.booleans()):
+        g1, g2 = g2, g1
+    return g1, g2, p
+
+
+@SETTINGS
+@given(jacobian_rows())
+def test_proportional_matches_rank(case):
+    # two gradients are proportional exactly when the 1-row _rank_le_1
+    # says so
+    g1, g2, p = case
+    rank = gfp.rank_mod(np.array([g1, g2], dtype=np.int64), p)
+    got = oracle._rank_le_1(np.array([g1], dtype=np.int64), np.array([g2], dtype=np.int64), p)
+    assert bool(got[0]) == (rank <= 1)
+
+
 @SETTINGS
 @given(st.sampled_from(PRIMES), st.integers(0, 4), st.data())
 def test_rank_le_1_rowwise_matches_rank(p, width, data):
