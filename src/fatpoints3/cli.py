@@ -81,11 +81,24 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write output to FILE instead of stdout")
 
+    def add_mode(p):
+        p.add_argument("--mode", choices=[m.value for m in Mode],
+                       default=Mode.ON_ANTICANONICAL.value,
+                       help="point position model (default: on-anticanonical)")
+
+    def add_battery(p, probes, probes_help):
+        add_mode(p)
+        p.add_argument("--prime", type=int, action="append", default=None,
+                       help="field size; repeat for several (default: built-in battery)")
+        p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
+        p.add_argument("--trials", type=int, default=len(oracle_mod.DEFAULT_SEEDS),
+                       help="seeds per prime (default: %(default)s)")
+        p.add_argument("--probes", type=int, default=probes,
+                       help=f"probe points per category, {probes_help} (default: %(default)s)")
+
     p = sub.add_parser("classify", help="combinatorial verdicts for a space class")
     p.add_argument("cls", metavar="CLASS", help='e.g. "L3(5; 2^5, 1^7)"')
-    p.add_argument("--mode", choices=[m.value for m in Mode],
-                   default=Mode.ON_ANTICANONICAL.value,
-                   help="point position model (default: on-anticanonical)")
+    add_mode(p)
     p.add_argument("--certificates", action="store_true",
                    help="attach induction certificates for passing verdicts")
     add_common(p)
@@ -100,15 +113,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exact finite-field dimensions and probes")
     p.add_argument("cls", metavar="CLASS")
-    p.add_argument("--mode", choices=[m.value for m in Mode],
-                   default=Mode.ON_ANTICANONICAL.value)
-    p.add_argument("--prime", type=int, action="append", default=None,
-                   help="field size; repeat for several (default: built-in battery)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-    p.add_argument("--trials", type=int, default=len(oracle_mod.DEFAULT_SEEDS),
-                   help="seeds per prime (default: %(default)s)")
-    p.add_argument("--probes", type=int, default=oracle_mod.DEFAULT_PROBES,
-                   help="probe points per category, 0 disables (default: %(default)s)")
+    add_battery(p, oracle_mod.DEFAULT_PROBES, "0 disables")
     add_common(p)
 
     p = sub.add_parser("sweep", help="compare checkers against the engine on a box")
@@ -116,14 +121,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--rmax", type=int, default=6)
     p.add_argument("--mmax", type=int, default=1)
-    p.add_argument("--mode", choices=[m.value for m in Mode],
-                   default=Mode.ON_ANTICANONICAL.value)
-    p.add_argument("--prime", type=int, action="append", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=len(oracle_mod.DEFAULT_SEEDS))
-    p.add_argument("--probes", type=int, default=16,
-                   help="probe points per category, 0 keeps the sweep dimension-only "
-                        "(default: %(default)s)")
+    add_battery(p, 16, "0 keeps the sweep dimension-only")
     add_common(p, with_csv=True)
 
     return parser

@@ -386,7 +386,8 @@ def divide_out_root(f: list[int], x0: int, p: int) -> tuple[list[int], int]:
 
 
 def rational_roots(f: Sequence[int], p: int, rng: random.Random) -> list[int]:
-    """All roots of f in GF(p), sorted; multiplicities not repeated."""
+    """All roots of f in GF(p), sorted; multiplicities not repeated.  rng
+    needs only a ``randrange`` method."""
     f = ptrim(list(f))
     if not f or pdeg(f) == 0:
         return []

@@ -183,37 +183,12 @@ def _curve_value(geom: Geometry, pt: Sequence[int]) -> int:
 
 def _fiber_points(geom: Geometry, s: int, t: int) -> list[tuple[int, int, int, int]]:
     """The curve's rational points over (s:t), in ``_quad_roots`` order;
-    [] when there is none or the fiber form vanishes identically.
-
-    Over (s:1) with s and c nonzero the points are (1 : v : 1/s : v/s) for
-    the roots v of a + b v + c v^2, and one inverse of 2cs gives both
-    1/(2c) = s/(2cs) and 1/s = 2c/(2cs)."""
+    [] when there is none or the fiber form vanishes identically."""
     p = geom.prime
     a, b, c = _fiber_quadratic(geom, s, t)
-    if t == 1 and c and s % p:
-        root = gfp.sqrt_mod(b * b - 4 * a * c, p)
-        if root is None:
-            return []
-        inv = pow(2 * c * s, -1, p)
-        r_s = 2 * c * inv % p
-        vs = sorted({(-b + root) * s * inv % p, (-b - root) * s * inv % p})
-        return [(1, v, r_s, v * r_s % p) for v in vs]
     if a == 0 and b == 0 and c == 0:
         return []
     return [_segre_point(s, t, u, v, p) for u, v in _quad_roots(a, b, c, p)]
-
-
-def _sample_curve_point(geom: Geometry, rng: random.Random) -> Optional[tuple]:
-    """A random curve point; smooth, as ``build_geometry`` accepts only a
-    squarefree discriminant.  None after 512 fibers without one."""
-    p = geom.prime
-    for _ in range(512):
-        k = rng.randrange(p + 1)
-        s, t = ((1, 0) if k == p else (k, 1))
-        pts = _fiber_points(geom, s, t)
-        if pts:
-            return pts[rng.randrange(len(pts))]
-    return None
 
 
 def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geometry:
@@ -227,6 +202,8 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
         raise ValueError(f"{prime} is not prime")
     if prime < 65537 or prime >= gfp.MAX_MODULUS:
         raise ValueError("prime must lie in [65537, 2^31) for the exact kernels")
+    if npoints < 0:
+        raise ValueError(f"npoints must be nonnegative, got {npoints}")
     for attempt in range(256):
         rng = random.Random(derive_seed("geometry", prime, seed, attempt))
         qprime = tuple(rng.randrange(prime) for _ in _QUAD_PAIRS)
@@ -240,23 +217,20 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
         if not _squarefree_binary_form(delta, 4, prime):
             continue
         geom = Geometry(prime, seed, attempt, qprime, forms, delta, ())
-        prng = random.Random(derive_seed("points", prime, seed, attempt))
-        points: list[tuple] = []
-        ok = True
-        for _ in range(64 * npoints):
-            if len(points) == npoints:
+        words = _Words(random.Random(derive_seed("points", prime, seed, attempt)), geom,
+                       8 * npoints + 64)
+        # distinct points in draw order, from at most 64 * npoints curve
+        # draws, each round drawing only as many as are still wanted
+        points: dict[tuple, None] = {}
+        drawn = 0
+        while len(points) < npoints and drawn < 64 * npoints:
+            k = min(npoints - len(points), 64 * npoints - drawn)
+            z, ok = words.curve(k)
+            drawn += k
+            if not ok.all():
                 break
-            pt = _sample_curve_point(geom, prng)
-            if pt is None:
-                ok = False
-                break
-            if pt in points:
-                continue
-            if _curve_value(geom, pt):
-                ok = False
-                break
-            points.append(pt)
-        if ok and len(points) == npoints:
+            points.update(dict.fromkeys(map(tuple, z.tolist())))
+        if len(points) == npoints and not any(_curve_value(geom, pt) for pt in points):
             return replace(geom, points=tuple(points))
     raise RuntimeError(f"no smooth configuration found for prime={prime} seed={seed}")
 
@@ -654,13 +628,6 @@ def _vanishing_at(kernel: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
     return (kernel[free] - np.outer(ratio, kernel[i])) % p
 
 
-def _random_proj_point(rng: random.Random, p: int) -> tuple[int, int, int, int]:
-    while True:
-        z = tuple(rng.randrange(p) for _ in range(4))
-        if any(z):
-            return z
-
-
 # ---------------------------------------------------------------------------
 # resultant hunts on the curve
 
@@ -688,9 +655,10 @@ def hunt_common_zeros(
     d: int,
     assigned: Sequence[tuple],
     exclude: frozenset,
-    rng: random.Random,
+    rng: random.Random | _Words,
 ) -> list[tuple]:
-    """Rational curve points, off the assigned set, where every form vanishes.
+    """Rational curve points, off the assigned set, where every form vanishes;
+    rng needs only a ``randrange`` method.
 
     Eliminates the fiber coordinate by a resultant against the curve
     equation, interpolated from 4d+1 exact evaluations; shared roots of two
@@ -1018,21 +986,23 @@ def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 class _Words:
-    """One category's random words, drawn in blocks and read in the order
-    the scalar draws read them.
+    """One stream's random words, drawn in blocks and read as the
+    ``randrange`` calls of its draws read them.
 
     ``randrange(n)`` takes 32-bit words until one, shifted right by
     ``32 - n.bit_length()``, is below n, and one ``getrandbits(32 k)``
-    returns the next k words, the first in the low bits.  So a category's
+    returns the next k words, the first in the low bits.  So a stream's
     draws are parsed from word blocks in numpy.  Its ``random.Random`` is
-    private and dropped when the category ends, so words drawn past the
-    last one read change no candidate.  ``pos`` is the first word not read.
+    private to it, so words drawn past the last one read change no draw.
+    ``pos`` is the first word not read.
 
-    A curve draw (``_sample_curve_point``) reads fibre words until one over
-    a fibre with points, then a word that ``randrange(1)`` or
-    ``randrange(2)`` accepts, which either does exactly when the word is
-    below 2^31.  For it every word is read once as a fibre, in numpy, and a
-    walk looks up the next word of each kind.
+    A point of space is four ``randrange(p)``, drawn again while all four
+    are zero.  A curve draw is ``randrange(p + 1)``, the fibre (k:1) for k
+    below p and (1:0) for p, until a fibre with points, at most 512 times,
+    and then ``randrange(n)`` picks one of the fibre's n points; for n = 1
+    or 2 that accepts exactly the words below 2^31.  For it every word is
+    read once as a fibre, in numpy, and a walk looks up the next word of
+    each kind.
     """
 
     def __init__(self, rng: random.Random, geom: Geometry, reserve: int = 0):
@@ -1076,11 +1046,15 @@ class _Words:
         self.pos = start + int(taken[-1]) + 1
         return vals[taken], start + taken
 
+    def randrange(self, n: int) -> int:
+        """``randrange(n)`` read at pos, for 0 < n < 2^32."""
+        return int(self.take(np.array([n], dtype=np.int64))[0][0])
+
     def points(self, count: int, tail: tuple = ()) -> np.ndarray:
-        """count draws of ``_random_proj_point``, each followed by one
-        ``randrange(b)`` per bound b of tail, all of the bit length of p:
-        shape (count, 4 + len(tail)).  A zero point is drawn again, so its
-        draws are read again from the word after it."""
+        """count points of space, each followed by one ``randrange(b)`` per
+        bound b of tail, all of the bit length of p: shape (count, 4 +
+        len(tail)).  A zero point is drawn again, so its draws are read
+        again from the word after it."""
         unit = np.array((self.p,) * 4 + tail, dtype=np.int64)
         rows = []
         while True:
@@ -1126,9 +1100,8 @@ class _Words:
         self.coords = None  # built by the first ``point``
 
     def curve_draw(self) -> Optional[tuple[int, int]]:
-        """The draw ``_sample_curve_point`` reads at pos: the word of its
-        fibre and its pick among the fibre's points, or None after 512
-        fibres without one."""
+        """The curve draw read at pos: the word of its fibre and its pick
+        among the fibre's points, or None after 512 fibres without one."""
         while True:
             if self.size != len(self.words):
                 self._build()
@@ -1146,7 +1119,7 @@ class _Words:
             self._draw(size + 64)
 
     def point(self) -> tuple:
-        """The draw ``_random_proj_point`` reads at pos."""
+        """The point of space read at pos."""
         while True:
             if self.size != len(self.words):
                 self._build()
@@ -1195,7 +1168,7 @@ class _Words:
         return out, ok
 
     def curve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """count draws of ``_sample_curve_point``, lifted."""
+        """count curve draws, lifted."""
         return self.lift([self.curve_draw() for _ in range(count)])
 
 
@@ -1456,7 +1429,7 @@ def probe_separation(
         )
         pr.checked["base-point-hunt"] = 1
         if found:
-            other = _random_proj_point(pr.rng("sep-pair"), p)
+            other = _Words(pr.rng("sep-pair"), geom).point()
             report = pair_witness("unseparated-base-point", found[0], other)
             if report:
                 return report
@@ -1464,24 +1437,25 @@ def probe_separation(
 
     # curve degree 2: each curve point has a partner no form separates
     if pr.sysd.curve_degree == 2 and d >= 1:
-        rng = pr.rng("sep-conjugate")
+        words = _Words(pr.rng("sep-conjugate"), geom)
         tried = 0
         for _ in range(8):
-            z1 = _sample_curve_point(geom, rng)
-            if z1 is None or z1 in pr.assigned_coords:
+            z, ok = words.curve(1)
+            z1 = tuple(z[0].tolist())
+            if not ok[0] or z1 in pr.assigned_coords:
                 continue
             tried += 1
             pr.checked["conjugate-hunt"] = tried
             w1 = _form_values(kernel, [z1], d, p)[0]
             if not w1.any():
-                other = _random_proj_point(rng, p)
+                other = words.point()
                 report = pair_witness("unseparated-base-point", z1, other)
                 if report:
                     return report
                 continue
             sub = _vanishing_at(kernel, w1, p)
             partners = hunt_common_zeros(
-                geom, sub, d, pr.assigned, frozenset([z1]), rng
+                geom, sub, d, pr.assigned, frozenset([z1]), words
             )
             for z2 in partners:
                 report = pair_witness("conjugate-pair", z1, z2)

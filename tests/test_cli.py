@@ -7,6 +7,7 @@ separately exercises the installed console script through a subprocess.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,30 @@ def test_sweep_output_deterministic(tmp_path, capsys):
         assert code == 0
         assert out == ""  # --out suppresses stdout
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_oracle_and_sweep_parse_battery_options_alike():
+    parser = cli._build_parser()
+    given_args = ["--mode", "general-position", "--prime", "65537", "--prime", "1000003",
+                  "--seed", "7", "--trials", "2", "--probes", "5"]
+    parsed = {"mode": "general-position", "prime": [65537, 1000003], "seed": 7,
+              "trials": 2, "probes": 5}
+    defaults = {"mode": "on-anticanonical", "prime": None, "seed": 0, "trials": 5}
+    for command, probes in ((["oracle", "L3(2; 1)"], 64), (["sweep"], 16)):
+        args = vars(parser.parse_args(command + given_args))
+        assert {k: args[k] for k in parsed} == parsed
+        args = vars(parser.parse_args(command))
+        assert {k: args[k] for k in parsed} == dict(defaults, probes=probes)
+    bad = {
+        ("--seed", "x"): "argument --seed: invalid int value: 'x'",
+        ("--trials", "1.5"): "argument --trials: invalid int value: '1.5'",
+        ("--mode", "nowhere"): "argument --mode: invalid choice: 'nowhere' "
+                               "(choose from 'on-anticanonical', 'general-position')",
+    }
+    for argv, message in bad.items():
+        for command in (["oracle", "L3(2; 1)"], ["sweep"]):
+            with pytest.raises(cli.UsageError, match=f"^{re.escape(message)}$"):
+                parser.parse_args(command + list(argv))
 
 
 def test_csv_not_offered_outside_sweep(capsys):

@@ -145,6 +145,12 @@ def test_validation_errors():
         oracle.build_geometry(97, 0)  # below the supported field size
 
 
+def test_build_geometry_rejects_a_negative_point_count():
+    with pytest.raises(ValueError, match=r"^npoints must be nonnegative, got -1$"):
+        oracle.build_geometry(oracle.PRIMES[0], 0, -1)
+    assert oracle.build_geometry(oracle.PRIMES[0], 0, 0).points == ()
+
+
 def test_negative_degree_system():
     sysd = oracle.solve_system(geom0(), ThreefoldClass(-1, (1,)))
     assert sysd.h0 == 0 and sysd.dim == -1 and sysd.h1 >= 0
@@ -496,8 +502,9 @@ def test_curve_draws_are_smooth_points_of_both_quadrics():
         for seed in range(6):
             g = oracle.get_geometry(p, seed)
             rng = random.Random(oracle.derive_seed("test-draws", p, seed))
-            for _ in range(300):
-                z = oracle._sample_curve_point(g, rng)
+            zs, ok = oracle._Words(rng, g).curve(300)
+            assert ok.all()
+            for z in map(tuple, zs.tolist()):
                 assert oracle._quad_eval(qbar, z, p) == 0
                 assert oracle._quad_eval(g.qprime, z, p) == 0
                 assert gfp.rank_mod(jacobian(g, z), p) == 2

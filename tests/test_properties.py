@@ -385,7 +385,8 @@ def forms_through(p, s, t, abc, rng):
 
 def fiber_cases(p):
     """Named (s, t, (a, b, c), number of points) cases: every branch of the
-    lift, the fast one over (s:1) with s, c nonzero and the general one."""
+    lift, the block lift's shortcut over (s:1) with s, c nonzero and the
+    general one."""
     nonresidue = next(n for n in range(2, p) if gfp.legendre(n, p) == -1)
     half = pow(2, -1, p)
     v1, v2, w = 3, p - 7, 12345
@@ -430,7 +431,9 @@ def test_fiber_points_named_cases(p):
 
 
 def reference_draw(geom, rng):
-    """``_sample_curve_point`` with the lift before its fast path."""
+    """A curve draw one ``randrange`` at a time: a fibre, k for (k:1) and p
+    for (1:0), until one with points, at most 512 times, then a pick among
+    them; None after 512 fibres without one."""
     p = geom.prime
     for _ in range(512):
         k = rng.randrange(p + 1)
@@ -441,16 +444,72 @@ def reference_draw(geom, rng):
     return None
 
 
+def random_proj_point_reference(rng, p):
+    """A point of space one ``randrange`` at a time, drawn again while it is
+    zero."""
+    while True:
+        z = tuple(rng.randrange(p) for _ in range(4))
+        if any(z):
+            return z
+
+
 @pytest.mark.parametrize("p", POINT_PRIMES)
 def test_curve_draws_consume_the_random_stream_as_before(p):
     # the same points, and the same random numbers consumed, including the
     # randrange(1) that picks the one point over a double root
     geom = oracle.get_geometry(p, 0)
     seed = oracle.derive_seed("draw-stream", p)
-    fast, slow = random.Random(seed), random.Random(seed)
-    for _ in range(2000):
-        assert oracle._sample_curve_point(geom, fast) == reference_draw(geom, slow)
-    assert fast.getstate() == slow.getstate()
+    words, slow = oracle._Words(random.Random(seed), geom), ScriptedRandom([], seed)
+    z, ok = words.curve(2000)
+    want = [reference_draw(geom, slow) for _ in range(2000)]
+    assert ok.all() and z.tolist() == [list(w) for w in want]
+    assert words.pos == slow.read
+
+
+def build_geometry_reference(prime, seed, npoints):
+    """``build_geometry`` with its points drawn one at a time by
+    ``reference_draw``, a repeated point skipped: the geometry, and how many
+    draws were skipped."""
+    for attempt in range(256):
+        rng = random.Random(oracle.derive_seed("geometry", prime, seed, attempt))
+        qprime = tuple(rng.randrange(prime) for _ in oracle._QUAD_PAIRS)
+        a, b, c = forms = oracle._segre_forms(qprime, prime)
+        delta = tuple(gfp.padd(gfp.pmul(b, b, prime),
+                               gfp.pscale(gfp.pmul(a, c, prime), -4, prime), prime))
+        if not oracle._squarefree_binary_form(delta, 4, prime):
+            continue
+        geom = oracle.Geometry(prime, seed, attempt, qprime, forms, delta, ())
+        prng = random.Random(oracle.derive_seed("points", prime, seed, attempt))
+        points, skipped = [], 0
+        for _ in range(64 * npoints):
+            if len(points) == npoints:
+                break
+            pt = reference_draw(geom, prng)
+            if pt is None:
+                break
+            if pt in points:
+                skipped += 1
+                continue
+            if oracle._curve_value(geom, pt):
+                break
+            points.append(pt)
+        if len(points) == npoints:
+            return dataclasses.replace(geom, points=tuple(points)), skipped
+    raise AssertionError("no configuration")
+
+
+def test_geometry_points_match_the_scalar_draws():
+    # 600 geometries, none of which draws a point twice, and two at 65537
+    # with enough points that a draw repeats one
+    cases = [(p, seed, n) for p in oracle.PRIMES + (65537, P)
+             for seed in range(40) for n in (1, 16, 40)]
+    skipped = 0
+    for p, seed, n in cases + [(65537, 0, 200), (65537, 5, 300)]:
+        got = oracle.build_geometry(p, seed, n)
+        want, repeats = build_geometry_reference(p, seed, n)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want), (p, seed, n)
+        skipped += repeats
+    assert skipped >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +535,7 @@ def line_points_reference(pr, rng):
                 yield z
     else:
         for _ in range(4):
-            direction = oracle._random_proj_point(rng, p)
+            direction = random_proj_point_reference(rng, p)
             for _ in range(max(1, pr.nprobes // 4)):
                 z = lin(1, p1, rng.randrange(1, p), direction, p)
                 if any(z) and z not in pr.assigned_coords:
@@ -487,7 +546,7 @@ def line_pairs_reference(pr, rng):
     p, p1 = pr.p, pr.assigned[0]
     two = len(pr.assigned) >= 2
     for _ in range(pr.nprobes if two else max(1, pr.nprobes // 2)):
-        p2 = pr.assigned[1] if two else oracle._random_proj_point(rng, p)
+        p2 = pr.assigned[1] if two else random_proj_point_reference(rng, p)
         l1, l2 = rng.randrange(1, p), rng.randrange(1, p)
         if l1 == l2:
             continue
@@ -497,11 +556,11 @@ def line_pairs_reference(pr, rng):
 
 
 def curve_point_reference(pr, rng):
-    return oracle._sample_curve_point(pr.geom, rng)
+    return reference_draw(pr.geom, rng)
 
 
 def generic_point_reference(pr, rng):
-    return oracle._random_proj_point(rng, pr.p)
+    return random_proj_point_reference(rng, pr.p)
 
 
 def fresh_curve_point_reference(pr, rng):
@@ -538,17 +597,17 @@ def random_pairs_reference(draw1, draw2):
 
 def generic_tangents_reference(pr, rng):
     for _ in range(pr.nprobes):
-        z = oracle._random_proj_point(rng, pr.p)
+        z = random_proj_point_reference(rng, pr.p)
         if z in pr.assigned_coords:
             continue
-        v = oracle._random_proj_point(rng, pr.p)
+        v = random_proj_point_reference(rng, pr.p)
         if not along(z, v, pr.p):
             yield z, v
 
 
 def curve_tangents_reference(pr, rng):
     for _ in range(pr.nprobes):
-        z = oracle._sample_curve_point(pr.geom, rng)
+        z = reference_draw(pr.geom, rng)
         if z is None or z in pr.assigned_coords:
             continue
         v = curve_tangent_reference(pr.geom, z)
@@ -582,13 +641,15 @@ class ScriptedRandom(random.Random):
     a seeded stream.  ``getrandbits(k)`` takes one word shifted right by
     32 - k for k <= 32, and k / 32 words, the first in the low bits, for a
     multiple of 32: as CPython's generator hands its words out, which
-    ``test_word_blocks_are_the_words_of_successive_draws`` checks."""
+    ``test_word_blocks_are_the_words_of_successive_draws`` checks.  ``read``
+    counts the words handed out."""
 
     def __init__(self, script, seed):
-        self.script, self.base = list(script)[::-1], random.Random(seed)
+        self.script, self.base, self.read = list(script)[::-1], random.Random(seed), 0
         super().__init__(seed)
 
     def word(self):
+        self.read += 1
         return self.script.pop() if self.script else self.base.getrandbits(32)
 
     def getrandbits(self, k):
@@ -631,6 +692,28 @@ def test_word_blocks_are_the_words_of_successive_draws():
             for n in (p - 1, p, p + 1, 1, 2):
                 a, b = random.Random(seed), ScriptedRandom([], seed)
                 assert [a.randrange(n) for _ in range(50)] == [b.randrange(n) for _ in range(50)]
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_words_randrange_reads_the_words_randrange_reads(p):
+    # value by value and word by word, between points of space and curve
+    # draws; every third word is one randrange(n) passes over, and at
+    # p = 2^31 - 1, randrange(p + 1) = randrange(2^31) shifts by 0
+    geom = oracle.get_geometry(p, 0)
+    for n in (1, 2, 3, p - 1, p, p + 1):
+        base, spare = random.Random(n), n << (32 - n.bit_length())
+        script = [spare if i % 3 == 0 else base.getrandbits(32) for i in range(400)]
+        words = oracle._Words(ScriptedRandom(script, n), geom)
+        scalar = ScriptedRandom(script, n)
+        for step in range(80):
+            if step % 4 == 1:
+                got, want = words.point(), random_proj_point_reference(scalar, p)
+            elif step % 4 == 3:
+                z, ok = words.curve(1)
+                got, want = tuple(z[0].tolist()) if ok[0] else None, reference_draw(geom, scalar)
+            else:
+                got, want = words.randrange(n), scalar.randrange(n)
+            assert got == want and words.pos == scalar.read, (n, step)
 
 
 def scripted_probes(p, nprobes=16):
@@ -691,7 +774,7 @@ def test_curve_draws_after_512_fibres_without_points(p):
     empty = next(s for s in range(2, p) if not oracle._fiber_points(geom, s, 1))
     script = [fibre_word(geom, empty, 1)] * 1100
     scalar, block = ScriptedRandom(script, 5), ScriptedRandom(script, 5)
-    want = [oracle._sample_curve_point(geom, scalar) for _ in range(40)]
+    want = [reference_draw(geom, scalar) for _ in range(40)]
     assert want[:2] == [None, None] and want[2] is not None
     words = oracle._Words(block, geom)
     z, ok = words.curve(40)
@@ -1734,3 +1817,43 @@ def test_battery_at_a_prime_one_mod_four_matches_the_scalar_streams(monkeypatch)
                 reports.setdefault(txt, []).append(report.to_dict())
     for txt, (blocks, scalar) in reports.items():
         assert blocks == scalar, txt
+
+
+class ScalarWords:
+    """``_Words`` with every draw made one ``randrange`` at a time from its
+    stream, by the references."""
+
+    def __init__(self, rng, geom, reserve=0):
+        self.rng, self.geom = rng, geom
+
+    def randrange(self, n):
+        return self.rng.randrange(n)
+
+    def point(self):
+        return random_proj_point_reference(self.rng, self.geom.prime)
+
+    def curve(self, count):
+        draws = [reference_draw(self.geom, self.rng) for _ in range(count)]
+        z = np.array([w or (0, 0, 0, 0) for w in draws], dtype=np.int64).reshape(-1, 4)
+        return z, np.array([w is not None for w in draws], dtype=bool)
+
+
+def test_conjugate_hunt_at_a_prime_one_mod_four_matches_the_scalar_stream(monkeypatch):
+    # the curve-degree-2 golden classes, whose separation reports at 65537
+    # come from the conjugate hunt: its curve draws take Tonelli-Shanks,
+    # and it shares one stream with hunt_common_zeros and rational_roots
+    golden = json.loads(GOLDEN_ORACLE.read_text(encoding="utf-8"))
+    classes = {txt: parse_class(txt) for txt in golden}
+    chosen = [txt for txt, c in classes.items() if 4 * c.d - sum(c.mults) == 2]
+    assert chosen
+    for txt in chosen:
+        reports = []
+        for patch in (False, True):
+            with monkeypatch.context() as m:
+                if patch:
+                    patched_reference_streams(m)
+                    m.setattr(oracle, "_Words", ScalarWords)
+                report = oracle.run_battery(classes[txt], primes=(65537,), probes=64)
+                reports.append(report.to_dict())
+        assert reports[0] == reports[1], txt
+        assert "conjugate-hunt" in reports[0]["separation_probes"]["first_witness"]["checked"]
