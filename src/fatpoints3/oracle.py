@@ -46,6 +46,7 @@ PRIMES = (2147483647, 1073741827, 1073741831)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 DEFAULT_POINTS = 16
 DEFAULT_PROBES = 64
+MAX_PROBES = 100_000  # probes per category; their memory and time grow faster than linearly
 MAX_DEGREE = 16
 MAX_MULT = 5
 
@@ -105,46 +106,18 @@ def _squarefree_binary_form(f: Sequence[int], n: int, p: int) -> bool:
     return gfp.resultant_formal(fs, ft, n - 1, n - 1, p) != 0
 
 
-def _quad_roots(a: int, b: int, c: int, p: int) -> list[tuple[int, int]]:
-    """Projective roots (u:v) of a u^2 + b uv + c v^2 over GF(p)."""
-    a, b, c = a % p, b % p, c % p
-    if a == 0 and b == 0 and c == 0:
-        raise ValueError("identically zero fiber form")
-    out: list[tuple[int, int]] = []
-    if c:
-        disc = (b * b - 4 * a * c) % p
-        root = gfp.sqrt_mod(disc, p)
-        if root is not None:
-            inv2c = pow(2 * c, -1, p)
-            v1 = (-b + root) * inv2c % p
-            v2 = (-b - root) * inv2c % p
-            out = [(1, v1)] if v1 == v2 else [(1, v1), (1, v2)]
-    else:
-        out.append((0, 1))
-        if b:
-            out.append((1, (-a) * pow(b, -1, p) % p))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # the sampled geometry
 
 
-def _segre_point(s: int, t: int, u: int, v: int, p: int) -> tuple[int, int, int, int]:
-    """The point (su:sv:tu:tv) for nonzero pairs (s, t) and (u, v), scaled
-    so that its first nonzero coordinate is 1: the form every point takes."""
-    raw = (s * u % p, s * v % p, t * u % p, t * v % p)
-    inv = pow(next(c for c in raw if c), -1, p)
-    return tuple(c * inv % p for c in raw)
-
-
-def _fiber_of(pt: Sequence[int], p: int) -> tuple[int, int]:
-    """The fiber (s:t) of a point (su:sv:tu:tv), as (s/t, 1) or (1, 0).
+def _fiber_of(pt: Sequence[int], p: int) -> int:
+    """The fiber (s:t) of a point (su:sv:tu:tv) as k, the fibre (k:1) for
+    k below p and (1:0) for p: the encoding of ``_fiber_block``.
 
     (x:z) = (s:t) unless u = 0, and then (y:w) = (s:t).
     """
     s, t = (pt[0], pt[2]) if pt[0] or pt[2] else (pt[1], pt[3])
-    return (s * pow(t, -1, p) % p, 1) if t else (1, 0)
+    return s * pow(t, -1, p) % p if t else p
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,33 +135,11 @@ class Geometry:
     points: tuple[tuple[int, int, int, int], ...]
 
 
-def _fiber_quadratic(geom: Geometry, s: int, t: int) -> tuple[int, int, int]:
-    """The values f0 t^2 + f1 s t + f2 s^2 of the three forms at (s:t)."""
-    p = geom.prime
-    a, b, c = geom.forms
-    ss, st, tt = s * s, s * t, t * t
-    return (
-        (a[0] * tt + a[1] * st + a[2] * ss) % p,
-        (b[0] * tt + b[1] * st + b[2] * ss) % p,
-        (c[0] * tt + c[1] * st + c[2] * ss) % p,
-    )
-
-
 def _curve_value(geom: Geometry, pt: Sequence[int]) -> int:
     p = geom.prime
     if _quad_eval(_qbar_coeffs(p), pt, p):
         return 1
     return _quad_eval(geom.qprime, pt, p)
-
-
-def _fiber_points(geom: Geometry, s: int, t: int) -> list[tuple[int, int, int, int]]:
-    """The curve's rational points over (s:t), in ``_quad_roots`` order;
-    [] when there is none or the fiber form vanishes identically."""
-    p = geom.prime
-    a, b, c = _fiber_quadratic(geom, s, t)
-    if a == 0 and b == 0 and c == 0:
-        return []
-    return [_segre_point(s, t, u, v, p) for u, v in _quad_roots(a, b, c, p)]
 
 
 def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geometry:
@@ -672,7 +623,7 @@ def hunt_common_zeros(
         return []
     xs = list(range(4 * d + 1))
     xpow = _power_table(xs, d, p)[:, ::-1]  # x^(d-i) in column i
-    gamma_fibers = [_fiber_quadratic(geom, x, 1) for x in xs]
+    gammas = np.stack(_fiber_block(geom, np.array(xs, dtype=np.int64))[:3], axis=1).tolist()
 
     def combo_resultant() -> Optional[list[int]]:
         for _ in range(8):
@@ -684,12 +635,8 @@ def hunt_common_zeros(
         else:
             return None
         phi = bihom_matrix(gg, d, p)
-        fibers = gfp.matmul_mod(xpow, phi, p)
-        vals = []
-        for n in range(len(xs)):
-            gam = gfp.ptrim([gamma_fibers[n][0], gamma_fibers[n][1], gamma_fibers[n][2]])
-            sec = gfp.ptrim([int(c) for c in fibers[n]])
-            vals.append(gfp.resultant_formal(gam, sec, 2, d, p))
+        fibers = gfp.matmul_mod(xpow, phi, p).tolist()
+        vals = [gfp.resultant_formal(gam, sec, 2, d, p) for gam, sec in zip(gammas, fibers)]
         poly = gfp.pinterp(xs, vals, p)
         return poly if poly else None
 
@@ -701,9 +648,9 @@ def hunt_common_zeros(
     assigned_fibers = [_fiber_of(pt, p) for pt in assigned]
 
     def off_assigned(g: list[int]) -> list[int]:
-        for s, t in assigned_fibers:
-            if t:
-                g, _ = gfp.divide_out_root(g, s, p)
+        for k in assigned_fibers:
+            if k < p:
+                g, _ = gfp.divide_out_root(g, k, p)
         return g
 
     g = polys[0]
@@ -716,9 +663,12 @@ def hunt_common_zeros(
             g = off_assigned(gfp.pgcd(g, extra, p))
     roots = gfp.rational_roots(g, p, rng)
 
-    fibers = [(x, 1) for x in roots] + [(1, 0)] + assigned_fibers
-    taken = exclude.union(assigned)
-    candidates = sorted({z for s, t in fibers for z in _fiber_points(geom, s, t)} - taken)
+    # every point over the root fibres, (1:0) and the assigned fibres
+    ks = np.array(roots + [p] + assigned_fibers, dtype=np.int64)
+    block = _fiber_block(geom, ks)
+    rows, pick = (block[-1][:, None] > [0, 1]).nonzero()
+    z = _fiber_lift(geom, ks[rows], pick, [x if x is None else x[rows] for x in block[:5]])
+    candidates = sorted(set(map(tuple, z.tolist())) - exclude.union(assigned))
     if not candidates:
         return []
     zero = ~_form_values(sections, candidates, d, p).any(axis=1)
@@ -760,6 +710,11 @@ class ProbeReport:
 _BLOCK = 64
 
 
+def _check_probes(nprobes: int) -> None:
+    if nprobes > MAX_PROBES:
+        raise ValueError(f"probes must be at most {MAX_PROBES} per category, got {nprobes}")
+
+
 class _Probe:
     """One probe call: what its candidate streams need, its ``checked``
     counts, and its tests on stacked candidates, through a sketch of the
@@ -767,6 +722,7 @@ class _Probe:
 
     def __init__(self, target: str, geom: Geometry, clazz: ThreefoldClass,
                  nprobes: int, sysd: Optional[SystemData]):
+        _check_probes(nprobes)
         c = clazz.normalized()
         self.sysd = solve_system(geom, c) if sysd is None else sysd
         self.target = target
@@ -924,21 +880,76 @@ def _inverses(a: np.ndarray, p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _fiber_block(geom: Geometry, s: np.ndarray) -> tuple:
-    """``_fiber_quadratic`` over (s:1) for each entry of s in [0, p), its
-    discriminant b^2 - 4ac, and whether that is a square: (a, b, c, disc,
-    square, root).  At p = 3 (mod 4) root is disc^((p+1)/4), which squares
-    back to disc exactly on the squares; at other primes root is None and
-    Euler's criterion decides.  Each product is reduced before the next
-    one, and a c before it is scaled by 4, so no entry passes 2^62."""
+def _fiber_block(geom: Geometry, k: np.ndarray) -> tuple:
+    """The fibre forms over the fibres k, (k:1) for k below p and (1:0) for
+    p: the values a, b, c of the three forms f0 t^2 + f1 st + f2 s^2, the
+    discriminant b^2 - 4ac, a root of it, and the number of curve points
+    over the fibre, (a, b, c, disc, root, npts).
+
+    At p = 3 (mod 4) root is disc^((p+1)/4), which squares back to disc
+    exactly on the squares; at other primes root is None and Euler's
+    criterion decides.  A fibre has two points, one over a double root or
+    for c = b = 0, and none for a non-square or a zero form.  Each product
+    is reduced before the next one, and a c before it is scaled by 4, so no
+    entry passes 2^62."""
     p = geom.prime
-    ss = s * s % p
-    a, b, c = ((f[0] + f[1] * s % p + f[2] * ss % p) % p for f in geom.forms)
+    ss = k * k % p
+    a, b, c = ((f[0] + f[1] * k % p + f[2] * ss % p) % p for f in geom.forms)
+    at_infinity = (k == p).nonzero()[0]
+    if at_infinity.size:  # (1:0) reads the s^2 coefficients
+        for x, f in zip((a, b, c), geom.forms):
+            x[at_infinity] = f[2]
     disc = (b * b - 4 * (a * c % p)) % p
     if p % 4 == 3:
         root = _power(disc, (p + 1) // 4, p)
-        return a, b, c, disc, root * root % p == disc, root
-    return a, b, c, disc, _power(disc, (p - 1) // 2, p) <= 1, None
+        square = root * root % p == disc
+    else:
+        root, square = None, _power(disc, (p - 1) // 2, p) <= 1
+    npts = square * np.where(disc == 0, 1, 2)
+    flat = (c == 0).nonzero()[0]
+    if flat.size:
+        npts[flat[(a[flat] | b[flat]) == 0]] = 0
+    return a, b, c, disc, root, npts
+
+
+def _fiber_lift(geom: Geometry, k: np.ndarray, pick: np.ndarray, rows) -> np.ndarray:
+    """The pick-th curve point over each fibre k, given the fibres'
+    ``_fiber_block`` rows (a, b, c, disc, root, ...), shape (n, 4).  The
+    points over a fibre are in the order of their roots (u:v), each scaled
+    to (0:1) or (1:v), and each pick is below the fibre's point count.
+
+    The roots are (2c : +-r - b) for c nonzero, with r a root of disc, and
+    (0:1) and (b : -a) for c = 0.  A point (su:sv:tu:tv) is scaled by its
+    first nonzero coordinate, (s or t)(u or v), with one inversion for all
+    rows.  Over (k:1) with k and c nonzero that coordinate is 2ck, whose
+    inverse gives 1/k and 1/(2c), and the root (1:v) the point (1 : v : 1/k
+    : v/k).  The other rows, k = 0, (1:0) and c = 0, are lifted apart."""
+    p = geom.prime
+    a, b, c, disc, root = rows[:5]
+    if root is None:
+        root = np.array([gfp.sqrt_mod(x, p) for x in disc.tolist()], dtype=np.int64)
+    # lead = unit * w: unit is s or t, w the u or v of the unscaled root
+    unit, w = k, 2 * c % p
+    lead = w * unit % p
+    rare = (lead == 0).nonzero()[0]
+    if rare.size:
+        kr, flat, second = k[rare], c[rare] == 0, pick[rare] == 1
+        s, t = np.where(kr == p, 1, kr), (kr < p).astype(np.int64)
+        unit = k.copy()
+        unit[rare] = np.where(s != 0, s, t)
+        w[rare] = np.where(flat, np.where(second, b[rare], 1), w[rare])
+        lead[rare] = unit[rare] * w[rare] % p
+    inv = _inverses(lead, p)
+    r_s, scale = w * inv % p, unit * inv % p  # 1/unit and 1/w
+    v1 = (root - b) % p * scale % p
+    v2 = (-root - b) % p * scale % p
+    v = np.where(pick == 1, np.maximum(v1, v2), np.minimum(v1, v2))
+    out = np.stack([np.ones_like(v), v, r_s, v * r_s % p], axis=1)
+    if rare.size:  # for c = 0 the roots (0:1), then (1 : -a/b)
+        v = np.where(flat, np.where(second, -a[rare] % p * scale[rare] % p, 1), v[rare])
+        u = (~flat | second).astype(np.int64)
+        out[rare] = np.stack([s * u, s * v % p, t * u, t * v % p], axis=1) * r_s[rare, None] % p
+    return out
 
 
 def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1071,24 +1082,19 @@ class _Words:
     def _build(self) -> None:
         """The walk's lookups over the words drawn: which are fibre words
         and how many points are over each, for each word the next word at
-        or after it over a fibre with points and below 2^31, and each fibre
-        word's lift data.  ``point`` adds, for each word, the count of
-        words randrange(p) accepts before it, where those are and their
+        or after it over a fibre with points and below 2^31, and the fibre
+        words' ``_fiber_block``.  ``point`` adds, for each word, the count
+        of words randrange(p) accepts before it, where those are and their
         values."""
         w, p, self.size = self.words, self.p, len(self.words)
         k = w >> (32 - (p + 1).bit_length())
         valid = k <= p
-        inner = (valid & (k > 0) & (k < p)).nonzero()[0]  # over (k:1), k nonzero
-        a, b, c, disc, square, root = _fiber_block(self.geom, k[inner])
+        fibres = valid.nonzero()[0]
+        ks = k[fibres]
+        block = _fiber_block(self.geom, ks)
         npts = np.zeros(self.size, dtype=np.int64)
-        npts[inner] = square * np.where(disc == 0, 1, 2)
-        self.lifts = (inner, k[inner], b, c, disc, root)
-        # the fibres off the lift's shortcut: (0:1), (1:0), and c = 0
-        self.edge = {}
-        for j in ((k == 0) | (k == p)).nonzero()[0].tolist() + inner[c == 0].tolist():
-            kj = int(k[j])
-            self.edge[j] = _fiber_points(self.geom, *((1, 0) if kj == p else (kj, 1)))
-            npts[j] = len(self.edge[j])
+        npts[fibres] = block[-1]
+        self.lifts = (fibres, ks, block[:5])
 
         def following(mask: np.ndarray) -> list:
             at = np.where(mask, np.arange(self.size), self.size)
@@ -1140,31 +1146,16 @@ class _Words:
 
     def lift(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
         """The curve points of draws from ``curve_draw``, shape (n, 4), zero
-        where a draw is None, and which rows are points.  The root and the
-        inverse of 2cs of the lift are taken for these fibres only."""
-        p = self.p
+        where a draw is None, and which rows are points.  The lift, square
+        roots included, runs over these fibres only."""
         out = np.zeros((len(draws), 4), dtype=np.int64)
         ok = np.array([d is not None for d in draws], dtype=bool)
-        rows = [i for i, d in enumerate(draws) if d is not None and d[0] not in self.edge]
-        if rows:
-            inner, s, b, c, disc, root = self.lifts
-            fiber, pick = np.array([draws[i] for i in rows], dtype=np.int64).T
-            j = np.searchsorted(inner, fiber)
-            if root is None:
-                r = np.array([gfp.sqrt_mod(x, p) for x in disc[j].tolist()], dtype=np.int64)
-            else:
-                r = root[j]
-            sf, bf, two_c = s[j], b[j], 2 * c[j] % p
-            inv = _inverses(two_c * sf % p, p)
-            r_s, scale = two_c * inv % p, sf * inv % p
-            v1 = (r - bf) % p * scale % p
-            v2 = (-r - bf) % p * scale % p
-            v = np.where(pick == 1, np.maximum(v1, v2), np.minimum(v1, v2))
-            out[rows] = np.stack([np.ones_like(v), v, r_s, v * r_s % p], axis=1)
-        if len(rows) < ok.sum():
-            for i, d in enumerate(draws):
-                if d is not None and d[0] in self.edge:
-                    out[i] = self.edge[d[0]][d[1]]
+        drawn = [d for d in draws if d is not None]
+        if drawn:
+            fibres, ks, block = self.lifts
+            word, pick = np.array(drawn, dtype=np.int64).T
+            j = np.searchsorted(fibres, word)
+            out[ok] = _fiber_lift(self.geom, ks[j], pick, [x if x is None else x[j] for x in block])
         return out, ok
 
     def curve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1555,6 +1546,7 @@ def run_battery(
     """
     if not primes or not seeds:
         raise ValueError("a battery needs at least one prime and one seed")
+    _check_probes(probes)
     c = clazz.normalized()
     need = max(DEFAULT_POINTS, c.r)
     systems: list[SystemData] = []

@@ -19,6 +19,8 @@ and fails on that one class rather than special-casing it.
 
 import itertools
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -218,7 +220,10 @@ def test_acceptance_07_cli_determinism(tmp_path):
         "--dmax", "2", "--rmax", "4", "--mmax", "2",
         "--trials", "2", "--probes", "8", "--format", "json",
     ]
-    runs = [subprocess.run(argv, capture_output=True) for _ in range(2)]
+    # the child imports the fatpoints3 this suite imports, installed or not
+    path = [str(pathlib.Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = [subprocess.run(argv, capture_output=True, env=env) for _ in range(2)]
     failures = []
     for i, r in enumerate(runs):
         if r.returncode != 0:

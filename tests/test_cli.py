@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpoints3 import cli
+from fatpoints3 import cli, oracle
 
 
 def run(capsys, *argv):
@@ -179,6 +179,22 @@ def test_oracle_argument_validation(capsys):
     assert code == 1 and "--probes" in err
     code, _, err = run(capsys, "oracle", "L3(2; 1)", "--prime", "97")
     assert code == 1 and "prime" in err
+
+
+@pytest.mark.parametrize("command", (
+    ["oracle", "L3(5; 2^5, 1^7)", "--prime", "65537"],
+    ["sweep", "--dmin", "5", "--dmax", "5", "--rmax", "2", "--mmax", "1"],
+))
+def test_probes_above_the_maximum_are_an_error(capsys, monkeypatch, command):
+    # refused before a geometry is built: no memory error, no traceback
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(oracle, "get_geometry", no_work)
+    code, out, err = run(capsys, *command, "--trials", "1", "--probes", "1000000000")
+    assert code == 1 and out == ""
+    refused = f"probes must be at most {oracle.MAX_PROBES} per category, got 1000000000"
+    assert err == f"error: {refused}\n"
 
 
 # ---------------------------------------------------------------------------

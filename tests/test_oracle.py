@@ -15,6 +15,7 @@ import pytest
 
 from fatpoints3 import cli, gfp, oracle
 from fatpoints3.divclass import ThreefoldClass, parse_class
+from test_properties import segre_point
 
 P0 = oracle.PRIMES[0]
 
@@ -149,6 +150,27 @@ def test_build_geometry_rejects_a_negative_point_count():
     with pytest.raises(ValueError, match=r"^npoints must be nonnegative, got -1$"):
         oracle.build_geometry(oracle.PRIMES[0], 0, -1)
     assert oracle.build_geometry(oracle.PRIMES[0], 0, 0).points == ()
+
+
+def no_work(*args):
+    raise AssertionError("work started")
+
+
+def test_probe_counts_above_max_probes_are_refused_before_any_work(monkeypatch):
+    c, big, g = parse_class("L3(5; 2^5, 1^7)"), oracle.MAX_PROBES + 1, geom0()
+    for name in ("get_geometry", "_solve", "solve_system"):
+        monkeypatch.setattr(oracle, name, no_work)
+    refused = rf"^probes must be at most {oracle.MAX_PROBES} per category, got {big}$"
+    with pytest.raises(ValueError, match=refused):
+        oracle.run_battery(c, probes=big)
+    for probe in (oracle.probe_base_locus, oracle.probe_separation):
+        with pytest.raises(ValueError, match=refused):
+            probe(g, c, big)
+        # MAX_PROBES itself passes the check and goes on to the solve
+        with pytest.raises(AssertionError, match="work started"):
+            probe(g, c, oracle.MAX_PROBES)
+    with pytest.raises(AssertionError, match="work started"):
+        oracle.run_battery(c, probes=oracle.MAX_PROBES)
 
 
 def test_negative_degree_system():
@@ -543,7 +565,7 @@ def test_conditions_match_pure_python_derivatives():
     real = oracle.build_geometry(P0, 5, 5)
     # off-curve points in each of the four affine charts
     pts = tuple(
-        oracle._segre_point(s, 1, u, 1, TS_PRIME)
+        segre_point(s, 1, u, 1, TS_PRIME)
         for s, u in ((3, 5), (7, 0), (0, 11), (0, 0))
     )
     assert [next(k for k in range(4) if pt[k]) for pt in pts] == [0, 1, 2, 3]

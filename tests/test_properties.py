@@ -17,10 +17,14 @@ pivots two layers on different rows or columns.  ``solve_system`` on a warm geom
 elimination of the full condition matrix, and ``run_battery``'s stacked
 solves against ``solve_system`` on freshly built geometries.
 
-The fibre lift takes a shortcut over (s:1) with s and c nonzero; it is
-checked against the general lift through ``_quad_roots`` on named fibres
-that reach every branch, and the curve-point draw against a draw through
-the general lift, random stream included.
+One numpy lift, ``_fiber_block`` and ``_fiber_lift``, computes the curve's
+points over every fibre: (s:1) with s and c nonzero, and apart from those
+s = 0, (1:0) and c = 0.  It is checked against the scalar lift it replaced,
+``fiber_points`` through ``quad_roots`` and ``segre_point``, kept here: on
+named fibres that reach every branch, each lifted alone and through a word
+stream, and on random blocks that mix every kind of fibre in one lift.  The
+curve-point draw is checked against a draw through the scalar lift, random
+stream included.
 
 The curve's tangent directions are checked against the kernel basis
 ``gfp.kernel_mod`` returns for a Jacobian built here: on points hypothesis
@@ -308,6 +312,64 @@ def norm_pair(a, b, p):
     return (a * pow(b, -1, p) % p, 1) if b else (1, 0)
 
 
+def fibre_key(s, t, p):
+    """The fibre (s:t) as ``_fiber_block`` encodes it: s/t, or p for (1:0)."""
+    return s * pow(t, -1, p) % p if t else p
+
+
+def fibre_pair(k, p):
+    """The fibre k as (s, t): (k, 1) below p and (1, 0) for p."""
+    return (1, 0) if k == p else (k, 1)
+
+
+def quad_roots(a, b, c, p):
+    """Projective roots (u:v) of a u^2 + b uv + c v^2 over GF(p), each
+    scaled to (0:1) or (1:v), sorted."""
+    a, b, c = a % p, b % p, c % p
+    if a == 0 and b == 0 and c == 0:
+        raise ValueError("identically zero fiber form")
+    out = []
+    if c:
+        disc = (b * b - 4 * a * c) % p
+        root = gfp.sqrt_mod(disc, p)
+        if root is not None:
+            inv2c = pow(2 * c, -1, p)
+            v1 = (-b + root) * inv2c % p
+            v2 = (-b - root) * inv2c % p
+            out = [(1, v1)] if v1 == v2 else [(1, v1), (1, v2)]
+    else:
+        out.append((0, 1))
+        if b:
+            out.append((1, (-a) * pow(b, -1, p) % p))
+    return sorted(out)
+
+
+def segre_point(s, t, u, v, p):
+    """The point (su:sv:tu:tv) for nonzero pairs (s, t) and (u, v), scaled
+    so that its first nonzero coordinate is 1: the form every point takes."""
+    raw = (s * u % p, s * v % p, t * u % p, t * v % p)
+    inv = pow(next(c for c in raw if c), -1, p)
+    return tuple(c * inv % p for c in raw)
+
+
+def fiber_quadratic(geom, s, t):
+    """The values f0 t^2 + f1 s t + f2 s^2 of the three fibre forms at (s:t)."""
+    p = geom.prime
+    ss, st_, tt = s * s, s * t, t * t
+    return tuple((f[0] * tt + f[1] * st_ + f[2] * ss) % p for f in geom.forms)
+
+
+def fiber_points(geom, s, t):
+    """The curve's rational points over (s:t), one root at a time in
+    ``quad_roots`` order; [] when there is none or the fibre form vanishes
+    identically.  The scalar lift ``_fiber_lift`` replaced."""
+    p = geom.prime
+    a, b, c = fiber_quadratic(geom, s, t)
+    if a == 0 and b == 0 and c == 0:
+        return []
+    return [segre_point(s, t, u, v, p) for u, v in quad_roots(a, b, c, p)]
+
+
 def segre_point_loop(s, t, u, v, p):
     """The normalisation of the old point record: both pairs normalised,
     their products taken, then scaled by the first nonzero product."""
@@ -331,11 +393,11 @@ COORD = st.sampled_from((0, 1)) | st.integers(0, 2**31)
 def test_segre_point_matches_the_old_normalisation(p, s, t, u, v):
     s, t, u, v = s % p, t % p, u % p, v % p
     assume((s or t) and (u or v))
-    pt = oracle._segre_point(s, t, u, v, p)
+    pt = segre_point(s, t, u, v, p)
     assert pt == segre_point_loop(s, t, u, v, p)
     x, y, z, w = pt
     assert (x * w - y * z) % p == 0
-    assert oracle._fiber_of(pt, p) == norm_pair(s, t, p)
+    assert oracle._fiber_of(pt, p) == fibre_key(s, t, p)
 
 
 @SETTINGS
@@ -343,8 +405,8 @@ def test_segre_point_matches_the_old_normalisation(p, s, t, u, v):
 def test_fiber_points_match_a_lift_through_quad_roots(p, seed, k, at_infinity):
     geom = oracle.get_geometry(p, seed)
     s, t = (1, 0) if at_infinity else (k % p, 1)
-    a, b, c = oracle._fiber_quadratic(geom, s, t)
-    roots = oracle._quad_roots(a, b, c, p)
+    a, b, c = fiber_quadratic(geom, s, t)
+    roots = quad_roots(a, b, c, p)
     if p == 65537:
         # every (u:v) with u in {0, 1}, by exhaustion
         vs = np.arange(p, dtype=np.int64)
@@ -352,23 +414,42 @@ def test_fiber_points_match_a_lift_through_quad_roots(p, seed, k, at_infinity):
         brute += [(1, int(v)) for v in np.flatnonzero((a + b * vs % p + c * vs % p * vs) % p == 0)]
         assert roots == brute
     expected = [segre_point_loop(s, t, u, v, p) for u, v in roots]
-    assert oracle._fiber_points(geom, s, t) == expected
+    assert fiber_points(geom, s, t) == expected
+    assert block_lift(geom, [fibre_key(s, t, p)]) == [expected]
     qbar = oracle._qbar_coeffs(p)
     for pt in expected:
         assert oracle._quad_eval(qbar, pt, p) == 0
         assert oracle._quad_eval(geom.qprime, pt, p) == 0
-        assert oracle._fiber_of(pt, p) == (s, t)
+        assert oracle._fiber_of(pt, p) == fibre_key(s, t, p)
 
 
 def lift_through_quad_roots(geom, s, t):
     """The fibre lift as it was before its fast path: the forms evaluated by
-    ``form_eval``, the roots by ``_quad_roots``, each point by
-    ``_segre_point``."""
+    ``form_eval``, the roots by ``quad_roots``, each point by
+    ``segre_point``."""
     p = geom.prime
     a, b, c = (form_eval(f, s, t, 2, p) for f in geom.forms)
     if a == 0 and b == 0 and c == 0:
         return []
-    return [oracle._segre_point(s, t, u, v, p) for u, v in oracle._quad_roots(a, b, c, p)]
+    return [segre_point(s, t, u, v, p) for u, v in quad_roots(a, b, c, p)]
+
+
+def block_lift(geom, ks, rng=None):
+    """Every point over each fibre of ks, as a list per fibre, by one
+    ``_fiber_block`` and one ``_fiber_lift`` over every (fibre, pick); rng
+    shuffles the rows of the lift."""
+    ks = np.array(ks, dtype=np.int64)
+    block = oracle._fiber_block(geom, ks)
+    rows, pick = (block[-1][:, None] > [0, 1]).nonzero()
+    order = np.arange(len(rows))
+    if rng is not None:
+        rng.shuffle(order)
+    rows, pick = rows[order], pick[order]
+    z = oracle._fiber_lift(geom, ks[rows], pick, [x if x is None else x[rows] for x in block[:5]])
+    out = [[None] * int(n) for n in block[-1]]
+    for i, j, pt in zip(rows.tolist(), pick.tolist(), z.tolist()):
+        out[i][j] = tuple(pt)
+    return out
 
 
 def forms_through(p, s, t, abc, rng):
@@ -416,18 +497,63 @@ def fiber_cases(p):
 @pytest.mark.parametrize("p", (oracle.PRIMES[0], 65537))
 def test_fiber_points_named_cases(p):
     # p = 2^31 - 1 takes its square roots by one power, 65537 by
-    # Tonelli-Shanks; both against the lift through _quad_roots
+    # Tonelli-Shanks; both against the lift through quad_roots
     geom = oracle.get_geometry(p, 0)
     rng = random.Random(p)
     for name, (s, t, abc, npts) in fiber_cases(p).items():
         g = dataclasses.replace(geom, forms=forms_through(p, s, t, abc, rng))
-        assert oracle._fiber_quadratic(g, s, t) == tuple(x % p for x in abc), name
+        assert fiber_quadratic(g, s, t) == tuple(x % p for x in abc), name
         expected = lift_through_quad_roots(g, s, t)
         assert len(expected) == npts, name
-        assert oracle._fiber_points(g, s, t) == expected, name
+        assert fiber_points(g, s, t) == expected, name
         for x, y, z, w in expected:
             assert (x * w - y * z) % p == 0, name
-            assert oracle._fiber_of((x, y, z, w), p) == (s, t), name
+            assert oracle._fiber_of((x, y, z, w), p) == fibre_key(s, t, p), name
+
+
+@pytest.mark.parametrize("p", (oracle.PRIMES[0], 65537))
+def test_fiber_lift_named_cases(p):
+    # every pick of every named fibre, each lifted alone and not through a
+    # word stream, against the scalar lift; 65537 takes Tonelli-Shanks
+    geom = oracle.get_geometry(p, 0)
+    rng = random.Random(p)
+    for name, (s, t, abc, npts) in fiber_cases(p).items():
+        g = dataclasses.replace(geom, forms=forms_through(p, s, t, abc, rng))
+        expected = fiber_points(g, s, t)
+        k = np.array([fibre_key(s, t, p)], dtype=np.int64)
+        block = oracle._fiber_block(g, k)
+        assert block[-1].tolist() == [npts], name
+        for pick in range(npts):
+            z = oracle._fiber_lift(g, k, np.array([pick], dtype=np.int64), block[:5])
+            assert tuple(z[0].tolist()) == expected[pick], (name, pick)
+
+
+def vanishing_form(p, k, rng):
+    """A random fibre form, f0 + f1 s at t = 1, zero over (k:1)."""
+    f1 = rng.choice((0, rng.randrange(p)))
+    return (-f1 * k % p, f1, rng.choice((0, rng.randrange(p))))
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_fiber_lift_on_random_fibres(p):
+    # one lift over every point of a block that mixes (k:1) with k = 0,
+    # (1:0) and fibres where c, or b and c, vanish, rows in random order
+    rng = random.Random(p)
+    geom = oracle.get_geometry(p, 0)
+    kinds = set()
+    for _ in range(30):
+        k0 = rng.randrange(1, p)
+        a = tuple(rng.randrange(p) for _ in range(3))
+        b = vanishing_form(p, k0, rng) if rng.random() < 0.5 else a[::-1]
+        g = dataclasses.replace(geom, forms=(a, b, vanishing_form(p, k0, rng)))
+        ks = [0, p, k0] + [rng.randrange(p) for _ in range(20)] + [k0]
+        for k, got in zip(ks, block_lift(g, ks, rng)):
+            abc = fiber_quadratic(g, *fibre_pair(k, p))
+            assert got == fiber_points(g, *fibre_pair(k, p)), (k, abc)
+            if got:
+                kinds.add("c = 0, b = 0" if abc[1:] == (0, 0) else "c = 0" if abc[2] == 0
+                          else "k = 0" if k == 0 else "(1:0)" if k == p else "(k:1)")
+    assert kinds == {"c = 0, b = 0", "c = 0", "k = 0", "(1:0)", "(k:1)"}
 
 
 def reference_draw(geom, rng):
@@ -436,9 +562,7 @@ def reference_draw(geom, rng):
     them; None after 512 fibres without one."""
     p = geom.prime
     for _ in range(512):
-        k = rng.randrange(p + 1)
-        s, t = (1, 0) if k == p else (k, 1)
-        pts = lift_through_quad_roots(geom, s, t)
+        pts = lift_through_quad_roots(geom, *fibre_pair(rng.randrange(p + 1), p))
         if pts:
             return pts[rng.randrange(len(pts))]
     return None
@@ -759,8 +883,8 @@ def test_streams_on_draws_of_assigned_points(p):
     # is not drawn for one
     for pr in scripted_probes(p):
         pt = pr.assigned[-1]
-        s, t = oracle._fiber_of(pt, p)
-        pick = oracle._fiber_points(pr.geom, s, t).index(pt) << 30
+        s, t = fibre_pair(oracle._fiber_of(pt, p), p)
+        pick = fiber_points(pr.geom, s, t).index(pt) << 30
         coords = [x << (32 - p.bit_length()) for x in pt]
         for draws in (1, 3, 70):
             for script in ([fibre_word(pr.geom, s, t), pick] * draws, coords * draws,
@@ -771,7 +895,7 @@ def test_streams_on_draws_of_assigned_points(p):
 @pytest.mark.parametrize("p", POINT_PRIMES)
 def test_curve_draws_after_512_fibres_without_points(p):
     geom = oracle.get_geometry(p, 0)
-    empty = next(s for s in range(2, p) if not oracle._fiber_points(geom, s, 1))
+    empty = next(s for s in range(2, p) if not fiber_points(geom, s, 1))
     script = [fibre_word(geom, empty, 1)] * 1100
     scalar, block = ScriptedRandom(script, 5), ScriptedRandom(script, 5)
     want = [reference_draw(geom, scalar) for _ in range(40)]
@@ -786,8 +910,8 @@ def test_curve_draws_after_512_fibres_without_points(p):
 
 
 def fibre_coordinates(p):
-    """Fibre coordinates s for a block: 0, 1, 2, p - 2, p - 1 and random."""
-    return st.lists(st.sampled_from((0, 1, 2, p - 2, p - 1)) | st.integers(0, p - 1),
+    """Fibres k for a block: 0, 1, 2, p - 2, p - 1, p for (1:0), and random."""
+    return st.lists(st.sampled_from((0, 1, 2, p - 2, p - 1, p)) | st.integers(0, p),
                     min_size=1, max_size=12)
 
 
@@ -800,32 +924,34 @@ def test_fiber_block_matches_the_scalar_lift(p, data):
     geom = oracle.get_geometry(p, 0)
     if data is None:  # the largest entries
         forms = ((p - 1, p - 2, p - 1), (p - 2, p - 1, p - 2), (p - 1, p - 1, p - 2))
-        s = [p - 1, p - 2, p - 1, 0, 1]
+        ks = [p - 1, p - 2, p - 1, 0, 1, p]
     else:
         coef = st.sampled_from((0, 1, p - 2, p - 1)) | st.integers(0, p - 1)
         forms = tuple(tuple(data.draw(coef) for _ in range(3)) for _ in range(3))
-        s = data.draw(fibre_coordinates(p))
+        ks = data.draw(fibre_coordinates(p))
     g = dataclasses.replace(geom, forms=forms)
-    a, b, c, disc, square, root = oracle._fiber_block(g, np.array(s, dtype=np.int64))
-    for k, sk in enumerate(s):
-        abc = oracle._fiber_quadratic(g, sk, 1)
-        assert (int(a[k]), int(b[k]), int(c[k])) == abc
-        assert int(disc[k]) == (abc[1] ** 2 - 4 * abc[0] * abc[2]) % p
-        expected = gfp.sqrt_mod(int(disc[k]), p)
-        assert bool(square[k]) == (expected is not None)
+    a, b, c, disc, root, npts = oracle._fiber_block(g, np.array(ks, dtype=np.int64))
+    assert (root is None) == (p % 4 == 1)
+    for i, k in enumerate(ks):
+        abc = fiber_quadratic(g, *fibre_pair(k, p))
+        assert (int(a[i]), int(b[i]), int(c[i])) == abc
+        assert int(disc[i]) == (abc[1] ** 2 - 4 * abc[0] * abc[2]) % p
+        expected = gfp.sqrt_mod(int(disc[i]), p)
+        assert int(npts[i]) == len(fiber_points(g, *fibre_pair(k, p)))
+        assert (npts[i] > 0) == (expected is not None and any(abc))
         if root is not None and expected is not None:
-            assert int(root[k]) in (expected, -expected % p)
+            assert int(root[i]) in (expected, -expected % p)
 
 
 def test_curve_draws_of_the_streams_lift_every_fibre_branch():
-    # the block lift against _fiber_points on the named fibres, through a
+    # the block lift against the scalar lift on the named fibres, through a
     # scripted fibre word and pick word, at both kinds of prime
     for p in (oracle.PRIMES[0], 65537):
         geom = oracle.get_geometry(p, 0)
         rng = random.Random(p)
         for name, (s, t, abc, npts) in fiber_cases(p).items():
             g = dataclasses.replace(geom, forms=forms_through(p, s, t, abc, rng))
-            expected = oracle._fiber_points(g, s, t)
+            expected = fiber_points(g, s, t)
             for pick in range(npts):
                 script = [fibre_word(g, s, t), pick << 30]
                 z, ok = oracle._Words(ScriptedRandom(script, 0), g).curve(1)
