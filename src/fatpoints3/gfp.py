@@ -5,16 +5,23 @@ use are below 2^31, so a product of two reduced entries stays below 2^62
 and row elimination never overflows int64.
 
 ``rref_mod`` is Gauss-Jordan elimination over column panels of
-``_PANEL`` columns.  Inside a panel each pivot updates only the panel's
-columns, plus one recorded transform column per pivot: row r gets a 1 in
-transform column s when it becomes the panel's s-th pivot, and the same
-scale and eliminate steps then keep every row written as a combination of
-the panel's pivot rows as they stood when the panel began.  The columns
-right of the panel take all of the panel's steps at once, as one product
-of the transform with those pivot rows.  A matrix of at most ``_PANEL``
-rows is one panel as wide as the matrix, which is the plain per-pivot
-loop with no transform and no product.  The reduced form and its pivot
-columns are unique, so the result does not depend on the panels.
+``_PANEL`` columns.  Inside a panel each pivot updates only the rows still
+free, which are the only rows a later pivot can come from, and only the
+panel's columns, plus one recorded transform column per pivot: row r gets
+a 1 in transform column s when it becomes the panel's s-th pivot, and the
+same scale and eliminate steps then keep every free row written as a
+combination of the panel's pivot rows as they stood when the panel began.
+At the panel's end its pivot rows move up, in pivot order, under those of
+the earlier panels, and the free rows below them keep their order.  The
+earlier pivot rows take the panel's steps in one product: each loses its
+entries in the panel's pivot columns times the panel's final pivot rows,
+in the panel's columns and, as a transform, right of them.  The columns
+right of the panel then take all of the panel's steps at once, as one
+product of the transform with the pivot rows.  A matrix of at most
+``_PANEL`` rows is one panel as wide as the matrix, which is the plain
+per-pivot loop with no transform and no product.  The reduced form and
+its pivot columns are unique, so the result does not depend on the
+panels.
 
 ``rref_mod`` and ``kernel_from_rref`` also take a stack of B matrices of
 one shape, as a (B, rows, cols) array with one modulus; a single matrix is
@@ -29,6 +36,9 @@ accumulated dot product stays exact.  With an inner dimension of at most
 product is an integer below 64 * 2^31 * 2^16 = 2^53, so float64 holds it
 exactly and the result does not depend on the summation order or the
 thread count of the BLAS.  Larger inner dimensions use int64 products.
+An int64 ``%`` costs several times a multiply, so ``rref_mod`` takes the
+product before its last reduction (``_product``), adds it to the entries
+it updates, and reduces the sum once.
 
 Polynomials are Python lists of ints, ascending powers, no trailing zeros
 (the zero polynomial is the empty list).
@@ -141,13 +151,18 @@ def _check_modulus(p: int) -> None:
 def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
     """Reduced row echelon form mod p; returns (rref, pivot column list).
 
-    There are no row swaps: each pivot is taken in the first non-pivot row
-    with a nonzero entry, and the pivot rows move to the top in pivot order
-    at the end, above the zero rows.  ``mat`` may also be a stack of shape
-    (B, rows, cols) whose layers take their pivots on the same rows and
-    columns; the pivot list is theirs.  For a stack whose layers would pivot
-    apart the result is None.  An int64 ``mat`` is reduced in place, and the
-    rref returned is ``mat`` itself: pass a copy to keep the entries.
+    Each pivot is taken in the first non-pivot row, in the rows' first
+    order, with a nonzero entry, and the pivot rows end on top in pivot
+    order, above the zero rows in their first order.  ``mat`` may also be a
+    stack of shape (B, rows, cols) whose layers take their pivots on the
+    same rows and columns; the pivot list is theirs.  For a stack whose
+    layers would pivot apart the result is None.  An int64 ``mat`` is
+    reduced in place, and the rref returned is ``mat`` itself: pass a copy
+    to keep the entries.
+
+    Inside a panel the per-pivot steps run on the free rows only.  At the
+    panel's end its pivot rows move up under the earlier ones, and those
+    earlier ones take the panel's steps in one product.
     """
     _check_modulus(p)
     out = np.asarray(mat, dtype=np.int64)
@@ -155,23 +170,26 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
     m = out[None] if out.ndim == 2 else out
     nb, rows, cols = m.shape
     width = max(cols, 1) if rows <= _PANEL else _PANEL
-    free = np.ones(rows + 1, dtype=bool)  # the last entry stops the scan for lo
-    lo = 0  # every row above lo is a pivot row
-    order: list[int] = []  # pivot rows, in pivot order
     pivots: list[int] = []
     for c0 in range(0, cols, width):
-        if lo == rows:
+        start = len(pivots)  # the rows above start are the pivot rows, in pivot order
+        if start == rows:
             break
         c1 = min(c0 + width, cols)
-        w, start, trailing = c1 - c0, len(order), c1 < cols
-        if trailing:  # the panel's columns, then its transform columns
-            panel = np.zeros((nb, rows, 2 * w), dtype=np.int64)
-            panel[:, :, :w] = m[:, :, c0:c1]
-        else:
+        w, trailing = c1 - c0, c1 < cols
+        live = m[:, start:]  # the free rows, in their first order, zero left of c0
+        in_place = not start and not trailing
+        if in_place:
             panel = m[:, :, c0:]
+        else:  # the panel's columns, then, with columns right of it, transform columns
+            panel = np.zeros((nb, rows - start, 2 * w if trailing else w), dtype=np.int64)
+            panel[:, :, :w] = live[:, :, c0:c1]
+        unused = np.ones(rows - start + 1, dtype=bool)  # the last entry stops the scan for lo
+        lo = 0  # every live row above lo is a pivot row
+        mine: list[int] = []  # the panel's pivot rows, as live rows
         for c in range(w):
             nz = panel[:, lo:, c] != 0
-            nz &= free[lo:rows]
+            nz &= unused[lo:-1]
             first = nz.argmax(axis=1)
             k = int(first[0])
             if not nz[0, k]:  # no pivot in the first layer
@@ -181,7 +199,7 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
             if nb > 1 and (int(first.min()) != k or not nz[:, k].all()):
                 return None
             pr = lo + k
-            s = len(order) - start
+            s = len(mine)
             hi = w + s + 1 if trailing else w  # transform columns past s are zero
             if trailing:
                 panel[:, pr, w + s] = 1
@@ -193,31 +211,53 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
             block = panel[:, :, c:hi]
             block -= update
             block %= p
-            free[pr] = False
-            order.append(pr)
+            unused[pr] = False
+            mine.append(pr)
             pivots.append(c0 + c)
-            while not free[lo]:
+            while not unused[lo]:
                 lo += 1
-            if lo == rows:
+            if lo == rows - start:
                 break
-        if trailing and len(order) > start:
-            # keep the rows that did not pivot here, replace the ones that did,
-            # and add each row's recorded combination of the pivot rows
-            piv = order[start:]
-            m[:, :, c0:c1] = panel[:, :, :w]
-            transform = panel[:, :, w:w + len(piv)]
-            # the product in column blocks, so that its temporaries stay small
-            step = max(1, _PRODUCT_ENTRIES // (nb * rows))
-            for b0 in range(c1, cols, step):
-                rest = m[:, :, b0:b0 + step]
-                update = matmul_mod(transform, rest[:, piv], p)
-                rest[:, piv] = 0
-                rest += update
-                rest %= p
-    if order != list(range(len(order))):
-        perm = order + np.flatnonzero(free[:rows]).tolist()
-        for layer in m:
-            layer[:] = layer[perm]
+        k = len(mine)
+        # the panel's pivot rows move up, in pivot order, above the rows still
+        # free, which keep their order
+        moved = mine != list(range(k))
+        perm = mine + np.flatnonzero(unused[:-1]).tolist() if moved else slice(None)
+        if in_place:
+            if moved:
+                for layer in m:
+                    layer[:] = layer[perm]
+            break
+        if not k:
+            continue
+        if start:
+            # each earlier pivot row loses its entry in each of the panel's
+            # pivot columns times that pivot's final row
+            done = m[:, :start]
+            steps = _product(np.negative(done[:, :, pivots[-k:]]) % p,
+                             panel[:, mine, :w + k if trailing else w], p)
+            old = done[:, :, c0:c1]
+            old += steps[:, :, :w]
+            old %= p
+        live[:, :, c0:c1] = panel[:, perm, :w]
+        if not trailing:
+            break
+        transform = np.empty((nb, rows, k), dtype=np.int64)
+        transform[:, start:] = panel[:, perm, w:w + k]
+        if start:
+            transform[:, :start] = steps[:, :, w:] % p
+        if moved:
+            live[:, :, c1:] = live[:, perm, c1:]
+        # replace the pivot rows and add each row's recorded combination of
+        # them, the product in column blocks so that its temporaries stay
+        # small
+        step = max(1, _PRODUCT_ENTRIES // (nb * rows))
+        for b0 in range(c1, cols, step):
+            rest = m[:, :, b0:b0 + step]
+            update = _product(transform, rest[:, start:start + k], p)
+            rest[:, start:start + k] = 0
+            rest += update
+            rest %= p
     return out, pivots
 
 
@@ -254,6 +294,14 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64) % p
     if a.shape[-1] > 32768:
         raise ValueError("inner dimension too large for the overflow-free product")
+    out = _product(a, b, p)
+    out %= p
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b for a and b reduced mod p, congruent to it mod p but not
+    reduced: each entry is below 2^47 plus the inner dimension times 2^47."""
     hi = b >> 16
     lo = b & 0xFFFF
     if a.shape[-1] <= _FLOAT_INNER:  # each dot product below 2^53: exact in float64
@@ -265,7 +313,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     out %= p
     out *= 65536
     out += (a @ lo).astype(np.int64, copy=False)
-    out %= p
     return out
 
 

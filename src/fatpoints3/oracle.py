@@ -253,14 +253,20 @@ def _chart_rows(d: int, chart: int) -> tuple[np.ndarray, np.ndarray]:
     x^e along alpha at the point's affine coordinates z: the product over
     the three coordinates j of the falling factorial e_j (e_j - 1) ...
     (e_j - alpha_j + 1) and z_j^(e_j - alpha_j).  Returns the products of
-    the falling factorials, at most 16^4, shape (len(_ALPHAS), N), and the
-    exponents clipped at 0, shape (3, len(_ALPHAS), N); the clip only hits
+    the falling factorials, at most 16^4, shape (len(_ALPHAS), N), and for
+    each entry the index of the degree-d monomial whose exponents off the
+    chart are the e_j - alpha_j, which is z^(e - alpha) when the chart's
+    coordinate is 1; the exponents are clipped at 0, which only hits
     entries whose falling factorial is 0.
     """
-    exps = monomial_exponents(d)[:, [j for j in range(4) if j != chart]].T[:, None, :]
-    alphas = np.array(_ALPHAS, dtype=np.int64).T[:, :, None]
+    off = [j for j in range(4) if j != chart]
+    affine = monomial_exponents(d)[:, off].T
+    exps, alphas = affine[:, None, :], np.array(_ALPHAS, dtype=np.int64).T[:, :, None]
     ff = np.prod([np.where(i < alphas, exps - i, 1) for i in range(MAX_MULT - 1)], axis=(0, 1))
-    return ff, np.maximum(exps - alphas, 0)
+    # every affine exponent of degree at most d is one degree-d monomial
+    lookup = np.zeros((d + 1,) * 3, dtype=np.int64)
+    lookup[tuple(affine)] = np.arange(affine.shape[1])
+    return ff, lookup[tuple(np.maximum(exps - alphas, 0))]
 
 
 def _mult_rows(m: int) -> int:
@@ -285,12 +291,15 @@ class _Workspace:
     """The solver state of one geometry, alive exactly as long as it is.
 
     ``tables[d]`` holds the degree-d condition rows of the first points in
-    use, shape (points, len(_ALPHAS), N): the filled prefix of one buffer
-    sized for every point of the geometry, so growing it copies nothing.
-    The graded ``_ALPHAS`` layout makes the first C(m+2, 3) rows of a
-    point its conditions for multiplicity m.  ``last`` is the (solution,
-    layer) of the last class solved on the geometry: its kernel is
-    ``solution.kernels[layer]``, see ``_kernels``.
+    use, shape (points, depth, N), where depth is ``_mult_rows`` of the
+    deepest multiplicity asked for at degree d: the graded ``_ALPHAS``
+    layout makes the first C(m+2, 3) rows of a point its conditions for
+    multiplicity m, so no class reads past them.  The table is the filled
+    prefix of one buffer sized for every point of the geometry, so growing
+    in points copies nothing; growing in depth, which is rare, moves the
+    rows into a deeper buffer and fills only the new ones.  ``last`` is the
+    (solution, layer) of the last class solved on the geometry: its kernel
+    is ``solution.kernels[layer]``, see ``_kernels``.
     """
 
     def __init__(self) -> None:
@@ -298,24 +307,45 @@ class _Workspace:
         self.buffers: dict[int, np.ndarray] = {}
         self.last: Optional[tuple] = None
 
-    def table(self, geom: Geometry, d: int, r: int) -> np.ndarray:
-        """The degree-d rows of at least the first r points, grown to them
-        when the table is shorter."""
-        p = geom.prime
+    def table(self, geom: Geometry, d: int, r: int, depth: int) -> np.ndarray:
+        """The degree-d rows of at least the first r points, at least depth
+        rows each, grown to them when the table is smaller."""
         table = self.tables.get(d)
-        n = 0 if table is None else len(table)
-        if table is None or n < r:
-            if table is None:
-                shape = (len(geom.points), len(_ALPHAS), monomial_exponents(d).shape[0])
-                self.buffers[d] = np.empty(shape, dtype=np.int64)
-            buffer = self.buffers[d]
-            for i, pt in enumerate(geom.points[n:r], n):
-                chart = next(k for k in range(4) if pt[k])
-                ff, exps = _chart_rows(d, chart)
-                pw = _power_table(pt[:chart] + pt[chart + 1:], d, p)
-                buffer[i] = ff * pw[0, exps[0]] % p * pw[1, exps[1]] % p * pw[2, exps[2]] % p
-            table = self.tables[d] = buffer[:r]
+        n, have = (0, 0) if table is None else table.shape[:2]
+        if table is not None and n >= r and have >= depth:
+            return table
+        r, depth = max(n, r), max(have, depth)
+        if table is None or depth > have:
+            shape = (len(geom.points), depth, monomial_exponents(d).shape[0])
+            buffer = self.buffers[d] = np.empty(shape, dtype=np.int64)
+            if n:
+                buffer[:n, :have] = table
+                _fill_rows(geom, d, buffer[:n, have:], 0, have)
+        buffer = self.buffers[d]
+        _fill_rows(geom, d, buffer[n:r], n, 0)
+        table = self.tables[d] = buffer[:r]
         return table
+
+
+def _fill_rows(geom: Geometry, d: int, out: np.ndarray, first: int, start: int) -> None:
+    """Write the degree-d rows start, start + 1, ... of the points first,
+    first + 1, ... into ``out``, shape (points, rows, N): the chart's
+    falling factorials times the monomials of each point's affine
+    coordinates, for all points of one chart at once."""
+    k, stop, p = out.shape[0], start + out.shape[1], geom.prime
+    if not out.size:
+        return
+    pts = np.array(geom.points[first:first + k], dtype=np.int64)
+    charts = (pts != 0).argmax(axis=1)
+    for chart in np.unique(charts).tolist():
+        at = np.flatnonzero(charts == chart)
+        ff, index = _chart_rows(d, chart)
+        affine = pts[at]
+        affine[:, chart] = 1
+        vals = monomial_values(affine, d, p)[:, index[start:stop]]
+        vals *= ff[start:stop]
+        vals %= p
+        out[at] = vals
 
 
 _WORKSPACES: "weakref.WeakKeyDictionary[Geometry, _Workspace]" = weakref.WeakKeyDictionary()
@@ -329,22 +359,24 @@ def _rows(geoms: Sequence[Geometry], d: int, done: tuple, mults: tuple) -> np.nd
     """The rows imposing ``mults`` beyond the ``done`` multiplicities, one
     layer per geometry: shape (geometries, rows, N).
 
-    ``done`` is no longer than ``mults`` and no entry of it is larger.  The
-    row indices are the same on every geometry, so they are built once and
-    each table is gathered straight into its layer.
+    ``done`` is no longer than ``mults`` and no entry of it is larger.  Each
+    geometry's table is grown to the first len(mults) points and to the
+    rows of the largest multiplicity, and may be deeper from an earlier
+    class.  The rows' places within their points are the same on every
+    geometry, so they are built once, and each table is gathered straight
+    into its layer.
     """
-    r = len(mults)
+    r, depth = len(mults), _mult_rows(max(mults, default=0))
     start = np.array([_mult_rows(o) for o in done] + [0] * (r - len(done)), dtype=np.int64)
     count = np.array([_mult_rows(m) for m in mults], dtype=np.int64) - start
     # the k-th row gathered for a point is its row start + k
     point = np.repeat(np.arange(r), count)
-    index = point * len(_ALPHAS) + np.arange(point.size) + np.repeat(
-        start - np.cumsum(count) + count, count)
+    row = np.arange(point.size) + np.repeat(start - np.cumsum(count) + count, count)
     n_cols = monomial_exponents(d).shape[0]
-    out = np.empty((len(geoms), index.size, n_cols), dtype=np.int64)
+    out = np.empty((len(geoms), row.size, n_cols), dtype=np.int64)
     for layer, geom in zip(out, geoms):
-        table = _workspace(geom).table(geom, d, r)
-        np.take(table.reshape(-1, n_cols), index, axis=0, out=layer)
+        table = _workspace(geom).table(geom, d, r, depth)
+        np.take(table.reshape(-1, n_cols), point * table.shape[1] + row, axis=0, out=layer)
     return out
 
 
@@ -383,11 +415,12 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     (the free columns of ``B K^T`` pick them out of the old ones), so it is
     exactly the basis a full elimination would give.  As ``K`` is identity
     on its free columns, ``B K^T`` is ``B`` on those columns plus a product
-    over the pivot columns alone.  Any other stack starts from the
-    identity, which is the full elimination and gives the same basis.  When
-    two layers pivot differently the geometries are solved one by one, as
-    stacks of one.  Each kernel is kept in its geometry's workspace, so
-    each geometry holds one.
+    over the pivot columns alone.  An empty ``K`` is returned at once,
+    before any row is gathered, and so is ``K`` when no row is added.  Any
+    other stack starts from the identity, which is the full elimination
+    and gives the same basis.  When two layers pivot differently the
+    geometries are solved one by one, as stacks of one.  Each kernel is
+    kept in its geometry's workspace, so each geometry holds one.
     """
     p = geoms[0].prime
     spaces = [_workspace(g) for g in geoms]
@@ -396,11 +429,13 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
             and all(o <= m for o, m in zip(last.mults, c.mults))
             and [ws.last for ws in spaces] == [(last, i) for i in range(len(geoms))]):
         last = None
-    rows = _rows(geoms, c.d, () if last is None else last.mults, c.mults)
     if last is None:
-        reduced = gfp.rref_mod(rows, p)
+        reduced = gfp.rref_mod(_rows(geoms, c.d, (), c.mults), p)
     else:
         base = last.kernels[:len(geoms)]  # a view: the stack may be a prefix
+        if base.shape[1] == 0:  # no form left to lose: h0 stays 0
+            return list(base)
+        rows = _rows(geoms, c.d, last.mults, c.mults)
         if rows.shape[1] == 0:
             return list(base)
         coords = gfp.matmul_mod(rows[:, :, last.pivots], base[:, :, last.pivots].swapaxes(1, 2), p)
@@ -1215,19 +1250,24 @@ def _generic_points(pr: _Probe, rng: random.Random) -> np.ndarray:
     return _fresh(pr, lambda k: (words.points(k), True))
 
 
+# curve draws one round of ``_fresh_curve`` reads ahead
+_CURVE_ROUND = 256
+
+
 def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable] = None):
     """count unassigned curve points, each the first of up to 64 curve draws
     that is one, and after each a draw of ``after`` when given: the points
     (zero where 64 draws found none), which of them were found, and the
     ``after`` draws.
 
-    Every draw is first taken to be such a point; from the first that is
-    not one, the draws are read again.
+    Every draw is first taken to be such a point, in rounds of at most
+    ``_CURVE_ROUND`` draws; from the first that is not one, the draws are
+    read again, so a drawn point that is assigned wastes at most one round.
     """
     zs, found, others = [np.zeros((0, 4), dtype=np.int64)], [], []
     while len(found) < count:
         draws, ends, more = [], [], []
-        for _ in range(count - len(found)):
+        for _ in range(min(count - len(found), _CURVE_ROUND)):
             draws.append(words.curve_draw())
             ends.append(words.pos)
             if after:
@@ -1239,7 +1279,7 @@ def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable
         found += [True] * j
         others += more[:j]
         if j == len(draws):
-            break
+            continue
         words.pos = ends[j]
         z, ok = np.zeros((1, 4), dtype=np.int64), False
         for _ in range(63):

@@ -7,7 +7,11 @@ separately exercises the installed console script through a subprocess.
 import contextlib
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +203,29 @@ def test_probes_above_the_maximum_are_an_error(capsys, monkeypatch, command):
 
 # ---------------------------------------------------------------------------
 # error handling
+
+
+def test_oracle_on_a_thousand_points_stays_in_bounded_memory():
+    # each of the 15 geometries holds one degree-16 row per simple point,
+    # 8 MB where all 35 derivative rows took 259 MB; under a 2.5 GB address
+    # space the run ends normally
+    resource = pytest.importorskip("resource")
+    limit = 2_500_000 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = [str(pathlib.Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "fatpoints3.cli", "oracle", "L3(16; 1^1000)", "--probes", "0"]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap,
+                         timeout=600)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    # the points lie on a quartic curve, so they impose 16 * 4 = 64
+    # conditions on degree-16 forms: 969 - 64 forms are left
+    assert "dim [904]" in run.stdout
 
 
 def test_parse_error_reports_position(capsys):

@@ -666,6 +666,38 @@ def test_the_row_table_grows_in_place():
     assert np.array_equal(tables[5][:3], first[0])
 
 
+def test_the_row_table_holds_only_the_rows_a_class_reads():
+    # simple points read one row each: 300 x 969 entries at degree 16, not
+    # 35 times as many
+    g = oracle.build_geometry(TS_PRIME, 0, 300)
+    oracle.solve_system(g, parse_class("L3(16; 1^300)"))
+    assert oracle._workspace(g).tables[16].shape == (300, 1, 969)
+
+
+def test_the_row_table_grows_in_depth_and_in_points():
+    # depth, then points, then depth again, and both at once, on points in
+    # all four affine charts: every class asked for so far still gets its
+    # pure-Python rows
+    pts = tuple(
+        segre_point(s, 1, u, 1, TS_PRIME)
+        for s, u in ((3, 5), (7, 0), (0, 11), (0, 0))
+    )
+    steps = {
+        "depth, points, depth": (((1,), (1, 1)), ((3,), (1, 10)),
+                                 ((3, 2, 2, 1), (4, 10)), ((5, 4, 2, 1), (4, 35))),
+        "both at once": (((2,), (1, 4)), ((4, 1, 1), (3, 20)), ((1, 1, 1, 1), (4, 20))),
+    }
+    for name, sequence in steps.items():
+        geom = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
+        tables = oracle._workspace(geom).tables
+        asked = []
+        for mults, shape in sequence:
+            asked.append(ThreefoldClass(4, mults))
+            for c in asked:
+                assert oracle.conditions_matrix(geom, c).tolist() == reference_conditions(geom, c)
+            assert tables[4].shape == shape + (35,), (name, mults)
+
+
 def test_the_sketch_is_built_once_per_kernel(monkeypatch):
     # the dimension pass builds no sketch; a battery with probes builds one
     # per SystemData, shared by its base-locus and separation probes

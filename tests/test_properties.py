@@ -909,6 +909,91 @@ def test_curve_draws_after_512_fibres_without_points(p):
                       ("on-curve", "pair-on-curve", "pair-mixed", "tangent-on-curve"))
 
 
+def fresh_curve_reference(pr, words, count, after=None):
+    """``oracle._fresh_curve`` with rounds as long as the draws still
+    wanted: after a drawn point that is assigned, every draw past it is
+    read again, so its work grows with the square of the count."""
+    zs, found, others = [np.zeros((0, 4), dtype=np.int64)], [], []
+    while len(found) < count:
+        draws, ends, more = [], [], []
+        for _ in range(count - len(found)):
+            draws.append(words.curve_draw())
+            ends.append(words.pos)
+            if after:
+                more.append(after())
+        z, ok = words.lift(draws)
+        ok &= pr.unassigned(z)
+        j = len(draws) if ok.all() else int(np.argmin(ok))
+        zs.append(z[:j])
+        found += [True] * j
+        others += more[:j]
+        if j == len(draws):
+            break
+        words.pos = ends[j]
+        z, ok = np.zeros((1, 4), dtype=np.int64), False
+        for _ in range(63):
+            one, good = words.curve(1)
+            if good[0] and pr.unassigned(one)[0]:
+                z, ok = one, True
+                break
+        zs.append(z)
+        found.append(ok)
+        if after:
+            others.append(after())
+    return np.concatenate(zs), np.array(found, dtype=bool), np.array(others, dtype=np.int64)
+
+
+class AssignedPoints:
+    """The one part of a probe ``_fresh_curve`` reads: ``unassigned``."""
+
+    def __init__(self, points):
+        self.points = np.array(points, dtype=np.int64).reshape(-1, 4)
+
+    def unassigned(self, z):
+        return ~(z[..., None, :] == self.points).all(axis=-1).any(axis=-1)
+
+
+@pytest.mark.parametrize("p", (65537, 2**31 - 1))
+def test_fresh_curve_matches_the_uncapped_rounds(p):
+    # every 29th point the stream draws is taken as assigned, so rounds
+    # are cut short and read again, at counts on both sides of one round
+    geom = oracle.get_geometry(p, 0)
+    seed = oracle.derive_seed("fresh-curve", p)
+    for with_after in (False, True):
+        words = oracle._Words(random.Random(seed), geom)
+        drawn = oracle._fresh_curve(AssignedPoints([]), words, 1200,
+                                    words.point if with_after else None)[0]
+        pr = AssignedPoints(drawn[::29])
+        for count in (1, oracle._CURVE_ROUND, oracle._CURVE_ROUND + 1, 1000):
+            fast = oracle._Words(random.Random(seed), geom)
+            slow = oracle._Words(random.Random(seed), geom)
+            got = oracle._fresh_curve(pr, fast, count, fast.point if with_after else None)
+            want = fresh_curve_reference(pr, slow, count, slow.point if with_after else None)
+            assert len(got[1]) == count and (got[0][0] != drawn[0]).any()  # drawn again
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (with_after, count)
+            assert fast.pos == slow.pos
+
+
+def test_fresh_curve_draws_grow_linearly_with_the_count(monkeypatch):
+    # L3(5; 2^5, 1^7) at 65537: 20,000 curve pairs want 40,000 curve
+    # points, and drawing the 12 assigned points again costs at most a
+    # round each; the uncapped rounds read every later draw again
+    calls = []
+    draw = oracle._Words.curve_draw
+
+    def counted(words):
+        calls.append(None)
+        return draw(words)
+
+    monkeypatch.setattr(oracle._Words, "curve_draw", counted)
+    geom = oracle.get_geometry(65537, 0)
+    pr = oracle._Probe("separation", geom, parse_class("L3(5; 2^5, 1^7)"), 20_000, None)
+    pairs = oracle._curve_pairs(pr, pr.rng("pair-on-curve", pr.nprobes))
+    assert len(pairs) > 19_900
+    assert 40_000 <= len(calls) < 40_000 + 20 * (oracle._CURVE_ROUND + 64)
+
+
 def fibre_coordinates(p):
     """Fibres k for a block: 0, 1, 2, p - 2, p - 1, p for (1:0), and random."""
     return st.lists(st.sampled_from((0, 1, 2, p - 2, p - 1, p)) | st.integers(0, p),
@@ -1319,6 +1404,61 @@ def test_stacked_rref_mod_named_cases():
         stack = stack_matrix("nonzero", defect, 3, rows, cols, p, np.random.default_rng(i))
         pivots = check_stacked_rref(stack, p)
         assert (pivots is None) == (defect != "none"), (defect, rows, cols)
+
+
+FREE_ROW_PRIMES = (65537, 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", FREE_ROW_PRIMES)
+def test_rref_mod_earlier_pivot_rows_with_entries_in_later_panels(p):
+    # [[A, B], [0, C]] with A invertible: the first panel pivots on the top
+    # rows, whose entries in B every later panel's product must clear
+    rng = np.random.default_rng(p)
+    for top, low, cols in ((PANEL, PANEL + 7, 3 * PANEL + 1), (PANEL, 2 * PANEL, 2 * PANEL)):
+        upper = np.triu(rng.integers(1, p, size=(top, top)))
+        mat = np.zeros((top + low, cols), dtype=np.int64)
+        mat[:top, :top] = upper
+        mat[:top, top:] = rng.integers(0, p, size=(top, cols - top))
+        mat[top:, top:] = rng.integers(0, p, size=(low, cols - top))
+        assert (mat[:top, top:] != 0).any(axis=1).all()
+        check_rref(mat, p)
+        layers = np.stack([mat, (mat * 3) % p, (mat * (p - 1)) % p])
+        assert check_stacked_rref(layers, p) is not None
+
+
+@pytest.mark.parametrize("p", FREE_ROW_PRIMES)
+def test_rref_mod_zero_rows_between_pivot_rows(p):
+    # every third row a combination of the two above it, across three
+    # panels of rows: the zero rows end below the pivot rows in their first
+    # order, in a single matrix and in a stack of layers alike
+    rng = np.random.default_rng(p + 1)
+    for rows, cols in ((3 * PANEL, 2 * PANEL + 5), (2 * PANEL + 3, 3 * PANEL)):
+        layers = []
+        for _ in range(3):
+            mat = rng.integers(0, p, size=(rows, cols))
+            for r in range(2, rows, 3):
+                a, b = (int(x) for x in rng.integers(0, p, size=2))
+                mat[r] = (a * mat[r - 2] + b * mat[r - 1]) % p
+            check_rref(mat, p)
+            layers.append(mat)
+        pivots = check_stacked_rref(np.stack(layers), p)
+        assert pivots is not None and len(pivots) == rows - rows // 3
+
+
+@pytest.mark.parametrize("p", FREE_ROW_PRIMES)
+def test_rref_mod_five_layers_pivot_apart_in_a_later_panel(p):
+    # the five layers agree on the first panel; one of them has a row that
+    # drops out of its pivot in the second panel, and another one that
+    # drops out only in the third
+    rng = np.random.default_rng(p + 2)
+    rows, cols = 2 * PANEL + 10, 3 * PANEL + 2
+    for layer, row in ((3, PANEL + 5), (1, 2 * PANEL + 4)):
+        stack = rng.integers(1, p, size=(5, rows, cols))
+        stack[layer, row] = (7 * stack[layer, 0] + 11 * stack[layer, row - 1]) % p
+        assert check_stacked_rref(stack, p) is None
+        assert gfp.rref_mod(stack.copy(), p) is None
+        for single in stack:
+            check_rref(single, p)
 
 
 @SETTINGS
