@@ -182,8 +182,8 @@ def _classification_text(cl, certs) -> str:
             if cert is None:
                 lines.append(f"  certificate[{goal}]: not attempted (verdict not positive)")
             else:
-                state = "ok" if cert["ok"] else f"FAILED at step {cert['failed_at']}"
-                lines.append(f"  certificate[{goal}]: {state}, {len(cert['steps'])} steps")
+                state = "ok" if cert.ok else f"FAILED at step {cert.failed_at}"
+                lines.append(f"  certificate[{goal}]: {state}, {len(cert.steps)} steps")
     return "\n".join(lines)
 
 
@@ -199,11 +199,11 @@ def cmd_classify(args) -> int:
             (Goal.BPF, cl.bpf),
             (Goal.VERY_AMPLE, cl.very_ample),
         ):
-            certs[goal.value] = build_certificate(c, goal).to_dict() if passed else None
+            certs[goal.value] = build_certificate(c, goal) if passed else None
     if args.format == "json":
         obj = cl.to_dict()
         if certs is not None:
-            obj["certificates"] = certs
+            obj["certificates"] = {goal: cert and cert.to_dict() for goal, cert in certs.items()}
         _emit(_json(obj), args.out)
     else:
         _emit(_classification_text(cl, certs), args.out)

@@ -93,6 +93,30 @@ def _padded_tops(mults: tuple[int, ...], k: int) -> list[int]:
     return ms[:k]
 
 
+def _passes(holds: tuple[bool, bool, bool], tail_enforced: bool) -> bool:
+    """A verdict from its three holds flags; the last is the point-count
+    bound, which counts only where it is enforced."""
+    return holds[0] and holds[1] and (holds[2] or not tail_enforced)
+
+
+def _nonspecial_rule(s: ThreefoldClass) -> Optional[tuple[tuple[bool, bool, bool], bool]]:
+    """Holds flags of the non-speciality hypothesis, c1 and c2 for a
+    normalized class, and whether c2 is enforced; None when a multiplicity
+    is negative, outside the test's domain."""
+    d, ms = s.d, s.mults
+    if ms and ms[-1] < 0:
+        return None
+    m1, m2, m3, m4 = _padded_tops(ms, 4)
+    return (2 * d >= m1 + m2 + m3 + m4, d >= m1 + m2 - 1, 4 * d >= sum(ms)), len(ms) >= 9
+
+
+def _nonspecial_verdict(s: ThreefoldClass) -> Verdict:
+    """The verdict of ``check_nonspecial`` for a normalized class, without
+    the condition texts."""
+    rule = _nonspecial_rule(s)
+    return Verdict.YES if rule is not None and _passes(*rule) else Verdict.UNKNOWN
+
+
 def check_nonspecial(c: ThreefoldClass) -> tuple[Verdict, list[Condition]]:
     """Sufficient non-speciality test; Yes or Unknown, never a refusal.
 
@@ -101,29 +125,34 @@ def check_nonspecial(c: ThreefoldClass) -> tuple[Verdict, list[Condition]]:
     do not cover) is Unknown.
     """
     s = _norm(c)
-    d, ms, r = s.d, s.mults, s.r
-    if any(m < 0 for m in ms):
+    rule = _nonspecial_rule(s)
+    if rule is None:
         return Verdict.UNKNOWN, [
             Condition("domain", "negative multiplicity outside the test's domain", False)
         ]
+    (hyp, c1, c2), enforced = rule
+    d, ms, r = s.d, s.mults, s.r
     m1, m2, m3, m4 = _padded_tops(ms, 4)
     total = sum(ms)
     conds = [
-        Condition(
-            "hypothesis",
-            f"2d={2 * d} >= m1+m2+m3+m4={m1 + m2 + m3 + m4}",
-            2 * d >= m1 + m2 + m3 + m4,
-        ),
-        Condition("c1", f"d={d} >= m1+m2-1={m1 + m2 - 1}", d >= m1 + m2 - 1),
+        Condition("hypothesis", f"2d={2 * d} >= m1+m2+m3+m4={m1 + m2 + m3 + m4}", hyp),
+        Condition("c1", f"d={d} >= m1+m2-1={m1 + m2 - 1}", c1),
         Condition(
             "c2",
-            f"4d={4 * d} >= sum(m)={total}" + ("" if r >= 9 else f" [not enforced, r={r} <= 8]"),
-            4 * d >= total,
-            enforced=r >= 9,
+            f"4d={4 * d} >= sum(m)={total}" + ("" if enforced else f" [not enforced, r={r} <= 8]"),
+            c2,
+            enforced=enforced,
         ),
     ]
-    ok = all(cond.holds for cond in conds if cond.enforced)
-    return (Verdict.YES if ok else Verdict.UNKNOWN), conds
+    return (Verdict.YES if _passes(*rule) else Verdict.UNKNOWN), conds
+
+
+def _bpf_rule(d: int, mr: int, top2: int, total: int, r: int
+              ) -> tuple[tuple[bool, bool, bool], bool]:
+    """Holds flags of the freeness conditions c1..c3 for a normalized class
+    with smallest multiplicity ``mr``, two largest summing to ``top2`` and
+    sum ``total``, and whether c3 is enforced."""
+    return (mr >= 0, d >= top2, 4 * d >= total + 2), r >= 8
 
 
 def check_bpf(c: ThreefoldClass) -> tuple[bool, list[Condition]]:
@@ -134,18 +163,18 @@ def check_bpf(c: ThreefoldClass) -> tuple[bool, list[Condition]]:
     m1, m2 = _padded_tops(ms, 2)
     mr = ms[-1] if ms else 0
     total = sum(ms)
+    (c1, c2, c3), enforced = _bpf_rule(d, mr, m1 + m2, total, r)
     conds = [
-        Condition("c1", f"m_r={mr} >= 0", mr >= 0),
-        Condition("c2", f"d={d} >= m1+m2={m1 + m2}", d >= m1 + m2),
+        Condition("c1", f"m_r={mr} >= 0", c1),
+        Condition("c2", f"d={d} >= m1+m2={m1 + m2}", c2),
         Condition(
             "c3",
-            f"4d={4 * d} >= sum(m)+2={total + 2}" + ("" if r >= 8 else f" [not enforced, r={r} < 8]"),
-            4 * d >= total + 2,
-            enforced=r >= 8,
+            f"4d={4 * d} >= sum(m)+2={total + 2}" + ("" if enforced else f" [not enforced, r={r} < 8]"),
+            c3,
+            enforced=enforced,
         ),
     ]
-    ok = all(cond.holds for cond in conds if cond.enforced)
-    return ok, conds
+    return _passes((c1, c2, c3), enforced), conds
 
 
 def check_very_ample(c: ThreefoldClass) -> tuple[bool, list[Condition]]:
@@ -336,11 +365,20 @@ class CertStep:
 @dataclass(frozen=True)
 class AugmentedCheck:
     """Top-level very-ampleness bookkeeping: the class with one multiplicity
-    bumped must stay base point free."""
+    bumped must stay base point free.
+
+    The record keeps the certificate's start class and the bumped index;
+    ``clazz``, the bumped class, is built each time it is read, so the r
+    checks of an r-point certificate hold no r copies of its multiplicities.
+    """
 
     index: int
-    clazz: ThreefoldClass
+    start: ThreefoldClass
     bpf: bool
+
+    @property
+    def clazz(self) -> ThreefoldClass:
+        return _bump(self.start, self.index)
 
     def to_dict(self) -> dict:
         return {"index": self.index, "class": format_class(self.clazz), "bpf": self.bpf}
@@ -411,6 +449,31 @@ def _bump(c: ThreefoldClass, i: int) -> ThreefoldClass:
     return ThreefoldClass(c.d, tuple(ms))
 
 
+def _augmented_checks(start: ThreefoldClass) -> tuple[AugmentedCheck, ...]:
+    """Freeness of each class with one multiplicity of the normalized
+    ``start`` bumped by one, in linear time.
+
+    With every multiplicity positive, a bump keeps the point count, adds one
+    to the sum and leaves the smallest multiplicity positive; its two
+    largest sum to m1+m2+1 when it bumps m1 or a multiplicity equal to m2,
+    and to m1+m2 otherwise.  So two evaluations of the freeness rule give
+    every verdict.  A bump of a negative multiplicity can make it zero, which
+    the general check drops with a warning; such a start takes that check
+    for every bump.
+    """
+    ms = start.mults
+    if not ms or ms[-1] <= 0:
+        return tuple(AugmentedCheck(i, start, check_bpf(_bump(start, i))[0])
+                     for i in range(len(ms)))
+    m1, m2 = _padded_tops(ms, 2)
+    total, r = sum(ms) + 1, len(ms)
+    # the smallest bumped multiplicity is positive; ms[-1] stands for it
+    up = _passes(*_bpf_rule(start.d, ms[-1], m1 + m2 + 1, total, r))
+    flat = _passes(*_bpf_rule(start.d, ms[-1], m1 + m2, total, r))
+    return tuple(AugmentedCheck(i, start, up if i == 0 or m == m2 else flat)
+                 for i, m in enumerate(ms))
+
+
 def _positive_count(c: ThreefoldClass) -> int:
     return sum(1 for m in c.mults if m > 0)
 
@@ -421,9 +484,7 @@ def _make_step(idx: int, cur: ThreefoldClass, goal: Goal, clamped: bool,
     surface = surface_predicate(plane, goal)
     res_raw = residual(cur, effective=clamped)
     nxt = res_raw.normalized()
-    ns_v: Optional[Verdict] = None
-    if with_ns:
-        ns_v, _ = check_nonspecial(nxt)
+    ns_v = _nonspecial_verdict(nxt) if with_ns else None
     return CertStep(idx, cur, plane, surface, res_raw, nxt, ns_v, clamped)
 
 
@@ -490,16 +551,22 @@ def _certificate_bpf(start: ThreefoldClass) -> Certificate:
 
 
 def _certificate_va(start: ThreefoldClass) -> Certificate:
+    """Very-ampleness chain of a normalized class.
+
+    Up to two points the projection base case decides.  Otherwise the
+    freeness of every one-bumped class is read from the start class's two
+    largest multiplicities, sum and point count (``_augmented_checks``), and
+    the chain walks the smallest multiplicity down to its clamped step; each
+    step's residual takes the verdict-only non-speciality check.  The work
+    per class is linear in r on top of the steps themselves.
+    """
     r = start.r
     if r <= 2:
         ok, conds = check_very_ample(start)
         term = Terminal(start, "at most 2 points: projection base case", tuple(conds), ok)
         return Certificate(Goal.VERY_AMPLE, start, (), term)
 
-    augmented = tuple(
-        AugmentedCheck(i, _bump(start, i), check_bpf(_bump(start, i))[0])
-        for i in range(start.r)
-    )
+    augmented = _augmented_checks(start)
 
     steps: list[CertStep] = []
     cur = start

@@ -15,6 +15,7 @@ conversion, and the Cremona reduction to standard form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
@@ -25,8 +26,10 @@ from typing import Iterable, Union
 
 
 def _as_mults(mults: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(m) for m in mults)
-    return out
+    """Multiplicities as a tuple of Python ints.  Integer types (numpy's
+    too) convert; floats and strings raise TypeError rather than being
+    truncated or parsed."""
+    return tuple(map(operator.index, mults))
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class ThreefoldClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mults", _as_mults(self.mults))
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", operator.index(self.d))
 
     @property
     def r(self) -> int:
@@ -63,8 +66,8 @@ class QuadricClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mults", _as_mults(self.mults))
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "a", operator.index(self.a))
+        object.__setattr__(self, "b", operator.index(self.b))
 
     @property
     def r(self) -> int:
@@ -80,7 +83,7 @@ class PlaneClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mults", _as_mults(self.mults))
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", operator.index(self.d))
 
     @property
     def r(self) -> int:
