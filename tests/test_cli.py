@@ -205,27 +205,42 @@ def test_probes_above_the_maximum_are_an_error(capsys, monkeypatch, command):
 # error handling
 
 
-def test_oracle_on_a_thousand_points_stays_in_bounded_memory():
-    # each of the 15 geometries holds one degree-16 row per simple point,
-    # 8 MB where all 35 derivative rows took 259 MB; under a 2.5 GB address
-    # space the run ends normally
+def run_capped(argv, limit_bytes, timeout):
+    """The command line in a fresh interpreter under an address-space limit."""
     resource = pytest.importorskip("resource")
-    limit = 2_500_000 * 1024
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     path = [str(pathlib.Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
                OPENBLAS_NUM_THREADS="1")
-    argv = [sys.executable, "-m", "fatpoints3.cli", "oracle", "L3(16; 1^1000)", "--probes", "0"]
-    run = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap,
-                         timeout=600)
+    return subprocess.run([sys.executable, "-m", "fatpoints3.cli", *argv],
+                          capture_output=True, text=True, env=env, preexec_fn=cap,
+                          timeout=timeout)
+
+
+def test_oracle_on_a_thousand_points_stays_in_bounded_memory():
+    # each of the 15 geometries holds one degree-16 row per simple point,
+    # 8 MB where all 35 derivative rows took 259 MB; under a 2.5 GB address
+    # space the run ends normally
+    run = run_capped(["oracle", "L3(16; 1^1000)", "--probes", "0"], 2_500_000 * 1024, 600)
     assert "Traceback" not in run.stderr
     assert run.returncode == cli.EXIT_OK, run.stderr
     # the points lie on a quartic curve, so they impose 16 * 4 = 64
     # conditions on degree-16 forms: 969 - 64 forms are left
     assert "dim [904]" in run.stdout
+
+
+def test_certificates_on_ten_thousand_points_stay_in_bounded_memory():
+    # the very-ampleness certificate records 10,000 bumped classes of 10,000
+    # points each; it keeps one start class and builds a bumped class only
+    # when read, and the text output reads none, so the run fits in 400 MB
+    # of address space where the bumped copies took 800 MB of memory
+    run = run_capped(["classify", "L3(10000; 1^10000)", "--certificates"], 400 * 2**20, 120)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    assert "certificate[very-ample]: ok, 1 steps" in run.stdout
 
 
 def test_parse_error_reports_position(capsys):

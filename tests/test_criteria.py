@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from fatpoints3 import criteria
 from fatpoints3.criteria import (
     Goal,
     Mode,
@@ -285,3 +286,91 @@ def test_certificates_cover_all_passing_classes_quick():
                 if not build_certificate(c, Goal.VERY_AMPLE).ok:
                     failures.append(("va", c))
     assert not failures, failures[:10]
+
+
+# ---------------------------------------------------------------------------
+# the certificates' verdict-only paths against the general checks
+
+
+def assert_bumps_match(start, augmented):
+    assert [a.index for a in augmented] == list(range(start.r))
+    for a in augmented:
+        bumped = criteria._bump(start, a.index)
+        assert a.clazz == bumped, (start, a.index)
+        assert a.bpf == check_bpf(bumped)[0], (start, a.index)
+
+
+def assert_residuals_match(cert):
+    for step in cert.steps:
+        assert step.ns_residual == check_nonspecial(step.next_class)[0], (cert.clazz, step.index)
+
+
+def test_bump_and_residual_verdicts_match_the_general_checks_on_a_box():
+    # d <= 10, r <= 10, m <= 4: 11,011 classes, both point-count thresholds
+    for d in range(0, 11):
+        for r in range(0, 11):
+            for mults in itertools.combinations_with_replacement(range(4, 0, -1), r):
+                start = ThreefoldClass(d, mults)
+                va_cert = build_certificate(start, Goal.VERY_AMPLE)
+                if r >= 3:
+                    assert_bumps_match(start, va_cert.augmented)
+                assert_residuals_match(va_cert)
+                assert_residuals_match(build_certificate(start, Goal.BPF))
+
+
+BUMP_CASES = [
+    "L3(3; 2)", "L3(2; 2)", "L3(0; 1)",          # one point
+    "L3(5; 3, 1)", "L3(4; 3, 1)", "L3(4; 2, 2)",  # two
+    "L3(5; 3, 2, 1)",                            # three: bumping m2 pairs it with m1
+    "L3(6; 3, 3, 1)", "L3(7; 3, 3, 1)",           # ties m1 = m2
+    "L3(6; 3, 2, 2, 1)", "L3(5; 3, 2, 2, 1)",     # ties m2 = m3
+    "L3(5; 2, 2, 2)", "L3(4; 2, 2, 2)",           # the bumped m3 overtakes m1
+    # 4d = sum(m) + 2, then + 3, at seven, eight and nine points: the bumped
+    # sum bound is enforced from eight points
+    "L3(4; 2^7)", "L3(4; 2^6, 1^2)", "L3(4; 2^5, 1^4)",
+    "L3(4; 2^6, 1)", "L3(4; 2^5, 1^3)", "L3(4; 2^4, 1^5)",
+]
+
+
+@pytest.mark.parametrize("txt", BUMP_CASES)
+def test_bump_verdicts_match_the_general_check(txt):
+    start = parse_class(txt)
+    assert_bumps_match(start, criteria._augmented_checks(start))
+    if start.r >= 3:
+        assert build_certificate(start, Goal.VERY_AMPLE).augmented == criteria._augmented_checks(start)
+
+
+def test_bump_of_a_negative_multiplicity_takes_the_general_check():
+    # bumping the -1 leaves a zero, which the general check drops with a warning
+    start = parse_class("L3(6; 2, 1, 1, -1)")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        augmented = criteria._augmented_checks(start)
+    assert [str(w.message) for w in caught] == [
+        "zero multiplicities dropped before applying point-count thresholds"
+    ]
+    assert [a.bpf for a in augmented] == [False, False, False, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_bumps_match(start, augmented)
+        assert_residuals_match(build_certificate(start, Goal.VERY_AMPLE))
+
+
+def test_va_certificate_checks_freeness_a_fixed_number_of_times(monkeypatch):
+    # r one-bumped classes are decided by two evaluations of the freeness
+    # rule; the general check runs once, on the terminal class
+    calls = []
+    check = criteria.check_bpf
+
+    def counted(c):
+        calls.append(None)
+        return check(c)
+
+    monkeypatch.setattr(criteria, "check_bpf", counted)
+    counts = []
+    for n in (10, 100, 1000):
+        calls.clear()
+        cert = build_certificate(ThreefoldClass(n, (2,) * 3 + (1,) * n), Goal.VERY_AMPLE)
+        assert cert.ok and len(cert.augmented) == n + 3
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]

@@ -1,7 +1,9 @@
 """Tests for divisor class arithmetic, reduction, and parsing."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,35 @@ def test_normalized_sorts_and_drops_zeros():
     # negatives are kept: they mark an invalid class, not a removable entry
     c2 = ThreefoldClass(4, (1, -1, 0))
     assert c2.normalized() == ThreefoldClass(4, (1, -1))
+
+
+# the three class records, each built from a degree and multiplicities; the
+# quadric record twice, its degree in either slot
+RECORDS = {
+    "L3": lambda deg, ms: ThreefoldClass(deg, ms),
+    "LQ-a": lambda deg, ms: QuadricClass(deg, 3, ms),
+    "LQ-b": lambda deg, ms: QuadricClass(3, deg, ms),
+    "L2": lambda deg, ms: PlaneClass(deg, ms),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_refuse_non_integers(make):
+    # int() would truncate 5.7 to 5 and read "5" as 5
+    for bad in (5.7, 5.0, "5", np.float64(5.0)):
+        with pytest.raises(TypeError):
+            make(bad, (2, 1))
+        with pytest.raises(TypeError):
+            make(5, (2, bad, 1))
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_store_numpy_integers_as_python_ints(make):
+    c = make(np.int64(5), np.array([2, 1, 1], dtype=np.int64))
+    assert c == make(5, (2, 1, 1))
+    *degrees, mults = (getattr(c, f.name) for f in dataclasses.fields(c))
+    assert type(mults) is tuple
+    assert all(type(v) is int for v in (*degrees, *mults))
 
 
 def test_random_roundtrip_property():
