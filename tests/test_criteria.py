@@ -1,5 +1,6 @@
 """Tests for the combinatorial checkers and induction certificates."""
 
+import hashlib
 import itertools
 import json
 import warnings
@@ -374,3 +375,30 @@ def test_va_certificate_checks_freeness_a_fixed_number_of_times(monkeypatch):
         assert cert.ok and len(cert.augmented) == n + 3
         counts.append(len(calls))
     assert counts == [1, 1, 1]
+
+
+def golden_classes():
+    # positive box: d <= 10, r <= 10, m in 1..3 (3,146 classes); then zeros
+    # and negatives: d in -2..5, r <= 5, m in -2..3 (3,696 classes)
+    for ds, rmax, ms in ((range(0, 11), 10, range(1, 4)), (range(-2, 6), 5, range(-2, 4))):
+        for d in ds:
+            for r in range(rmax + 1):
+                for combo in itertools.combinations_with_replacement(ms, r):
+                    yield ThreefoldClass(d, combo[::-1])
+
+
+def test_checker_and_certificate_output_matches_the_golden_hash():
+    # every classification and certificate dict, with every warning, pinned
+    # byte for byte; a changed plane model, Cremona move, residual or
+    # warning text changes the hash
+    digest = hashlib.sha256()
+    count = 0
+    for c in golden_classes():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dicts = [classify(c).to_dict()] + [build_certificate(c, g).to_dict() for g in Goal]
+        line = json.dumps([dicts, [str(w.message) for w in caught]], sort_keys=True) + "\n"
+        digest.update(line.encode())
+        count += 1
+    assert count == 3146 + 3696
+    assert digest.hexdigest() == "f730e20ef6e23f4f7dde34007087db2863bbae8e201d4ddf774c6414fc7636a9"
