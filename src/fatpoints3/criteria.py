@@ -16,6 +16,7 @@ of second-guessing it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,8 +26,8 @@ from .divclass import (
     PlaneClass,
     ReductionLog,
     ThreefoldClass,
+    _format_bumps,
     cremona_reduce,
-    edim3,
     format_class,
     k_int,
     residual,
@@ -249,11 +250,12 @@ def classify(c: ThreefoldClass, mode: Mode = Mode.ON_ANTICANONICAL) -> Classific
     ns, ns_conds = check_nonspecial(s)
     bp, bp_conds = check_bpf(s)
     va, va_conds = check_very_ample(s)
+    vdim = vdim3(c)
     return Classification(
         clazz=c,
         mode=mode,
-        vdim=vdim3(c),
-        edim=edim3(c),
+        vdim=vdim,
+        edim=max(-1, vdim),
         nonspecial=ns,
         nonspecial_conditions=tuple(ns_conds),
         bpf=bp,
@@ -301,15 +303,18 @@ class SurfaceCheck:
         }
 
 
+def _surface_check(c: PlaneClass, goal: Goal, log: ReductionLog, k: int) -> SurfaceCheck:
+    """The predicate of ``goal`` on a plane class, given its reduction and
+    K-intersection."""
+    thr = _K_THRESHOLD[goal]
+    return SurfaceCheck(c, goal, log, k, thr, log.standard and k <= thr)
+
+
 def surface_predicate(c: PlaneClass, goal: Goal) -> SurfaceCheck:
     """Plane-class predicate: Cremona-reducible to standard form plus a
     K-intersection bound.  The pairing is computed on the input class, which
     is safe because the quadratic moves preserve it."""
-    log = cremona_reduce(c)
-    k = k_int(c)
-    thr = _K_THRESHOLD[goal]
-    ok = log.standard and k <= thr
-    return SurfaceCheck(c, goal, log, k, thr, ok)
+    return _surface_check(c, goal, cremona_reduce(c), k_int(c))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +386,10 @@ class AugmentedCheck:
         return _bump(self.start, self.index)
 
     def to_dict(self) -> dict:
-        return {"index": self.index, "class": format_class(self.clazz), "bpf": self.bpf}
+        return self._dict(format_class(self.clazz))
+
+    def _dict(self, clazz: str) -> dict:
+        return {"index": self.index, "class": clazz, "bpf": self.bpf}
 
 
 @dataclass(frozen=True)
@@ -419,6 +427,11 @@ class Certificate:
         )
 
     def to_dict(self) -> dict:
+        # the checks a certificate builds share one start; their bumped
+        # classes are spliced from its caret runs, so the r checks of an
+        # r-point start render in time linear in their bytes
+        start = self.augmented[0].start if self.augmented else None
+        bumped = _format_bumps(start) if start is not None else []
         return {
             "schema": SCHEMA_VERSION,
             "goal": self.goal.value,
@@ -426,7 +439,10 @@ class Certificate:
             "ok": self.ok,
             "failed_at": self.failed_at,
             "steps": [s.to_dict() for s in self.steps],
-            "augmented_bpf_checks": [a.to_dict() for a in self.augmented],
+            "augmented_bpf_checks": [
+                a._dict(bumped[a.index]) if a.start is start else a.to_dict()
+                for a in self.augmented
+            ],
             "terminal": self.terminal.to_dict(),
         }
 
@@ -478,14 +494,29 @@ def _positive_count(c: ThreefoldClass) -> int:
     return sum(1 for m in c.mults if m > 0)
 
 
+@functools.lru_cache(maxsize=256)
+def _reduced_step(cur: ThreefoldClass) -> tuple[PlaneClass, ReductionLog, int,
+                                                ThreefoldClass, ThreefoldClass, Verdict]:
+    """The goal-free part of a step from ``cur``: the trace's plane model, its
+    Cremona reduction and K-intersection, the residual, its normalized form
+    and that form's non-speciality verdict.
+
+    Cached, so the three goal chains of a class reduce each step class once.
+    A clamped step starts from a class whose multiplicities are all at least
+    1, so clamping changes no residual multiplicity and the key is the class
+    alone.
+    """
+    plane = restricted_plane_class(cur)
+    res_raw = residual(cur)
+    nxt = res_raw.normalized()
+    return plane, cremona_reduce(plane), k_int(plane), res_raw, nxt, _nonspecial_verdict(nxt)
+
+
 def _make_step(idx: int, cur: ThreefoldClass, goal: Goal, clamped: bool,
                with_ns: bool) -> CertStep:
-    plane = restricted_plane_class(cur)
-    surface = surface_predicate(plane, goal)
-    res_raw = residual(cur, effective=clamped)
-    nxt = res_raw.normalized()
-    ns_v = _nonspecial_verdict(nxt) if with_ns else None
-    return CertStep(idx, cur, plane, surface, res_raw, nxt, ns_v, clamped)
+    plane, log, k, res_raw, nxt, ns_v = _reduced_step(cur)
+    return CertStep(idx, cur, plane, _surface_check(plane, goal, log, k), res_raw, nxt,
+                    ns_v if with_ns else None, clamped)
 
 
 def build_certificate(c: ThreefoldClass, goal: Goal) -> Certificate:

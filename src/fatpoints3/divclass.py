@@ -48,12 +48,18 @@ class ThreefoldClass:
         return len(self.mults)
 
     def sorted_desc(self) -> "ThreefoldClass":
-        return ThreefoldClass(self.d, tuple(sorted(self.mults, reverse=True)))
+        """Multiplicities sorted non-increasing; the class itself when they
+        already are."""
+        ms = tuple(sorted(self.mults, reverse=True))
+        return self if ms == self.mults else ThreefoldClass(self.d, ms)
 
     def normalized(self) -> "ThreefoldClass":
-        """Sort multiplicities non-increasing and drop zero entries."""
-        ms = tuple(m for m in sorted(self.mults, reverse=True) if m != 0)
-        return ThreefoldClass(self.d, ms)
+        """Sort multiplicities non-increasing and drop zero entries; the class
+        itself when it is already in that form."""
+        ms = tuple(sorted(self.mults, reverse=True))
+        if 0 in ms:
+            return ThreefoldClass(self.d, tuple(m for m in ms if m != 0))
+        return self if ms == self.mults else ThreefoldClass(self.d, ms)
 
 
 @dataclass(frozen=True)
@@ -180,11 +186,12 @@ def self_int(c: AnyClass) -> int:
 
 
 def k_int(c: AnyClass) -> int:
-    """Intersection with the canonical class of the ambient blown-up surface."""
+    """Intersection with the canonical class of the ambient blown-up surface:
+    sum(m) - 3d on the plane, sum(m) - 2(a + b) on the quadric."""
     if isinstance(c, PlaneClass):
-        return pair(c, plane_canonical(c.r))
+        return sum(c.mults) - 3 * c.d
     if isinstance(c, QuadricClass):
-        return pair(c, quadric_canonical(c.r))
+        return sum(c.mults) - 2 * (c.a + c.b)
     raise TypeError(f"no canonical pairing for {type(c).__name__}")
 
 
@@ -273,7 +280,8 @@ def is_standard_form(c: PlaneClass) -> bool:
 
 
 def _top3_indices(mults: tuple[int, ...]) -> tuple[int, int, int]:
-    order = sorted(range(len(mults)), key=lambda i: (-mults[i], i))
+    # the sort is stable, so ties keep their index order
+    order = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)
     return order[0], order[1], order[2]
 
 
@@ -331,17 +339,54 @@ class ClassParseError(ValueError):
         self.pos = pos
 
 
-def _render_mults(mults: tuple[int, ...]) -> str:
-    parts: list[str] = []
+def _runs(mults: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Runs of equal consecutive multiplicities, as (value, length)."""
+    runs = []
     i = 0
     while i < len(mults):
-        j = i
+        j = i + 1
         while j < len(mults) and mults[j] == mults[i]:
             j += 1
-        run = j - i
-        parts.append(f"{mults[i]}^{run}" if run > 1 else f"{mults[i]}")
+        runs.append((mults[i], j - i))
         i = j
-    return ", ".join(parts)
+    return runs
+
+
+def _render_run(m: int, n: int) -> str:
+    return f"{m}^{n}" if n > 1 else f"{m}"
+
+
+def _render_mults(mults: tuple[int, ...]) -> str:
+    return ", ".join([_render_run(m, n) for m, n in _runs(mults)])
+
+
+def _format_bumps(c: ThreefoldClass) -> list[str]:
+    """``format_class`` of ``c`` with its i-th multiplicity raised by one, for
+    every i, in time linear in the length of the strings.
+
+    A bump at i splits the run holding i around it; the raised point joins
+    a neighbouring run of its new value when it ends the split run on that
+    side.  Every other run renders as in ``c``, so each string is spliced
+    from ``c``'s rendered runs.
+    """
+    runs = _runs(c.mults)
+    parts = [_render_run(m, n) for m, n in runs]
+    out: list[str] = []
+    for k, (m, n) in enumerate(runs):
+        for left in range(n):
+            right = n - 1 - left
+            head, tail, raised = parts[:k], parts[k + 1:], 1
+            if not left and k > 0 and runs[k - 1][0] == m + 1:
+                head, raised = parts[:k - 1], raised + runs[k - 1][1]
+            if not right and k + 1 < len(runs) and runs[k + 1][0] == m + 1:
+                tail, raised = parts[k + 2:], raised + runs[k + 1][1]
+            mid = [_render_run(m + 1, raised)]
+            if left:
+                mid.insert(0, _render_run(m, left))
+            if right:
+                mid.append(_render_run(m, right))
+            out.append(f"L3({c.d}; {', '.join(head + mid + tail)})")
+    return out
 
 
 def format_class(c: AnyClass) -> str:

@@ -243,6 +243,19 @@ def test_certificates_on_ten_thousand_points_stay_in_bounded_memory():
     assert "certificate[very-ample]: ok, 1 steps" in run.stdout
 
 
+def test_certificate_json_on_ten_thousand_points_stays_in_bounded_memory():
+    # each of the 10,000 bumped classes is spliced from the start's caret
+    # runs, so the JSON takes time linear in its 1.2 MB
+    run = run_capped(["classify", "L3(10000; 1^10000)", "--certificates", "--format", "json"],
+                     400 * 2**20, 120)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    assert len(run.stdout.encode()) == 1_192_516
+    checks = json.loads(run.stdout)["certificates"]["very-ample"]["augmented_bpf_checks"]
+    assert [a["class"] for a in checks[:2]] == ["L3(10000; 2, 1^9999)", "L3(10000; 1, 2, 1^9998)"]
+    assert checks[-1] == {"index": 9999, "class": "L3(10000; 1^9999, 2)", "bpf": True}
+
+
 def test_parse_error_reports_position(capsys):
     code, _, err = run(capsys, "classify", "L3(2; 1^")
     assert code == 1

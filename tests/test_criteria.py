@@ -357,7 +357,16 @@ def test_bump_of_a_negative_multiplicity_takes_the_general_check():
         assert_residuals_match(build_certificate(start, Goal.VERY_AMPLE))
 
 
-def test_va_certificate_checks_freeness_a_fixed_number_of_times(monkeypatch):
+@pytest.fixture
+def fresh_steps():
+    """An empty step cache before and after a test that patches internals,
+    so no step reduced under a patch leaks into another test."""
+    criteria._reduced_step.cache_clear()
+    yield
+    criteria._reduced_step.cache_clear()
+
+
+def test_va_certificate_checks_freeness_a_fixed_number_of_times(monkeypatch, fresh_steps):
     # r one-bumped classes are decided by two evaluations of the freeness
     # rule; the general check runs once, on the terminal class
     calls = []
@@ -402,3 +411,58 @@ def test_checker_and_certificate_output_matches_the_golden_hash():
         count += 1
     assert count == 3146 + 3696
     assert digest.hexdigest() == "f730e20ef6e23f4f7dde34007087db2863bbae8e201d4ddf774c6414fc7636a9"
+
+
+def test_three_goal_chains_reduce_each_step_class_once(monkeypatch, fresh_steps):
+    # six steps over two classes; the very-ampleness chain's clamped last
+    # step starts from the class the other two chains step from unclamped
+    calls = []
+    reduce = criteria.cremona_reduce
+
+    def counted(c):
+        calls.append(c)
+        return reduce(c)
+
+    monkeypatch.setattr(criteria, "cremona_reduce", counted)
+    c = parse_class("L3(12; 2^12)")
+    certs = [build_certificate(c, g) for g in Goal]
+    steps = [step for cert in certs for step in cert.steps]
+    assert len(steps) == 6 and [s.clamped for s in steps].count(True) == 1
+    assert len(calls) == len({s.clazz for s in steps}) == 2
+    assert all(cert.ok for cert in certs)
+
+
+def test_step_cache_is_bounded():
+    assert criteria._reduced_step.cache_info().maxsize == 256
+
+
+def test_certificate_json_formats_a_fixed_number_of_classes(monkeypatch, fresh_steps):
+    # the bumped classes of a very-ampleness certificate are spliced from the
+    # start's caret runs, not formatted one by one
+    calls = []
+    fmt = criteria.format_class
+
+    def counted(c):
+        calls.append(None)
+        return fmt(c)
+
+    monkeypatch.setattr(criteria, "format_class", counted)
+    counts = []
+    for n in (10, 100, 1000):
+        calls.clear()
+        cert = build_certificate(ThreefoldClass(n, (2,) * 3 + (1,) * n), Goal.VERY_AMPLE)
+        checks = cert.to_dict()["augmented_bpf_checks"]
+        assert len(checks) == n + 3
+        assert checks[3]["class"] == f"L3({n}; 2^4, 1^{n - 1})"
+        counts.append(len(calls))
+    # the start, its one step's six classes and the terminal, at any n
+    assert counts == [8, 8, 8]
+
+
+def test_certificate_dict_renders_bumps_like_the_single_check():
+    # the bump of the -1 leaves a zero, which the freeness check drops
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cert = build_certificate(parse_class("L3(9; 3, 2^4, 1^6, -1)"), Goal.VERY_AMPLE)
+    assert len(cert.augmented) == 12
+    assert cert.to_dict()["augmented_bpf_checks"] == [a.to_dict() for a in cert.augmented]

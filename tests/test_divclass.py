@@ -307,3 +307,61 @@ def test_parse_class_fuzz(text):
     except ClassParseError:
         return
     assert parse_class(format_class(c)) == c
+
+
+def test_sorted_and_normalized_return_a_class_already_in_form():
+    c = ThreefoldClass(5, (3, 2, 2, 1))
+    assert c.sorted_desc() is c and c.normalized() is c
+    unsorted = ThreefoldClass(5, (2, 3, 0, 1))
+    assert unsorted.sorted_desc() == ThreefoldClass(5, (3, 2, 1, 0))
+    assert unsorted.normalized() == ThreefoldClass(5, (3, 2, 1))
+    with_zero = ThreefoldClass(5, (3, 2, 0))
+    assert with_zero.sorted_desc() is with_zero
+    assert with_zero.normalized() == ThreefoldClass(5, (3, 2))
+
+
+def test_k_int_closed_forms_equal_the_canonical_pairing():
+    rng = random.Random(7)
+    for _ in range(300):
+        mults = tuple(rng.randrange(-3, 9) for _ in range(rng.randrange(0, 12)))
+        plane = PlaneClass(rng.randrange(-5, 20), mults)
+        quad = QuadricClass(rng.randrange(-4, 9), rng.randrange(-4, 9), mults)
+        assert k_int(plane) == pair(plane, plane_canonical(plane.r))
+        assert k_int(quad) == pair(quad, quadric_canonical(quad.r))
+    with pytest.raises(TypeError):
+        k_int(ThreefoldClass(2, (1,)))
+
+
+def test_top3_indices_break_ties_by_index():
+    rng = random.Random(11)
+    for _ in range(2000):
+        mults = tuple(rng.randrange(-2, 4) for _ in range(rng.randrange(3, 12)))
+        order = sorted(range(len(mults)), key=lambda i: (-mults[i], i))
+        assert divclass._top3_indices(mults) == tuple(order[:3])
+
+
+def bumped(c, i):
+    ms = list(c.mults)
+    ms[i] += 1
+    return ThreefoldClass(c.d, tuple(ms))
+
+
+@pytest.mark.parametrize("txt", [
+    "L3(4; 1)", "L3(7; 2, 1^5)", "L3(7; 2^3, 1^5)", "L3(7; 3, 2, 2, 1)",
+    "L3(4; 1, 0, 0, -1, -1, -2)", "L3(6; 1, 2, 2, 3, 1)", "L3(300; 2^3, 1^300)",
+])
+def test_format_bumps_equals_the_format_of_each_bump(txt):
+    c = parse_class(txt)
+    assert divclass._format_bumps(c) == [format_class(bumped(c, i)) for i in range(c.r)]
+
+
+def test_format_bumps_on_random_starts():
+    # runs, ties at m2, zeros and negatives; sorted and unsorted
+    rng = random.Random(2024)
+    for _ in range(2000):
+        mults = [rng.choice((-2, -1, 0, 1, 1, 2, 2, 3)) for _ in range(rng.randrange(1, 14))]
+        if rng.random() < 0.5:
+            mults.sort(reverse=True)
+        c = ThreefoldClass(rng.randrange(-3, 12), mults)
+        assert divclass._format_bumps(c) == [format_class(bumped(c, i)) for i in range(c.r)]
+    assert divclass._format_bumps(ThreefoldClass(3, ())) == []
