@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import gfp
-from .divclass import ThreefoldClass, edim3, format_class, vdim3
+from .divclass import ThreefoldClass, format_class, vdim3
 
 PRIMES = (2147483647, 1073741827, 1073741831)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -290,41 +290,34 @@ def _check_conditions(geom: Geometry, c: ThreefoldClass) -> None:
 class _Workspace:
     """The solver state of one geometry, alive exactly as long as it is.
 
-    ``tables[d]`` holds the degree-d condition rows of the first points in
-    use, shape (points, depth, N), where depth is ``_mult_rows`` of the
-    deepest multiplicity asked for at degree d: the graded ``_ALPHAS``
-    layout makes the first C(m+2, 3) rows of a point its conditions for
-    multiplicity m, so no class reads past them.  The table is the filled
-    prefix of one buffer sized for every point of the geometry, so growing
-    in points copies nothing; growing in depth, which is rare, moves the
-    rows into a deeper buffer and fills only the new ones.  ``last`` is the
-    (solution, layer) of the last class solved on the geometry: its kernel
-    is ``solution.kernels[layer]``, see ``_kernels``.
+    ``tables[d, k]`` holds the degree-d condition rows of order k, the
+    C(k+2, 2) rows with |alpha| = k, of the first points that need them,
+    shape (points, C(k+2, 2), N).  A point of multiplicity m needs the
+    orders below m, and a normalized class lists its points by falling
+    multiplicity, so the points that need order k are always the first
+    ones: each table grows in points only.  It is the filled prefix of one
+    buffer sized for every point of the geometry, so growing copies
+    nothing.  ``last`` is the (solution, layer) of the last class solved on
+    the geometry: its kernel is ``solution.kernels[layer]``, see
+    ``_kernels``.
     """
 
     def __init__(self) -> None:
-        self.tables: dict[int, np.ndarray] = {}
-        self.buffers: dict[int, np.ndarray] = {}
+        self.tables: dict[tuple[int, int], np.ndarray] = {}
+        self.buffers: dict[tuple[int, int], np.ndarray] = {}
         self.last: Optional[tuple] = None
 
-    def table(self, geom: Geometry, d: int, r: int, depth: int) -> np.ndarray:
-        """The degree-d rows of at least the first r points, at least depth
-        rows each, grown to them when the table is smaller."""
-        table = self.tables.get(d)
-        n, have = (0, 0) if table is None else table.shape[:2]
-        if table is not None and n >= r and have >= depth:
-            return table
-        r, depth = max(n, r), max(have, depth)
-        if table is None or depth > have:
-            shape = (len(geom.points), depth, monomial_exponents(d).shape[0])
-            buffer = self.buffers[d] = np.empty(shape, dtype=np.int64)
-            if n:
-                buffer[:n, :have] = table
-                _fill_rows(geom, d, buffer[:n, have:], 0, have)
-        buffer = self.buffers[d]
-        _fill_rows(geom, d, buffer[n:r], n, 0)
-        table = self.tables[d] = buffer[:r]
-        return table
+    def table(self, geom: Geometry, d: int, k: int, r: int) -> np.ndarray:
+        """The degree-d rows of order k of at least the first r points,
+        grown to them when the table is smaller."""
+        n = len(self.tables.get((d, k), ()))
+        if n < r:
+            if not n:
+                shape = (len(geom.points), math.comb(k + 2, 2), monomial_exponents(d).shape[0])
+                self.buffers[d, k] = np.empty(shape, dtype=np.int64)
+            _fill_rows(geom, d, self.buffers[d, k][n:r], n, _mult_rows(k))
+            self.tables[d, k] = self.buffers[d, k][:r]
+        return self.tables[d, k]
 
 
 def _fill_rows(geom: Geometry, d: int, out: np.ndarray, first: int, start: int) -> None:
@@ -359,32 +352,37 @@ def _rows(geoms: Sequence[Geometry], d: int, done: tuple, mults: tuple) -> np.nd
     """The rows imposing ``mults`` beyond the ``done`` multiplicities, one
     layer per geometry: shape (geometries, rows, N).
 
-    ``done`` is no longer than ``mults`` and no entry of it is larger.  Each
-    geometry's table is grown to the first len(mults) points and to the
-    rows of the largest multiplicity, and may be deeper from an earlier
-    class.  The rows' places within their points are the same on every
-    geometry, so they are built once, and each table is gathered straight
-    into its layer.
+    ``done`` and ``mults`` are normalized, ``done`` is no longer than
+    ``mults`` and no entry of it is larger.  The rows come order by order:
+    the points that gain order k, ``done[i] <= k < mults[i]``, are the
+    points from #{i: done[i] > k} to #{i: mults[i] > k}, one slice of the
+    order-k table.  So each layer is one concatenation of at most
+    ``MAX_MULT`` slices, the same slices on every geometry.
     """
-    r, depth = len(mults), _mult_rows(max(mults, default=0))
-    start = np.array([_mult_rows(o) for o in done] + [0] * (r - len(done)), dtype=np.int64)
-    count = np.array([_mult_rows(m) for m in mults], dtype=np.int64) - start
-    # the k-th row gathered for a point is its row start + k
-    point = np.repeat(np.arange(r), count)
-    row = np.arange(point.size) + np.repeat(start - np.cumsum(count) + count, count)
+    spans = [(k, sum(o > k for o in done), sum(m > k for m in mults))
+             for k in range(max(mults, default=0))]
     n_cols = monomial_exponents(d).shape[0]
-    out = np.empty((len(geoms), row.size, n_cols), dtype=np.int64)
+    n_rows = sum((b - a) * math.comb(k + 2, 2) for k, a, b in spans)
+    out = np.empty((len(geoms), n_rows, n_cols), dtype=np.int64)
+    if not spans:  # a class with no points
+        return out
     for layer, geom in zip(out, geoms):
-        table = _workspace(geom).table(geom, d, r, depth)
-        np.take(table.reshape(-1, n_cols), point * table.shape[1] + row, axis=0, out=layer)
+        ws = _workspace(geom)
+        np.concatenate([ws.table(geom, d, k, b)[a:b].reshape(-1, n_cols)
+                        for k, a, b in spans], out=layer)
     return out
 
 
 def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
-    """Stacked interpolation conditions for the class at the sampled points."""
+    """Stacked interpolation conditions for the class at the sampled
+    points, point by point, each point's rows by order."""
     c = clazz.normalized()
     _check_conditions(geom, c)
-    return _rows([geom], c.d, (), c.mults)[0]
+    ws, n_cols = _workspace(geom), monomial_exponents(c.d).shape[0]
+    tables = [ws.table(geom, c.d, k, sum(m > k for m in c.mults))
+              for k in range(max(c.mults, default=0))]
+    blocks = [tables[k][i] for i, m in enumerate(c.mults) for k in range(m)]
+    return np.concatenate([np.empty((0, n_cols), dtype=np.int64), *blocks])
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,13 +408,14 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     their memos are the layers 0..n-1 of one solve, in order, of a class of
     the same degree with no larger multiplicity at any point.  Then each
     kernel ``K`` of ``last.kernels[:n]`` already satisfies every condition
-    but the extra rows ``B``.  The forms left are ``N K`` with ``N`` the
-    kernel of ``B K^T``, and ``N K`` is again identity on the free columns
-    (the free columns of ``B K^T`` pick them out of the old ones), so it is
-    exactly the basis a full elimination would give.  As ``K`` is identity
-    on its free columns, ``B K^T`` is ``B`` on those columns plus a product
-    over the pivot columns alone.  An empty ``K`` is returned at once,
-    before any row is gathered, and so is ``K`` when no row is added.  Any
+    but the extra rows ``B``, each point's orders from its old multiplicity
+    to its new one.  The forms left are ``N K`` with ``N`` the kernel of
+    ``B K^T``, and ``N K`` is again identity on the free columns (the free
+    columns of ``B K^T`` pick them out of the old ones), so it is exactly
+    the basis a full elimination would give.  As ``K`` is identity on its
+    free columns, ``B K^T`` is ``B`` on those columns plus a product over
+    the pivot columns alone.  An empty ``K`` is returned at once,
+    before any row is read, and so is ``K`` when no row is added.  Any
     other stack starts from the identity, which is the full elimination
     and gives the same basis.  When two layers pivot differently the
     geometries are solved one by one, as stacks of one.  Each kernel is
@@ -524,7 +523,6 @@ def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]
     else:
         kernels = [np.zeros((0, 0), dtype=np.int64)] * len(geoms)
     vd = vdim3(c)
-    ed = edim3(c)
     e = 4 * c.d - sum(c.mults)
     n_rows = sum(_mult_rows(m) for m in c.mults) if c.d >= 0 else 0
     systems = []
@@ -532,7 +530,7 @@ def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]
         h0, n_cols = kernel.shape
         data = SystemData(
             c, geom.prime, geom.seed, n_cols, n_rows,
-            n_cols - h0, h0, h0 - 1, h0 - (vd + 1), vd, ed, e, kernel, geom,
+            n_cols - h0, h0, h0 - 1, h0 - (vd + 1), vd, max(-1, vd), e, kernel, geom,
         )
         if data.dim < data.edim or data.h1 < 0:
             raise AssertionError(
@@ -746,6 +744,8 @@ _BLOCK = 64
 
 
 def _check_probes(nprobes: int) -> None:
+    if nprobes < 0:
+        raise ValueError(f"probes must not be negative, got {nprobes}")
     if nprobes > MAX_PROBES:
         raise ValueError(f"probes must be at most {MAX_PROBES} per category, got {nprobes}")
 

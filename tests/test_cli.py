@@ -205,6 +205,14 @@ def test_probes_above_the_maximum_are_an_error(capsys, monkeypatch, command):
 # error handling
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this checkout,
+    with one BLAS thread."""
+    path = [str(pathlib.Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                OPENBLAS_NUM_THREADS="1")
+
+
 def run_capped(argv, limit_bytes, timeout):
     """The command line in a fresh interpreter under an address-space limit."""
     resource = pytest.importorskip("resource")
@@ -212,12 +220,34 @@ def run_capped(argv, limit_bytes, timeout):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
-    path = [str(pathlib.Path(oracle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-               OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-m", "fatpoints3.cli", *argv],
-                          capture_output=True, text=True, env=env, preexec_fn=cap,
+                          capture_output=True, text=True, env=child_env(), preexec_fn=cap,
                           timeout=timeout)
+
+
+def run_peak(snippet, timeout):
+    """The snippet's stdout lines in a fresh interpreter, and that process's
+    own peak resident memory in MB, which Linux reports in KB."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KB only on Linux")
+    code = snippet + "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env(), timeout=timeout)
+    assert run.returncode == 0, run.stderr
+    *lines, peak = run.stdout.split()
+    return lines, int(peak) / 1024
+
+
+def test_a_deep_point_costs_no_more_memory_than_a_simple_one():
+    # the rows of each derivative order are held only for the points that
+    # need them: the quintuple point adds 34 rows, not 34 rows at every point
+    battery = ("from fatpoints3 import oracle, parse_class\n"
+               "report = oracle.run_battery(parse_class({!r}), (65537,), (0,), probes=0)\n"
+               "print(report.trials[0].h0)")
+    deep, deep_mb = run_peak(battery.format("L3(16; 5, 1^300)"), 120)
+    simple, simple_mb = run_peak(battery.format("L3(16; 1^300)"), 120)
+    assert (deep, simple) == (["875"], ["905"])
+    assert abs(deep_mb - simple_mb) < 20, (deep_mb, simple_mb)
 
 
 def test_oracle_on_a_thousand_points_stays_in_bounded_memory():

@@ -160,12 +160,16 @@ def test_probe_counts_above_max_probes_are_refused_before_any_work(monkeypatch):
     c, big, g = parse_class("L3(5; 2^5, 1^7)"), oracle.MAX_PROBES + 1, geom0()
     for name in ("get_geometry", "_solve", "solve_system"):
         monkeypatch.setattr(oracle, name, no_work)
-    refused = rf"^probes must be at most {oracle.MAX_PROBES} per category, got {big}$"
-    with pytest.raises(ValueError, match=refused):
-        oracle.run_battery(c, probes=big)
-    for probe in (oracle.probe_base_locus, oracle.probe_separation):
+    for bad, refused in (
+        (big, rf"^probes must be at most {oracle.MAX_PROBES} per category, got {big}$"),
+        (-4, r"^probes must not be negative, got -4$"),
+    ):
         with pytest.raises(ValueError, match=refused):
-            probe(g, c, big)
+            oracle.run_battery(c, probes=bad)
+        for probe in (oracle.probe_base_locus, oracle.probe_separation):
+            with pytest.raises(ValueError, match=refused):
+                probe(g, c, bad)
+    for probe in (oracle.probe_base_locus, oracle.probe_separation):
         # MAX_PROBES itself passes the check and goes on to the solve
         with pytest.raises(AssertionError, match="work started"):
             probe(g, c, oracle.MAX_PROBES)
@@ -589,7 +593,8 @@ def test_cache_clear_drops_the_workspace():
     g = oracle.get_geometry(P0, 0)
     oracle.solve_system(g, parse_class("L3(3; 2, 1^4)"))
     ws = oracle._workspace(g)
-    assert ws.last is not None and list(ws.tables) == [3]
+    # a double point and simple points: orders 0 and 1 at degree 3
+    assert ws.last is not None and sorted(ws.tables) == [(3, 0), (3, 1)]
     refs = (weakref.ref(g), weakref.ref(ws))
     del g, ws
     oracle.get_geometry.cache_clear()
@@ -640,11 +645,12 @@ def test_growing_the_row_table_matches_a_fresh_solve():
     g = oracle.build_geometry(P0, 4)
     tables = oracle._workspace(g).tables
     oracle.solve_system(g, parse_class("L3(5; 2^3)"))
-    assert tables[5].shape[0] == 3  # only the points in use
+    # only the points in use, at each order
+    assert [tables[5, k].shape[0] for k in (0, 1)] == [3, 3]
     for txt in ("L3(5; 1^16)", "L3(5; 2^3, 1^13)"):
         c = parse_class(txt)
         grown = oracle.solve_system(g, c)
-        assert tables[5].shape[0] == 16
+        assert [tables[5, k].shape[0] for k in (0, 1)] == [16, 3]
         fresh_geom = oracle.build_geometry(P0, 4)
         fresh = oracle.solve_system(fresh_geom, c)
         assert np.array_equal(grown.kernel, fresh.kernel), txt
@@ -654,16 +660,18 @@ def test_growing_the_row_table_matches_a_fresh_solve():
 
 
 def test_the_row_table_grows_in_place():
-    # one buffer per degree, sized for every point: growing fills more of
-    # it, and the rows already there are neither copied nor moved
+    # one buffer per degree and order, sized for every point: growing fills
+    # more of it, and the rows already there are neither copied nor moved
     g = oracle.build_geometry(P0, 4)
     tables = oracle._workspace(g).tables
     oracle.solve_system(g, parse_class("L3(5; 2^3)"))
-    first = tables[5].copy(), tables[5]
-    oracle.solve_system(g, parse_class("L3(5; 2^3, 1^13)"))
-    assert tables[5].shape[0] == 16
-    assert np.shares_memory(first[1], tables[5])
-    assert np.array_equal(tables[5][:3], first[0])
+    for txt, sizes in (("L3(5; 2^3, 1^13)", [16, 3]), ("L3(5; 2^8, 1^8)", [16, 8])):
+        first = {k: (tables[5, k].copy(), tables[5, k]) for k in (0, 1)}
+        oracle.solve_system(g, parse_class(txt))
+        assert [tables[5, k].shape[0] for k in (0, 1)] == sizes, txt
+        for k, (rows, table) in first.items():
+            assert np.shares_memory(table, tables[5, k])
+            assert np.array_equal(tables[5, k][:len(rows)], rows)
 
 
 def test_the_row_table_holds_only_the_rows_a_class_reads():
@@ -671,31 +679,53 @@ def test_the_row_table_holds_only_the_rows_a_class_reads():
     # 35 times as many
     g = oracle.build_geometry(TS_PRIME, 0, 300)
     oracle.solve_system(g, parse_class("L3(16; 1^300)"))
-    assert oracle._workspace(g).tables[16].shape == (300, 1, 969)
+    tables = oracle._workspace(g).tables
+    assert list(tables) == [(16, 0)] and tables[16, 0].shape == (300, 1, 969)
+    # a quintuple point adds the 34 rows of orders 1 to 4 at that point
+    # alone: 301 + 34 rows, not 35 at each of the 301 points
+    g = oracle.build_geometry(TS_PRIME, 0, 301)
+    assert oracle.solve_system(g, parse_class("L3(16; 5, 1^300)")).h0 == 875
+    tables = oracle._workspace(g).tables
+    assert {key: t.shape[:2] for key, t in tables.items()} == {
+        (16, 0): (301, 1), (16, 1): (1, 3), (16, 2): (1, 6), (16, 3): (1, 10), (16, 4): (1, 15)}
+    assert sum(t.shape[0] * t.shape[1] for t in tables.values()) == 335
 
 
 def test_the_row_table_grows_in_depth_and_in_points():
     # depth, then points, then depth again, and both at once, on points in
     # all four affine charts: every class asked for so far still gets its
-    # pure-Python rows
+    # pure-Python rows, and the kernel of a fresh geometry.  Depth is a
+    # table of a new order; each order's table holds the points that need
+    # it, given as one count per order
     pts = tuple(
         segre_point(s, 1, u, 1, TS_PRIME)
         for s, u in ((3, 5), (7, 0), (0, 11), (0, 0))
     )
     steps = {
-        "depth, points, depth": (((1,), (1, 1)), ((3,), (1, 10)),
-                                 ((3, 2, 2, 1), (4, 10)), ((5, 4, 2, 1), (4, 35))),
-        "both at once": (((2,), (1, 4)), ((4, 1, 1), (3, 20)), ((1, 1, 1, 1), (4, 20))),
+        "depth, points, depth": (((1,), (1,)), ((3,), (1, 1, 1)),
+                                 ((3, 2, 2, 1), (4, 3, 1)), ((5, 4, 2, 1), (4, 3, 2, 2, 1))),
+        "both at once": (((2,), (1, 1)), ((4, 1, 1), (3, 1, 1, 1)), ((1, 1, 1, 1), (4, 1, 1, 1))),
+        "no points": (((), ()),),
+        "points only": (((2, 1), (2, 1)), ((2, 1, 1), (3, 1))),
+        "depth only": (((1, 1), (2,)), ((3, 1), (2, 1, 1))),
     }
     for name, sequence in steps.items():
         geom = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
         tables = oracle._workspace(geom).tables
         asked = []
-        for mults, shape in sequence:
+        for mults, sizes in sequence:
             asked.append(ThreefoldClass(4, mults))
             for c in asked:
                 assert oracle.conditions_matrix(geom, c).tolist() == reference_conditions(geom, c)
-            assert tables[4].shape == shape + (35,), (name, mults)
+            assert oracle.conditions_matrix(geom, asked[-1]).shape == (
+                sum(math.comb(m + 2, 3) for m in mults), 35)
+            assert {key: t.shape for key, t in tables.items()} == {
+                (4, k): (n, math.comb(k + 2, 2), 35) for k, n in enumerate(sizes)}, (name, mults)
+            # solved right after the class before it: extends that memo when
+            # the new class contains it
+            fresh = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
+            assert np.array_equal(oracle.solve_system(geom, asked[-1]).kernel,
+                                  oracle.solve_system(fresh, asked[-1]).kernel), (name, mults)
 
 
 def test_the_sketch_is_built_once_per_kernel(monkeypatch):
