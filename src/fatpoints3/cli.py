@@ -296,14 +296,13 @@ def cmd_vdim(args) -> int:
 # oracle
 
 
-def _battery_args(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _battery_args(args) -> tuple[tuple[int, ...], range]:
     primes = tuple(args.prime) if args.prime else oracle_mod.PRIMES
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     if args.probes < 0:
         raise UsageError("--probes must not be negative")
-    seeds = tuple(args.seed + i for i in range(args.trials))
-    return primes, seeds
+    return primes, range(args.seed, args.seed + args.trials)
 
 
 def cmd_oracle(args) -> int:

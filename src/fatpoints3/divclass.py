@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
+MAX_MOVES = 1000  # Cremona moves of one reduction; a class of degree below this never needs more
+
 
 # ---------------------------------------------------------------------------
 # class records
@@ -290,7 +292,8 @@ def cremona_reduce(c: PlaneClass) -> ReductionLog:
 
     While d < m_i + m_j + m_k for the three largest multiplicities, apply the
     quadratic move d -> 2d - (m_i+m_j+m_k), m_i -> d - m_j - m_k (and
-    cyclically).  Each move strictly decreases d, so the loop terminates.
+    cyclically).  Each move strictly decreases d, so the loop terminates;
+    a class that needs more than ``MAX_MOVES`` moves raises ValueError.
     Ends NotStandard when the degree goes negative, or when no
     degree-decreasing move remains but some multiplicity is negative.
     Multiplicity lists shorter than three are padded with zeros up front so
@@ -318,6 +321,9 @@ def cremona_reduce(c: PlaneClass) -> ReductionLog:
             return ReductionLog(
                 ReductionStatus.IN_STANDARD_FORM, tuple(steps), start, work,
             )
+        if len(steps) == MAX_MOVES:
+            raise ValueError(
+                f"the plane class of degree {c.d} needs more than {MAX_MOVES} Cremona moves")
         new_mults = list(work.mults)
         new_mults[i] = work.d - mj - mk
         new_mults[j] = work.d - mi - mk

@@ -17,18 +17,17 @@ earlier pivot rows take the panel's steps in one product: each loses its
 entries in the panel's pivot columns times the panel's final pivot rows,
 in the panel's columns and, as a transform, right of them.  The columns
 right of the panel then take all of the panel's steps at once, as one
-product of the transform with the pivot rows.  A matrix of at most
-``_PANEL`` rows is one panel as wide as the matrix, which is the plain
-per-pivot loop with no transform and no product.  The reduced form and
-its pivot columns are unique, so the result does not depend on the
-panels.
+product of the transform with the pivot rows.  Every matrix takes this
+one route, whatever its shape.  The reduced form and its pivot columns
+are unique, so the result does not depend on the panels.
 
 ``rref_mod`` and ``kernel_from_rref`` also take a stack of B matrices of
 one shape, as a (B, rows, cols) array with one modulus; a single matrix is
 the stack of one.  The layers are reduced together, one set of numpy calls
 per pivot for all of them, as long as they take their pivots on the same
 rows and columns.  When two layers would pivot apart, ``rref_mod`` returns
-None and the caller reduces the layers one at a time, as stacks of one.
+None, leaving an int64 input part-reduced, and the caller reduces the
+layers one at a time, as stacks of one.
 
 ``matmul_mod`` splits the second factor into 16-bit halves so that every
 accumulated dot product stays exact.  With an inner dimension of at most
@@ -158,51 +157,48 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
     same rows and columns; the pivot list is theirs.  For a stack whose
     layers would pivot apart the result is None.  An int64 ``mat`` is
     reduced in place, and the rref returned is ``mat`` itself: pass a copy
-    to keep the entries.
+    to keep the entries.  On None it is left part-reduced; ``rank_mod``
+    and ``kernel_mod`` pass copies, and ``oracle._kernels`` gathers the
+    rows again.
 
-    Inside a panel the per-pivot steps run on the free rows only.  At the
-    panel's end its pivot rows move up under the earlier ones, and those
-    earlier ones take the panel's steps in one product.
+    Every matrix is eliminated in panels of ``_PANEL`` columns, each with
+    its transform columns.  Inside a panel the per-pivot steps run on the
+    free rows only.  At the panel's end its pivot rows move up under the
+    earlier ones, and those earlier ones take the panel's steps in one
+    product.
     """
     _check_modulus(p)
     out = np.asarray(mat, dtype=np.int64)
     out %= p
     m = out[None] if out.ndim == 2 else out
     nb, rows, cols = m.shape
-    width = max(cols, 1) if rows <= _PANEL else _PANEL
     pivots: list[int] = []
-    for c0 in range(0, cols, width):
+    for c0 in range(0, cols, _PANEL):
         start = len(pivots)  # the rows above start are the pivot rows, in pivot order
         if start == rows:
             break
-        c1 = min(c0 + width, cols)
-        w, trailing = c1 - c0, c1 < cols
+        c1 = min(c0 + _PANEL, cols)
+        w = c1 - c0
         live = m[:, start:]  # the free rows, in their first order, zero left of c0
-        in_place = not start and not trailing
-        if in_place:
-            panel = m[:, :, c0:]
-        else:  # the panel's columns, then, with columns right of it, transform columns
-            panel = np.zeros((nb, rows - start, 2 * w if trailing else w), dtype=np.int64)
-            panel[:, :, :w] = live[:, :, c0:c1]
-        unused = np.ones(rows - start + 1, dtype=bool)  # the last entry stops the scan for lo
-        lo = 0  # every live row above lo is a pivot row
+        # the panel's columns, then its transform columns
+        panel = np.zeros((nb, rows - start, 2 * w), dtype=np.int64)
+        panel[:, :, :w] = live[:, :, c0:c1]
+        unused = np.ones(rows - start, dtype=bool)
         mine: list[int] = []  # the panel's pivot rows, as live rows
         for c in range(w):
-            nz = panel[:, lo:, c] != 0
-            nz &= unused[lo:-1]
+            nz = panel[:, :, c] != 0
+            nz &= unused
             first = nz.argmax(axis=1)
-            k = int(first[0])
-            if not nz[0, k]:  # no pivot in the first layer
+            pr = int(first[0])
+            if not nz[0, pr]:  # no pivot in the first layer
                 if nz.any():
                     return None
                 continue
-            if nb > 1 and (int(first.min()) != k or not nz[:, k].all()):
+            if nb > 1 and (int(first.min()) != pr or not nz[:, pr].all()):
                 return None
-            pr = lo + k
             s = len(mine)
-            hi = w + s + 1 if trailing else w  # transform columns past s are zero
-            if trailing:
-                panel[:, pr, w + s] = 1
+            hi = w + s + 1  # transform columns past s are zero
+            panel[:, pr, w + s] = 1
             row = panel[:, pr, c:hi]
             row *= np.array([pow(x, -1, p) for x in row[:, 0].tolist()], dtype=np.int64)[:, None]
             row %= p
@@ -214,33 +210,26 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
             unused[pr] = False
             mine.append(pr)
             pivots.append(c0 + c)
-            while not unused[lo]:
-                lo += 1
-            if lo == rows - start:
+            if s + 1 == rows - start:  # every free row has pivoted
                 break
         k = len(mine)
+        if not k:
+            continue
         # the panel's pivot rows move up, in pivot order, above the rows still
         # free, which keep their order
         moved = mine != list(range(k))
-        perm = mine + np.flatnonzero(unused[:-1]).tolist() if moved else slice(None)
-        if in_place:
-            if moved:
-                for layer in m:
-                    layer[:] = layer[perm]
-            break
-        if not k:
-            continue
+        perm = mine + np.flatnonzero(unused).tolist() if moved else slice(None)
         if start:
             # each earlier pivot row loses its entry in each of the panel's
             # pivot columns times that pivot's final row
             done = m[:, :start]
             steps = _product(np.negative(done[:, :, pivots[-k:]]) % p,
-                             panel[:, mine, :w + k if trailing else w], p)
+                             panel[:, mine, :w + k], p)
             old = done[:, :, c0:c1]
             old += steps[:, :, :w]
             old %= p
         live[:, :, c0:c1] = panel[:, perm, :w]
-        if not trailing:
+        if c1 == cols:
             break
         transform = np.empty((nb, rows, k), dtype=np.int64)
         transform[:, start:] = panel[:, perm, w:w + k]

@@ -47,6 +47,7 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 DEFAULT_POINTS = 16
 DEFAULT_PROBES = 64
 MAX_PROBES = 100_000  # probes per category; their memory and time grow faster than linearly
+MAX_GEOMETRIES = 96  # geometries of one battery, and of the geometry cache
 MAX_DEGREE = 16
 MAX_MULT = 5
 
@@ -186,7 +187,7 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
     raise RuntimeError(f"no smooth configuration found for prime={prime} seed={seed}")
 
 
-@lru_cache(maxsize=96)
+@lru_cache(maxsize=MAX_GEOMETRIES)
 def _geometry(prime: int, seed: int, npoints: int) -> Geometry:
     return build_geometry(prime, seed, npoints)
 
@@ -345,7 +346,10 @@ _WORKSPACES: "weakref.WeakKeyDictionary[Geometry, _Workspace]" = weakref.WeakKey
 
 
 def _workspace(geom: Geometry) -> _Workspace:
-    return _WORKSPACES.setdefault(geom, _Workspace())
+    ws = _WORKSPACES.get(geom)
+    if ws is None:
+        ws = _WORKSPACES[geom] = _Workspace()
+    return ws
 
 
 def _rows(geoms: Sequence[Geometry], d: int, done: tuple, mults: tuple) -> np.ndarray:
@@ -1583,9 +1587,14 @@ def run_battery(
 
     The dimension pass always covers the full battery, solving the seeds of
     each prime as one stack; probe passes stop at the first firing geometry.
+    A battery of more than ``MAX_GEOMETRIES`` pairs is refused before any
+    geometry is built.
     """
     if not primes or not seeds:
         raise ValueError("a battery needs at least one prime and one seed")
+    n = len(primes) * len(seeds)
+    if n > MAX_GEOMETRIES:
+        raise ValueError(f"a battery has at most {MAX_GEOMETRIES} geometries, got {n}")
     _check_probes(probes)
     c = clazz.normalized()
     need = max(DEFAULT_POINTS, c.r)

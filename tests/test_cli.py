@@ -262,6 +262,21 @@ def test_oracle_on_a_thousand_points_stays_in_bounded_memory():
     assert "dim [904]" in run.stdout
 
 
+@pytest.mark.parametrize("argv, refused", (
+    # 640,001 Cremona moves, which ran out of memory under this cap
+    (["reduce", "L2(102400640001; 34133653334^3, 34133546667^2, 34133546666, 34133440000^3)"],
+     "error: the plane class of degree 102400640001 needs more than 1000 Cremona moves"),
+    # a seeds tuple of 10^9 entries, which ran out of memory under this cap
+    (["oracle", "L3(2; 1)", "--trials", "1000000000", "--probes", "0"],
+     "error: a battery has at most 96 geometries, got 3000000000"),
+))
+def test_unbounded_work_is_refused_before_it_runs_out_of_memory(argv, refused):
+    run = run_capped(argv, 600 * 2**20, 120)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == cli.EXIT_USAGE == 1
+    assert run.stderr == refused + "\n" and run.stdout == ""
+
+
 def test_certificates_on_ten_thousand_points_stay_in_bounded_memory():
     # the very-ampleness certificate records 10,000 bumped classes of 10,000
     # points each; it keeps one start class and builds a bumped class only

@@ -161,6 +161,16 @@ def test_cremona_degree_strictly_decreases():
             assert k_int(s.before) == k_int(s.after)
 
 
+def test_cremona_reduce_refuses_a_class_that_needs_more_than_max_moves():
+    # each move lowers the degree by at least one, but on these nine points
+    # the move count grows only as the square root of the degree
+    log = cremona_reduce(parse_class("L2(250500; 83667^2, 83666, 83500^3, 83333^3)"))
+    assert len(log.steps) == divclass.MAX_MOVES == 1000
+    with pytest.raises(ValueError, match=r"^the plane class of degree 251001 needs more than "
+                                         r"1000 Cremona moves$"):
+        cremona_reduce(parse_class("L2(251001; 83834^3, 83667^2, 83666, 83500^3)"))
+
+
 def test_cremona_pads_to_three():
     # two assigned points are padded with a third zero; the move sends the
     # line through the pair to an exceptional class, which the reduction

@@ -175,6 +175,12 @@ def test_probe_counts_above_max_probes_are_refused_before_any_work(monkeypatch):
             probe(g, c, oracle.MAX_PROBES)
     with pytest.raises(AssertionError, match="work started"):
         oracle.run_battery(c, probes=oracle.MAX_PROBES)
+    # as many geometries as seeds times primes, refused before the first
+    many = rf"^a battery has at most {oracle.MAX_GEOMETRIES} geometries, got 3000000000$"
+    with pytest.raises(ValueError, match=many):
+        oracle.run_battery(c, seeds=range(10**9))
+    with pytest.raises(AssertionError, match="work started"):
+        oracle.run_battery(c, seeds=range(oracle.MAX_GEOMETRIES // len(oracle.PRIMES)))
 
 
 def test_negative_degree_system():

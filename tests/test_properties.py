@@ -1404,6 +1404,18 @@ def test_stacked_rref_mod_named_cases():
         stack = stack_matrix("nonzero", defect, 3, rows, cols, p, np.random.default_rng(i))
         pivots = check_stacked_rref(stack, p)
         assert (pivots is None) == (defect != "none"), (defect, rows, cols)
+    # a short stack whose layers pivot apart only in the second panel:
+    # rows 3 to 5 are zero in the first panel, and the first layer's row 3
+    # in the second too, so its free row 4 pivots where the others' row 3
+    # does, after the first panel's trailing product
+    p = STACK_PRIMES[0]
+    alike = np.random.default_rng(len(STACK_DEFECTS)).integers(1, p, size=(3, 6, 2 * PANEL + 1))
+    alike[:, 3:, :PANEL] = 0
+    apart = alike.copy()
+    apart[0, 3, PANEL:2 * PANEL] = 0
+    assert check_stacked_rref(alike, p) == list(range(3)) + list(range(PANEL, PANEL + 3))
+    assert check_stacked_rref(apart, p) is None
+    check_rref(apart[0], p)
 
 
 FREE_ROW_PRIMES = (65537, 2**31 - 1)
