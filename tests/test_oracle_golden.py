@@ -12,6 +12,9 @@ The data under ``tests/data`` holds:
   base ``on-line`` probe fires, and one class with a single assigned point;
 * each probe report of those classes on every geometry of that battery,
   fired or not, so quiet reports have their counts pinned too;
+* the same for three classes on a mixed-prime battery, ``--prime 65537
+  --prime 2147483647``: one probe stack then holds a layer whose square
+  roots go through Tonelli-Shanks and one whose roots are a power;
 * the JSON stdout of ``fatpoints3 sweep --format json --dmax 3 --rmax 6
   --mmax 2 --probes 8``;
 * the JSON stdout of ``fatpoints3 sweep --format json --dmax 2 --rmax 3
@@ -37,6 +40,7 @@ from fatpoints3.divclass import parse_class
 
 DATA = pathlib.Path(__file__).parent / "data"
 ORACLE_FILE = DATA / "golden_oracle.json"
+MIXED_FILE = DATA / "golden_oracle_mixed.json"
 SWEEP_FILE = DATA / "golden_sweep.json"
 SWEEP_TS_FILE = DATA / "golden_sweep_65537.json"
 
@@ -52,6 +56,9 @@ ORACLE_CLASSES = (
     # one assigned point: the line probes draw random lines through it
     "L3(1; 1)",
 )
+# a prime congruent to 1 mod 4 beside one congruent to 3 mod 4
+MIXED_PRIMES = (65537, 2147483647)
+MIXED_CLASSES = ("L3(5; 2^5, 1^7)", "L3(6; 4, 3)", "L3(1; 1)")
 ORACLE_ARGS = ("--format", "json", "--trials", "2", "--probes", "16")
 SWEEP_ARGS = ("sweep", "--format", "json", "--dmax", "3", "--rmax", "6",
               "--mmax", "2", "--probes", "8")
@@ -69,15 +76,16 @@ def _cli_stdout(*argv: str) -> str:
     return buf.getvalue()
 
 
-def _oracle_stdout(txt: str) -> str:
-    return _cli_stdout("oracle", txt, *ORACLE_ARGS)
+def _oracle_stdout(txt: str, primes: tuple = ()) -> str:
+    return _cli_stdout("oracle", txt, *ORACLE_ARGS,
+                       *(arg for p in primes for arg in ("--prime", str(p))))
 
 
-def _probe_reports(txt: str) -> list:
+def _probe_reports(txt: str, primes: tuple = oracle.PRIMES) -> list:
     """Both probe reports of the class on every geometry of the battery."""
     c = parse_class(txt)
     out = []
-    for prime in oracle.PRIMES:
+    for prime in primes:
         for seed in TRIAL_SEEDS:
             geom = oracle.get_geometry(prime, seed)
             sysd = oracle.solve_system(geom, c)
@@ -87,6 +95,11 @@ def _probe_reports(txt: str) -> list:
                 oracle.probe_separation(geom, c, REPORT_PROBES, sysd).to_dict(),
             ])
     return out
+
+
+def _mixed_entry(txt: str) -> dict:
+    return {"stdout": _oracle_stdout(txt, MIXED_PRIMES),
+            "reports": _probe_reports(txt, MIXED_PRIMES)}
 
 
 def _sweep_stdout() -> str:
@@ -107,6 +120,12 @@ def test_oracle_cli_bytes(golden_oracle, txt):
 def test_probe_reports_per_geometry(golden_oracle, txt):
     got = json.loads(json.dumps(_probe_reports(txt)))
     assert got == golden_oracle[txt]["reports"]
+
+
+@pytest.mark.parametrize("txt", MIXED_CLASSES)
+def test_mixed_prime_battery(txt):
+    golden = json.loads(MIXED_FILE.read_text(encoding="utf-8"))[txt]
+    assert json.loads(json.dumps(_mixed_entry(txt))) == golden
 
 
 def test_sweep_cli_bytes():
@@ -139,6 +158,9 @@ def record() -> None:
     }
     ORACLE_FILE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
+    mixed = {txt: _mixed_entry(txt) for txt in MIXED_CLASSES}
+    MIXED_FILE.write_text(json.dumps(mixed, indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
     SWEEP_FILE.write_text(_sweep_stdout(), encoding="utf-8")
     SWEEP_TS_FILE.write_text(_cli_stdout(*SWEEP_TS_ARGS), encoding="utf-8")
 
