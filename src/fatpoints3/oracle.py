@@ -548,7 +548,12 @@ def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]
 # evaluation helpers
 
 
-def _power_table(z, d: int, p: int) -> np.ndarray:
+# The elementwise helpers take the modulus p as an int, or as an array of
+# per-row moduli that broadcasts against the rows' last axis: shape (n, 1)
+# for n points (n, 4), (n, 1, 1) for n pairs (n, 2, 4).
+
+
+def _power_table(z, d: int, p) -> np.ndarray:
     """z[..., j]^t mod p for t = 0..d, as an array of shape z.shape + (d+1,)."""
     z = np.asarray(z, dtype=np.int64) % p
     pw = np.ones(z.shape + (d + 1,), dtype=np.int64)
@@ -557,17 +562,30 @@ def _power_table(z, d: int, p: int) -> np.ndarray:
     return pw
 
 
-def monomial_values(z, d: int, p: int) -> np.ndarray:
-    """Every degree-d monomial at a point z, or at each row of an (n, 4) stack."""
-    exps = monomial_exponents(d)
+@lru_cache(maxsize=None)
+def _half_monomials(d: int) -> tuple[np.ndarray, ...]:
+    """The exponents (a, b) of the monomials of degree at most d in two
+    coordinates, and for each degree-d monomial x^e the index among them
+    of (e0, e1) and of (e2, e3)."""
+    pairs = {(a, b): i for i, (a, b) in enumerate(
+        (a, b) for a in range(d + 1) for b in range(d + 1 - a))}
+    exps = monomial_exponents(d).tolist()
+    first = np.array([pairs[e[0], e[1]] for e in exps], dtype=np.int64)
+    last = np.array([pairs[e[2], e[3]] for e in exps], dtype=np.int64)
+    return *np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T, first, last
+
+
+def monomial_values(z, d: int, p) -> np.ndarray:
+    """Every degree-d monomial at a point z, or at each row of an (n, 4) stack:
+    a monomial in the first two coordinates times one in the last two, each
+    from a table of those of degree at most d, so a single reduction runs
+    over all the degree-d monomials."""
+    a, b, first, last = _half_monomials(d)
     pw = _power_table(z, d, p)
-    out = pw[..., 0, exps[:, 0]]
-    for j in range(1, 4):
-        out = out * pw[..., j, exps[:, j]] % p
-    return out
+    return (pw[..., 0, a] * pw[..., 1, b] % p)[..., first] * (pw[..., 2, a] * pw[..., 3, b] % p)[..., last] % p
 
 
-def derivative_values(z, v, d: int, p: int) -> np.ndarray:
+def derivative_values(z, v, d: int, p) -> np.ndarray:
     """Directional derivative of every degree-d monomial at z along v.
 
     z and v are single points, or (n, 4) stacks paired row by row.  The
@@ -590,7 +608,7 @@ def _form_values(forms: np.ndarray, points: list, d: int, p: int) -> np.ndarray:
     return gfp.matmul_mod(monomial_values(np.array(points), d, p), forms.T, p)
 
 
-def _rank_le_1(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _rank_le_1(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Row by row for (n, k) stacks: do the rows of a and b span at most a line?
 
     With i the first nonzero entry of a, b is a multiple of a exactly when
@@ -660,7 +678,7 @@ def hunt_common_zeros(
         return []
     xs = list(range(4 * d + 1))
     xpow = _power_table(xs, d, p)[:, ::-1]  # x^(d-i) in column i
-    gammas = np.stack(_fiber_block(geom, np.array(xs, dtype=np.int64))[:3], axis=1).tolist()
+    gammas = np.stack(_fiber_block(geom.forms, p, np.array(xs, dtype=np.int64))[:3], axis=1).tolist()
 
     def combo_resultant() -> Optional[list[int]]:
         for _ in range(8):
@@ -702,9 +720,9 @@ def hunt_common_zeros(
 
     # every point over the root fibres, (1:0) and the assigned fibres
     ks = np.array(roots + [p] + assigned_fibers, dtype=np.int64)
-    block = _fiber_block(geom, ks)
+    block = _fiber_block(geom.forms, p, ks)
     rows, pick = (block[-1][:, None] > [0, 1]).nonzero()
-    z = _fiber_lift(geom, ks[rows], pick, [x if x is None else x[rows] for x in block[:5]])
+    z = _fiber_lift(ks[rows], pick, [x[rows] for x in block[:5]], p)
     candidates = sorted(set(map(tuple, z.tolist())) - exclude.union(assigned))
     if not candidates:
         return []
@@ -755,9 +773,8 @@ def _check_probes(nprobes: int) -> None:
 
 
 class _Probe:
-    """One probe call: what its candidate streams need, its ``checked``
-    counts, and its tests on stacked candidates, through a sketch of the
-    kernel's basis forms and then the whole basis."""
+    """One layer of a probe call: one geometry's system, what its candidate
+    streams need, and its ``checked`` counts."""
 
     def __init__(self, target: str, geom: Geometry, clazz: ThreefoldClass,
                  nprobes: int, sysd: Optional[SystemData]):
@@ -780,85 +797,141 @@ class _Probe:
     def fired(self, kind: str, data: dict) -> ProbeReport:
         return ProbeReport(self.target, True, [Witness(kind, data)], self.checked)
 
+    def quiet(self, notes: Sequence[str] = ()) -> ProbeReport:
+        return ProbeReport(self.target, False, [], self.checked, tuple(notes))
+
     def unassigned(self, points: np.ndarray) -> np.ndarray:
         """Per point of a (..., 4) stack: is it off the assigned points?"""
         return ~(points[..., None, :] == self.assigned_array).all(axis=-1).any(axis=-1)
 
-    def scan(self, min_h0: int, short_kind: str, categories: tuple) -> Optional[ProbeReport]:
-        """Fire at once on fewer than min_h0 forms, else on the first witness.
 
-        The categories run in table order, each scanning its candidates in
-        draw order one block of at most _BLOCK at a time; None when none of
-        them fired.
+class _Stack:
+    """One probe call on a stack of layers, ``_Probe``s of one class in
+    battery order, whose geometries may have different primes.
+
+    Its tests take candidates of several layers at once, with the layer of
+    each in ``at``, and test each through a sketch of its own layer's basis
+    forms and then through that layer's whole basis.  The elementwise work
+    reads each candidate's prime as a column; a product with forms is one
+    ``gfp`` call per prime."""
+
+    def __init__(self, layers: Sequence[_Probe]):
+        self.layers, self.d = list(layers), layers[0].d
+        self.primes = np.array([pr.p for pr in layers], dtype=np.int64)
+        self.runs = [(range(rows.start, rows.stop), q) for rows, q in _runs(self.primes)]
+
+    def scan(self, min_h0: int, short_kind: str, categories: tuple) -> list[ProbeReport]:
+        """Each layer's report from the categories, up to the first layer
+        that fired.
+
+        A layer fires at once on fewer than min_h0 forms, else on its first
+        witness.  The categories run in table order on the live layers,
+        those before the first that fired.  Each draws every live layer's
+        stream and tests their candidates, in layer and draw order, one
+        block of at most _BLOCK at a time.  The first block with a witness
+        ends the category: every candidate of an earlier layer lies in it or
+        before it.
         """
-        if self.sysd.h0 < min_h0:
-            return self.fired(short_kind, {"h0": self.sysd.h0})
+        reports = [pr.fired(short_kind, {"h0": pr.sysd.h0}) if pr.sysd.h0 < min_h0 else None
+                   for pr in self.layers]
         for name, label, stream, test, data, count, needs_point in categories:
-            if needs_point and not self.assigned:
+            live = self.layers[:next((i for i, r in enumerate(reports) if r), len(reports))]
+            if not live or (needs_point and not live[0].assigned):
                 continue
-            candidates = stream(self, self.rng(label, self.nprobes))
-            n, hit = len(candidates), None
-            for start in range(0, n, _BLOCK):
-                block = candidates[start:start + _BLOCK]
-                flagged = np.flatnonzero(test(self, block))
-                if flagged.size:
-                    k = int(flagged[0])
-                    hit = block[k]
-                    if count == _TO_WITNESS:
-                        n = start + k + 1
+            drawn = _gather([stream(pr, pr.rng(label, pr.nprobes)) for pr in live])
+            candidates, at, bounds = _join(drawn)
+            hits: dict[int, int] = {}
+            for start in range(0, len(candidates), _BLOCK):
+                block = slice(start, start + _BLOCK)
+                for k in np.flatnonzero(test(self, candidates[block], at[block]))[::-1].tolist():
+                    hits[int(at[start + k])] = start + k
+                if hits:
                     break
-            if n or count != _EVERY_IF_ANY:
-                self.checked[name] = n
-            if hit is not None:
-                return self.fired(name, data(hit))
-        return None
+            for i, (pr, first) in enumerate(zip(live, [0, *bounds.tolist()])):
+                n, hit = len(drawn[i]), hits.get(i)
+                if hit is not None and count == _TO_WITNESS:
+                    n = hit - first + 1
+                if n or count != _EVERY_IF_ANY:
+                    pr.checked[name] = n
+                if hit is not None:
+                    reports[i] = pr.fired(name, data(candidates[hit]))
+        stop = next((i + 1 for i, r in enumerate(reports) if r), len(reports))
+        return [r or pr.quiet() for r, pr in zip(reports[:stop], self.layers)]
 
-    def _confirm(self, rough: np.ndarray, test: Callable, rows: Callable) -> np.ndarray:
-        """``test`` per candidate on its values on the first k sketch forms,
-        rough of shape (candidates, k, k), then on the whole basis for the
-        candidates the sketch flags, whose k monomial rows ``rows(flagged)``
-        gives, shape (flagged, k, N).
+    def _products(self, x: np.ndarray, at: np.ndarray, forms: Callable) -> np.ndarray:
+        """Each row of x, shape (n, ..., N), in layer order, times the forms
+        ``forms(layer)`` of its layer, (f, N), transposed: shape (n, ..., f).
+        One ``gfp`` call per run of layers of one prime multiplies by the
+        forms of all of them, and each layer's rows keep their own columns."""
+        bounds = np.searchsorted(at, np.arange(len(self.layers) + 1)).tolist()
+        out = None
+        for layers, q in self.runs:
+            live = [i for i in layers if bounds[i] < bounds[i + 1]]
+            if not live:
+                continue
+            mats = [forms(self.layers[i]) for i in live]
+            start, f = bounds[live[0]], len(mats[0])
+            rows = x[start:bounds[live[-1] + 1]]
+            vals = gfp.matmul_mod(rows.reshape(-1, x.shape[-1]), np.concatenate(mats).T, q)
+            vals = vals.reshape(rows.shape[:-1] + (-1,))
+            if out is None:
+                out = np.empty(x.shape[:-1] + (f,), dtype=np.int64)
+            for j, i in enumerate(live):
+                out[bounds[i]:bounds[i + 1]] = vals[bounds[i] - start:bounds[i + 1] - start, ..., j * f:(j + 1) * f]
+        return out
 
-        ``test`` maps values of shape (candidates, k, forms) to a mask.  A
-        candidate that passes it on the basis passes it on any k
-        combinations of the basis, so the sketch misses none and the mask
-        is exactly the full test's; a false alarm costs one exact check.
+    def _confirm(self, rough: np.ndarray, at: np.ndarray, test: Callable, rows: Callable) -> np.ndarray:
+        """``test`` per candidate on its values on the first k sketch forms
+        of its layer, rough of shape (candidates, k, k), then on its layer's
+        whole basis for the candidates the sketch flags, whose k monomial
+        rows ``rows(flagged)`` gives, shape (flagged, k, N).
+
+        ``test`` maps values of shape (candidates, k, forms) and their
+        moduli to a mask.  A candidate that passes it on the basis passes it
+        on any k combinations of the basis, so the sketch misses none and
+        the mask is exactly the full test's; a false alarm costs one exact
+        check.  The layers are checked in order, up to the first with a
+        candidate that passes: the later ones leave the stack, and their
+        candidates read False.
         """
-        p = self.p
-        flagged = np.flatnonzero(test(rough, p))
+        flagged = np.flatnonzero(test(rough, self.primes[at, None]))
         mask = np.zeros(len(rough), dtype=bool)
         if flagged.size:
             exact = rows(flagged)
             n, k, n_cols = exact.shape
-            values = gfp.matmul_mod(exact.reshape(-1, n_cols), self.sysd.kernel.T, p)
-            mask[flagged] = test(values.reshape(n, k, -1), p)
+            for i in np.unique(at[flagged]).tolist():
+                mine, pr = at[flagged] == i, self.layers[i]
+                values = gfp.matmul_mod(exact[mine].reshape(-1, n_cols), pr.sysd.kernel.T, pr.p)
+                mask[flagged[mine]] = test(values.reshape(int(mine.sum()), k, -1), pr.p)
+                if mask.any():
+                    break
         return mask
 
-    def _sketched(self, rows: np.ndarray, test: Callable) -> np.ndarray:
+    def _sketched(self, rows: np.ndarray, at: np.ndarray, test: Callable) -> np.ndarray:
         """``_confirm`` for candidates given by their k monomial rows, rows
         of shape (candidates, k, N)."""
-        p, (n, k, n_cols) = self.p, rows.shape
-        rough = gfp.matmul_mod(rows.reshape(-1, n_cols), self.sysd.sketch[:k].T, p).reshape(n, k, k)
-        return self._confirm(rough, test, lambda flagged: rows[flagged])
+        k = rows.shape[1]
+        rough = self._products(rows, at, lambda pr: pr.sysd.sketch[:k])
+        return self._confirm(rough, at, test, lambda flagged: rows[flagged])
 
-    def vanishing(self, points) -> np.ndarray:
-        """Per point: does every form vanish there?"""
-        return self._sketched(monomial_values(np.asarray(points), self.d, self.p)[:, None], _vanish)
+    def vanishing(self, points: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Per point: does every form of its layer vanish there?"""
+        return self._sketched(monomial_values(points, self.d, self.primes[at, None])[:, None], at, _vanish)
 
-    def unseparated(self, pairs) -> np.ndarray:
-        """Per pair: do the forms fail to tell the two points apart?"""
-        return self._sketched(monomial_values(np.asarray(pairs), self.d, self.p), _dependent)
+    def unseparated(self, pairs: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Per pair: do the forms of its layer fail to tell its points apart?"""
+        return self._sketched(monomial_values(pairs, self.d, self.primes[at, None, None]), at, _dependent)
 
-    def flat(self, tangents) -> np.ndarray:
-        """Per (point, direction): do the forms fail to separate the direction?"""
-        p, d = self.p, self.d
-        pairs = np.asarray(tangents, dtype=np.int64)
-        zs, vs = pairs[:, 0], pairs[:, 1]
+    def flat(self, tangents: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Per (point, direction): do the forms of its layer fail to separate
+        the direction?"""
+        d, p = self.d, self.primes[at, None]
+        zs, vs = tangents[:, 0], tangents[:, 1]
         mono = monomial_values(zs, d, p)
-        return self._confirm(self.tangent_sketch(zs, vs, mono), _dependent, lambda flagged: np.stack(
-            [mono[flagged], derivative_values(zs[flagged], vs[flagged], d, p)], axis=1))
+        return self._confirm(self.tangent_sketch(zs, vs, mono, at), at, _dependent, lambda flagged: np.stack(
+            [mono[flagged], derivative_values(zs[flagged], vs[flagged], d, p[flagged])], axis=1))
 
-    def tangent_sketch(self, zs: np.ndarray, vs: np.ndarray, mono: np.ndarray) -> np.ndarray:
+    def tangent_sketch(self, zs: np.ndarray, vs: np.ndarray, mono: np.ndarray, at: np.ndarray) -> np.ndarray:
         """The sketch forms' values at each point z and their derivatives
         along its v, shape (n, 2, 2), given the monomial values at z.
 
@@ -867,46 +940,82 @@ class _Probe:
         values alone; ``derivative_values`` runs only on the candidates the
         sketch flags.
         """
-        p = self.p
-        partials = self.sysd.sketch_partials
-        slopes = gfp.matmul_mod(monomial_values(zs, self.d - 1, p), partials.reshape(8, -1).T, p)
-        along = (vs[:, :, None] % p * slopes.reshape(-1, 4, 2) % p).sum(axis=1) % p
-        return np.stack([gfp.matmul_mod(mono, self.sysd.sketch.T, p), along], axis=1)
+        p = self.primes[at, None]
+        slopes = self._products(monomial_values(zs, self.d - 1, p), at,
+                                lambda pr: pr.sysd.sketch_partials.reshape(8, -1))
+        along = (vs[:, :, None] % p[:, None] * slopes.reshape(-1, 4, 2) % p[:, None]).sum(axis=1) % p
+        return np.stack([self._products(mono, at, lambda pr: pr.sysd.sketch), along], axis=1)
 
 
-def _vanish(vals: np.ndarray, p: int) -> np.ndarray:
+def _vanish(vals: np.ndarray, p) -> np.ndarray:
     """Per candidate of an (n, 1, forms) stack: is every value zero?"""
     return ~vals[:, 0].any(axis=1)
 
 
-def _dependent(vals: np.ndarray, p: int) -> np.ndarray:
+def _dependent(vals: np.ndarray, p) -> np.ndarray:
     """Per candidate of an (n, 2, forms) stack: do its rows span at most a line?"""
     return _rank_le_1(vals[:, 0], vals[:, 1], p)
 
 
+def _join(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays joined along their first axis, the index of the array
+    each row came from, and the bounds that ``np.split`` splits them at."""
+    sizes = [len(a) for a in arrays]
+    return np.concatenate(arrays), np.repeat(np.arange(len(arrays)), sizes), np.cumsum(sizes)[:-1]
+
+
 # ---------------------------------------------------------------------------
-# candidate streams: each takes the probe and its seeded stream and returns
-# its candidates off the assigned points, in draw order, as one array:
-# points (n, 4), pairs and tangents (n, 2, 4)
+# candidate streams: each is a generator that takes a layer and its seeded
+# stream and returns the layer's candidates off its assigned points, in draw
+# order, as one array: points (n, 4), pairs and tangents (n, 2, 4).  It
+# yields the requests in ``_REQUESTS`` it needs answered, and ``_gather``
+# answers the requests of the streams of a stack together.
 
 
-def _power(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a^e mod p entrywise, by square and multiply; entries in [0, p)."""
+def _moduli(primes: list, sizes: list):
+    """The modulus of each row, for rows in parts of the given sizes with
+    the given primes: an int when the parts share one."""
+    return primes[0] if len(set(primes)) == 1 else np.repeat(primes, sizes)
+
+
+def _runs(p: np.ndarray) -> list[tuple[slice, int]]:
+    """The runs of equal entries of p: (entries, value) for each."""
+    cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
+    return [(slice(a, b), int(p[a])) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _power(a: np.ndarray, e, p) -> np.ndarray:
+    """a^e mod p entrywise, by square and multiply; entries in [0, p).  e
+    and p are ints or one per entry: one chain of squarings serves every
+    exponent, and each product is taken on the entries whose exponent has
+    that bit."""
     out, base = np.ones_like(a), a.copy()
-    while e:
-        if e & 1:
+    exps = [e] if isinstance(e, int) else np.unique(e).tolist()
+    every, some = (exps[0] if exps else 0), 0
+    for x in exps:
+        every, some = every & x, some | x
+    top = some.bit_length()
+    for t in range(top):
+        if every >> t & 1:
             out *= base
             out %= p
-        e >>= 1
-        if e:
+        elif some >> t & 1:
+            rows = (e >> t & 1).astype(bool)
+            out[rows] = out[rows] * base[rows] % p[rows]
+        if t + 1 < top:
             base *= base
             base %= p
     return out
 
 
-def _inverses(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverses mod p of nonzero entries, with one inversion for them all:
-    the running products are inverted once and unwound (Montgomery)."""
+def _inverses(a: np.ndarray, p) -> np.ndarray:
+    """Inverses mod p of nonzero entries, with one inversion per run of one
+    prime: the running products are inverted once and unwound (Montgomery)."""
+    if np.ndim(p):
+        out = np.empty_like(a)
+        for rows, q in _runs(p):
+            out[rows] = _inverses(a[rows], q)
+        return out
     vals = a.tolist()
     before, run = [], 1
     for x in vals:
@@ -919,31 +1028,30 @@ def _inverses(a: np.ndarray, p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _fiber_block(geom: Geometry, k: np.ndarray) -> tuple:
+def _fiber_block(forms, p, k: np.ndarray) -> tuple:
     """The fibre forms over the fibres k, (k:1) for k below p and (1:0) for
     p: the values a, b, c of the three forms f0 t^2 + f1 st + f2 s^2, the
     discriminant b^2 - 4ac, a root of it, and the number of curve points
-    over the fibre, (a, b, c, disc, root, npts).
+    over the fibre, (a, b, c, disc, root, npts).  ``forms`` is a geometry's
+    forms, or their coefficients per fibre, shape (3, 3, n).
 
     At p = 3 (mod 4) root is disc^((p+1)/4), which squares back to disc
-    exactly on the squares; at other primes root is None and Euler's
-    criterion decides.  A fibre has two points, one over a double root or
-    for c = b = 0, and none for a non-square or a zero form.  Each product
-    is reduced before the next one, and a c before it is scaled by 4, so no
-    entry passes 2^62."""
-    p = geom.prime
+    exactly on the squares; at other primes Euler's criterion decides and
+    ``_fiber_lift`` takes the root.  A fibre has two points, one over a
+    double root or for c = b = 0, and none for a non-square or a zero form.
+    Each product is reduced before the next one, and a c before it is
+    scaled by 4, so no entry passes 2^62."""
     ss = k * k % p
-    a, b, c = ((f[0] + f[1] * k % p + f[2] * ss % p) % p for f in geom.forms)
+    a, b, c = ((f[0] + f[1] * k % p + f[2] * ss % p) % p for f in forms)
     at_infinity = (k == p).nonzero()[0]
     if at_infinity.size:  # (1:0) reads the s^2 coefficients
-        for x, f in zip((a, b, c), geom.forms):
-            x[at_infinity] = f[2]
+        for x, f in zip((a, b, c), forms):
+            x[at_infinity] = np.broadcast_to(f[2], k.shape)[at_infinity]
     disc = (b * b - 4 * (a * c % p)) % p
-    if p % 4 == 3:
-        root = _power(disc, (p + 1) // 4, p)
-        square = root * root % p == disc
-    else:
-        root, square = None, _power(disc, (p - 1) // 2, p) <= 1
+    three = p % 4 == 3
+    e = np.where(three, (p + 1) // 4, (p - 1) // 2)
+    root = _power(disc, e if np.ndim(e) else int(e), p)
+    square = np.where(three, root * root % p == disc, root <= 1)
     npts = square * np.where(disc == 0, 1, 2)
     flat = (c == 0).nonzero()[0]
     if flat.size:
@@ -951,33 +1059,37 @@ def _fiber_block(geom: Geometry, k: np.ndarray) -> tuple:
     return a, b, c, disc, root, npts
 
 
-def _fiber_lift(geom: Geometry, k: np.ndarray, pick: np.ndarray, rows) -> np.ndarray:
+def _fiber_lift(k: np.ndarray, pick: np.ndarray, rows, p) -> np.ndarray:
     """The pick-th curve point over each fibre k, given the fibres'
-    ``_fiber_block`` rows (a, b, c, disc, root, ...), shape (n, 4).  The
-    points over a fibre are in the order of their roots (u:v), each scaled
-    to (0:1) or (1:v), and each pick is below the fibre's point count.
+    ``_fiber_block`` rows (a, b, c, disc, root, ...), shape (n, 4), with p
+    an int or per fibre.  The points over a fibre are in the order of their
+    roots (u:v), each scaled to (0:1) or (1:v), and each pick is below the
+    fibre's point count.
 
     The roots are (2c : +-r - b) for c nonzero, with r a root of disc, and
     (0:1) and (b : -a) for c = 0.  A point (su:sv:tu:tv) is scaled by its
     first nonzero coordinate, (s or t)(u or v), with one inversion for all
-    rows.  Over (k:1) with k and c nonzero that coordinate is 2ck, whose
-    inverse gives 1/k and 1/(2c), and the root (1:v) the point (1 : v : 1/k
-    : v/k).  The other rows, k = 0, (1:0) and c = 0, are lifted apart."""
-    p = geom.prime
+    rows of a prime.  Over (k:1) with k and c nonzero that coordinate is
+    2ck, whose inverse gives 1/k and 1/(2c), and the root (1:v) the point
+    (1 : v : 1/k : v/k).  The other rows, k = 0, (1:0) and c = 0, are
+    lifted apart."""
     a, b, c, disc, root = rows[:5]
-    if root is None:
-        root = np.array([gfp.sqrt_mod(x, p) for x in disc.tolist()], dtype=np.int64)
+    rowp = np.broadcast_to(p, k.shape)
+    if np.any(p % 4 == 1):
+        tonelli = (rowp % 4 == 1).nonzero()[0]
+        root = root.copy()
+        root[tonelli] = [gfp.sqrt_mod(x, q) for x, q in zip(disc[tonelli].tolist(), rowp[tonelli].tolist())]
     # lead = unit * w: unit is s or t, w the u or v of the unscaled root
     unit, w = k, 2 * c % p
     lead = w * unit % p
     rare = (lead == 0).nonzero()[0]
     if rare.size:
-        kr, flat, second = k[rare], c[rare] == 0, pick[rare] == 1
-        s, t = np.where(kr == p, 1, kr), (kr < p).astype(np.int64)
+        kr, pr, flat, second = k[rare], rowp[rare], c[rare] == 0, pick[rare] == 1
+        s, t = np.where(kr == pr, 1, kr), (kr < pr).astype(np.int64)
         unit = k.copy()
         unit[rare] = np.where(s != 0, s, t)
         w[rare] = np.where(flat, np.where(second, b[rare], 1), w[rare])
-        lead[rare] = unit[rare] * w[rare] % p
+        lead[rare] = unit[rare] * w[rare] % pr
     inv = _inverses(lead, p)
     r_s, scale = w * inv % p, unit * inv % p  # 1/unit and 1/w
     v1 = (root - b) % p * scale % p
@@ -985,16 +1097,16 @@ def _fiber_lift(geom: Geometry, k: np.ndarray, pick: np.ndarray, rows) -> np.nda
     v = np.where(pick == 1, np.maximum(v1, v2), np.minimum(v1, v2))
     out = np.stack([np.ones_like(v), v, r_s, v * r_s % p], axis=1)
     if rare.size:  # for c = 0 the roots (0:1), then (1 : -a/b)
-        v = np.where(flat, np.where(second, -a[rare] % p * scale[rare] % p, 1), v[rare])
+        v = np.where(flat, np.where(second, -a[rare] % pr * scale[rare] % pr, 1), v[rare])
         u = (~flat | second).astype(np.int64)
-        out[rare] = np.stack([s * u, s * v % p, t * u, t * v % p], axis=1) * r_s[rare, None] % p
+        out[rare] = np.stack([s * u, s * v % pr, t * u, t * v % pr], axis=1) * r_s[rare, None] % pr[:, None]
     return out
 
 
-def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A tangent direction of the curve, not along the point, at each point
-    of an (n, 4) stack: the directions, zero where there is none, and which
-    rows have one.
+def _tangents(items: list) -> list:
+    """For each (geometry, points of shape (n, 4)): a tangent direction of
+    the curve, not along the point, at each point, zero where there is
+    none, and which rows have one; one pass over the points of all items.
 
     The direction is the first vector of the right-kernel basis
     ``gfp.kernel_mod`` returns for the 2x4 Jacobian, or the second where the
@@ -1005,15 +1117,18 @@ def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     minus that combination.  Two independent vectors never both lie along
     one point, so every point with a Jacobian of rank 2 has a direction.
     """
-    p, n = geom.prime, points.shape[0]
+    points, at, bounds = _join([z for _, z in items])
+    quads = np.zeros((len(items), 4, 4), dtype=np.int64)
+    for quad, (geom, _) in zip(quads, items):
+        for (i, j), coef in zip(_QUAD_PAIRS, geom.qprime):
+            quad[i, j] += coef
+            quad[j, i] += coef
+    p = np.array([geom.prime for geom, _ in items], dtype=np.int64)[at]
+    n, col, cell = len(points), p[:, None], p[:, None, None]
     x, y, z, w = points.T
     grad1 = np.stack([w, -z % p, -y % p, x], axis=1)
-    quad = np.zeros((4, 4), dtype=np.int64)
-    for (i, j), coef in zip(_QUAD_PAIRS, geom.qprime):
-        quad[i, j] += coef
-        quad[j, i] += coef
-    grad2 = gfp.matmul_mod(points, quad % p, p)
-    minors = (grad1[:, :, None] * grad2[:, None, :] - grad1[:, None, :] * grad2[:, :, None]) % p
+    grad2 = (points[:, :, None] * (quads[at] % cell) % cell).sum(axis=1) % col
+    minors = (grad1[:, :, None] * grad2[:, None, :] - grad1[:, None, :] * grad2[:, :, None]) % cell
     rows = np.arange(n)
     c1 = ((grad1 != 0) | (grad2 != 0)).argmax(axis=1)
     # D(c1, c) = 0 for c <= c1, so c2 is the first column where it is not
@@ -1027,12 +1142,12 @@ def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     rows, c1, c2 = rows[:, None], c1[:, None], c2[:, None]
     basis = np.zeros((n, 2, 4), dtype=np.int64)
     basis[rows, [0, 1], free] = 1
-    basis[rows, [0, 1], c1] = -minors[rows, free, c2] * inv % p
-    basis[rows, [0, 1], c2] = -minors[rows, c1, free] * inv % p
-    along = _rank_le_1(points, basis[:, 0], p)
+    basis[rows, [0, 1], c1] = -minors[rows, free, c2] * inv % col
+    basis[rows, [0, 1], c2] = -minors[rows, c1, free] * inv % col
+    along = _rank_le_1(points, basis[:, 0], col)
     dirs = np.where(along[:, None], basis[:, 1], basis[:, 0])
     dirs[~ok] = 0
-    return dirs, ok
+    return list(zip(np.split(dirs, bounds), np.split(ok, bounds)))
 
 
 class _Words:
@@ -1118,26 +1233,29 @@ class _Words:
             self.pos = int(at[k * len(unit) + 3]) + 1
             count -= k
 
-    def _build(self) -> None:
-        """The walk's lookups over the words drawn: which are fibre words
-        and how many points are over each, for each word the next word at
-        or after it over a fibre with points and below 2^31, and the fibre
-        words' ``_fiber_block``.  ``point`` adds, for each word, the count
-        of words randrange(p) accepts before it, where those are and their
-        values."""
-        w, p, self.size = self.words, self.p, len(self.words)
-        k = w >> (32 - (p + 1).bit_length())
-        valid = k <= p
-        fibres = valid.nonzero()[0]
-        ks = k[fibres]
-        block = _fiber_block(self.geom, ks)
+    def fibres(self) -> tuple[np.ndarray, np.ndarray]:
+        """The words drawn that read as fibres, and their fibres."""
+        k = self.words >> (32 - (self.p + 1).bit_length())
+        at = (k <= self.p).nonzero()[0]
+        return at, k[at]
+
+    def index(self, at: np.ndarray, ks: np.ndarray, block: list) -> None:
+        """The walk's lookups over the words drawn, given their ``fibres``
+        and the fibres' ``_fiber_block``: which are fibre words and how many
+        points are over each, and for each word the next word at or after it
+        over a fibre with points and below 2^31.  ``point`` adds, for each
+        word, the count of words randrange(p) accepts before it, where those
+        are and their values."""
+        w, self.size = self.words, len(self.words)
+        valid = np.zeros(self.size, dtype=bool)
+        valid[at] = True
         npts = np.zeros(self.size, dtype=np.int64)
-        npts[fibres] = block[-1]
-        self.lifts = (fibres, ks, block[:5])
+        npts[at] = block[-1]
+        self.lifts = (at, ks, block[:5])
 
         def following(mask: np.ndarray) -> list:
-            at = np.where(mask, np.arange(self.size), self.size)
-            return np.minimum.accumulate(at[::-1])[::-1].tolist() + [self.size]
+            pos = np.where(mask, np.arange(self.size), self.size)
+            return np.minimum.accumulate(pos[::-1])[::-1].tolist() + [self.size]
 
         self.valid, self.npts = valid, npts
         self.next_fiber = following(npts > 0)
@@ -1149,7 +1267,7 @@ class _Words:
         among the fibre's points, or None after 512 fibres without one."""
         while True:
             if self.size != len(self.words):
-                self._build()
+                _index([(self,)])
             start, size = self.pos, self.size
             fiber = self.next_fiber[start]
             if fiber - start >= 512:
@@ -1167,7 +1285,7 @@ class _Words:
         """The point of space read at pos."""
         while True:
             if self.size != len(self.words):
-                self._build()
+                _index([(self,)])
             if self.coords is None:
                 coord = self.words >> (32 - self.p.bit_length())
                 accepted = coord < self.p
@@ -1183,26 +1301,85 @@ class _Words:
             if any(z):
                 return tuple(z)
 
-    def lift(self, draws: list) -> tuple[np.ndarray, np.ndarray]:
-        """The curve points of draws from ``curve_draw``, shape (n, 4), zero
-        where a draw is None, and which rows are points.  The lift, square
-        roots included, runs over these fibres only."""
-        out = np.zeros((len(draws), 4), dtype=np.int64)
-        ok = np.array([d is not None for d in draws], dtype=bool)
-        drawn = [d for d in draws if d is not None]
-        if drawn:
-            fibres, ks, block = self.lifts
-            word, pick = np.array(drawn, dtype=np.int64).T
-            j = np.searchsorted(fibres, word)
-            out[ok] = _fiber_lift(self.geom, ks[j], pick, [x if x is None else x[j] for x in block])
-        return out, ok
-
     def curve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """count curve draws, lifted."""
-        return self.lift([self.curve_draw() for _ in range(count)])
+        """count curve draws, lifted as ``_lift`` lifts them."""
+        return _lift([(self, [self.curve_draw() for _ in range(count)])])[0]
 
 
-def _line_points(pr: _Probe, rng: random.Random) -> np.ndarray:
+# The requests a stream yields, (kind, *args), and the batched calls that
+# answer every request of a kind waiting at one time, each taking the list
+# of their args and returning the list of answers.
+
+
+def _index(items: list) -> list:
+    """For each (words,), ``_Words.index`` of every word drawn, with one
+    ``_fiber_block`` for the fibres of all items."""
+    fibres = [words.fibres() for words, in items]
+    sizes = [len(ks) for _, ks in fibres]
+    forms = [words.geom.forms for words, in items]
+    block = _fiber_block(forms[0] if len(items) == 1 else np.repeat(forms, sizes, axis=0).transpose(1, 2, 0),
+                         _moduli([words.p for words, in items], sizes),
+                         np.concatenate([ks for _, ks in fibres]))
+    cuts = [0, *itertools.accumulate(sizes)]
+    for (words,), (at, ks), a, b in zip(items, fibres, cuts, cuts[1:]):
+        words.index(at, ks, [x[a:b] for x in block])
+    return [None] * len(items)
+
+
+def _lift(items: list) -> list:
+    """For each (words, draws from ``curve_draw``): the curve points of the
+    draws, shape (n, 4), zero where a draw is None, and which rows are
+    points.  The lift, square roots included, runs over these fibres only,
+    in one ``_fiber_lift`` for all items."""
+    cols, oks = [], []
+    for words, draws in items:
+        oks.append(np.array([d is not None for d in draws], dtype=bool))
+        if oks[-1].any():
+            at, ks, block = words.lifts
+            word, pick = np.array(list(itertools.compress(draws, oks[-1])), dtype=np.int64).T
+            j = at.searchsorted(word)
+            cols.append((ks[j], pick, *(x[j] for x in block)))
+    out = [np.zeros((len(ok), 4), dtype=np.int64) for ok in oks]
+    if cols:
+        k, pick, *rows = map(np.concatenate, zip(*cols))
+        sizes = [ok.sum() for ok in oks]
+        p = _moduli([words.p for words, _ in items], sizes)
+        z = np.split(_fiber_lift(k, pick, rows, p), np.cumsum(sizes))
+        for o, ok, part in zip(out, oks, z):
+            o[ok] = part
+    return list(zip(out, oks))
+
+
+_REQUESTS = {"index": _index, "lift": _lift, "tangents": _tangents}
+
+
+def _gather(streams: list) -> list:
+    """The values of generators run side by side.  Each yields requests
+    (kind, *args) and is sent their answers; the requests waiting at one
+    time are answered kind by kind, each kind in one call of
+    ``_REQUESTS``."""
+    out, waiting = [None] * len(streams), {}
+
+    def resume(i: int, answer: object) -> None:
+        try:
+            waiting[i] = streams[i].send(answer)
+        except StopIteration as stop:
+            out[i] = stop.value
+
+    for i, stream in enumerate(streams):
+        if isinstance(stream, np.ndarray):  # a stream with nothing to ask
+            out[i] = stream
+        else:
+            resume(i, None)
+    while waiting:
+        kind = min(kind for kind, *_ in waiting.values())
+        batch = [i for i, (k, *_) in waiting.items() if k == kind]
+        for i, answer in zip(batch, _REQUESTS[kind]([waiting.pop(i)[1:] for i in batch])):
+            resume(i, answer)
+    return out
+
+
+def _line_points(pr: _Probe, rng: random.Random):
     """Points on the line through the two deepest assigned points; with one
     assigned point, on four random lines through it."""
     p, words = pr.p, _Words(rng, pr.geom)
@@ -1217,7 +1394,7 @@ def _line_points(pr: _Probe, rng: random.Random) -> np.ndarray:
     return z[pr.unassigned(z)]
 
 
-def _line_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
+def _line_pairs(pr: _Probe, rng: random.Random):
     """Pairs on the line through the two deepest assigned points; with one
     assigned point, each pair on a fresh random line through it."""
     p, words = pr.p, _Words(rng, pr.geom)
@@ -1231,27 +1408,30 @@ def _line_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
     return z[(ls[:, 0] != ls[:, 1]) & pr.unassigned(z).all(axis=1)]
 
 
-def _fresh(pr: _Probe, draw: Callable) -> np.ndarray:
-    """Unassigned draws, at most nprobes of them out of 4 * nprobes;
-    draw(k) gives the next k draws and which of them are points.  Each
-    round draws only as many as are still wanted, so none past the last."""
+def _fresh(pr: _Probe, words: _Words, curve: bool):
+    """Unassigned draws, curve draws or points of space, at most nprobes of
+    them out of 4 * nprobes.  Each round draws only as many as are still
+    wanted, so none past the last."""
     found, drawn, want = [np.zeros((0, 4), dtype=np.int64)], 0, pr.nprobes
     while want and drawn < 4 * pr.nprobes:
         k = min(want, 4 * pr.nprobes - drawn)
-        z, ok = draw(k)
+        if curve:
+            z, ok = yield "lift", words, [words.curve_draw() for _ in range(k)]
+        else:
+            z, ok = words.points(k), True
         found.append(z[ok & pr.unassigned(z)])
         drawn, want = drawn + k, want - len(found[-1])
     return np.concatenate(found)
 
 
-def _curve_points(pr: _Probe, rng: random.Random) -> np.ndarray:
+def _curve_points(pr: _Probe, rng: random.Random):
     words = _Words(rng, pr.geom, 8 * pr.nprobes + 64)
-    return _fresh(pr, words.curve)
+    yield "index", words
+    return (yield from _fresh(pr, words, True))
 
 
-def _generic_points(pr: _Probe, rng: random.Random) -> np.ndarray:
-    words = _Words(rng, pr.geom)
-    return _fresh(pr, lambda k: (words.points(k), True))
+def _generic_points(pr: _Probe, rng: random.Random):
+    return (yield from _fresh(pr, _Words(rng, pr.geom), False))
 
 
 # curve draws one round of ``_fresh_curve`` reads ahead
@@ -1276,7 +1456,7 @@ def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable
             ends.append(words.pos)
             if after:
                 more.append(after())
-        z, ok = words.lift(draws)
+        z, ok = yield "lift", words, draws
         ok &= pr.unassigned(z)
         j = len(draws) if ok.all() else int(np.argmin(ok))
         zs.append(z[:j])
@@ -1287,7 +1467,7 @@ def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable
         words.pos = ends[j]
         z, ok = np.zeros((1, 4), dtype=np.int64), False
         for _ in range(63):
-            one, good = words.curve(1)
+            one, good = yield "lift", words, [words.curve_draw()]
             if good[0] and pr.unassigned(one)[0]:
                 z, ok = one, True
                 break
@@ -1298,34 +1478,36 @@ def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable
     return np.concatenate(zs), np.array(found, dtype=bool), np.array(others, dtype=np.int64)
 
 
-def _curve_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
+def _curve_pairs(pr: _Probe, rng: random.Random):
     """Pairs of distinct unassigned curve points."""
     words = _Words(rng, pr.geom, 16 * pr.nprobes + 64)
-    z, ok, _ = _fresh_curve(pr, words, 2 * pr.nprobes)
+    yield "index", words
+    z, ok, _ = yield from _fresh_curve(pr, words, 2 * pr.nprobes)
     z, ok = z.reshape(-1, 2, 4), ok.reshape(-1, 2).all(axis=1)
     return z[ok & (z[:, 0] != z[:, 1]).any(axis=1)]
 
 
-def _generic_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
+def _generic_pairs(pr: _Probe, rng: random.Random):
     """Pairs of distinct unassigned points of space."""
     z = _Words(rng, pr.geom).points(2 * pr.nprobes).reshape(-1, 2, 4)
     return z[(z[:, 0] != z[:, 1]).any(axis=1) & pr.unassigned(z).all(axis=1)]
 
 
-def _mixed_pairs(pr: _Probe, rng: random.Random) -> np.ndarray:
+def _mixed_pairs(pr: _Probe, rng: random.Random):
     """An unassigned curve point paired with a distinct unassigned point of
     space."""
     # words to draw: about 6 per curve draw, and 4 per random point, each
     # kept with chance p / 2^bits
     per_pair = 8 + (4 << pr.p.bit_length()) // pr.p
     words = _Words(rng, pr.geom, per_pair * pr.nprobes + 64)
-    z1, ok, z2 = _fresh_curve(pr, words, pr.nprobes, words.point)
+    yield "index", words
+    z1, ok, z2 = yield from _fresh_curve(pr, words, pr.nprobes, words.point)
     z2 = z2.reshape(-1, 4)
     z = np.stack([z1, z2], axis=1)
     return z[ok & (z1 != z2).any(axis=1) & pr.unassigned(z2)]
 
 
-def _generic_tangents(pr: _Probe, rng: random.Random) -> np.ndarray:
+def _generic_tangents(pr: _Probe, rng: random.Random):
     """An unassigned point of space and a direction not along it; an
     assigned point is skipped before its direction is drawn."""
     z = _Words(rng, pr.geom).points(2 * pr.nprobes)
@@ -1341,11 +1523,13 @@ def _generic_tangents(pr: _Probe, rng: random.Random) -> np.ndarray:
     return pairs[~_rank_le_1(pairs[:, 0], pairs[:, 1], pr.p)]
 
 
-def _curve_tangents(pr: _Probe, rng: random.Random) -> np.ndarray:
+def _curve_tangents(pr: _Probe, rng: random.Random):
     """An unassigned curve point and a tangent direction there."""
-    z, ok = _Words(rng, pr.geom, 8 * pr.nprobes + 64).curve(pr.nprobes)
+    words = _Words(rng, pr.geom, 8 * pr.nprobes + 64)
+    yield "index", words
+    z, ok = yield "lift", words, [words.curve_draw() for _ in range(pr.nprobes)]
     z = z[ok & pr.unassigned(z)]
-    v, ok = _tangents(pr.geom, z)
+    v, ok = yield "tangents", pr.geom, z
     return np.stack([z[ok], v[ok]], axis=1)
 
 
@@ -1371,32 +1555,32 @@ def _tangent_data(zv) -> dict:
 # up to and including the witness (_TO_WITNESS)
 _EVERY, _EVERY_IF_ANY, _TO_WITNESS = "every", "every-if-any", "to-witness"
 
-# The random categories, run in this order by ``_Probe.scan``.  Columns: the
+# The random categories, run in this order by ``_Stack.scan``.  Columns: the
 # category (a ``checked`` key and the witness kind), its derive_seed label,
 # candidate stream, test per block, witness data, count rule, and whether it
 # needs an assigned point (the line categories).  Labels and draw order are
 # part of the output.
 _BASE_CATEGORIES = (
     ("on-line", "probe-line", _line_points,
-     _Probe.vanishing, _line_point_data, _EVERY_IF_ANY, True),
+     _Stack.vanishing, _line_point_data, _EVERY_IF_ANY, True),
     ("on-curve", "probe-curve", _curve_points,
-     _Probe.vanishing, _point_data, _EVERY_IF_ANY, False),
+     _Stack.vanishing, _point_data, _EVERY_IF_ANY, False),
     ("generic", "probe-generic", _generic_points,
-     _Probe.vanishing, _point_data, _EVERY, False),
+     _Stack.vanishing, _point_data, _EVERY, False),
 )
 _SEPARATION_CATEGORIES = (
     ("pair-on-line", "sep-line", _line_pairs,
-     _Probe.unseparated, _pair_data, _EVERY, True),
+     _Stack.unseparated, _pair_data, _EVERY, True),
     ("pair-on-curve", "sep-pair-on-curve", _curve_pairs,
-     _Probe.unseparated, _pair_data, _TO_WITNESS, False),
+     _Stack.unseparated, _pair_data, _TO_WITNESS, False),
     ("pair-generic", "sep-pair-generic", _generic_pairs,
-     _Probe.unseparated, _pair_data, _TO_WITNESS, False),
+     _Stack.unseparated, _pair_data, _TO_WITNESS, False),
     ("pair-mixed", "sep-pair-mixed", _mixed_pairs,
-     _Probe.unseparated, _pair_data, _TO_WITNESS, False),
+     _Stack.unseparated, _pair_data, _TO_WITNESS, False),
     ("tangent-generic", "sep-tangent", _generic_tangents,
-     _Probe.flat, _tangent_data, _TO_WITNESS, False),
+     _Stack.flat, _tangent_data, _TO_WITNESS, False),
     ("tangent-on-curve", "sep-tangent-curve", _curve_tangents,
-     _Probe.flat, _tangent_data, _TO_WITNESS, False),
+     _Stack.flat, _tangent_data, _TO_WITNESS, False),
 )
 
 
@@ -1411,24 +1595,26 @@ def probe_base_locus(
     Categories, cheapest decisive first: points on the line spanned by the
     two deepest assigned points, fresh points on the curve, generic points
     of the ambient space, and (only when the curve degree is exactly 1) the
-    exact resultant hunt for the single forced curve point.
+    exact resultant hunt for the single forced curve point.  The stack of
+    one layer of ``_base_reports``.
     """
-    pr = _Probe("base-locus", geom, clazz, nprobes, sysd)
-    report = pr.scan(1, "empty-system", _BASE_CATEGORIES)
-    if report is not None:
-        return report
+    return _base_reports([_Probe("base-locus", geom, clazz, nprobes, sysd)])[0]
 
-    notes: tuple[str, ...] = ()
-    if pr.sysd.curve_degree == 1 and pr.d >= 1:
-        found = hunt_common_zeros(
-            geom, pr.sysd.kernel, pr.d, pr.assigned, frozenset(), pr.rng("probe-hunt")
-        )
-        pr.checked["isolated-hunt"] = 1
-        if found:
-            return pr.fired("isolated-on-curve", _point_data(found[0]))
-        notes = ("exact hunt found no unassigned curve point",)
 
-    return ProbeReport("base-locus", False, [], pr.checked, notes)
+def _base_reports(layers: list) -> list[ProbeReport]:
+    """``probe_base_locus`` on a stack, up to its first layer that fired;
+    the hunt runs on a stack of one only."""
+    reports = _Stack(layers).scan(1, "empty-system", _BASE_CATEGORIES)
+    pr = layers[0]
+    if len(layers) > 1 or reports[0].fired or pr.sysd.curve_degree != 1 or pr.d < 1:
+        return reports
+    found = hunt_common_zeros(
+        pr.geom, pr.sysd.kernel, pr.d, pr.assigned, frozenset(), pr.rng("probe-hunt")
+    )
+    pr.checked["isolated-hunt"] = 1
+    if found:
+        return [pr.fired("isolated-on-curve", _point_data(found[0]))]
+    return [pr.quiet(("exact hunt found no unassigned curve point",))]
 
 
 def probe_separation(
@@ -1443,22 +1629,31 @@ def probe_separation(
     evaluation matrix against the whole basis has rank at most 1.  The two
     curve-degree gated hunts cover the structurally forced failures: a
     degree-1 class has a base point (which defeats every pairing), and a
-    degree-2 class identifies each curve point with a partner.
+    degree-2 class identifies each curve point with a partner.  The stack
+    of one layer of ``_separation_reports``.
     """
-    pr = _Probe("separation", geom, clazz, nprobes, sysd)
-    report = pr.scan(2, "insufficient-sections", _SEPARATION_CATEGORIES)
-    if report is not None:
-        return report
-    p, d, kernel = pr.p, pr.d, pr.sysd.kernel
+    return _separation_reports([_Probe("separation", geom, clazz, nprobes, sysd)])[0]
 
-    def pair_witness(kind: str, z1, z2) -> Optional[ProbeReport]:
-        if pr.unseparated([(z1, z2)])[0]:
-            return pr.fired(kind, _pair_data((z1, z2)))
+
+def _separation_reports(layers: list) -> list[ProbeReport]:
+    """``probe_separation`` on a stack, up to its first layer that fired;
+    the hunts run on a stack of one only."""
+    stack = _Stack(layers)
+    reports = stack.scan(2, "insufficient-sections", _SEPARATION_CATEGORIES)
+    pr = layers[0]
+    if len(layers) > 1 or reports[0].fired or pr.d < 1 or pr.sysd.curve_degree not in (1, 2):
+        return reports
+    p, d, geom, kernel = pr.p, pr.d, pr.geom, pr.sysd.kernel
+
+    def pair_witness(kind: str, z1, z2) -> Optional[list]:
+        pair = np.array([(z1, z2)], dtype=np.int64)
+        if stack.unseparated(pair, np.zeros(1, dtype=np.int64))[0]:
+            return [pr.fired(kind, _pair_data((z1, z2)))]
         return None
 
     notes: list[str] = []
     # a forced base point defeats every pairing
-    if pr.sysd.curve_degree == 1 and d >= 1:
+    if pr.sysd.curve_degree == 1:
         found = hunt_common_zeros(
             geom, kernel, d, pr.assigned, frozenset(), pr.rng("sep-hunt-base")
         )
@@ -1471,7 +1666,7 @@ def probe_separation(
         notes.append("degree-1 hunt found no base point")
 
     # curve degree 2: each curve point has a partner no form separates
-    if pr.sysd.curve_degree == 2 and d >= 1:
+    if pr.sysd.curve_degree == 2:
         words = _Words(pr.rng("sep-conjugate"), geom)
         tried = 0
         for _ in range(8):
@@ -1501,7 +1696,7 @@ def probe_separation(
         pr.checked["conjugate-hunt"] = tried
         notes.append("degree-2 hunt found no unseparated pair")
 
-    return ProbeReport("separation", False, [], pr.checked, tuple(notes))
+    return [pr.quiet(notes)]
 
 
 # ---------------------------------------------------------------------------
@@ -1609,21 +1804,31 @@ def run_battery(
     vd, ed = systems[0].vdim, systems[0].edim
     base = separation = None
     if probes > 0:
-        base = _probe_pass(systems, c, probes, probe_base_locus)
-        separation = _probe_pass(systems, c, probes, probe_separation)
+        base = _probe_pass(systems, c, probes, "base-locus", _base_reports, (1,))
+        separation = _probe_pass(systems, c, probes, "separation", _separation_reports, (1, 2))
     return OracleReport(
         c, vd, ed, systems[0].curve_degree, tuple(trials),
         min(dims), max(dims), all(x == ed for x in dims), base, separation,
     )
 
 
-def _probe_pass(systems, clazz, nprobes, fn) -> ProbeSummary:
+def _probe_pass(systems, clazz, nprobes, target, reports, hunted) -> ProbeSummary:
+    """One probe over the battery's geometries in order, up to the first
+    that fired, as stacks of ``reports``.  A stack holds _BLOCK // nprobes
+    layers, at least one, so an evaluation of one candidate per layer and
+    probe stays within _BLOCK.  A class whose curve degree is in
+    ``hunted`` is probed layer by layer, as its hunt runs on a stack of
+    one."""
+    e = systems[0].curve_degree
+    size = 1 if clazz.d >= 1 and e in hunted else max(1, _BLOCK // nprobes)
     flags: list[tuple[int, int, bool]] = []
     first: Optional[ProbeReport] = None
-    for sysd in systems:
-        report = fn(sysd.geometry, clazz, nprobes, sysd)
-        flags.append((sysd.prime, sysd.seed, report.fired))
-        if report.fired:
-            first = report
+    for start in range(0, len(systems), size):
+        stack = systems[start:start + size]
+        for sysd, report in zip(stack, reports([_Probe(target, s.geometry, clazz, nprobes, s)
+                                                for s in stack])):
+            flags.append((sysd.prime, sysd.seed, report.fired))
+            first = report if report.fired else None
+        if first:
             break
-    return ProbeSummary(any(f for _, _, f in flags), tuple(flags), first)
+    return ProbeSummary(first is not None, tuple(flags), first)

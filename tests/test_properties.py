@@ -242,7 +242,7 @@ def test_smooth_at_matches_rank_of_jacobian(case):
     # the curve is smooth at the point exactly when the two gradients are
     # independent, and exactly there does the point get a direction
     geom, pt = case
-    dirs, ok = oracle._tangents(geom, np.array([pt], dtype=np.int64))
+    dirs, ok = oracle._tangents([(geom, np.array([pt], dtype=np.int64))])[0]
     assert ok[0] == (gfp.rank_mod(jacobian(geom, pt), geom.prime) == 2)
     assert ok[0] or not dirs.any()
 
@@ -261,7 +261,7 @@ def test_tangents_match_curve_tangent(case, extra):
     others = [q for q in oracle.get_geometry(p, 0).points[:extra]
               if gfp.rank_mod(jacobian(geom, q), p) == 2]
     stack = np.array([pt] + others, dtype=np.int64)
-    dirs, ok = oracle._tangents(geom, stack)
+    dirs, ok = oracle._tangents([(geom, stack)])[0]
     assert ok.all()
     for row, v in zip(stack.tolist(), dirs.tolist()):
         expected = curve_tangent_reference(geom, row)
@@ -285,7 +285,7 @@ def test_tangents_named_cases(name):
     assert gfp.rref_mod(jacobian(geom, pt), P)[1] == pivots
     candidates = tangent_candidates(geom, pt)
     assert along(pt, candidates[0], P) == (taken == 1)
-    dirs, ok = oracle._tangents(geom, np.array([pt], dtype=np.int64))
+    dirs, ok = oracle._tangents([(geom, np.array([pt], dtype=np.int64))])[0]
     assert ok[0]
     assert tuple(dirs[0].tolist()) == candidates[taken] == curve_tangent_reference(geom, pt)
 
@@ -293,7 +293,7 @@ def test_tangents_named_cases(name):
 def test_curve_tangents_lie_in_the_tangent_space():
     g = oracle.get_geometry(oracle.PRIMES[0], 0)
     p = g.prime
-    dirs, ok = oracle._tangents(g, np.array(g.points, dtype=np.int64))
+    dirs, ok = oracle._tangents([(g, np.array(g.points, dtype=np.int64))])[0]
     assert ok.all()
     for pt, got in zip(g.points, dirs.tolist()):
         v = curve_tangent_reference(g, pt)
@@ -439,13 +439,13 @@ def block_lift(geom, ks, rng=None):
     ``_fiber_block`` and one ``_fiber_lift`` over every (fibre, pick); rng
     shuffles the rows of the lift."""
     ks = np.array(ks, dtype=np.int64)
-    block = oracle._fiber_block(geom, ks)
+    block = oracle._fiber_block(geom.forms, geom.prime, ks)
     rows, pick = (block[-1][:, None] > [0, 1]).nonzero()
     order = np.arange(len(rows))
     if rng is not None:
         rng.shuffle(order)
     rows, pick = rows[order], pick[order]
-    z = oracle._fiber_lift(geom, ks[rows], pick, [x if x is None else x[rows] for x in block[:5]])
+    z = oracle._fiber_lift(ks[rows], pick, [x[rows] for x in block[:5]], geom.prime)
     out = [[None] * int(n) for n in block[-1]]
     for i, j, pt in zip(rows.tolist(), pick.tolist(), z.tolist()):
         out[i][j] = tuple(pt)
@@ -521,10 +521,10 @@ def test_fiber_lift_named_cases(p):
         g = dataclasses.replace(geom, forms=forms_through(p, s, t, abc, rng))
         expected = fiber_points(g, s, t)
         k = np.array([fibre_key(s, t, p)], dtype=np.int64)
-        block = oracle._fiber_block(g, k)
+        block = oracle._fiber_block(g.forms, p, k)
         assert block[-1].tolist() == [npts], name
         for pick in range(npts):
-            z = oracle._fiber_lift(g, k, np.array([pick], dtype=np.int64), block[:5])
+            z = oracle._fiber_lift(k, np.array([pick], dtype=np.int64), block[:5], p)
             assert tuple(z[0].tolist()) == expected[pick], (name, pick)
 
 
@@ -789,7 +789,7 @@ def check_streams(pr, make_rng, names=None):
     for name, label, stream, *_, needs_point in CATEGORIES:
         if (needs_point and not pr.assigned) or (names and name not in names):
             continue
-        got = stream(pr, make_rng(label))
+        got = oracle._gather([stream(pr, make_rng(label))])[0]
         want = list(REFERENCE_STREAMS[name](pr, make_rng(label)))
         assert got.dtype == np.int64, name
         assert got.tolist() == as_lists(want), (name, pr.p, pr.tag, pr.nprobes)
@@ -921,7 +921,7 @@ def fresh_curve_reference(pr, words, count, after=None):
             ends.append(words.pos)
             if after:
                 more.append(after())
-        z, ok = words.lift(draws)
+        z, ok = oracle._lift([(words, draws)])[0]
         ok &= pr.unassigned(z)
         j = len(draws) if ok.all() else int(np.argmin(ok))
         zs.append(z[:j])
@@ -961,13 +961,13 @@ def test_fresh_curve_matches_the_uncapped_rounds(p):
     seed = oracle.derive_seed("fresh-curve", p)
     for with_after in (False, True):
         words = oracle._Words(random.Random(seed), geom)
-        drawn = oracle._fresh_curve(AssignedPoints([]), words, 1200,
-                                    words.point if with_after else None)[0]
+        drawn = oracle._gather([oracle._fresh_curve(AssignedPoints([]), words, 1200,
+                                                    words.point if with_after else None)])[0][0]
         pr = AssignedPoints(drawn[::29])
         for count in (1, oracle._CURVE_ROUND, oracle._CURVE_ROUND + 1, 1000):
             fast = oracle._Words(random.Random(seed), geom)
             slow = oracle._Words(random.Random(seed), geom)
-            got = oracle._fresh_curve(pr, fast, count, fast.point if with_after else None)
+            got = oracle._gather([oracle._fresh_curve(pr, fast, count, fast.point if with_after else None)])[0]
             want = fresh_curve_reference(pr, slow, count, slow.point if with_after else None)
             assert len(got[1]) == count and (got[0][0] != drawn[0]).any()  # drawn again
             for a, b in zip(got, want):
@@ -989,7 +989,7 @@ def test_fresh_curve_draws_grow_linearly_with_the_count(monkeypatch):
     monkeypatch.setattr(oracle._Words, "curve_draw", counted)
     geom = oracle.get_geometry(65537, 0)
     pr = oracle._Probe("separation", geom, parse_class("L3(5; 2^5, 1^7)"), 20_000, None)
-    pairs = oracle._curve_pairs(pr, pr.rng("pair-on-curve", pr.nprobes))
+    pairs = oracle._gather([oracle._curve_pairs(pr, pr.rng("pair-on-curve", pr.nprobes))])[0]
     assert len(pairs) > 19_900
     assert 40_000 <= len(calls) < 40_000 + 20 * (oracle._CURVE_ROUND + 64)
 
@@ -1015,8 +1015,7 @@ def test_fiber_block_matches_the_scalar_lift(p, data):
         forms = tuple(tuple(data.draw(coef) for _ in range(3)) for _ in range(3))
         ks = data.draw(fibre_coordinates(p))
     g = dataclasses.replace(geom, forms=forms)
-    a, b, c, disc, root, npts = oracle._fiber_block(g, np.array(ks, dtype=np.int64))
-    assert (root is None) == (p % 4 == 1)
+    a, b, c, disc, root, npts = oracle._fiber_block(g.forms, p, np.array(ks, dtype=np.int64))
     for i, k in enumerate(ks):
         abc = fiber_quadratic(g, *fibre_pair(k, p))
         assert (int(a[i]), int(b[i]), int(c[i])) == abc
@@ -1024,7 +1023,9 @@ def test_fiber_block_matches_the_scalar_lift(p, data):
         expected = gfp.sqrt_mod(int(disc[i]), p)
         assert int(npts[i]) == len(fiber_points(g, *fibre_pair(k, p)))
         assert (npts[i] > 0) == (expected is not None and any(abc))
-        if root is not None and expected is not None:
+        if p % 4 == 1:  # Euler's criterion; the lift takes the root
+            assert int(root[i]) == pow(int(disc[i]), (p - 1) // 2, p)
+        elif expected is not None:
             assert int(root[i]) in (expected, -expected % p)
 
 
@@ -1835,6 +1836,13 @@ def sketch_reference(kernel, p):
     ]
 
 
+def probe_test(pr, kind, block):
+    """The probe test ``kind`` on a block of the probe's candidates, as a
+    stack of one layer evaluates it."""
+    return getattr(oracle._Stack([pr]), kind)(np.array(block, dtype=np.int64),
+                                              np.zeros(len(block), dtype=np.int64))
+
+
 def value_rows(pr, kind, block):
     """Each candidate's monomial rows, shape (candidates, k, N): a point's,
     a pair's two, or a tangent's point and derivative along its direction."""
@@ -1909,7 +1917,7 @@ def test_sketch_false_alarms_are_rejected_by_the_full_test(case):
     k = PROBE_TESTS[kind]
     assert all(full_test(kind, rows, sketch[:k], pr.p))  # every candidate flagged
     pr.sysd.sketch = sketch
-    got = getattr(pr, kind)(block)
+    got = probe_test(pr, kind, block)
     assert got.tolist() == full_test(kind, rows, pr.sysd.kernel, pr.p)
 
 
@@ -1933,7 +1941,7 @@ def test_sketch_false_alarms_named_cases():
             rows = value_rows(pr, kind, block)
             expected = full_test(kind, rows, pr.sysd.kernel, pr.p)
             assert expected == [True, False, True], (txt, kind)
-            assert getattr(pr, kind)(block).tolist() == expected, (txt, kind)
+            assert probe_test(pr, kind, block).tolist() == expected, (txt, kind)
 
 
 def test_sketch_flags_exactly_the_full_test_on_the_golden_blocks(monkeypatch):
@@ -1942,9 +1950,10 @@ def test_sketch_flags_exactly_the_full_test_on_the_golden_blocks(monkeypatch):
     seen = []
 
     def spy(test):
-        def recorded(pr, block):
-            mask = test(pr, block)
-            seen.append((pr, test.__name__, block, mask))
+        def recorded(stack, block, at):
+            mask = test(stack, block, at)
+            assert len(stack.layers) == 1  # the probes below are stacks of one
+            seen.append((stack.layers[0], test.__name__, block, mask))
             return mask
         return recorded
 
@@ -1989,7 +1998,7 @@ def test_tangent_sketch_matches_the_derivative_rows(d, case):
     pr = tangent_probe(p, d)
     zs, vs = np.array(pts, dtype=np.int64), np.array(dirs, dtype=np.int64)
     mono = oracle.monomial_values(zs, d, p)
-    got = pr.tangent_sketch(zs, vs, mono)
+    got = oracle._Stack([pr]).tangent_sketch(zs, vs, mono, np.zeros(len(zs), dtype=np.int64))
     sketch = np.array(sketch_reference(pr.sysd.kernel, p), dtype=np.int64)
     assert got.shape == (len(pts), 2, 2)
     assert np.array_equal(got[:, 0], gfp.matmul_mod(mono, sketch.T, p))
@@ -2034,10 +2043,10 @@ def test_derivative_values_runs_on_flagged_tangents_only(monkeypatch):
     others = [(tuple(rng.randrange(pr.p) for _ in range(4)),
                tuple(rng.randrange(pr.p) for _ in range(4))) for _ in range(5)]
     block = [others[0], (z, others[1][1]), others[2], others[3], (z, others[4][1])]
-    assert pr.flat(block).tolist() == [False, True, False, False, True]
+    assert probe_test(pr, "flat", block).tolist() == [False, True, False, False, True]
     assert calls == [([list(z)] * 2, [list(others[1][1]), list(others[4][1])])]
     calls.clear()
-    assert not pr.flat(others).any()
+    assert not probe_test(pr, "flat", others).any()
     assert calls == []
     # every call the golden classes' probes make holds flagged tangents only
     for txt in json.loads(GOLDEN_ORACLE.read_text(encoding="utf-8")):
