@@ -582,7 +582,8 @@ def monomial_values(z, d: int, p) -> np.ndarray:
     over all the degree-d monomials."""
     a, b, first, last = _half_monomials(d)
     pw = _power_table(z, d, p)
-    return (pw[..., 0, a] * pw[..., 1, b] % p)[..., first] * (pw[..., 2, a] * pw[..., 3, b] % p)[..., last] % p
+    head, tail = pw[..., 0, a] * pw[..., 1, b] % p, pw[..., 2, a] * pw[..., 3, b] % p
+    return head[..., first] * tail[..., last] % p
 
 
 def derivative_values(z, v, d: int, p) -> np.ndarray:
@@ -809,11 +810,12 @@ class _Stack:
     """One probe call on a stack of layers, ``_Probe``s of one class in
     battery order, whose geometries may have different primes.
 
-    Its tests take candidates of several layers at once, with the layer of
-    each in ``at``, and test each through a sketch of its own layer's basis
-    forms and then through that layer's whole basis.  The elementwise work
-    reads each candidate's prime as a column; a product with forms is one
-    ``gfp`` call per prime."""
+    Its tests take candidates of several layers at once, in layer order,
+    with the layer of each in ``at``, and test each through a sketch of its
+    own layer's basis forms and then through that layer's whole basis.  The
+    elementwise work reads each candidate's prime as a column; a product
+    with forms is one ``gfp`` call per run of layers of one prime, so
+    ``gfp`` keeps one modulus per call."""
 
     def __init__(self, layers: Sequence[_Probe]):
         self.layers, self.d = list(layers), layers[0].d
@@ -877,7 +879,8 @@ class _Stack:
             if out is None:
                 out = np.empty(x.shape[:-1] + (f,), dtype=np.int64)
             for j, i in enumerate(live):
-                out[bounds[i]:bounds[i + 1]] = vals[bounds[i] - start:bounds[i + 1] - start, ..., j * f:(j + 1) * f]
+                a, b = bounds[i], bounds[i + 1]
+                out[a:b] = vals[a - start:b - start, ..., j * f:(j + 1) * f]
         return out
 
     def _confirm(self, rough: np.ndarray, at: np.ndarray, test: Callable, rows: Callable) -> np.ndarray:
@@ -990,7 +993,7 @@ def _power(a: np.ndarray, e, p) -> np.ndarray:
     exponent, and each product is taken on the entries whose exponent has
     that bit."""
     out, base = np.ones_like(a), a.copy()
-    exps = [e] if isinstance(e, int) else np.unique(e).tolist()
+    exps = [int(e)] if np.ndim(e) == 0 else np.unique(e).tolist()
     every, some = (exps[0] if exps else 0), 0
     for x in exps:
         every, some = every & x, some | x
@@ -1049,8 +1052,7 @@ def _fiber_block(forms, p, k: np.ndarray) -> tuple:
             x[at_infinity] = np.broadcast_to(f[2], k.shape)[at_infinity]
     disc = (b * b - 4 * (a * c % p)) % p
     three = p % 4 == 3
-    e = np.where(three, (p + 1) // 4, (p - 1) // 2)
-    root = _power(disc, e if np.ndim(e) else int(e), p)
+    root = _power(disc, np.where(three, (p + 1) // 4, (p - 1) // 2), p)
     square = np.where(three, root * root % p == disc, root <= 1)
     npts = square * np.where(disc == 0, 1, 2)
     flat = (c == 0).nonzero()[0]
@@ -1074,17 +1076,17 @@ def _fiber_lift(k: np.ndarray, pick: np.ndarray, rows, p) -> np.ndarray:
     (1 : v : 1/k : v/k).  The other rows, k = 0, (1:0) and c = 0, are
     lifted apart."""
     a, b, c, disc, root = rows[:5]
-    rowp = np.broadcast_to(p, k.shape)
-    if np.any(p % 4 == 1):
-        tonelli = (rowp % 4 == 1).nonzero()[0]
+    if np.ndim(p) or p % 4 == 1:
+        tonelli = np.broadcast_to(p % 4 == 1, k.shape).nonzero()[0]
+        primes = np.broadcast_to(p, k.shape)[tonelli].tolist()
         root = root.copy()
-        root[tonelli] = [gfp.sqrt_mod(x, q) for x, q in zip(disc[tonelli].tolist(), rowp[tonelli].tolist())]
+        root[tonelli] = [gfp.sqrt_mod(x, q) for x, q in zip(disc[tonelli].tolist(), primes)]
     # lead = unit * w: unit is s or t, w the u or v of the unscaled root
     unit, w = k, 2 * c % p
     lead = w * unit % p
     rare = (lead == 0).nonzero()[0]
     if rare.size:
-        kr, pr, flat, second = k[rare], rowp[rare], c[rare] == 0, pick[rare] == 1
+        kr, pr, flat, second = k[rare], np.broadcast_to(p, k.shape)[rare], c[rare] == 0, pick[rare] == 1
         s, t = np.where(kr == pr, 1, kr), (kr < pr).astype(np.int64)
         unit = k.copy()
         unit[rare] = np.where(s != 0, s, t)
@@ -1123,11 +1125,12 @@ def _tangents(items: list) -> list:
         for (i, j), coef in zip(_QUAD_PAIRS, geom.qprime):
             quad[i, j] += coef
             quad[j, i] += coef
-    p = np.array([geom.prime for geom, _ in items], dtype=np.int64)[at]
-    n, col, cell = len(points), p[:, None], p[:, None, None]
+    p = _moduli([geom.prime for geom, _ in items], [len(z) for _, z in items])
+    n, (col, cell) = len(points), (p, p) if np.ndim(p) == 0 else (p[:, None], p[:, None, None])
     x, y, z, w = points.T
     grad1 = np.stack([w, -z % p, -y % p, x], axis=1)
-    grad2 = (points[:, :, None] * (quads[at] % cell) % cell).sum(axis=1) % col
+    quad = quads[0] if len(items) == 1 else quads[at]
+    grad2 = (points[:, :, None] * (quad % cell) % cell).sum(axis=1) % col
     minors = (grad1[:, :, None] * grad2[:, None, :] - grad1[:, None, :] * grad2[:, :, None]) % cell
     rows = np.arange(n)
     c1 = ((grad1 != 0) | (grad2 != 0)).argmax(axis=1)
@@ -1233,22 +1236,21 @@ class _Words:
             self.pos = int(at[k * len(unit) + 3]) + 1
             count -= k
 
-    def fibres(self) -> tuple[np.ndarray, np.ndarray]:
-        """The words drawn that read as fibres, and their fibres."""
+    def fibres(self) -> np.ndarray:
+        """The fibres of the words drawn that read as one, which ``valid``
+        marks."""
         k = self.words >> (32 - (self.p + 1).bit_length())
-        at = (k <= self.p).nonzero()[0]
-        return at, k[at]
+        self.valid = k <= self.p
+        return k[self.valid]
 
-    def index(self, at: np.ndarray, ks: np.ndarray, block: list) -> None:
-        """The walk's lookups over the words drawn, given their ``fibres``
-        and the fibres' ``_fiber_block``: which are fibre words and how many
-        points are over each, and for each word the next word at or after it
-        over a fibre with points and below 2^31.  ``point`` adds, for each
-        word, the count of words randrange(p) accepts before it, where those
-        are and their values."""
+    def index(self, ks: np.ndarray, block: list) -> None:
+        """The walk's lookups over the words drawn, given the ``fibres`` and
+        their ``_fiber_block``: how many points are over each fibre word, and
+        for each word the next word at or after it over a fibre with points
+        and below 2^31.  ``point`` adds, for each word, the count of words
+        randrange(p) accepts before it, where those are and their values."""
         w, self.size = self.words, len(self.words)
-        valid = np.zeros(self.size, dtype=bool)
-        valid[at] = True
+        at = self.valid.nonzero()[0]
         npts = np.zeros(self.size, dtype=np.int64)
         npts[at] = block[-1]
         self.lifts = (at, ks, block[:5])
@@ -1257,7 +1259,7 @@ class _Words:
             pos = np.where(mask, np.arange(self.size), self.size)
             return np.minimum.accumulate(pos[::-1])[::-1].tolist() + [self.size]
 
-        self.valid, self.npts = valid, npts
+        self.npts = npts
         self.next_fiber = following(npts > 0)
         self.next_pick = following(w < 1 << 31)
         self.coords = None  # built by the first ``point``
@@ -1315,14 +1317,14 @@ def _index(items: list) -> list:
     """For each (words,), ``_Words.index`` of every word drawn, with one
     ``_fiber_block`` for the fibres of all items."""
     fibres = [words.fibres() for words, in items]
-    sizes = [len(ks) for _, ks in fibres]
+    sizes = [len(ks) for ks in fibres]
     forms = [words.geom.forms for words, in items]
     block = _fiber_block(forms[0] if len(items) == 1 else np.repeat(forms, sizes, axis=0).transpose(1, 2, 0),
                          _moduli([words.p for words, in items], sizes),
-                         np.concatenate([ks for _, ks in fibres]))
+                         fibres[0] if len(items) == 1 else np.concatenate(fibres))
     cuts = [0, *itertools.accumulate(sizes)]
-    for (words,), (at, ks), a, b in zip(items, fibres, cuts, cuts[1:]):
-        words.index(at, ks, [x[a:b] for x in block])
+    for (words,), ks, a, b in zip(items, fibres, cuts, cuts[1:]):
+        words.index(ks, [x[a:b] for x in block])
     return [None] * len(items)
 
 
@@ -1331,22 +1333,22 @@ def _lift(items: list) -> list:
     draws, shape (n, 4), zero where a draw is None, and which rows are
     points.  The lift, square roots included, runs over these fibres only,
     in one ``_fiber_lift`` for all items."""
-    cols, oks = [], []
+    cols, oks, sizes = [], [], []
     for words, draws in items:
         oks.append(np.array([d is not None for d in draws], dtype=bool))
-        if oks[-1].any():
+        drawn = [d for d in draws if d is not None]
+        sizes.append(len(drawn))
+        if drawn:
             at, ks, block = words.lifts
-            word, pick = np.array(list(itertools.compress(draws, oks[-1])), dtype=np.int64).T
+            word, pick = np.array(drawn, dtype=np.int64).T
             j = at.searchsorted(word)
             cols.append((ks[j], pick, *(x[j] for x in block)))
     out = [np.zeros((len(ok), 4), dtype=np.int64) for ok in oks]
     if cols:
-        k, pick, *rows = map(np.concatenate, zip(*cols))
-        sizes = [ok.sum() for ok in oks]
-        p = _moduli([words.p for words, _ in items], sizes)
-        z = np.split(_fiber_lift(k, pick, rows, p), np.cumsum(sizes))
-        for o, ok, part in zip(out, oks, z):
-            o[ok] = part
+        k, pick, *rows = cols[0] if len(cols) == 1 else map(np.concatenate, zip(*cols))
+        z = _fiber_lift(k, pick, rows, _moduli([words.p for words, _ in items], sizes))
+        for o, ok, a, b in zip(out, oks, [0, *itertools.accumulate(sizes)], itertools.accumulate(sizes)):
+            o[ok] = z[a:b]
     return list(zip(out, oks))
 
 
@@ -1781,7 +1783,8 @@ def run_battery(
     """Dimensions over every (prime, seed) pair, plus optional probes.
 
     The dimension pass always covers the full battery, solving the seeds of
-    each prime as one stack; probe passes stop at the first firing geometry.
+    each prime as one stack; probe passes take the geometries in stacks, in
+    battery order, and stop at the first firing geometry.
     A battery of more than ``MAX_GEOMETRIES`` pairs is refused before any
     geometry is built.
     """
@@ -1814,13 +1817,13 @@ def run_battery(
 
 def _probe_pass(systems, clazz, nprobes, target, reports, hunted) -> ProbeSummary:
     """One probe over the battery's geometries in order, up to the first
-    that fired, as stacks of ``reports``.  A stack holds _BLOCK // nprobes
-    layers, at least one, so an evaluation of one candidate per layer and
-    probe stays within _BLOCK.  A class whose curve degree is in
-    ``hunted`` is probed layer by layer, as its hunt runs on a stack of
-    one."""
-    e = systems[0].curve_degree
-    size = 1 if clazz.d >= 1 and e in hunted else max(1, _BLOCK // nprobes)
+    that fired: the flags and report the per-geometry loop gave.
+
+    ``reports`` probes a stack of up to _BLOCK // nprobes layers, at least
+    one, so one evaluation of every layer's candidates holds about _BLOCK.
+    A class whose curve degree is in ``hunted``, with d >= 1, goes layer by
+    layer: its hunt runs per layer and usually fires on the first."""
+    size = 1 if clazz.d >= 1 and systems[0].curve_degree in hunted else max(1, _BLOCK // nprobes)
     flags: list[tuple[int, int, bool]] = []
     first: Optional[ProbeReport] = None
     for start in range(0, len(systems), size):
