@@ -968,11 +968,11 @@ def _join(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 # ---------------------------------------------------------------------------
-# candidate streams: each is a generator that takes a layer and its seeded
-# stream and returns the layer's candidates off its assigned points, in draw
-# order, as one array: points (n, 4), pairs and tangents (n, 2, 4).  It
-# yields the requests in ``_REQUESTS`` it needs answered, and ``_gather``
-# answers the requests of the streams of a stack together.
+# candidate streams: each takes a layer and its seeded stream and returns
+# the layer's candidates off its assigned points, in draw order, as one
+# array: points (n, 4), pairs and tangents (n, 2, 4).  A stream that needs
+# work done for the whole stack is a generator: it yields requests of
+# ``_REQUESTS``, and ``_gather`` answers those of a stack's streams together.
 
 
 def _moduli(primes: list, sizes: list):
