@@ -930,24 +930,27 @@ class _Stack:
         the direction?"""
         d, p = self.d, self.primes[at, None]
         zs, vs = tangents[:, 0], tangents[:, 1]
-        mono = monomial_values(zs, d, p)
-        return self._confirm(self.tangent_sketch(zs, vs, mono, at), at, _dependent, lambda flagged: np.stack(
-            [mono[flagged], derivative_values(zs[flagged], vs[flagged], d, p[flagged])], axis=1))
+        return self._confirm(self.tangent_sketch(zs, vs, at), at, _dependent, lambda flagged: np.stack(
+            [monomial_values(zs[flagged], d, p[flagged]),
+             derivative_values(zs[flagged], vs[flagged], d, p[flagged])], axis=1))
 
-    def tangent_sketch(self, zs: np.ndarray, vs: np.ndarray, mono: np.ndarray, at: np.ndarray) -> np.ndarray:
+    def tangent_sketch(self, zs: np.ndarray, vs: np.ndarray, at: np.ndarray) -> np.ndarray:
         """The sketch forms' values at each point z and their derivatives
-        along its v, shape (n, 2, 2), given the monomial values at z.
+        along its v, shape (n, 2, 2).
 
         A sketch form g has derivative D_v g(z) = sum_k v_k (d_k g)(z), and
-        its partials d_k g are forms of degree d-1, so this reads monomial
-        values alone; ``derivative_values`` runs only on the candidates the
+        by Euler's identity, as g has degree d, the value d g(z) = sum_k z_k
+        (d_k g)(z).  Its partials d_k g are forms of degree d-1, so this
+        reads the degree d-1 monomial values alone; ``monomial_values`` of
+        degree d and ``derivative_values`` run only on the candidates the
         sketch flags.
         """
         p = self.primes[at, None]
         slopes = self._products(monomial_values(zs, self.d - 1, p), at,
-                                lambda pr: pr.sysd.sketch_partials.reshape(8, -1))
-        along = (vs[:, :, None] % p[:, None] * slopes.reshape(-1, 4, 2) % p[:, None]).sum(axis=1) % p
-        return np.stack([self._products(mono, at, lambda pr: pr.sysd.sketch), along], axis=1)
+                                lambda pr: pr.sysd.sketch_partials.reshape(8, -1)).reshape(-1, 4, 2)
+        along, euler = ((u[:, :, None] % p[:, None] * slopes % p[:, None]).sum(axis=1) % p for u in (vs, zs))
+        inverse_d = np.array([pow(self.d, -1, q) for q in self.primes.tolist()])[at, None]
+        return np.stack([euler * inverse_d % p, along], axis=1)
 
 
 def _vanish(vals: np.ndarray, p) -> np.ndarray:
