@@ -24,6 +24,7 @@ import io
 import itertools
 import json
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import oracle as oracle_mod
@@ -481,21 +482,31 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if not args.command:
-            raise UsageError("a command is required (classify, reduce, vdim, oracle, sweep)")
-        return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RuntimeError) as err:
-        # a ClassParseError's message already carries the offending position
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionError as err:
-        print(f"internal invariant breach: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
+    shown: set[str] = set()
+
+    def show(message, *_) -> None:
+        # each warning once, as a plain line without the source location
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            args = parser.parse_args(argv)
+            if not args.command:
+                raise UsageError("a command is required (classify, reduce, vdim, oracle, sweep)")
+            return _COMMANDS[args.command](args)
+        except UsageError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ValueError, RuntimeError) as err:
+            # a ClassParseError's message already carries the offending position
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        except AssertionError as err:
+            print(f"internal invariant breach: {err}", file=sys.stderr)
+            return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -97,13 +97,6 @@ class PlaneClass:
     def r(self) -> int:
         return len(self.mults)
 
-    def sorted_desc(self) -> "PlaneClass":
-        return PlaneClass(self.d, tuple(sorted(self.mults, reverse=True)))
-
-    def normalized(self) -> "PlaneClass":
-        ms = tuple(m for m in sorted(self.mults, reverse=True) if m != 0)
-        return PlaneClass(self.d, ms)
-
 
 AnyClass = Union[ThreefoldClass, QuadricClass, PlaneClass]
 

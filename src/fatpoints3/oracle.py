@@ -814,13 +814,12 @@ class _Stack:
     with the layer of each in ``at``, and test each through a sketch of its
     own layer's basis forms and then through that layer's whole basis.  The
     elementwise work reads each candidate's prime as a column; a product
-    with forms is one ``gfp`` call per run of layers of one prime, so
-    ``gfp`` keeps one modulus per call."""
+    with forms is one ``gfp`` call per layer, so ``gfp`` keeps one modulus
+    per call."""
 
     def __init__(self, layers: Sequence[_Probe]):
         self.layers, self.d = list(layers), layers[0].d
         self.primes = np.array([pr.p for pr in layers], dtype=np.int64)
-        self.runs = [(range(rows.start, rows.stop), q) for rows, q in _runs(self.primes)]
 
     def scan(self, min_h0: int, short_kind: str, categories: tuple) -> list[ProbeReport]:
         """Each layer's report from the categories, up to the first layer
@@ -832,16 +831,22 @@ class _Stack:
         stream and tests their candidates, in layer and draw order, one
         block of at most _BLOCK at a time.  The first block with a witness
         ends the category: every candidate of an earlier layer lies in it or
-        before it.
+        before it.  A curve stream's words are drawn and indexed for every
+        live layer at once, in one ``_index``, before the streams run.
         """
         reports = [pr.fired(short_kind, {"h0": pr.sysd.h0}) if pr.sysd.h0 < min_h0 else None
                    for pr in self.layers]
-        for name, label, stream, test, data, count, needs_point in categories:
+        for name, label, stream, test, data, count, needs_point, reserve in categories:
             live = self.layers[:next((i for i, r in enumerate(reports) if r), len(reports))]
             if not live or (needs_point and not live[0].assigned):
                 continue
-            drawn = _gather([stream(pr, pr.rng(label, pr.nprobes)) for pr in live])
-            candidates, at, bounds = _join(drawn)
+            words = [_Words(pr.rng(label, pr.nprobes), pr.geom, reserve(pr) if reserve else 0)
+                     for pr in live]
+            if reserve:
+                _index(words)
+            drawn = [stream(pr, w) for pr, w in zip(live, words)]
+            sizes = [len(z) for z in drawn]
+            candidates, at = np.concatenate(drawn), np.repeat(np.arange(len(live)), sizes)
             hits: dict[int, int] = {}
             for start in range(0, len(candidates), _BLOCK):
                 block = slice(start, start + _BLOCK)
@@ -849,8 +854,8 @@ class _Stack:
                     hits[int(at[start + k])] = start + k
                 if hits:
                     break
-            for i, (pr, first) in enumerate(zip(live, [0, *bounds.tolist()])):
-                n, hit = len(drawn[i]), hits.get(i)
+            for i, (pr, n, first) in enumerate(zip(live, sizes, itertools.accumulate([0, *sizes]))):
+                hit = hits.get(i)
                 if hit is not None and count == _TO_WITNESS:
                     n = hit - first + 1
                 if n or count != _EVERY_IF_ANY:
@@ -862,26 +867,15 @@ class _Stack:
 
     def _products(self, x: np.ndarray, at: np.ndarray, forms: Callable) -> np.ndarray:
         """Each row of x, shape (n, ..., N), in layer order, times the forms
-        ``forms(layer)`` of its layer, (f, N), transposed: shape (n, ..., f).
-        One ``gfp`` call per run of layers of one prime multiplies by the
-        forms of all of them, and each layer's rows keep their own columns."""
+        ``forms(layer)`` of its layer, (f, N), transposed: shape (n, ..., f),
+        with one ``gfp`` call per layer."""
         bounds = np.searchsorted(at, np.arange(len(self.layers) + 1)).tolist()
-        out = None
-        for layers, q in self.runs:
-            live = [i for i in layers if bounds[i] < bounds[i + 1]]
-            if not live:
-                continue
-            mats = [forms(self.layers[i]) for i in live]
-            start, f = bounds[live[0]], len(mats[0])
-            rows = x[start:bounds[live[-1] + 1]]
-            vals = gfp.matmul_mod(rows.reshape(-1, x.shape[-1]), np.concatenate(mats).T, q)
-            vals = vals.reshape(rows.shape[:-1] + (-1,))
-            if out is None:
-                out = np.empty(x.shape[:-1] + (f,), dtype=np.int64)
-            for j, i in enumerate(live):
-                a, b = bounds[i], bounds[i + 1]
-                out[a:b] = vals[a - start:b - start, ..., j * f:(j + 1) * f]
-        return out
+        out = []
+        for pr, a, b in zip(self.layers, bounds, bounds[1:]):
+            if a < b:
+                vals = gfp.matmul_mod(x[a:b].reshape(-1, x.shape[-1]), forms(pr).T, pr.p)
+                out.append(vals.reshape(x[a:b].shape[:-1] + (-1,)))
+        return np.concatenate(out)
 
     def _confirm(self, rough: np.ndarray, at: np.ndarray, test: Callable, rows: Callable) -> np.ndarray:
         """``test`` per candidate on its values on the first k sketch forms
@@ -963,31 +957,18 @@ def _dependent(vals: np.ndarray, p) -> np.ndarray:
     return _rank_le_1(vals[:, 0], vals[:, 1], p)
 
 
-def _join(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays joined along their first axis, the index of the array
-    each row came from, and the bounds that ``np.split`` splits them at."""
-    sizes = [len(a) for a in arrays]
-    return np.concatenate(arrays), np.repeat(np.arange(len(arrays)), sizes), np.cumsum(sizes)[:-1]
-
-
 # ---------------------------------------------------------------------------
-# candidate streams: each takes a layer and its seeded stream and returns
-# the layer's candidates off its assigned points, in draw order, as one
-# array: points (n, 4), pairs and tangents (n, 2, 4).  A stream that needs
-# work done for the whole stack is a generator: it yields requests of
-# ``_REQUESTS``, and ``_gather`` answers those of a stack's streams together.
+# curve points from random words.  The lifts, tangents and inverses take
+# one geometry and one prime.  Only ``_index`` works across a stack's
+# layers, indexing their word blocks together, so ``_fiber_block`` and
+# ``_power`` take the modulus as an int or one per row, as ``_moduli``
+# gives it.
 
 
 def _moduli(primes: list, sizes: list):
     """The modulus of each row, for rows in parts of the given sizes with
     the given primes: an int when the parts share one."""
     return primes[0] if len(set(primes)) == 1 else np.repeat(primes, sizes)
-
-
-def _runs(p: np.ndarray) -> list[tuple[slice, int]]:
-    """The runs of equal entries of p: (entries, value) for each."""
-    cuts = [0, *(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), len(p)]
-    return [(slice(a, b), int(p[a])) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def _power(a: np.ndarray, e, p) -> np.ndarray:
@@ -1014,14 +995,9 @@ def _power(a: np.ndarray, e, p) -> np.ndarray:
     return out
 
 
-def _inverses(a: np.ndarray, p) -> np.ndarray:
-    """Inverses mod p of nonzero entries, with one inversion per run of one
-    prime: the running products are inverted once and unwound (Montgomery)."""
-    if np.ndim(p):
-        out = np.empty_like(a)
-        for rows, q in _runs(p):
-            out[rows] = _inverses(a[rows], q)
-        return out
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of nonzero entries, with one inversion: the running
+    products are inverted once and unwound (Montgomery)."""
     vals = a.tolist()
     before, run = [], 1
     for x in vals:
@@ -1064,37 +1040,32 @@ def _fiber_block(forms, p, k: np.ndarray) -> tuple:
     return a, b, c, disc, root, npts
 
 
-def _fiber_lift(k: np.ndarray, pick: np.ndarray, rows, p) -> np.ndarray:
+def _fiber_lift(k: np.ndarray, pick: np.ndarray, rows, p: int) -> np.ndarray:
     """The pick-th curve point over each fibre k, given the fibres'
-    ``_fiber_block`` rows (a, b, c, disc, root, ...), shape (n, 4), with p
-    an int or per fibre.  The points over a fibre are in the order of their
-    roots (u:v), each scaled to (0:1) or (1:v), and each pick is below the
-    fibre's point count.
+    ``_fiber_block`` rows (a, b, c, disc, root, ...), shape (n, 4).  The
+    points over a fibre are in the order of their roots (u:v), each scaled
+    to (0:1) or (1:v), and each pick is below the fibre's point count.
 
     The roots are (2c : +-r - b) for c nonzero, with r a root of disc, and
     (0:1) and (b : -a) for c = 0.  A point (su:sv:tu:tv) is scaled by its
     first nonzero coordinate, (s or t)(u or v), with one inversion for all
-    rows of a prime.  Over (k:1) with k and c nonzero that coordinate is
-    2ck, whose inverse gives 1/k and 1/(2c), and the root (1:v) the point
-    (1 : v : 1/k : v/k).  The other rows, k = 0, (1:0) and c = 0, are
-    lifted apart."""
+    rows.  Over (k:1) with k and c nonzero that coordinate is 2ck, whose
+    inverse gives 1/k and 1/(2c), and the root (1:v) the point (1 : v : 1/k
+    : v/k).  The other rows, k = 0, (1:0) and c = 0, are lifted apart."""
     a, b, c, disc, root = rows[:5]
-    if np.ndim(p) or p % 4 == 1:
-        tonelli = np.broadcast_to(p % 4 == 1, k.shape).nonzero()[0]
-        primes = np.broadcast_to(p, k.shape)[tonelli].tolist()
-        root = root.copy()
-        root[tonelli] = [gfp.sqrt_mod(x, q) for x, q in zip(disc[tonelli].tolist(), primes)]
+    if p % 4 == 1:
+        root = np.array([gfp.sqrt_mod(x, p) for x in disc.tolist()], dtype=np.int64)
     # lead = unit * w: unit is s or t, w the u or v of the unscaled root
     unit, w = k, 2 * c % p
     lead = w * unit % p
     rare = (lead == 0).nonzero()[0]
     if rare.size:
-        kr, pr, flat, second = k[rare], np.broadcast_to(p, k.shape)[rare], c[rare] == 0, pick[rare] == 1
-        s, t = np.where(kr == pr, 1, kr), (kr < pr).astype(np.int64)
+        kr, flat, second = k[rare], c[rare] == 0, pick[rare] == 1
+        s, t = np.where(kr == p, 1, kr), (kr < p).astype(np.int64)
         unit = k.copy()
         unit[rare] = np.where(s != 0, s, t)
         w[rare] = np.where(flat, np.where(second, b[rare], 1), w[rare])
-        lead[rare] = unit[rare] * w[rare] % pr
+        lead[rare] = unit[rare] * w[rare] % p
     inv = _inverses(lead, p)
     r_s, scale = w * inv % p, unit * inv % p  # 1/unit and 1/w
     v1 = (root - b) % p * scale % p
@@ -1102,16 +1073,15 @@ def _fiber_lift(k: np.ndarray, pick: np.ndarray, rows, p) -> np.ndarray:
     v = np.where(pick == 1, np.maximum(v1, v2), np.minimum(v1, v2))
     out = np.stack([np.ones_like(v), v, r_s, v * r_s % p], axis=1)
     if rare.size:  # for c = 0 the roots (0:1), then (1 : -a/b)
-        v = np.where(flat, np.where(second, -a[rare] % pr * scale[rare] % pr, 1), v[rare])
+        v = np.where(flat, np.where(second, -a[rare] % p * scale[rare] % p, 1), v[rare])
         u = (~flat | second).astype(np.int64)
-        out[rare] = np.stack([s * u, s * v % pr, t * u, t * v % pr], axis=1) * r_s[rare, None] % pr[:, None]
+        out[rare] = np.stack([s * u, s * v % p, t * u, t * v % p], axis=1) * r_s[rare, None] % p
     return out
 
 
-def _tangents(items: list) -> list:
-    """For each (geometry, points of shape (n, 4)): a tangent direction of
-    the curve, not along the point, at each point, zero where there is
-    none, and which rows have one; one pass over the points of all items.
+def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A tangent direction of the curve, not along the point, at each point
+    of an (n, 4) stack, zero where there is none, and which rows have one.
 
     The direction is the first vector of the right-kernel basis
     ``gfp.kernel_mod`` returns for the 2x4 Jacobian, or the second where the
@@ -1122,19 +1092,15 @@ def _tangents(items: list) -> list:
     minus that combination.  Two independent vectors never both lie along
     one point, so every point with a Jacobian of rank 2 has a direction.
     """
-    points, at, bounds = _join([z for _, z in items])
-    quads = np.zeros((len(items), 4, 4), dtype=np.int64)
-    for quad, (geom, _) in zip(quads, items):
-        for (i, j), coef in zip(_QUAD_PAIRS, geom.qprime):
-            quad[i, j] += coef
-            quad[j, i] += coef
-    p = _moduli([geom.prime for geom, _ in items], [len(z) for _, z in items])
-    n, (col, cell) = len(points), (p, p) if np.ndim(p) == 0 else (p[:, None], p[:, None, None])
+    p, n = geom.prime, len(points)
+    quad = np.zeros((4, 4), dtype=np.int64)
+    for (i, j), coef in zip(_QUAD_PAIRS, geom.qprime):
+        quad[i, j] += coef
+        quad[j, i] += coef
     x, y, z, w = points.T
     grad1 = np.stack([w, -z % p, -y % p, x], axis=1)
-    quad = quads[0] if len(items) == 1 else quads[at]
-    grad2 = (points[:, :, None] * (quad % cell) % cell).sum(axis=1) % col
-    minors = (grad1[:, :, None] * grad2[:, None, :] - grad1[:, None, :] * grad2[:, :, None]) % cell
+    grad2 = (points[:, :, None] * (quad % p) % p).sum(axis=1) % p
+    minors = (grad1[:, :, None] * grad2[:, None, :] - grad1[:, None, :] * grad2[:, :, None]) % p
     rows = np.arange(n)
     c1 = ((grad1 != 0) | (grad2 != 0)).argmax(axis=1)
     # D(c1, c) = 0 for c <= c1, so c2 is the first column where it is not
@@ -1148,12 +1114,12 @@ def _tangents(items: list) -> list:
     rows, c1, c2 = rows[:, None], c1[:, None], c2[:, None]
     basis = np.zeros((n, 2, 4), dtype=np.int64)
     basis[rows, [0, 1], free] = 1
-    basis[rows, [0, 1], c1] = -minors[rows, free, c2] * inv % col
-    basis[rows, [0, 1], c2] = -minors[rows, c1, free] * inv % col
-    along = _rank_le_1(points, basis[:, 0], col)
+    basis[rows, [0, 1], c1] = -minors[rows, free, c2] * inv % p
+    basis[rows, [0, 1], c2] = -minors[rows, c1, free] * inv % p
+    along = _rank_le_1(points, basis[:, 0], p)
     dirs = np.where(along[:, None], basis[:, 1], basis[:, 0])
     dirs[~ok] = 0
-    return list(zip(np.split(dirs, bounds), np.split(ok, bounds)))
+    return dirs, ok
 
 
 class _Words:
@@ -1272,7 +1238,7 @@ class _Words:
         among the fibre's points, or None after 512 fibres without one."""
         while True:
             if self.size != len(self.words):
-                _index([(self,)])
+                _index([self])
             start, size = self.pos, self.size
             fiber = self.next_fiber[start]
             if fiber - start >= 512:
@@ -1290,7 +1256,7 @@ class _Words:
         """The point of space read at pos."""
         while True:
             if self.size != len(self.words):
-                _index([(self,)])
+                _index([self])
             if self.coords is None:
                 coord = self.words >> (32 - self.p.bit_length())
                 accepted = coord < self.p
@@ -1308,86 +1274,49 @@ class _Words:
 
     def curve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """count curve draws, lifted as ``_lift`` lifts them."""
-        return _lift([(self, [self.curve_draw() for _ in range(count)])])[0]
+        return _lift(self, [self.curve_draw() for _ in range(count)])
 
 
-# The requests a stream yields, (kind, *args), and the batched calls that
-# answer every request of a kind waiting at one time, each taking the list
-# of their args and returning the list of answers.
-
-
-def _index(items: list) -> list:
-    """For each (words,), ``_Words.index`` of every word drawn, with one
-    ``_fiber_block`` for the fibres of all items."""
-    fibres = [words.fibres() for words, in items]
+def _index(stack: list) -> None:
+    """``_Words.index`` of every word drawn, for each ``_Words`` of the
+    stack, with one ``_fiber_block`` for the fibres of all of them."""
+    fibres = [words.fibres() for words in stack]
     sizes = [len(ks) for ks in fibres]
-    forms = [words.geom.forms for words, in items]
-    block = _fiber_block(forms[0] if len(items) == 1 else np.repeat(forms, sizes, axis=0).transpose(1, 2, 0),
-                         _moduli([words.p for words, in items], sizes),
-                         fibres[0] if len(items) == 1 else np.concatenate(fibres))
+    forms = [words.geom.forms for words in stack]
+    block = _fiber_block(forms[0] if len(stack) == 1 else np.repeat(forms, sizes, axis=0).transpose(1, 2, 0),
+                         _moduli([words.p for words in stack], sizes),
+                         fibres[0] if len(stack) == 1 else np.concatenate(fibres))
     cuts = [0, *itertools.accumulate(sizes)]
-    for (words,), ks, a, b in zip(items, fibres, cuts, cuts[1:]):
+    for words, ks, a, b in zip(stack, fibres, cuts, cuts[1:]):
         words.index(ks, [x[a:b] for x in block])
-    return [None] * len(items)
 
 
-def _lift(items: list) -> list:
-    """For each (words, draws from ``curve_draw``): the curve points of the
-    draws, shape (n, 4), zero where a draw is None, and which rows are
-    points.  The lift, square roots included, runs over these fibres only,
-    in one ``_fiber_lift`` for all items."""
-    cols, oks, sizes = [], [], []
-    for words, draws in items:
-        oks.append(np.array([d is not None for d in draws], dtype=bool))
-        drawn = [d for d in draws if d is not None]
-        sizes.append(len(drawn))
-        if drawn:
-            at, ks, block = words.lifts
-            word, pick = np.array(drawn, dtype=np.int64).T
-            j = at.searchsorted(word)
-            cols.append((ks[j], pick, *(x[j] for x in block)))
-    out = [np.zeros((len(ok), 4), dtype=np.int64) for ok in oks]
-    if cols:
-        k, pick, *rows = cols[0] if len(cols) == 1 else map(np.concatenate, zip(*cols))
-        z = _fiber_lift(k, pick, rows, _moduli([words.p for words, _ in items], sizes))
-        for o, ok, a, b in zip(out, oks, [0, *itertools.accumulate(sizes)], itertools.accumulate(sizes)):
-            o[ok] = z[a:b]
-    return list(zip(out, oks))
+def _lift(words: _Words, draws: list) -> tuple[np.ndarray, np.ndarray]:
+    """The curve points of draws from ``words.curve_draw``, shape (n, 4),
+    zero where a draw is None, and which rows are points.  The lift, square
+    roots included, runs over these fibres only."""
+    ok = np.array([d is not None for d in draws], dtype=bool)
+    z = np.zeros((len(draws), 4), dtype=np.int64)
+    drawn = [d for d in draws if d is not None]
+    if drawn:
+        at, ks, block = words.lifts
+        word, pick = np.array(drawn, dtype=np.int64).T
+        j = at.searchsorted(word)
+        z[ok] = _fiber_lift(ks[j], pick, [x[j] for x in block], words.p)
+    return z, ok
 
 
-_REQUESTS = {"index": _index, "lift": _lift, "tangents": _tangents}
+# ---------------------------------------------------------------------------
+# candidate streams: each takes a layer and its ``_Words`` and returns the
+# layer's candidates off its assigned points, in draw order, as one array:
+# points (n, 4), pairs and tangents (n, 2, 4).  The words of a stream with
+# curve draws come with a block drawn and indexed, see ``_Stack.scan``.
 
 
-def _gather(streams: list) -> list:
-    """The values of generators run side by side.  Each yields requests
-    (kind, *args) and is sent their answers; the requests waiting at one
-    time are answered kind by kind, each kind in one call of
-    ``_REQUESTS``."""
-    out, waiting = [None] * len(streams), {}
-
-    def resume(i: int, answer: object) -> None:
-        try:
-            waiting[i] = streams[i].send(answer)
-        except StopIteration as stop:
-            out[i] = stop.value
-
-    for i, stream in enumerate(streams):
-        if isinstance(stream, np.ndarray):  # a stream with nothing to ask
-            out[i] = stream
-        else:
-            resume(i, None)
-    while waiting:
-        kind = min(kind for kind, *_ in waiting.values())
-        batch = [i for i, (k, *_) in waiting.items() if k == kind]
-        for i, answer in zip(batch, _REQUESTS[kind]([waiting.pop(i)[1:] for i in batch])):
-            resume(i, answer)
-    return out
-
-
-def _line_points(pr: _Probe, rng: random.Random):
+def _line_points(pr: _Probe, words: _Words) -> np.ndarray:
     """Points on the line through the two deepest assigned points; with one
     assigned point, on four random lines through it."""
-    p, words = pr.p, _Words(rng, pr.geom)
+    p = pr.p
     p1 = np.array(pr.assigned[0], dtype=np.int64)
     if len(pr.assigned) >= 2:
         lam, mu = words.take(np.full(2 * pr.nprobes, p - 1))[0].reshape(-1, 2).T + 1
@@ -1399,10 +1328,10 @@ def _line_points(pr: _Probe, rng: random.Random):
     return z[pr.unassigned(z)]
 
 
-def _line_pairs(pr: _Probe, rng: random.Random):
+def _line_pairs(pr: _Probe, words: _Words) -> np.ndarray:
     """Pairs on the line through the two deepest assigned points; with one
     assigned point, each pair on a fresh random line through it."""
-    p, words = pr.p, _Words(rng, pr.geom)
+    p = pr.p
     if len(pr.assigned) >= 2:
         ls = words.take(np.full(2 * pr.nprobes, p - 1))[0].reshape(-1, 2) + 1
         p2 = np.array(pr.assigned[1], dtype=np.int64)
@@ -1413,37 +1342,33 @@ def _line_pairs(pr: _Probe, rng: random.Random):
     return z[(ls[:, 0] != ls[:, 1]) & pr.unassigned(z).all(axis=1)]
 
 
-def _fresh(pr: _Probe, words: _Words, curve: bool):
+def _fresh(pr: _Probe, words: _Words, curve: bool) -> np.ndarray:
     """Unassigned draws, curve draws or points of space, at most nprobes of
     them out of 4 * nprobes.  Each round draws only as many as are still
     wanted, so none past the last."""
     found, drawn, want = [np.zeros((0, 4), dtype=np.int64)], 0, pr.nprobes
     while want and drawn < 4 * pr.nprobes:
         k = min(want, 4 * pr.nprobes - drawn)
-        if curve:
-            z, ok = yield "lift", words, [words.curve_draw() for _ in range(k)]
-        else:
-            z, ok = words.points(k), True
+        z, ok = words.curve(k) if curve else (words.points(k), True)
         found.append(z[ok & pr.unassigned(z)])
         drawn, want = drawn + k, want - len(found[-1])
     return np.concatenate(found)
 
 
-def _curve_points(pr: _Probe, rng: random.Random):
-    words = _Words(rng, pr.geom, 8 * pr.nprobes + 64)
-    yield "index", words
-    return (yield from _fresh(pr, words, True))
+def _curve_points(pr: _Probe, words: _Words) -> np.ndarray:
+    return _fresh(pr, words, True)
 
 
-def _generic_points(pr: _Probe, rng: random.Random):
-    return (yield from _fresh(pr, _Words(rng, pr.geom), False))
+def _generic_points(pr: _Probe, words: _Words) -> np.ndarray:
+    return _fresh(pr, words, False)
 
 
 # curve draws one round of ``_fresh_curve`` reads ahead
 _CURVE_ROUND = 256
 
 
-def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable] = None):
+def _fresh_curve(pr: _Probe, words: _Words, count: int,
+                 after: Optional[Callable] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """count unassigned curve points, each the first of up to 64 curve draws
     that is one, and after each a draw of ``after`` when given: the points
     (zero where 64 draws found none), which of them were found, and the
@@ -1461,7 +1386,7 @@ def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable
             ends.append(words.pos)
             if after:
                 more.append(after())
-        z, ok = yield "lift", words, draws
+        z, ok = _lift(words, draws)
         ok &= pr.unassigned(z)
         j = len(draws) if ok.all() else int(np.argmin(ok))
         zs.append(z[:j])
@@ -1472,7 +1397,7 @@ def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable
         words.pos = ends[j]
         z, ok = np.zeros((1, 4), dtype=np.int64), False
         for _ in range(63):
-            one, good = yield "lift", words, [words.curve_draw()]
+            one, good = words.curve(1)
             if good[0] and pr.unassigned(one)[0]:
                 z, ok = one, True
                 break
@@ -1483,39 +1408,32 @@ def _fresh_curve(pr: _Probe, words: _Words, count: int, after: Optional[Callable
     return np.concatenate(zs), np.array(found, dtype=bool), np.array(others, dtype=np.int64)
 
 
-def _curve_pairs(pr: _Probe, rng: random.Random):
+def _curve_pairs(pr: _Probe, words: _Words) -> np.ndarray:
     """Pairs of distinct unassigned curve points."""
-    words = _Words(rng, pr.geom, 16 * pr.nprobes + 64)
-    yield "index", words
-    z, ok, _ = yield from _fresh_curve(pr, words, 2 * pr.nprobes)
+    z, ok, _ = _fresh_curve(pr, words, 2 * pr.nprobes)
     z, ok = z.reshape(-1, 2, 4), ok.reshape(-1, 2).all(axis=1)
     return z[ok & (z[:, 0] != z[:, 1]).any(axis=1)]
 
 
-def _generic_pairs(pr: _Probe, rng: random.Random):
+def _generic_pairs(pr: _Probe, words: _Words) -> np.ndarray:
     """Pairs of distinct unassigned points of space."""
-    z = _Words(rng, pr.geom).points(2 * pr.nprobes).reshape(-1, 2, 4)
+    z = words.points(2 * pr.nprobes).reshape(-1, 2, 4)
     return z[(z[:, 0] != z[:, 1]).any(axis=1) & pr.unassigned(z).all(axis=1)]
 
 
-def _mixed_pairs(pr: _Probe, rng: random.Random):
+def _mixed_pairs(pr: _Probe, words: _Words) -> np.ndarray:
     """An unassigned curve point paired with a distinct unassigned point of
     space."""
-    # words to draw: about 6 per curve draw, and 4 per random point, each
-    # kept with chance p / 2^bits
-    per_pair = 8 + (4 << pr.p.bit_length()) // pr.p
-    words = _Words(rng, pr.geom, per_pair * pr.nprobes + 64)
-    yield "index", words
-    z1, ok, z2 = yield from _fresh_curve(pr, words, pr.nprobes, words.point)
+    z1, ok, z2 = _fresh_curve(pr, words, pr.nprobes, words.point)
     z2 = z2.reshape(-1, 4)
     z = np.stack([z1, z2], axis=1)
     return z[ok & (z1 != z2).any(axis=1) & pr.unassigned(z2)]
 
 
-def _generic_tangents(pr: _Probe, rng: random.Random):
+def _generic_tangents(pr: _Probe, words: _Words) -> np.ndarray:
     """An unassigned point of space and a direction not along it; an
     assigned point is skipped before its direction is drawn."""
-    z = _Words(rng, pr.geom).points(2 * pr.nprobes)
+    z = words.points(2 * pr.nprobes)
     assigned = (~pr.unassigned(z)).tolist()
     first, i = [], 0
     for _ in range(pr.nprobes):
@@ -1528,13 +1446,11 @@ def _generic_tangents(pr: _Probe, rng: random.Random):
     return pairs[~_rank_le_1(pairs[:, 0], pairs[:, 1], pr.p)]
 
 
-def _curve_tangents(pr: _Probe, rng: random.Random):
+def _curve_tangents(pr: _Probe, words: _Words) -> np.ndarray:
     """An unassigned curve point and a tangent direction there."""
-    words = _Words(rng, pr.geom, 8 * pr.nprobes + 64)
-    yield "index", words
-    z, ok = yield "lift", words, [words.curve_draw() for _ in range(pr.nprobes)]
+    z, ok = words.curve(pr.nprobes)
     z = z[ok & pr.unassigned(z)]
-    v, ok = yield "tangents", pr.geom, z
+    v, ok = _tangents(pr.geom, z)
     return np.stack([z[ok], v[ok]], axis=1)
 
 
@@ -1562,30 +1478,34 @@ _EVERY, _EVERY_IF_ANY, _TO_WITNESS = "every", "every-if-any", "to-witness"
 
 # The random categories, run in this order by ``_Stack.scan``.  Columns: the
 # category (a ``checked`` key and the witness kind), its derive_seed label,
-# candidate stream, test per block, witness data, count rule, and whether it
-# needs an assigned point (the line categories).  Labels and draw order are
-# part of the output.
+# candidate stream, test per block, witness data, count rule, whether it
+# needs an assigned point (the line categories), and for a stream with curve
+# draws the words its ``_Words`` draws up front for a layer, to be indexed
+# with the other layers'.  Labels and draw order are part of the output.
 _BASE_CATEGORIES = (
     ("on-line", "probe-line", _line_points,
-     _Stack.vanishing, _line_point_data, _EVERY_IF_ANY, True),
+     _Stack.vanishing, _line_point_data, _EVERY_IF_ANY, True, None),
     ("on-curve", "probe-curve", _curve_points,
-     _Stack.vanishing, _point_data, _EVERY_IF_ANY, False),
+     _Stack.vanishing, _point_data, _EVERY_IF_ANY, False, lambda pr: 8 * pr.nprobes + 64),
     ("generic", "probe-generic", _generic_points,
-     _Stack.vanishing, _point_data, _EVERY, False),
+     _Stack.vanishing, _point_data, _EVERY, False, None),
 )
 _SEPARATION_CATEGORIES = (
     ("pair-on-line", "sep-line", _line_pairs,
-     _Stack.unseparated, _pair_data, _EVERY, True),
+     _Stack.unseparated, _pair_data, _EVERY, True, None),
     ("pair-on-curve", "sep-pair-on-curve", _curve_pairs,
-     _Stack.unseparated, _pair_data, _TO_WITNESS, False),
+     _Stack.unseparated, _pair_data, _TO_WITNESS, False, lambda pr: 16 * pr.nprobes + 64),
     ("pair-generic", "sep-pair-generic", _generic_pairs,
-     _Stack.unseparated, _pair_data, _TO_WITNESS, False),
+     _Stack.unseparated, _pair_data, _TO_WITNESS, False, None),
+    # about 6 words per curve draw, and 4 per random point, each kept with
+    # chance p / 2^bits
     ("pair-mixed", "sep-pair-mixed", _mixed_pairs,
-     _Stack.unseparated, _pair_data, _TO_WITNESS, False),
+     _Stack.unseparated, _pair_data, _TO_WITNESS, False,
+     lambda pr: (8 + (4 << pr.p.bit_length()) // pr.p) * pr.nprobes + 64),
     ("tangent-generic", "sep-tangent", _generic_tangents,
-     _Stack.flat, _tangent_data, _TO_WITNESS, False),
+     _Stack.flat, _tangent_data, _TO_WITNESS, False, None),
     ("tangent-on-curve", "sep-tangent-curve", _curve_tangents,
-     _Stack.flat, _tangent_data, _TO_WITNESS, False),
+     _Stack.flat, _tangent_data, _TO_WITNESS, False, lambda pr: 8 * pr.nprobes + 64),
 )
 
 

@@ -84,6 +84,16 @@ def test_classify_certificates_out_of_budget(capsys):
     assert "certificate[very-ample]: FAILED at step 64, 64 steps" in out
 
 
+@pytest.mark.parametrize("extra", ((), ("--certificates",), ("--format", "json")))
+def test_dropped_zero_warning_is_one_plain_line(capsys, extra):
+    # the library warns through warnings.warn; the CLI prints the message
+    # once, without the source file and line that would show the install path
+    code, out, err = run(capsys, "classify", "L3(3; 1, 0, -2)", *extra)
+    assert code == cli.EXIT_OK and out
+    assert err == "warning: zero multiplicities dropped before applying point-count thresholds\n"
+    assert run(capsys, "classify", "L3(3; 1, 0, -2)", *extra) == (code, out, err)
+
+
 def test_classify_general_position_mode(capsys):
     code, out, _ = run(capsys, "classify", "L3(4; 2, 1^5)",
                        "--mode", "general-position", "--format", "json")

@@ -122,23 +122,17 @@ def test_fresh_curve_rewinds_inside_a_stack(monkeypatch):
     # read again.  Here that layer heads a stack whose other layers lie on
     # other primes; a stack holds so many layers only when built directly
     rewinds = []
-    fresh_curve = oracle._fresh_curve
+    lift = oracle._lift
 
-    def spy(pr, words, count, after=None):
+    def spy(words, draws):
         # the rewind lifts one draw at a time; a round lifts them all
-        stream, answer = fresh_curve(pr, words, count, after), None
-        while True:
-            try:
-                request = stream.send(answer)
-            except StopIteration as stop:
-                return stop.value
-            if request[0] == "lift" and len(request[2]) == 1 < count:
-                rewinds.append(pr.p)
-            answer = yield request
+        if len(draws) == 1:
+            rewinds.append(words.p)
+        return lift(words, draws)
 
     c = parse_class("L3(4; 2, 1^5)")
     geoms = [oracle.get_geometry(p, 0) for p in (65537, 2147483647, 1073741827)]
-    monkeypatch.setattr(oracle, "_fresh_curve", spy)
+    monkeypatch.setattr(oracle, "_lift", spy)
     stacked = oracle._separation_reports([oracle._Probe("separation", g, c, 100, None) for g in geoms])
     assert rewinds == [65537]
     rewinds.clear()
@@ -150,3 +144,29 @@ def test_fresh_curve_rewinds_inside_a_stack(monkeypatch):
     assert rewinds == [65537]
     assert [r.to_dict() for r in stacked] == [r.to_dict() for r in reference]
     assert len(stacked) == 3 and not any(r.fired for r in stacked)
+
+
+def test_a_stack_indexes_its_curve_words_together(monkeypatch):
+    # each curve category draws every live layer's word block up front and
+    # indexes them all in one _index call; a layer that indexed its words
+    # alone, or a stream that grew its block, would add a call
+    c = parse_class("L3(6; 2^5, 1^5)")
+    for p in oracle.PRIMES:
+        oracle.get_geometry(p, 0)  # its points are curve draws too
+    events = spy_tests(monkeypatch)
+    index = oracle._index
+
+    def spy(stack):
+        events.append(("index", [words.p for words in stack], [len(words.words) for words in stack]))
+        return index(stack)
+
+    monkeypatch.setattr(oracle, "_index", spy)
+    report = oracle.run_battery(c, seeds=(0,), probes=16)
+    assert not report.base.fired and not report.separation.fired
+    curve = [r[0] for r in oracle._BASE_CATEGORIES + oracle._SEPARATION_CATEGORIES if r[-1]]
+    assert len(curve) == 4
+    indexed = [events[i + 1][0] for i, event in enumerate(events) if event[0] == "index"]
+    assert indexed == curve
+    for event in events:
+        if event[0] == "index":
+            assert event[1] == list(oracle.PRIMES) and all(n > 0 for n in event[2])

@@ -242,7 +242,7 @@ def test_smooth_at_matches_rank_of_jacobian(case):
     # the curve is smooth at the point exactly when the two gradients are
     # independent, and exactly there does the point get a direction
     geom, pt = case
-    dirs, ok = oracle._tangents([(geom, np.array([pt], dtype=np.int64))])[0]
+    dirs, ok = oracle._tangents(geom, np.array([pt], dtype=np.int64))
     assert ok[0] == (gfp.rank_mod(jacobian(geom, pt), geom.prime) == 2)
     assert ok[0] or not dirs.any()
 
@@ -261,7 +261,7 @@ def test_tangents_match_curve_tangent(case, extra):
     others = [q for q in oracle.get_geometry(p, 0).points[:extra]
               if gfp.rank_mod(jacobian(geom, q), p) == 2]
     stack = np.array([pt] + others, dtype=np.int64)
-    dirs, ok = oracle._tangents([(geom, stack)])[0]
+    dirs, ok = oracle._tangents(geom, stack)
     assert ok.all()
     for row, v in zip(stack.tolist(), dirs.tolist()):
         expected = curve_tangent_reference(geom, row)
@@ -285,7 +285,7 @@ def test_tangents_named_cases(name):
     assert gfp.rref_mod(jacobian(geom, pt), P)[1] == pivots
     candidates = tangent_candidates(geom, pt)
     assert along(pt, candidates[0], P) == (taken == 1)
-    dirs, ok = oracle._tangents([(geom, np.array([pt], dtype=np.int64))])[0]
+    dirs, ok = oracle._tangents(geom, np.array([pt], dtype=np.int64))
     assert ok[0]
     assert tuple(dirs[0].tolist()) == candidates[taken] == curve_tangent_reference(geom, pt)
 
@@ -293,7 +293,7 @@ def test_tangents_named_cases(name):
 def test_curve_tangents_lie_in_the_tangent_space():
     g = oracle.get_geometry(oracle.PRIMES[0], 0)
     p = g.prime
-    dirs, ok = oracle._tangents([(g, np.array(g.points, dtype=np.int64))])[0]
+    dirs, ok = oracle._tangents(g, np.array(g.points, dtype=np.int64))
     assert ok.all()
     for pt, got in zip(g.points, dirs.tolist()):
         v = curve_tangent_reference(g, pt)
@@ -784,12 +784,13 @@ class ScriptedRandom(random.Random):
 
 
 def check_streams(pr, make_rng, names=None):
-    """Every category's candidates, from the rng make_rng(label) gives,
-    equal the reference stream's from another one like it."""
-    for name, label, stream, *_, needs_point in CATEGORIES:
+    """Every category's candidates, from the rng make_rng(label) gives, with
+    the words a curve stream draws up front, equal the reference stream's
+    from another one like it."""
+    for name, label, stream, *_, needs_point, reserve in CATEGORIES:
         if (needs_point and not pr.assigned) or (names and name not in names):
             continue
-        got = oracle._gather([stream(pr, make_rng(label))])[0]
+        got = stream(pr, oracle._Words(make_rng(label), pr.geom, reserve(pr) if reserve else 0))
         want = list(REFERENCE_STREAMS[name](pr, make_rng(label)))
         assert got.dtype == np.int64, name
         assert got.tolist() == as_lists(want), (name, pr.p, pr.tag, pr.nprobes)
@@ -921,7 +922,7 @@ def fresh_curve_reference(pr, words, count, after=None):
             ends.append(words.pos)
             if after:
                 more.append(after())
-        z, ok = oracle._lift([(words, draws)])[0]
+        z, ok = oracle._lift(words, draws)
         ok &= pr.unassigned(z)
         j = len(draws) if ok.all() else int(np.argmin(ok))
         zs.append(z[:j])
@@ -961,13 +962,13 @@ def test_fresh_curve_matches_the_uncapped_rounds(p):
     seed = oracle.derive_seed("fresh-curve", p)
     for with_after in (False, True):
         words = oracle._Words(random.Random(seed), geom)
-        drawn = oracle._gather([oracle._fresh_curve(AssignedPoints([]), words, 1200,
-                                                    words.point if with_after else None)])[0][0]
+        drawn = oracle._fresh_curve(AssignedPoints([]), words, 1200,
+                                    words.point if with_after else None)[0]
         pr = AssignedPoints(drawn[::29])
         for count in (1, oracle._CURVE_ROUND, oracle._CURVE_ROUND + 1, 1000):
             fast = oracle._Words(random.Random(seed), geom)
             slow = oracle._Words(random.Random(seed), geom)
-            got = oracle._gather([oracle._fresh_curve(pr, fast, count, fast.point if with_after else None)])[0]
+            got = oracle._fresh_curve(pr, fast, count, fast.point if with_after else None)
             want = fresh_curve_reference(pr, slow, count, slow.point if with_after else None)
             assert len(got[1]) == count and (got[0][0] != drawn[0]).any()  # drawn again
             for a, b in zip(got, want):
@@ -989,7 +990,7 @@ def test_fresh_curve_draws_grow_linearly_with_the_count(monkeypatch):
     monkeypatch.setattr(oracle._Words, "curve_draw", counted)
     geom = oracle.get_geometry(65537, 0)
     pr = oracle._Probe("separation", geom, parse_class("L3(5; 2^5, 1^7)"), 20_000, None)
-    pairs = oracle._gather([oracle._curve_pairs(pr, pr.rng("pair-on-curve", pr.nprobes))])[0]
+    pairs = oracle._curve_pairs(pr, oracle._Words(pr.rng("pair-on-curve", pr.nprobes), pr.geom))
     assert len(pairs) > 19_900
     assert 40_000 <= len(calls) < 40_000 + 20 * (oracle._CURVE_ROUND + 64)
 
@@ -2062,14 +2063,17 @@ def test_derivative_values_runs_on_flagged_tangents_only(monkeypatch):
 
 
 def patched_reference_streams(monkeypatch):
-    """The probe tables with every stream swapped for its reference."""
-    def as_array(reference):
-        return lambda pr, rng: np.array(as_lists(list(reference(pr, rng))), dtype=np.int64)
+    """The probe tables with every stream swapped for its reference, which
+    reads a fresh ``random.Random`` of the category's label in place of the
+    layer's words; so no words are drawn up front."""
+    def as_array(reference, label):
+        return lambda pr, words: np.array(
+            as_lists(list(reference(pr, pr.rng(label, pr.nprobes)))), dtype=np.int64)
 
     for table in ("_BASE_CATEGORIES", "_SEPARATION_CATEGORIES"):
         rows = getattr(oracle, table)
         monkeypatch.setattr(oracle, table, tuple(
-            r[:2] + (as_array(REFERENCE_STREAMS[r[0]]),) + r[3:] for r in rows))
+            r[:2] + (as_array(REFERENCE_STREAMS[r[0]], r[1]),) + r[3:-1] + (None,) for r in rows))
 
 
 def test_battery_at_a_prime_one_mod_four_matches_the_scalar_streams(monkeypatch):
