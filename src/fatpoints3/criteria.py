@@ -79,13 +79,12 @@ class Condition:
 
 
 def _norm(c: ThreefoldClass) -> ThreefoldClass:
-    s = c.sorted_desc()
-    if 0 in s.mults:
+    s = c.normalized()
+    if len(s.mults) < len(c.mults):
         warnings.warn(
             "zero multiplicities dropped before applying point-count thresholds",
             stacklevel=3,
         )
-        return s.normalized()
     return s
 
 
@@ -604,8 +603,7 @@ def _certificate_va(start: ThreefoldClass) -> Certificate:
     while True:
         if len(steps) == _MAX_STEPS:
             return _out_of_budget(Goal.VERY_AMPLE, start, steps, cur, augmented)
-        mr_cur = min(cur.mults) if cur.mults else 0
-        clamped = mr_cur == 1
+        clamped = min(cur.mults) == 1
         step = _make_step(len(steps) + 1, cur, Goal.VERY_AMPLE, clamped=clamped, with_ns=True)
         steps.append(step)
         if not step.passed:
@@ -614,8 +612,6 @@ def _certificate_va(start: ThreefoldClass) -> Certificate:
                                augmented, step.index)
         cur = step.next_class
         if clamped:
-            break
-        if not cur.mults:
             break
 
     # The clamped step also needs the residual to stay base point free.

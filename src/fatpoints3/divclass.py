@@ -49,12 +49,6 @@ class ThreefoldClass:
     def r(self) -> int:
         return len(self.mults)
 
-    def sorted_desc(self) -> "ThreefoldClass":
-        """Multiplicities sorted non-increasing; the class itself when they
-        already are."""
-        ms = tuple(sorted(self.mults, reverse=True))
-        return self if ms == self.mults else ThreefoldClass(self.d, ms)
-
     def normalized(self) -> "ThreefoldClass":
         """Sort multiplicities non-increasing and drop zero entries; the class
         itself when it is already in that form."""
@@ -199,17 +193,14 @@ def restrict_to_quadric(c: ThreefoldClass) -> QuadricClass:
     return QuadricClass(c.d, c.d, c.mults)
 
 
-def residual(c: ThreefoldClass, effective: bool = False) -> ThreefoldClass:
+def residual(c: ThreefoldClass) -> ThreefoldClass:
     """Residual class after removing the quadric: (d-2; m_1-1, ..., m_r-1).
 
-    With effective=True multiplicities are clamped at zero, matching the
-    step of the very-ampleness induction that zeroes exhausted points.
+    No entry is clamped: a point of multiplicity 1 leaves a zero, which
+    ``normalized`` drops, and the certificate chains read every residual
+    through it.
     """
-    if effective:
-        ms = tuple(max(m - 1, 0) for m in c.mults)
-    else:
-        ms = tuple(m - 1 for m in c.mults)
-    return ThreefoldClass(c.d - 2, ms)
+    return ThreefoldClass(c.d - 2, tuple(m - 1 for m in c.mults))
 
 
 def quadric_to_plane(c: QuadricClass) -> PlaneClass:

@@ -457,11 +457,9 @@ def rational_roots(f: Sequence[int], p: int, rng: random.Random) -> list[int]:
 
 
 def _res_actual(f: list[int], g: list[int], p: int) -> int:
-    """Resultant with respect to the actual degrees of f and g."""
+    """Resultant with respect to the actual degrees of nonzero f and g."""
     a, b = list(f), list(g)
     da, db = pdeg(a), pdeg(b)
-    if da < 0 or db < 0:
-        return 0
     sign = 1
     if da < db:
         a, b, da, db = b, a, db, da

@@ -102,8 +102,6 @@ def _squarefree_binary_form(f: Sequence[int], n: int, p: int) -> bool:
     full = [c % p for c in f] + [0] * (n + 1 - len(f))
     fs = gfp.ptrim([i * full[i] % p for i in range(1, n + 1)])
     ft = gfp.ptrim([(n - i) * full[i] % p for i in range(n)])
-    if not fs or not ft:
-        return False
     return gfp.resultant_formal(fs, ft, n - 1, n - 1, p) != 0
 
 
@@ -327,8 +325,6 @@ def _fill_rows(geom: Geometry, d: int, out: np.ndarray, first: int, start: int) 
     falling factorials times the monomials of each point's affine
     coordinates, for all points of one chart at once."""
     k, stop, p = out.shape[0], start + out.shape[1], geom.prime
-    if not out.size:
-        return
     pts = np.array(geom.points[first:first + k], dtype=np.int64)
     charts = (pts != 0).argmax(axis=1)
     for chart in np.unique(charts).tolist():
@@ -669,10 +665,10 @@ def hunt_common_zeros(
 
     Eliminates the fiber coordinate by a resultant against the curve
     equation, interpolated from 4d+1 exact evaluations; shared roots of two
-    (occasionally three) random combinations cut the candidates down, the
-    fibers of assigned points are divided out and re-checked through their
-    partner points, and every candidate is verified against the full basis
-    before being reported.  Output is therefore never a false positive.
+    random combinations cut the candidates down, the fibers of assigned
+    points are divided out and re-checked through their partner points, and
+    every candidate is verified against the full basis before being
+    reported.  Output is therefore never a false positive.
     """
     p = geom.prime
     if sections.shape[0] == 0 or d < 1:
@@ -682,14 +678,8 @@ def hunt_common_zeros(
     gammas = np.stack(_fiber_block(geom.forms, p, np.array(xs, dtype=np.int64))[:3], axis=1).tolist()
 
     def combo_resultant() -> Optional[list[int]]:
-        for _ in range(8):
-            cvec = np.array([rng.randrange(p) for _ in range(sections.shape[0])],
-                            dtype=np.int64)
-            gg = gfp.matmul_mod(cvec.reshape(1, -1), sections, p).ravel()
-            if gg.any():
-                break
-        else:
-            return None
+        cvec = np.array([rng.randrange(p) for _ in range(sections.shape[0])], dtype=np.int64)
+        gg = gfp.matmul_mod(cvec.reshape(1, -1), sections, p).ravel()
         phi = bihom_matrix(gg, d, p)
         fibers = gfp.matmul_mod(xpow, phi, p).tolist()
         vals = [gfp.resultant_formal(gam, sec, 2, d, p) for gam, sec in zip(gammas, fibers)]
@@ -702,21 +692,12 @@ def hunt_common_zeros(
         return []
 
     assigned_fibers = [_fiber_of(pt, p) for pt in assigned]
-
-    def off_assigned(g: list[int]) -> list[int]:
-        for k in assigned_fibers:
-            if k < p:
-                g, _ = gfp.divide_out_root(g, k, p)
-        return g
-
     g = polys[0]
     for q in polys[1:]:
         g = gfp.pgcd(g, q, p)
-    g = off_assigned(g)
-    if gfp.pdeg(g) > 2 * len(assigned) + 6:
-        extra = combo_resultant()
-        if extra is not None:
-            g = off_assigned(gfp.pgcd(g, extra, p))
+    for k in assigned_fibers:
+        if k < p:
+            g, _ = gfp.divide_out_root(g, k, p)
     roots = gfp.rational_roots(g, p, rng)
 
     # every point over the root fibres, (1:0) and the assigned fibres
@@ -1147,6 +1128,7 @@ class _Words:
         self.words = np.zeros(0, dtype=np.int64)
         self.pos = 0
         self.size = -1  # the words the walk's lookups cover
+        self.coord_size = -1  # and those that ``point``'s cover
         if reserve:
             self._draw(reserve)
 
@@ -1216,8 +1198,7 @@ class _Words:
         """The walk's lookups over the words drawn, given the ``fibres`` and
         their ``_fiber_block``: how many points are over each fibre word, and
         for each word the next word at or after it over a fibre with points
-        and below 2^31.  ``point`` adds, for each word, the count of words
-        randrange(p) accepts before it, where those are and their values."""
+        and below 2^31."""
         w, self.size = self.words, len(self.words)
         at = self.valid.nonzero()[0]
         npts = np.zeros(self.size, dtype=np.int64)
@@ -1231,7 +1212,6 @@ class _Words:
         self.npts = npts
         self.next_fiber = following(npts > 0)
         self.next_pick = following(w < 1 << 31)
-        self.coords = None  # built by the first ``point``
 
     def curve_draw(self) -> Optional[tuple[int, int]]:
         """The curve draw read at pos: the word of its fibre and its pick
@@ -1253,11 +1233,12 @@ class _Words:
             self._draw(size + 64)
 
     def point(self) -> tuple:
-        """The point of space read at pos."""
+        """The point of space read at pos.  Its lookups, kept apart from the
+        walk's, are for each word the count of words randrange(p) accepts
+        before it, where those are and their values."""
         while True:
-            if self.size != len(self.words):
-                _index([self])
-            if self.coords is None:
+            if self.coord_size != len(self.words):
+                self.coord_size = len(self.words)
                 coord = self.words >> (32 - self.p.bit_length())
                 accepted = coord < self.p
                 self.coords_before = np.concatenate([[0], np.cumsum(accepted)]).tolist()
@@ -1265,7 +1246,7 @@ class _Words:
                 self.coord_values = coord[accepted].tolist()
             k = self.coords_before[self.pos]
             if k + 4 > len(self.coords):
-                self._draw(self.size + 64)
+                self._draw(len(self.words) + 64)
                 continue
             self.pos = self.coords[k + 3] + 1
             z = self.coord_values[k:k + 4]

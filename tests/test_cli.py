@@ -311,6 +311,17 @@ def test_certificate_json_on_ten_thousand_points_stays_in_bounded_memory():
     assert checks[-1] == {"index": 9999, "class": "L3(10000; 1^9999, 2)", "bpf": True}
 
 
+@pytest.mark.parametrize("text, reason", (
+    ("L3(2; 1^0)", "exponent must be positive (at position 8)"),
+    ("L3(-4)", "degree below -3 is outside the model"),
+    ("L3(-1; -1)", "negative multiplicity"),
+))
+def test_oracle_refuses_a_class_outside_the_model(capsys, text, reason):
+    code, out, err = run(capsys, "oracle", text)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"error: {reason}\n"
+
+
 def test_parse_error_reports_position(capsys):
     code, _, err = run(capsys, "classify", "L3(2; 1^")
     assert code == 1

@@ -94,12 +94,10 @@ def test_restriction_and_residual():
     q = restrict_to_quadric(c)
     assert q == QuadricClass(3, 3, (2, 1))
     assert residual(c) == ThreefoldClass(1, (1, 0))
-    assert residual(c, effective=True) == ThreefoldClass(1, (1, 0))
     c2 = ThreefoldClass(2, (1, 1))
     assert residual(c2) == ThreefoldClass(0, (0, 0))
     c3 = ThreefoldClass(1, (2, 0))
     assert residual(c3) == ThreefoldClass(-1, (1, -1))
-    assert residual(c3, effective=True) == ThreefoldClass(-1, (1, 0))
 
 
 def test_quadric_to_plane_dictionary():
@@ -206,6 +204,15 @@ def test_parse_errors_have_positions():
         with pytest.raises(ClassParseError) as err:
             parse_class(bad)
         assert err.value.pos >= 0
+
+
+def test_parse_and_format_refuse_what_they_cannot_read():
+    with pytest.raises(ClassParseError, match=r"^exponent must be positive \(at position 8\)$"):
+        parse_class("L3(2; 1^0)")
+    with pytest.raises(ClassParseError, match=r"^expected ',' or '\)' \(at position 8\)$"):
+        parse_class("L3(2; 1 1)")
+    with pytest.raises(TypeError):
+        format_class(object())
 
 
 def test_format_groups_runs():
@@ -321,12 +328,10 @@ def test_parse_class_fuzz(text):
 
 def test_sorted_and_normalized_return_a_class_already_in_form():
     c = ThreefoldClass(5, (3, 2, 2, 1))
-    assert c.sorted_desc() is c and c.normalized() is c
+    assert c.normalized() is c
     unsorted = ThreefoldClass(5, (2, 3, 0, 1))
-    assert unsorted.sorted_desc() == ThreefoldClass(5, (3, 2, 1, 0))
     assert unsorted.normalized() == ThreefoldClass(5, (3, 2, 1))
     with_zero = ThreefoldClass(5, (3, 2, 0))
-    assert with_zero.sorted_desc() is with_zero
     assert with_zero.normalized() == ThreefoldClass(5, (3, 2))
 
 

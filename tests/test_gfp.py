@@ -65,6 +65,16 @@ def test_primality_known_values():
     assert not gfp.is_probable_prime(1)
     assert not gfp.is_probable_prime(2147483647 * 3)
     assert not gfp.is_probable_prime(561)  # Carmichael
+    assert not gfp.is_probable_prime(1763)  # 41 * 43, above every trial divisor
+
+
+def test_input_checks():
+    with pytest.raises(ValueError, match="modulus 2147483648 too large"):
+        gfp.rref_mod(np.zeros((1, 1), dtype=np.int64), 2**31)
+    with pytest.raises(ValueError, match="inner dimension"):
+        gfp.matmul_mod(np.zeros((1, 32769), dtype=np.int64), np.zeros((32769, 1), dtype=np.int64), P)
+    with pytest.raises(ZeroDivisionError):
+        gfp.pdivmod([1], [], 7)
 
 
 def test_sqrt_mod_both_branches():

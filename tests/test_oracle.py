@@ -144,6 +144,16 @@ def test_validation_errors():
         oracle.build_geometry(15, 0)
     with pytest.raises(ValueError):
         oracle.build_geometry(97, 0)  # below the supported field size
+    g = oracle.get_geometry(65537, 0)
+    with pytest.raises(ValueError, match="fewer sampled points"):
+        oracle.conditions_matrix(g, parse_class("L3(2; 1^17)"))
+    with pytest.raises(ValueError, match="field characteristic too small"):
+        oracle.conditions_matrix(dataclasses.replace(g, prime=5), parse_class("L3(5)"))
+    # below degree 0 the system is empty, and the class is still checked
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        oracle.solve_system(g, ThreefoldClass(-1, (-1,)))
+    with pytest.raises(ValueError, match="degree below -3"):
+        oracle.solve_system(g, ThreefoldClass(-4, ()))
 
 
 def test_build_geometry_rejects_a_negative_point_count():

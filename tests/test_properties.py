@@ -841,6 +841,22 @@ def test_words_randrange_reads_the_words_randrange_reads(p):
             assert got == want and words.pos == scalar.read, (n, step)
 
 
+@pytest.mark.parametrize("p", POINT_PRIMES)
+def test_points_of_space_index_no_curve_fibres(monkeypatch, p):
+    # a stream that reads only points of space, as the degree-1 separation
+    # hunt's partner draw does, keeps its own lookups; 40 points read past
+    # the first block of 64 words
+    geom = oracle.get_geometry(p, 0)  # its points are curve draws
+    calls = []
+    monkeypatch.setattr(oracle, "_index", calls.append)
+    seed = oracle.derive_seed("sep-pair", p)
+    words, scalar = oracle._Words(random.Random(seed), geom), ScriptedRandom([], seed)
+    for _ in range(40):
+        assert words.point() == random_proj_point_reference(scalar, p)
+        assert words.pos == scalar.read
+    assert calls == []
+
+
 def scripted_probes(p, nprobes=16):
     geom = oracle.get_geometry(p, 0)
     return [oracle._Probe("streams", geom, c, nprobes, None) for c in STREAM_CLASSES[1:]]
