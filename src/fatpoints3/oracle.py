@@ -48,6 +48,7 @@ DEFAULT_POINTS = 16
 DEFAULT_PROBES = 64
 MAX_PROBES = 100_000  # probes per category; their memory and time grow faster than linearly
 MAX_GEOMETRIES = 96  # geometries of one battery, and of the geometry cache
+_MAX_ENTRIES = 2**26  # condition-matrix entries of one prime's stack, 512 MiB of int64
 MAX_DEGREE = 16
 MAX_MULT = 5
 
@@ -272,18 +273,30 @@ def _mult_rows(m: int) -> int:
     return math.comb(m + 2, 3)
 
 
-def _check_conditions(geom: Geometry, c: ThreefoldClass) -> None:
-    """Reject a normalized class whose conditions this geometry cannot hold."""
+def _check_class(c: ThreefoldClass, layers: int) -> None:
+    """Reject a normalized class whose conditions no geometry can hold, or
+    whose condition matrices on ``layers`` geometries of one prime would
+    pass ``_MAX_ENTRIES``."""
     if any(m < 0 for m in c.mults):
         raise ValueError("negative multiplicity")
     if c.d < 0 or c.d > MAX_DEGREE:
         raise ValueError(f"degree {c.d} outside the supported range 0..{MAX_DEGREE}")
-    if c.d >= geom.prime:
-        raise ValueError("field characteristic too small for this degree")
     if any(m > MAX_MULT for m in c.mults):
         raise ValueError(f"multiplicity above the supported bound {MAX_MULT}")
-    if c.r > len(geom.points):
-        raise ValueError("geometry holds fewer sampled points than the class needs")
+    entries = layers * sum(map(_mult_rows, c.mults)) * math.comb(c.d + 3, 3)
+    if entries > _MAX_ENTRIES:
+        raise ValueError(f"a prime's condition matrices hold at most {_MAX_ENTRIES} entries, got {entries}")
+
+
+def _check_conditions(geoms: Sequence[Geometry], c: ThreefoldClass) -> None:
+    """Reject a normalized class whose conditions these geometries, one
+    stack of one prime, cannot hold."""
+    _check_class(c, len(geoms))
+    for geom in geoms:
+        if c.d >= geom.prime:
+            raise ValueError("field characteristic too small for this degree")
+        if c.r > len(geom.points):
+            raise ValueError("geometry holds fewer sampled points than the class needs")
 
 
 class _Workspace:
@@ -377,7 +390,7 @@ def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
     """Stacked interpolation conditions for the class at the sampled
     points, point by point, each point's rows by order."""
     c = clazz.normalized()
-    _check_conditions(geom, c)
+    _check_conditions([geom], c)
     ws, n_cols = _workspace(geom), monomial_exponents(c.d).shape[0]
     tables = [ws.table(geom, c.d, k, sum(m > k for m in c.mults))
               for k in range(max(c.mults, default=0))]
@@ -513,8 +526,7 @@ def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]
     """``solve_system`` on each geometry, all of one prime, as one stack."""
     c = clazz.normalized()
     if c.d >= 0:
-        for geom in geoms:
-            _check_conditions(geom, c)
+        _check_conditions(geoms, c)
         kernels = _kernels(geoms, c)
     elif any(m < 0 for m in c.mults):
         raise ValueError("negative multiplicity")
@@ -762,6 +774,8 @@ class _Probe:
                  nprobes: int, sysd: Optional[SystemData]):
         _check_probes(nprobes)
         c = clazz.normalized()
+        if sysd is not None and (sysd.geometry is not geom or sysd.clazz != c):
+            raise ValueError("the system was solved for another class or geometry")
         self.sysd = solve_system(geom, c) if sysd is None else sysd
         self.target = target
         self.geom = geom
@@ -1107,151 +1121,105 @@ class _Words:
     """One stream's random words, drawn in blocks and read as the
     ``randrange`` calls of its draws read them.
 
-    ``randrange(n)`` takes 32-bit words until one, shifted right by
-    ``32 - n.bit_length()``, is below n, and one ``getrandbits(32 k)``
+    ``randrange(b)`` takes 32-bit words until one, shifted right by
+    ``32 - b.bit_length()``, is below b, and one ``getrandbits(32 k)``
     returns the next k words, the first in the low bits.  So a stream's
     draws are parsed from word blocks in numpy.  Its ``random.Random`` is
     private to it, so words drawn past the last one read change no draw.
     ``pos`` is the first word not read.
 
-    A point of space is four ``randrange(p)``, drawn again while all four
-    are zero.  A curve draw is ``randrange(p + 1)``, the fibre (k:1) for k
-    below p and (1:0) for p, until a fibre with points, at most 512 times,
-    and then ``randrange(n)`` picks one of the fibre's n points; for n = 1
-    or 2 that accepts exactly the words below 2^31.  For it every word is
-    read once as a fibre, in numpy, and a walk looks up the next word of
-    each kind.
+    Every reader reads the words by their rank in ``accepted(b)``, the
+    words ``randrange(b)`` accepts: n draws of one bound read the n
+    accepted words from the rank of pos on.  A point of space is four
+    ``randrange(p)``, drawn again while all four are zero.  A curve draw is
+    ``randrange(p + 1)``, the fibre (k:1) for k below p and (1:0) for p,
+    until a fibre with points, at most 512 times, and then ``randrange(n)``
+    picks one of the fibre's n points; for n = 1 or 2 that reads the next
+    word ``randrange(2)`` accepts, the words below 2^31.  ``_index`` looks
+    up each fibre draw's fibre, the next fibre draw with points and the
+    pick after it, for the walk in ``curve_draw``.
     """
 
     def __init__(self, rng: random.Random, geom: Geometry, reserve: int = 0):
         self.rng, self.geom, self.p = rng, geom, geom.prime
         self.words = np.zeros(0, dtype=np.int64)
         self.pos = 0
-        self.size = -1  # the words the walk's lookups cover
-        self.coord_size = -1  # and those that ``point``'s cover
+        self.lookups: dict[int, tuple] = {}
+        self.walk: Optional[tuple] = None
         if reserve:
             self._draw(reserve)
 
     def _draw(self, n: int) -> None:
+        """Draw n more words; the lookups over the words drawn go."""
         block = self.rng.getrandbits(32 * n).to_bytes(4 * n, "little")
         block = np.frombuffer(block, dtype="<u4").astype(np.int64)
         self.words = np.concatenate([self.words, block]) if len(self.words) else block
+        self.lookups, self.walk = {}, None
 
-    def take(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``randrange(b)`` for each bound b in turn, all of one bit length:
-        the values and the words they were read from.
+    def accepted(self, b: int) -> tuple[list, np.ndarray, np.ndarray]:
+        """The words drawn that ``randrange(b)`` accepts: for each place, how
+        many are before it, and their places and values."""
+        lookup = self.lookups.get(b)
+        if lookup is None:
+            vals = self.words >> (32 - b.bit_length())
+            ok = vals < b
+            before = np.concatenate(([0], ok.cumsum())).tolist()
+            lookup = self.lookups[b] = (before, ok.nonzero()[0], vals[ok])
+        return lookup
 
-        A word at or above the least bound and below the largest is taken
-        only by a draw whose bound is above it, so those words, which are
-        rare, are placed one by one.
-        """
-        n = len(bounds)
-        if not n:
-            return bounds[:0], bounds[:0]
-        low, high = int(bounds.min()), int(bounds.max())
-        shift, start = 32 - high.bit_length(), self.pos
+    def take(self, b: int, n: int) -> np.ndarray:
+        """n ``randrange(b)`` read at pos."""
+        if not len(self.words):  # no lookup is built on an empty stream
+            self._draw((n << b.bit_length()) // b + 64)
         while True:
-            vals = self.words[start:] >> shift
-            taken = (vals < low).nonzero()[0]
-            if low < high:
-                for y in ((vals >= low) & (vals < high)).nonzero()[0].tolist():
-                    j = int(np.searchsorted(taken, y))  # the draw that reads word y
-                    if j < n and vals[y] < bounds[j]:
-                        taken = np.insert(taken, j, y)
-            if len(taken) >= n:
+            before, places, values = self.accepted(b)
+            k = before[self.pos]
+            short = k + n - len(places)
+            if short <= 0:
                 break
-            self._draw(((n - len(taken)) << high.bit_length()) // low + 32)
-        taken = taken[:n]
-        self.pos = start + int(taken[-1]) + 1
-        return vals[taken], start + taken
+            self._draw(max((short << b.bit_length()) // b, len(self.words)) + 64)
+        if n:
+            self.pos = int(places[k + n - 1]) + 1
+        return values[k:k + n]
 
     def randrange(self, n: int) -> int:
         """``randrange(n)`` read at pos, for 0 < n < 2^32."""
-        return int(self.take(np.array([n], dtype=np.int64))[0][0])
+        return int(self.take(n, 1)[0])
 
-    def points(self, count: int, tail: tuple = ()) -> np.ndarray:
-        """count points of space, each followed by one ``randrange(b)`` per
-        bound b of tail, all of the bit length of p: shape (count, 4 +
-        len(tail)).  A zero point is drawn again, so its draws are read
-        again from the word after it."""
-        unit = np.array((self.p,) * 4 + tail, dtype=np.int64)
-        rows = []
-        while True:
-            vals, at = self.take(np.tile(unit, count))
-            vals = vals.reshape(count, len(unit))
-            zero = (~vals[:, :4].any(axis=1)).nonzero()[0]
-            if not zero.size:
-                return np.concatenate(rows + [vals]) if rows else vals
-            k = int(zero[0])
-            rows.append(vals[:k])
-            self.pos = int(at[k * len(unit) + 3]) + 1
-            count -= k
-
-    def fibres(self) -> np.ndarray:
-        """The fibres of the words drawn that read as one, which ``valid``
-        marks."""
-        k = self.words >> (32 - (self.p + 1).bit_length())
-        self.valid = k <= self.p
-        return k[self.valid]
-
-    def index(self, ks: np.ndarray, block: list) -> None:
-        """The walk's lookups over the words drawn, given the ``fibres`` and
-        their ``_fiber_block``: how many points are over each fibre word, and
-        for each word the next word at or after it over a fibre with points
-        and below 2^31."""
-        w, self.size = self.words, len(self.words)
-        at = self.valid.nonzero()[0]
-        npts = np.zeros(self.size, dtype=np.int64)
-        npts[at] = block[-1]
-        self.lifts = (at, ks, block[:5])
-
-        def following(mask: np.ndarray) -> list:
-            pos = np.where(mask, np.arange(self.size), self.size)
-            return np.minimum.accumulate(pos[::-1])[::-1].tolist() + [self.size]
-
-        self.npts = npts
-        self.next_fiber = following(npts > 0)
-        self.next_pick = following(w < 1 << 31)
-
-    def curve_draw(self) -> Optional[tuple[int, int]]:
-        """The curve draw read at pos: the word of its fibre and its pick
-        among the fibre's points, or None after 512 fibres without one."""
-        while True:
-            if self.size != len(self.words):
-                _index([self])
-            start, size = self.pos, self.size
-            fiber = self.next_fiber[start]
-            if fiber - start >= 512:
-                tried = start + self.valid[start:fiber].nonzero()[0]
-                if len(tried) >= 512:
-                    self.pos = int(tried[511]) + 1
-                    return None
-            pick = self.next_pick[min(fiber + 1, size)]
-            if pick < size:
-                self.pos = pick + 1
-                return fiber, int(self.words[pick]) >> 30 if self.npts[fiber] == 2 else 0
-            self._draw(size + 64)
+    def points(self, count: int) -> np.ndarray:
+        """count points of space, shape (count, 4).  The zero points among
+        them are drawn again from the words after the last."""
+        rows = [np.zeros((0, 4), dtype=np.int64)]
+        while count:
+            z = self.take(self.p, 4 * count).reshape(-1, 4)
+            rows.append(z[z.any(axis=1)])
+            count -= len(rows[-1])
+        return np.concatenate(rows)
 
     def point(self) -> tuple:
-        """The point of space read at pos.  Its lookups, kept apart from the
-        walk's, are for each word the count of words randrange(p) accepts
-        before it, where those are and their values."""
+        """The point of space read at pos, as ``points(1)`` reads it."""
         while True:
-            if self.coord_size != len(self.words):
-                self.coord_size = len(self.words)
-                coord = self.words >> (32 - self.p.bit_length())
-                accepted = coord < self.p
-                self.coords_before = np.concatenate([[0], np.cumsum(accepted)]).tolist()
-                self.coords = accepted.nonzero()[0].tolist()
-                self.coord_values = coord[accepted].tolist()
-            k = self.coords_before[self.pos]
-            if k + 4 > len(self.coords):
-                self._draw(len(self.words) + 64)
-                continue
-            self.pos = self.coords[k + 3] + 1
-            z = self.coord_values[k:k + 4]
+            z = tuple(self.take(self.p, 4).tolist())
             if any(z):
-                return tuple(z)
+                return z
+
+    def curve_draw(self) -> Optional[tuple[int, int]]:
+        """The curve draw read at pos: the rank of its fibre among the fibre
+        draws and its pick among the fibre's points, or None after 512
+        fibres without one."""
+        while True:
+            if self.walk is None:
+                _index([self])
+            before, following, ends, picks = self.walk
+            j = before[self.pos]
+            k = following[j]
+            if k - j >= 512:
+                self.pos = int(self.accepted(self.p + 1)[1][j + 511]) + 1
+                return None
+            if ends[k]:
+                self.pos = ends[k]
+                return k, picks[k]
+            self._draw(len(self.words) + 64)
 
     def curve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """count curve draws, lifted as ``_lift`` lifts them."""
@@ -1259,17 +1227,28 @@ class _Words:
 
 
 def _index(stack: list) -> None:
-    """``_Words.index`` of every word drawn, for each ``_Words`` of the
-    stack, with one ``_fiber_block`` for the fibres of all of them."""
-    fibres = [words.fibres() for words in stack]
-    sizes = [len(ks) for ks in fibres]
+    """The walk's lookups over the words drawn, for each ``_Words`` of the
+    stack, with one ``_fiber_block`` for the fibre draws of all of them:
+    for each place, the number of fibre draws before it, and by the rank
+    of a fibre draw, the rank of the first fibre draw at or after it with
+    points; the word after the pick that follows it, 0 where none was
+    drawn; that pick, ``randrange(2)`` over two points and 0 over one; and
+    for ``_lift`` its fibre and ``_fiber_block`` rows."""
+    fibres = [words.accepted(words.p + 1) for words in stack]
+    sizes = [len(places) for _, places, _ in fibres]
     forms = [words.geom.forms for words in stack]
     block = _fiber_block(forms[0] if len(stack) == 1 else np.repeat(forms, sizes, axis=0).transpose(1, 2, 0),
                          _moduli([words.p for words in stack], sizes),
-                         fibres[0] if len(stack) == 1 else np.concatenate(fibres))
+                         np.concatenate([ks for _, _, ks in fibres]))
     cuts = [0, *itertools.accumulate(sizes)]
-    for words, ks, a, b in zip(stack, fibres, cuts, cuts[1:]):
-        words.index(ks, [x[a:b] for x in block])
+    for words, (before, places, ks), a, b in zip(stack, fibres, cuts, cuts[1:]):
+        _, picks, bits = words.accepted(2)
+        npts, after = block[-1][a:b], picks.searchsorted(places, side="right")
+        ranks = np.where(npts > 0, np.arange(b - a), b - a)
+        following = np.minimum.accumulate(ranks[::-1])[::-1].tolist() + [b - a]
+        ends = (np.append(picks, -1)[after] + 1).tolist() + [0]
+        words.walk = (before, following, ends, np.where(npts == 2, np.append(bits, 0)[after], 0).tolist())
+        words.lifts = (ks, [x[a:b] for x in block[:5]])
 
 
 def _lift(words: _Words, draws: list) -> tuple[np.ndarray, np.ndarray]:
@@ -1280,9 +1259,8 @@ def _lift(words: _Words, draws: list) -> tuple[np.ndarray, np.ndarray]:
     z = np.zeros((len(draws), 4), dtype=np.int64)
     drawn = [d for d in draws if d is not None]
     if drawn:
-        at, ks, block = words.lifts
-        word, pick = np.array(drawn, dtype=np.int64).T
-        j = at.searchsorted(word)
+        ks, block = words.lifts
+        j, pick = np.array(drawn, dtype=np.int64).T
         z[ok] = _fiber_lift(ks[j], pick, [x[j] for x in block], words.p)
     return z, ok
 
@@ -1300,11 +1278,11 @@ def _line_points(pr: _Probe, words: _Words) -> np.ndarray:
     p = pr.p
     p1 = np.array(pr.assigned[0], dtype=np.int64)
     if len(pr.assigned) >= 2:
-        lam, mu = words.take(np.full(2 * pr.nprobes, p - 1))[0].reshape(-1, 2).T + 1
+        lam, mu = words.take(p - 1, 2 * pr.nprobes).reshape(-1, 2).T + 1
         z = (lam[:, None] * p1 % p + mu[:, None] * np.array(pr.assigned[1]) % p) % p
     else:
-        u = words.points(4, (p - 1,) * max(1, pr.nprobes // 4))
-        z = ((u[:, 4:, None] + 1) * u[:, None, :4] % p + p1).reshape(-1, 4) % p
+        lines = [(words.points(1), words.take(p - 1, max(1, pr.nprobes // 4))) for _ in range(4)]
+        z = np.concatenate([((lam[:, None] + 1) * u % p + p1) % p for u, lam in lines])
         z = z[z.any(axis=1)]
     return z[pr.unassigned(z)]
 
@@ -1314,11 +1292,11 @@ def _line_pairs(pr: _Probe, words: _Words) -> np.ndarray:
     assigned point, each pair on a fresh random line through it."""
     p = pr.p
     if len(pr.assigned) >= 2:
-        ls = words.take(np.full(2 * pr.nprobes, p - 1))[0].reshape(-1, 2) + 1
+        ls = words.take(p - 1, 2 * pr.nprobes).reshape(-1, 2) + 1
         p2 = np.array(pr.assigned[1], dtype=np.int64)
     else:
-        u = words.points(max(1, pr.nprobes // 2), (p - 1, p - 1))
-        ls, p2 = u[:, 4:] + 1, u[:, None, :4]
+        lines = [(words.points(1), words.take(p - 1, 2)) for _ in range(max(1, pr.nprobes // 2))]
+        ls, p2 = np.stack([l for _, l in lines]) + 1, np.stack([u for u, _ in lines])
     z = (ls[:, :, None] * p2 % p + np.array(pr.assigned[0])) % p
     return z[(ls[:, 0] != ls[:, 1]) & pr.unassigned(z).all(axis=1)]
 
@@ -1689,8 +1667,9 @@ def run_battery(
     The dimension pass always covers the full battery, solving the seeds of
     each prime as one stack; probe passes take the geometries in stacks, in
     battery order, and stop at the first firing geometry.
-    A battery of more than ``MAX_GEOMETRIES`` pairs is refused before any
-    geometry is built.
+    A battery of more than ``MAX_GEOMETRIES`` pairs, or whose condition
+    matrices of one prime would hold more than ``_MAX_ENTRIES`` entries, is
+    refused before any geometry is built.
     """
     if not primes or not seeds:
         raise ValueError("a battery needs at least one prime and one seed")
@@ -1699,6 +1678,8 @@ def run_battery(
         raise ValueError(f"a battery has at most {MAX_GEOMETRIES} geometries, got {n}")
     _check_probes(probes)
     c = clazz.normalized()
+    if c.d >= 0:
+        _check_class(c, len(seeds))
     need = max(DEFAULT_POINTS, c.r)
     systems: list[SystemData] = []
     for prime in primes:

@@ -279,6 +279,10 @@ def test_oracle_on_a_thousand_points_stays_in_bounded_memory():
     # a seeds tuple of 10^9 entries, which ran out of memory under this cap
     (["oracle", "L3(2; 1)", "--trials", "1000000000", "--probes", "0"],
      "error: a battery has at most 96 geometries, got 3000000000"),
+    # 5 condition matrices of 70,000 rows by 969 columns, 2.53 GiB, which
+    # ran out of memory under this cap
+    (["oracle", "L3(16; 5^2000)", "--probes", "0"],
+     "error: a prime's condition matrices hold at most 67108864 entries, got 339150000"),
 ))
 def test_unbounded_work_is_refused_before_it_runs_out_of_memory(argv, refused):
     run = run_capped(argv, 600 * 2**20, 120)

@@ -156,6 +156,22 @@ def test_validation_errors():
         oracle.solve_system(g, ThreefoldClass(-4, ()))
 
 
+def test_condition_matrices_past_the_entry_bound_are_refused(monkeypatch):
+    # 2,000 quintuple points in degree 16 make 70,000 rows of 969 monomials,
+    # 67,830,000 entries on one geometry: past 2^26 for one layer, and for a
+    # battery's five seeds of one prime before any geometry is built
+    c = parse_class("L3(16; 5^2000)")
+    with pytest.raises(ValueError, match=r"at most 67108864 entries, got 67830000$"):
+        oracle.solve_system(geom0(), c)
+
+    def build(*args):
+        raise AssertionError("a geometry was built")
+
+    monkeypatch.setattr(oracle, "build_geometry", build)
+    with pytest.raises(ValueError, match=r"at most 67108864 entries, got 339150000$"):
+        oracle.run_battery(c, probes=0)
+
+
 def test_build_geometry_rejects_a_negative_point_count():
     with pytest.raises(ValueError, match=r"^npoints must be nonnegative, got -1$"):
         oracle.build_geometry(oracle.PRIMES[0], 0, -1)
@@ -249,6 +265,46 @@ def test_probes_with_no_candidates_stay_quiet():
     assert not b.fired and b.checked == {"generic": 0}
     s = sep("L3(2; 1^3)", nprobes=0)
     assert not s.fired and set(s.checked.values()) == {0}
+
+
+# the checked counts at zero probes: with one assigned point, each of the
+# four random lines still draws max(1, 0 // 4) points, and one line draws
+# max(1, 0 // 2) pairs; with none, the line categories leave no count
+ZERO_PROBES_CHECKED = {
+    "L3(4; 2, 1^5)": ({"generic": 0}, {"pair-on-line": 0}),
+    "L3(3; 2)": ({"generic": 0, "on-line": 4}, {"pair-on-line": 1}),
+    "L3(3)": ({"generic": 0}, {}),
+}
+
+
+@pytest.mark.parametrize("txt", ZERO_PROBES_CHECKED)
+def test_zero_probes_pin_both_reports(txt):
+    base_checked, line = ZERO_PROBES_CHECKED[txt]
+    sep_checked = dict.fromkeys(("pair-generic", "pair-mixed", "pair-on-curve",
+                                 "tangent-generic", "tangent-on-curve"), 0)
+    quiet = {"fired": False, "witnesses": [], "notes": []}
+    assert base(txt, nprobes=0).to_dict() == dict(quiet, target="base-locus", checked=base_checked)
+    assert sep(txt, nprobes=0).to_dict() == dict(quiet, target="separation",
+                                                 checked=dict(sorted({**sep_checked, **line}.items())))
+
+
+def test_probes_refuse_a_system_of_another_class_or_geometry(monkeypatch):
+    # L3(4; 3, 3) fires on geom0; a system solved on another geometry, of
+    # another prime or seed, or for another class of its degree or of
+    # another degree, is refused before any stream is seeded
+    c = parse_class("L3(4; 3, 3)")
+    assert base("L3(4; 3, 3)").fired
+    others = [oracle.solve_system(oracle.get_geometry(oracle.PRIMES[1], 0), c),
+              oracle.solve_system(oracle.get_geometry(P0, 1), c),
+              oracle.solve_system(geom0(), parse_class("L3(4; 3)")),
+              oracle.solve_system(geom0(), parse_class("L3(5; 3, 3)"))]
+    seeded = []
+    monkeypatch.setattr(oracle, "derive_seed", lambda *parts: seeded.append(parts))
+    for sysd in others:
+        for probe in (oracle.probe_base_locus, oracle.probe_separation):
+            with pytest.raises(ValueError, match="^the system was solved for another class or geometry$"):
+                probe(geom0(), c, 16, sysd)
+    assert seeded == []
 
 
 QUIET_NO_POINT = {

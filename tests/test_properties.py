@@ -842,6 +842,22 @@ def test_words_randrange_reads_the_words_randrange_reads(p):
 
 
 @pytest.mark.parametrize("p", POINT_PRIMES)
+def test_words_take_reads_the_words_randrange_reads(p):
+    # n draws of one bound at once, each call after the last; every third
+    # word of the script is one randrange(b) passes over, and 1000 draws
+    # read past the script into the seeded stream
+    geom = oracle.get_geometry(p, 0)
+    for b in (1, 2, 3, p - 1, p, p + 1):
+        base, spare = random.Random(b), b << (32 - b.bit_length())
+        script = [spare if i % 3 == 0 else base.getrandbits(32) for i in range(400)]
+        words = oracle._Words(ScriptedRandom(script, b), geom)
+        scalar = ScriptedRandom(script, b)
+        for n in (0, 1, 63, 64, 65, 1000):
+            assert words.take(b, n).tolist() == [scalar.randrange(b) for _ in range(n)], (b, n)
+            assert words.pos == scalar.read, (b, n)
+
+
+@pytest.mark.parametrize("p", POINT_PRIMES)
 def test_points_of_space_index_no_curve_fibres(monkeypatch, p):
     # a stream that reads only points of space, as the degree-1 separation
     # hunt's partner draw does, keeps its own lookups; 40 points read past
