@@ -35,9 +35,25 @@ accumulated dot product stays exact.  With an inner dimension of at most
 product is an integer below 64 * 2^31 * 2^16 = 2^53, so float64 holds it
 exactly and the result does not depend on the summation order or the
 thread count of the BLAS.  Larger inner dimensions use int64 products.
-An int64 ``%`` costs several times a multiply, so ``rref_mod`` takes the
-product before its last reduction (``_product``), adds it to the entries
-it updates, and reduces the sum once.
+``product`` is that product before its last reduction.  A caller that
+adds it to other entries reduces the sum once: ``rref_mod`` for its earlier
+pivot rows and its trailing columns, ``oracle`` for its kernels.  The
+oracle's probe values, like ``matmul_mod``, reduce the product alone.
+
+``reduce_mod`` reduces a whole array in place as ``x - (x // p) * p``.
+numpy divides an int64 array by one int through a precomputed reciprocal
+(libdivide, after Granlund and Montgomery, "Division by invariant integers
+using multiplication", 1994), while ``%`` divides entry by entry, so on a
+(5, 84, 84) stack the three calls take about half the time of one ``%``.
+The floor quotient is exact, and x - (x // p) * p lies in [0, p), so
+int64 arithmetic, exact mod 2^64, gets it right even where the product
+wraps: every int64 entry is reduced exactly.  The sites are ``rref_mod``'s
+input, its per-pivot block and its updates of the earlier pivot rows and
+of the trailing columns, the high half of ``product``, the output of
+``matmul_mod`` and the negated coefficients of ``kernel_from_rref``.  On a
+few dozen entries the three calls cost as much as one ``%``, so the pivot
+row, the factors of ``matmul_mod`` and the oracle's elementwise helpers
+keep ``%``.
 
 Polynomials are Python lists of ints, ascending powers, no trailing zeros
 (the zero polynomial is the empty list).
@@ -138,6 +154,22 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     return x
 
 
+def inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of the nonzero entries of a 1-d array, with one
+    inversion: the running products are inverted once and unwound
+    (Montgomery)."""
+    vals = a.tolist()
+    before, run = [], 1
+    for x in vals:
+        before.append(run)
+        run = run * x % p
+    inv, out = pow(run, -1, p), [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        out[i] = before[i] * inv % p
+        inv = inv * vals[i] % p
+    return np.array(out, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # matrices mod p (numpy int64)
 
@@ -168,8 +200,7 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
     product.
     """
     _check_modulus(p)
-    out = np.asarray(mat, dtype=np.int64)
-    out %= p
+    out = reduce_mod(np.asarray(mat, dtype=np.int64), p)
     m = out[None] if out.ndim == 2 else out
     nb, rows, cols = m.shape
     pivots: list[int] = []
@@ -200,13 +231,13 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
             hi = w + s + 1  # transform columns past s are zero
             panel[:, pr, w + s] = 1
             row = panel[:, pr, c:hi]
-            row *= np.array([pow(x, -1, p) for x in row[:, 0].tolist()], dtype=np.int64)[:, None]
+            row *= inverses(row[:, 0], p)[:, None]
             row %= p
             update = panel[:, :, c, None] * row[:, None, :]
             update[:, pr] = 0
             block = panel[:, :, c:hi]
             block -= update
-            block %= p
+            reduce_mod(block, p)
             unused[pr] = False
             mine.append(pr)
             pivots.append(c0 + c)
@@ -223,11 +254,11 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
             # each earlier pivot row loses its entry in each of the panel's
             # pivot columns times that pivot's final row
             done = m[:, :start]
-            steps = _product(np.negative(done[:, :, pivots[-k:]]) % p,
-                             panel[:, mine, :w + k], p)
+            steps = product(np.negative(done[:, :, pivots[-k:]]) % p,
+                            panel[:, mine, :w + k], p)
             old = done[:, :, c0:c1]
             old += steps[:, :, :w]
-            old %= p
+            reduce_mod(old, p)
         live[:, :, c0:c1] = panel[:, perm, :w]
         if c1 == cols:
             break
@@ -243,10 +274,10 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
         step = max(1, _PRODUCT_ENTRIES // (nb * rows))
         for b0 in range(c1, cols, step):
             rest = m[:, :, b0:b0 + step]
-            update = _product(transform, rest[:, start:start + k], p)
+            update = product(transform, rest[:, start:start + k], p)
             rest[:, start:start + k] = 0
             rest += update
-            rest %= p
+            reduce_mod(rest, p)
     return out, pivots
 
 
@@ -271,7 +302,7 @@ def kernel_from_rref(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     basis[..., np.arange(free.size), free] = 1
     coeffs = m[..., : len(pivots), :][..., free]
     np.negative(coeffs, out=coeffs)
-    coeffs %= p
+    reduce_mod(coeffs, p)
     basis[..., pivots] = np.swapaxes(coeffs, -1, -2)
     return basis
 
@@ -283,14 +314,23 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64) % p
     if a.shape[-1] > 32768:
         raise ValueError("inner dimension too large for the overflow-free product")
-    out = _product(a, b, p)
-    out %= p
-    return out
+    return reduce_mod(product(a, b, p), p)
 
 
-def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place by floor division, for an int64 array or view x;
+    returns x."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+def product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b for a and b reduced mod p, congruent to it mod p but not
-    reduced: each entry is below 2^47 plus the inner dimension times 2^47."""
+    reduced: each entry is below 2^47 times one more than the inner
+    dimension, so below 2^57 for the oracle's inner dimensions, at most 969
+    monomials, and below 2^63 up to ``matmul_mod``'s limit of 2^15."""
     hi = b >> 16
     lo = b & 0xFFFF
     if a.shape[-1] <= _FLOAT_INNER:  # each dot product below 2^53: exact in float64
@@ -299,7 +339,7 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         lo = lo.astype(np.float64)
     else:
         out = a @ hi
-    out %= p
+    reduce_mod(out, p)
     out *= 65536
     out += (a @ lo).astype(np.int64, copy=False)
     return out

@@ -427,8 +427,12 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     columns of ``B K^T`` pick them out of the old ones), so it is exactly
     the basis a full elimination would give.  As ``K`` is identity on its
     free columns, ``B K^T`` is ``B`` on those columns plus a product over
-    the pivot columns alone.  An empty ``K`` is returned at once,
-    before any row is read, and so is ``K`` when no row is added.  Any
+    the pivot columns alone.  An empty ``K`` is returned at once, before
+    any row is read, and so is ``K`` for the memo's own class, as for the
+    probe pass's stack of one on the first geometry of a battery.  Both
+    products are taken unreduced (``gfp.product``): ``B K^T`` goes to
+    ``rref_mod``, which reduces its input, and ``N K`` is reduced once
+    with the kept rows of ``K`` added.  Any
     other stack starts from the identity, which is the full elimination
     and gives the same basis.  When two layers pivot differently the
     geometries are solved one by one, as stacks of one.  Each kernel is
@@ -445,12 +449,11 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
         reduced = gfp.rref_mod(_rows(geoms, c.d, (), c.mults), p)
     else:
         base = last.kernels[:len(geoms)]  # a view: the stack may be a prefix
-        if base.shape[1] == 0:  # no form left to lose: h0 stays 0
+        # no form left to lose (h0 stays 0), or no row to add
+        if base.shape[1] == 0 or last.mults == c.mults:
             return list(base)
         rows = _rows(geoms, c.d, last.mults, c.mults)
-        if rows.shape[1] == 0:
-            return list(base)
-        coords = gfp.matmul_mod(rows[:, :, last.pivots], base[:, :, last.pivots].swapaxes(1, 2), p)
+        coords = gfp.product(rows[:, :, last.pivots], base[:, :, last.pivots].swapaxes(1, 2), p)
         coords += rows[:, :, last.free]
         reduced = gfp.rref_mod(coords, p)
     if reduced is None:  # the layers pivot apart
@@ -466,9 +469,9 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
         # base need a product
         kept = np.ones(base.shape[1], dtype=bool)
         kept[pivots] = False
-        kernel = gfp.matmul_mod(coeffs[:, :, pivots], base[:, pivots], p)
+        kernel = gfp.product(coeffs[:, :, pivots], base[:, pivots], p)
         kernel += base[:, kept]
-        kernel %= p
+        gfp.reduce_mod(kernel, p)
         free = np.zeros(kernel.shape[-1], dtype=bool)
         free[last.free[kept]] = True
     # shared with the returned SystemData and the next solve on these geometries
@@ -863,12 +866,14 @@ class _Stack:
     def _products(self, x: np.ndarray, at: np.ndarray, forms: Callable) -> np.ndarray:
         """Each row of x, shape (n, ..., N), in layer order, times the forms
         ``forms(layer)`` of its layer, (f, N), transposed: shape (n, ..., f),
-        with one ``gfp`` call per layer."""
+        with one ``gfp`` product per layer.  Both factors are reduced, so
+        the product is reduced once."""
         bounds = np.searchsorted(at, np.arange(len(self.layers) + 1)).tolist()
         out = []
         for pr, a, b in zip(self.layers, bounds, bounds[1:]):
             if a < b:
-                vals = gfp.matmul_mod(x[a:b].reshape(-1, x.shape[-1]), forms(pr).T, pr.p)
+                vals = gfp.product(x[a:b].reshape(-1, x.shape[-1]), forms(pr).T, pr.p)
+                gfp.reduce_mod(vals, pr.p)
                 out.append(vals.reshape(x[a:b].shape[:-1] + (-1,)))
         return np.concatenate(out)
 
@@ -893,7 +898,8 @@ class _Stack:
             n, k, n_cols = exact.shape
             for i in np.unique(at[flagged]).tolist():
                 mine, pr = at[flagged] == i, self.layers[i]
-                values = gfp.matmul_mod(exact[mine].reshape(-1, n_cols), pr.sysd.kernel.T, pr.p)
+                values = gfp.product(exact[mine].reshape(-1, n_cols), pr.sysd.kernel.T, pr.p)
+                gfp.reduce_mod(values, pr.p)
                 mask[flagged[mine]] = test(values.reshape(int(mine.sum()), k, -1), pr.p)
                 if mask.any():
                     break
@@ -990,21 +996,6 @@ def _power(a: np.ndarray, e, p) -> np.ndarray:
     return out
 
 
-def _inverses(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverses mod p of nonzero entries, with one inversion: the running
-    products are inverted once and unwound (Montgomery)."""
-    vals = a.tolist()
-    before, run = [], 1
-    for x in vals:
-        before.append(run)
-        run = run * x % p
-    inv, out = pow(run, -1, p), [0] * len(vals)
-    for i in range(len(vals) - 1, -1, -1):
-        out[i] = before[i] * inv % p
-        inv = inv * vals[i] % p
-    return np.array(out, dtype=np.int64)
-
-
 def _fiber_block(forms, p, k: np.ndarray) -> tuple:
     """The fibre forms over the fibres k, (k:1) for k below p and (1:0) for
     p: the values a, b, c of the three forms f0 t^2 + f1 st + f2 s^2, the
@@ -1061,7 +1052,7 @@ def _fiber_lift(k: np.ndarray, pick: np.ndarray, rows, p: int) -> np.ndarray:
         unit[rare] = np.where(s != 0, s, t)
         w[rare] = np.where(flat, np.where(second, b[rare], 1), w[rare])
         lead[rare] = unit[rare] * w[rare] % p
-    inv = _inverses(lead, p)
+    inv = gfp.inverses(lead, p)
     r_s, scale = w * inv % p, unit * inv % p  # 1/unit and 1/w
     v1 = (root - b) % p * scale % p
     v2 = (-root - b) % p * scale % p
@@ -1103,7 +1094,7 @@ def _tangents(geom: Geometry, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ok = independent.any(axis=1)
     # a row of rank below 2 takes c2 = 3 - c1, so it too has two free columns
     c2 = np.where(ok, independent.argmax(axis=1), 3 - c1)
-    inv = _inverses(np.where(ok, minors[rows, c1, c2], 1), p)[:, None]
+    inv = gfp.inverses(np.where(ok, minors[rows, c1, c2], 1), p)[:, None]
     cols = np.arange(4)
     free = np.nonzero((cols != c1[:, None]) & (cols != c2[:, None]))[1].reshape(n, 2)
     rows, c1, c2 = rows[:, None], c1[:, None], c2[:, None]

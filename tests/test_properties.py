@@ -55,6 +55,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fatpoints3 import gfp, oracle
 from fatpoints3.divclass import ThreefoldClass, parse_class
@@ -1240,6 +1241,65 @@ def test_matmul_mod_exact_at_the_float_boundary():
                 assert got.tolist() == matmul_reference(a, b, p), (inner, rows, cols)
 
 
+# the entries reduce_mod meets: any int64, the magnitudes up to 2^62, and
+# gfp.product's values, below 2^47 times one more than the inner dimension
+# (at most 969 monomials in the oracle, 2^15 in matmul_mod)
+INT64_ENTRIES = (st.integers(-2**63, 2**63 - 1) | st.integers(-2**62, 2**62)
+                 | st.integers(0, 970 * 2**47) | st.integers(0, (2**15 + 1) * 2**47 - 1)
+                 | st.integers(-2**31, 2**31))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(MATMUL_PRIMES),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9), elements=INT64_ENTRIES),
+)
+def test_reduce_mod_matches_remainder(p, x):
+    expected = x % p
+    got = gfp.reduce_mod(x, p)
+    assert got is x
+    assert np.array_equal(x, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(MATMUL_PRIMES),
+    hnp.arrays(np.int64, st.tuples(st.integers(1, 5), st.integers(1, 9), st.integers(2, 30)),
+               elements=INT64_ENTRIES),
+    st.data(),
+)
+def test_reduce_mod_on_a_strided_panel_in_place(p, x, data):
+    # a column panel of a stack, as rref_mod reduces its blocks and updates:
+    # the view is reduced in place and the entries around it stay as they were
+    c0 = data.draw(st.integers(0, x.shape[-1] - 1))
+    c1 = data.draw(st.integers(c0 + 1, x.shape[-1]))
+    rows = data.draw(st.integers(0, x.shape[1] - 1))
+    expected = x.copy()
+    expected[:, rows:, c0:c1] %= p
+    view = x[:, rows:, c0:c1]
+    assert gfp.reduce_mod(view, p) is view
+    assert np.array_equal(x, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(MATMUL_PRIMES),
+    st.integers(1, 3), st.sampled_from((1, 64, 65, 969)) | st.integers(1, 100),
+    st.integers(1, 3), st.integers(0, 2**32 - 1),
+)
+def test_matmul_mod_reduces_negative_and_unreduced_factors(p, rows, inner, cols, seed):
+    # matmul_mod reduces both factors itself: any int64 entries, on both
+    # sides of the float64 route
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2**62, 2**62, size=(rows, inner), dtype=np.int64)
+    b = rng.integers(-2**62, 2**62, size=(inner, cols), dtype=np.int64)
+    b[rng.random(b.shape) < 0.2] = -1
+    a[0, 0], b[0, 0] = -2**63, 2**63 - 1
+    got = gfp.matmul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == matmul_reference(a, b, p)
+
+
 # ---------------------------------------------------------------------------
 # the panel elimination against Gauss-Jordan in Python integers
 
@@ -1714,9 +1774,66 @@ def test_stack_of_one_extends_the_first_layer_of_a_deeper_stack(monkeypatch):
     hit = oracle.solve_system(geom, first)
     assert np.shares_memory(hit.kernel, solution.kernels[0])
     extended = oracle.solve_system(geom, grown)
-    assert done == [first.mults, first.mults]
+    assert done == [first.mults]  # the hit reads no rows, the extension its own
     for sysd, kernel in zip((hit, extended), expected):
         assert np.array_equal(sysd.kernel, kernel), sysd.clazz
+
+
+def test_probe_pass_solve_is_a_memo_hit_without_rows(monkeypatch):
+    # run_battery(c, seeds=(0,)) after run_battery(c), as sweep_box runs
+    # them: each prime's stack of one is layer 0 of the dimension pass's
+    # stack, of the same class, so _kernels returns that kernel as it is,
+    # before reading any row
+    oracle.get_geometry.cache_clear()
+    c = parse_class("L3(4; 2, 1^5)")
+    oracle.run_battery(c)
+    layer0 = {}
+    for prime in oracle.PRIMES:
+        solution, layer = oracle._workspace(oracle.get_geometry(prime, 0)).last
+        assert layer == 0 and len(solution.kernels) == len(oracle.DEFAULT_SEEDS)
+        layer0[prime] = solution.kernels[0]
+    done = spy_done(monkeypatch)
+    returned = []
+    kernels = oracle._kernels
+
+    def spy(geoms, clazz):
+        out = kernels(geoms, clazz)
+        returned.append((geoms[0].prime, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_kernels", spy)
+    report = oracle.run_battery(c, seeds=(0,))
+    assert done == []
+    assert [prime for prime, _ in returned] == list(oracle.PRIMES)
+    for prime, out in returned:
+        assert len(out) == 1 and np.shares_memory(out[0], layer0[prime])
+        assert np.array_equal(out[0], layer0[prime])
+    assert [t.h0 for t in report.trials] == [len(layer0[prime]) for prime in oracle.PRIMES]
+
+
+def test_extension_product_past_the_float_route():
+    # L3(8; 3^7) leaves a memo with 70 pivot columns of the 165 monomials,
+    # so the next class's product B K^T has an inner dimension above 64 and
+    # takes gfp.product's int64 route.  At p = 2^31 - 1 its unreduced sum
+    # with B's free columns reaches about 2^53 before rref_mod reduces it
+    oracle.get_geometry.cache_clear()
+    first, grown = parse_class("L3(8; 3^7)"), parse_class("L3(8; 3^7, 2^2)")
+    primes, seeds = oracle.PRIMES[:1], (0, 1, 2)
+    check_battery(first, primes, seeds)
+    memo = oracle._workspace(oracle.get_geometry(primes[0], 0)).last[0]
+    assert memo.mults == first.mults and memo.pivots.size == 70 > gfp._FLOAT_INNER
+    inner = []
+    product = gfp.product
+
+    def spy(a, b, p):
+        inner.append(a.shape[-1])
+        return product(a, b, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gfp, "product", spy)
+        oracle.run_battery(grown, primes=primes, seeds=seeds)
+    assert inner[0] == 70
+    check_battery(grown, primes, seeds)
 
 
 def test_stack_with_memos_from_different_solves_starts_from_scratch(monkeypatch):
