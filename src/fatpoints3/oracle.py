@@ -812,8 +812,8 @@ class _Stack:
     with the layer of each in ``at``, and test each through a sketch of its
     own layer's basis forms and then through that layer's whole basis.  The
     elementwise work reads each candidate's prime as a column; a product
-    with forms is one ``gfp`` call per layer, so ``gfp`` keeps one modulus
-    per call."""
+    with forms is one ``gfp.product`` per layer, so ``gfp`` keeps one
+    modulus per call."""
 
     def __init__(self, layers: Sequence[_Probe]):
         self.layers, self.d = list(layers), layers[0].d
@@ -866,7 +866,7 @@ class _Stack:
     def _products(self, x: np.ndarray, at: np.ndarray, forms: Callable) -> np.ndarray:
         """Each row of x, shape (n, ..., N), in layer order, times the forms
         ``forms(layer)`` of its layer, (f, N), transposed: shape (n, ..., f),
-        with one ``gfp`` product per layer.  Both factors are reduced, so
+        with one ``gfp.product`` per layer.  Both factors are reduced, so
         the product is reduced once."""
         bounds = np.searchsorted(at, np.arange(len(self.layers) + 1)).tolist()
         out = []
