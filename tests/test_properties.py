@@ -9,7 +9,9 @@ the degenerate ones (zero rows, rank 0 and 1, no free columns).
 The exact kernels everything rests on, ``rref_mod`` and ``matmul_mod``, are
 checked against pure-Python integer arithmetic: ``rref_mod`` on shapes on
 both sides of its column panels and on the oracle's real condition
-matrices, ``matmul_mod`` on both sides of its float64 route.  A stack of
+matrices, ``matmul_mod`` on both sides of its float64 route and on
+factors it must reduce itself; ``reduce_mod`` is checked against numpy's
+``%`` on any int64 entry, in place on arrays and strided views.  A stack of
 matrices is checked against ``rref_mod`` of each layer alone, and it is
 reported as pivoting apart exactly when an elimination without row swaps
 pivots two layers on different rows or columns.  ``solve_system`` on a warm geometry
@@ -1780,10 +1782,10 @@ def test_stack_of_one_extends_the_first_layer_of_a_deeper_stack(monkeypatch):
 
 
 def test_probe_pass_solve_is_a_memo_hit_without_rows(monkeypatch):
-    # run_battery(c, seeds=(0,)) after run_battery(c), as sweep_box runs
-    # them: each prime's stack of one is layer 0 of the dimension pass's
-    # stack, of the same class, so _kernels returns that kernel as it is,
-    # before reading any row
+    # run_battery(c, seeds=(0,)) after run_battery(c), as a sweep's probe
+    # pass follows its dimension pass: each prime's stack of one is layer 0
+    # of the dimension pass's stack, of the same class, so _kernels returns
+    # that kernel as it is, before reading any row
     oracle.get_geometry.cache_clear()
     c = parse_class("L3(4; 2, 1^5)")
     oracle.run_battery(c)
@@ -1811,7 +1813,7 @@ def test_probe_pass_solve_is_a_memo_hit_without_rows(monkeypatch):
     assert [t.h0 for t in report.trials] == [len(layer0[prime]) for prime in oracle.PRIMES]
 
 
-def test_extension_product_past_the_float_route():
+def test_extension_product_past_the_float_route(monkeypatch):
     # L3(8; 3^7) leaves a memo with 70 pivot columns of the 165 monomials,
     # so the next class's product B K^T has an inner dimension above 64 and
     # takes gfp.product's int64 route.  At p = 2^31 - 1 its unreduced sum
@@ -1829,9 +1831,8 @@ def test_extension_product_past_the_float_route():
         inner.append(a.shape[-1])
         return product(a, b, p)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gfp, "product", spy)
-        oracle.run_battery(grown, primes=primes, seeds=seeds)
+    monkeypatch.setattr(gfp, "product", spy)
+    oracle.run_battery(grown, primes=primes, seeds=seeds)
     assert inner[0] == 70
     check_battery(grown, primes, seeds)
 
