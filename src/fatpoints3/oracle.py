@@ -28,6 +28,7 @@ sampled points, and every probe, independent of call order.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -51,6 +52,7 @@ MAX_GEOMETRIES = 96  # geometries of one battery, and of the geometry cache
 _MAX_ENTRIES = 2**26  # condition-matrix entries of one prime's stack, 512 MiB of int64
 MAX_DEGREE = 16
 MAX_MULT = 5
+_HISTORY = 8  # solves kept per geometry for later classes to extend
 
 _QUAD_PAIRS = (
     (0, 0), (0, 1), (0, 2), (0, 3), (1, 1),
@@ -309,15 +311,23 @@ class _Workspace:
     multiplicity, so the points that need order k are always the first
     ones: each table grows in points only.  It is the filled prefix of one
     buffer sized for every point of the geometry, so growing copies
-    nothing.  ``last`` is the (solution, layer) of the last class solved on
-    the geometry: its kernel is ``solution.kernels[layer]``, see
-    ``_kernels``.
+    nothing.  ``solves`` holds the (solution, layer) of the last
+    ``_HISTORY`` classes solved on the geometry, oldest first, and ``last``
+    is the newest: its kernel is ``solution.kernels[layer]``, see
+    ``_kernels``.  Every older solution keeps only its pivot columns as
+    int32, at most N^2/4 entries of 4 bytes per geometry, so the older
+    solves hold at most 7 N^2 bytes per geometry, less than the 8 N^2 one
+    int64 kernel may take.
     """
 
     def __init__(self) -> None:
         self.tables: dict[tuple[int, int], np.ndarray] = {}
         self.buffers: dict[tuple[int, int], np.ndarray] = {}
-        self.last: Optional[tuple] = None
+        self.solves: collections.deque = collections.deque(maxlen=_HISTORY)
+
+    @property
+    def last(self) -> Optional[tuple]:
+        return self.solves[-1] if self.solves else None
 
     def table(self, geom: Geometry, d: int, k: int, r: int) -> np.ndarray:
         """The degree-d rows of order k of at least the first r points,
@@ -398,17 +408,39 @@ def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
     return np.concatenate([np.empty((0, n_cols), dtype=np.int64), *blocks])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Solution:
     """One stacked solve: a class and its kernels, shape (geometries, h0, N),
     which are identity on the same ``free`` columns; ``pivots`` are the
-    others."""
+    others.  Once a newer solve replaces it, ``retire`` keeps only
+    ``block``, the kernels' pivot columns, shape (geometries, h0, N - h0),
+    as int32: every entry is below p < 2^31."""
 
     d: int
     mults: tuple
-    kernels: np.ndarray
+    kernels: Optional[np.ndarray]
     free: np.ndarray
     pivots: np.ndarray
+    block: Optional[np.ndarray] = None
+
+    def retire(self) -> None:
+        if self.kernels is not None:
+            self.block = self.kernels[:, :, self.pivots].astype(np.int32)
+            self.kernels = None
+
+    def pivot_columns(self, n: int) -> np.ndarray:
+        """The pivot columns of the first n kernels, as int64."""
+        if self.kernels is None:
+            return self.block[:n].astype(np.int64)
+        return self.kernels[:n][:, :, self.pivots]
+
+
+def _extends(s: _Solution, spaces: list, c: ThreefoldClass) -> bool:
+    """Is ``s`` a class of c's degree with no larger multiplicity at any
+    point, solved on these geometries as its layers 0..n-1, in order?"""
+    return (s.d == c.d and len(s.mults) <= len(c.mults)
+            and all(o <= m for o, m in zip(s.mults, c.mults))
+            and all((s, layer) in ws.solves for layer, ws in enumerate(spaces)))
 
 
 def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
@@ -417,68 +449,75 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     ``conditions_matrix``: identity on the free columns.
 
     The geometries are solved as one stack, whose layers share their pivot
-    rows and columns.  A stack of n geometries extends a memo only when
-    their memos are the layers 0..n-1 of one solve, in order, of a class of
-    the same degree with no larger multiplicity at any point.  Then each
-    kernel ``K`` of ``last.kernels[:n]`` already satisfies every condition
-    but the extra rows ``B``, each point's orders from its old multiplicity
-    to its new one.  The forms left are ``N K`` with ``N`` the kernel of
-    ``B K^T``, and ``N K`` is again identity on the free columns (the free
-    columns of ``B K^T`` pick them out of the old ones), so it is exactly
-    the basis a full elimination would give.  As ``K`` is identity on its
-    free columns, ``B K^T`` is ``B`` on those columns plus a product over
-    the pivot columns alone.  An empty ``K`` is returned at once, before
-    any row is read, and so is ``K`` for the memo's own class, as for the
-    probe pass's stack of one on the first geometry of a battery.  Both
-    products are taken unreduced (``gfp.product``): ``B K^T`` goes to
-    ``rref_mod``, which reduces its input, and ``N K`` is reduced once
-    with the kept rows of ``K`` added.  Any
-    other stack starts from the identity, which is the full elimination
-    and gives the same basis.  When two layers pivot differently the
-    geometries are solved one by one, as stacks of one.  Each kernel is
-    kept in its geometry's workspace, so each geometry holds one.
+    rows and columns.  A stack of n geometries extends a base: a solve kept
+    in their workspaces as its layers 0..n-1, in order, of a class of the
+    same degree with no larger multiplicity at any point.  The last solve's
+    kernel is returned at once, before any row is read, for its own class,
+    as for the probe pass's stack of one on the first geometry of a
+    battery, and when it is empty, as no form is left to lose.  Else
+    the base is the kept solve with an empty kernel or, failing that, the
+    most condition rows, the newest on a tie; with none, the stack starts
+    from the identity, every column free, which is the full elimination.
+    Each base kernel ``K`` already satisfies every condition but the extra
+    rows ``B``, each point's orders from its old multiplicity to its new
+    one.  The forms left are ``N K`` with ``N`` the kernel of ``B K^T``,
+    and ``N K`` is again identity on the free columns (the free columns of
+    ``B K^T`` pick them out of the old ones), so it is exactly the basis a
+    full elimination would give.  As ``K`` is identity on its free
+    columns, ``B K^T`` is ``B`` on those columns plus a product over the
+    pivot columns alone, taken unreduced (``gfp.product``), as ``rref_mod``
+    reduces its input.  ``N`` is read straight off that reduced matrix:
+    the old free columns that stay free stay identity, those that now
+    pivot take the coefficients ``-red[:, kept]^T``, and only K's pivot
+    columns need one product, reduced once with the kept rows of ``K``
+    added.  When two layers pivot differently the geometries are solved one
+    by one, as stacks of one.  Each solve is kept in its geometries'
+    workspaces, and the one it replaces as their last keeps only its pivot
+    columns.
     """
-    p = geoms[0].prime
+    p, n, n_cols = geoms[0].prime, len(geoms), monomial_exponents(c.d).shape[0]
     spaces = [_workspace(g) for g in geoms]
     last = spaces[0].last and spaces[0].last[0]
-    if not (last is not None and last.d == c.d and len(last.mults) <= len(c.mults)
-            and all(o <= m for o, m in zip(last.mults, c.mults))
-            and [ws.last for ws in spaces] == [(last, i) for i in range(len(geoms))]):
-        last = None
-    if last is None:
-        reduced = gfp.rref_mod(_rows(geoms, c.d, (), c.mults), p)
+    if (last is not None and last.kernels is not None and _extends(last, spaces, c)
+            and (last.kernels.shape[1] == 0 or last.mults == c.mults)):
+        return list(last.kernels[:n])  # a view: the stack may be a prefix
+    bases = [s for s, layer in reversed(spaces[0].solves) if layer == 0 and _extends(s, spaces, c)]
+    base = max(bases, default=None,
+               key=lambda s: (s.free.size == 0, sum(map(_mult_rows, s.mults))))
+    if base is None:
+        free, pivots = np.arange(n_cols), np.arange(0)
+        coords = _rows(geoms, c.d, (), c.mults)
     else:
-        base = last.kernels[:len(geoms)]  # a view: the stack may be a prefix
-        # no form left to lose (h0 stays 0), or no row to add
-        if base.shape[1] == 0 or last.mults == c.mults:
-            return list(base)
-        rows = _rows(geoms, c.d, last.mults, c.mults)
-        coords = gfp.product(rows[:, :, last.pivots], base[:, :, last.pivots].swapaxes(1, 2), p)
-        coords += rows[:, :, last.free]
-        reduced = gfp.rref_mod(coords, p)
+        free, pivots = base.free, base.pivots
+        old = base.pivot_columns(n)
+        rows = _rows(geoms, c.d, base.mults, c.mults)
+        coords = gfp.product(rows[:, :, pivots], old.swapaxes(1, 2), p)
+        coords += rows[:, :, free]
+    reduced = gfp.rref_mod(coords, p)
     if reduced is None:  # the layers pivot apart
         return [_kernels([g], c)[0] for g in geoms]
-    red, pivots = reduced
-    if last is None:
-        kernel = gfp.kernel_from_rref(red, pivots, p)
-        free = np.ones(kernel.shape[-1], dtype=bool)
-        free[pivots] = False
-    else:
-        coeffs = gfp.kernel_from_rref(red, pivots, p)
-        # coeffs is identity on its free columns: only the pivot rows of
-        # base need a product
-        kept = np.ones(base.shape[1], dtype=bool)
-        kept[pivots] = False
-        kernel = gfp.product(coeffs[:, :, pivots], base[:, pivots], p)
-        kernel += base[:, kept]
-        gfp.reduce_mod(kernel, p)
-        free = np.zeros(kernel.shape[-1], dtype=bool)
-        free[last.free[kept]] = True
+    red, new = reduced
+    kept = np.ones(free.size, dtype=bool)
+    kept[new] = False
+    coeffs = red[:, :len(new)][:, :, kept]
+    np.negative(coeffs, out=coeffs)
+    coeffs = gfp.reduce_mod(coeffs, p).swapaxes(1, 2)
+    kernel = np.zeros((n, coeffs.shape[1], n_cols), dtype=np.int64)
+    kernel[:, np.arange(coeffs.shape[1]), free[kept]] = 1
+    kernel[:, :, free[new]] = coeffs
+    if pivots.size:
+        update = gfp.product(coeffs, old[:, new], p)
+        update += old[:, kept]
+        kernel[:, :, pivots] = gfp.reduce_mod(update, p)
     # shared with the returned SystemData and the next solve on these geometries
     kernel.flags.writeable = False
-    solution = _Solution(c.d, c.mults, kernel, np.flatnonzero(free), np.flatnonzero(~free))
+    is_free = np.zeros(n_cols, dtype=bool)
+    is_free[free[kept]] = True
+    solution = _Solution(c.d, c.mults, kernel, np.flatnonzero(is_free), np.flatnonzero(~is_free))
     for layer, ws in enumerate(spaces):
-        ws.last = (solution, layer)
+        if ws.last and ws.last[0] is not solution:
+            ws.last[0].retire()
+        ws.solves.append((solution, layer))
     return list(kernel)
 
 
@@ -507,7 +546,7 @@ class SystemData:
         (1, 2, ..., h0): two combinations of the basis forms, built on the
         first probe that reads them and shared by every later one."""
         weights = np.vstack([np.ones(self.h0, dtype=np.int64), np.arange(1, self.h0 + 1)])
-        sketch = gfp.matmul_mod(weights, self.kernel, self.prime)
+        sketch = gfp.reduce_mod(gfp.product(weights, self.kernel, self.prime), self.prime)
         sketch.flags.writeable = False
         return sketch
 

@@ -40,7 +40,7 @@ PACKAGE = ROOT / "src" / "fatpoints3"
 DEFAULT_SUITES = [
     str(ROOT / "tests" / f"test_{name}.py")
     for name in ("divclass", "criteria", "gfp", "oracle", "oracle_golden",
-                 "probe_stack", "properties", "bench_hooks")
+                 "probe_stack", "properties", "bench_hooks", "cli")
 ]
 
 _BLOCKS = ("body", "orelse", "finalbody", "handlers")

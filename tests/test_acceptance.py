@@ -26,7 +26,9 @@ import sys
 
 import pytest
 
-from fatpoints3 import oracle
+import numpy as np
+
+from fatpoints3 import gfp, oracle
 from fatpoints3.criteria import Goal, Verdict, build_certificate, classify
 from fatpoints3.divclass import (
     ThreefoldClass,
@@ -258,3 +260,32 @@ def test_acceptance_08_boundary_r8_r9():
     for r in findings:
         notes.append(f"finding: {r['class']}: {', '.join(r['reasons'])}")
     report(8, "threshold boundary sweep completes", failures, notes)
+
+
+def test_acceptance_09_freivalds_kernels():
+    # every kernel K a pass in the fixture's order returns on seed 0 of each
+    # prime satisfies its conditions M: M (K^T r) = 0 mod p for a seeded
+    # random r, a false pass having probability 1/p per kernel.  K is the
+    # identity on h0 of its columns, so its rows are independent and the
+    # measured h0 is at most the true one
+    failures = []
+    checked = 0
+    rng = np.random.default_rng(9)
+    for c in box_classes():
+        for prime in oracle.PRIMES:
+            geom = oracle.get_geometry(prime, 0, max(oracle.DEFAULT_POINTS, c.r))
+            sysd = oracle.solve_system(geom, c)
+            kernel, h0 = sysd.kernel, sysd.h0
+            if not h0:
+                continue
+            checked += 1
+            r = rng.integers(0, prime, size=(h0, 1))
+            forms = gfp.matmul_mod(kernel.T, r, prime)
+            if gfp.matmul_mod(oracle.conditions_matrix(geom, c), forms, prime).any():
+                failures.append(f"{format_class(c)}: prime {prime}: M K^T r != 0")
+            units = ((kernel == 1).sum(axis=0) == 1) & ((kernel == 0).sum(axis=0) == h0 - 1)
+            if set(kernel[:, units].argmax(axis=0).tolist()) != set(range(h0)):
+                failures.append(f"{format_class(c)}: prime {prime}: no identity on {h0} columns")
+    assert checked > 0
+    report(9, "Freivalds check of every kernel", failures,
+           [f"{checked} kernels with h0 > 0 checked, seed 0 of each prime"])

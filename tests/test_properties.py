@@ -49,7 +49,9 @@ partials of the sketch forms, are checked against the derivative rows.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -1907,6 +1909,182 @@ def test_stack_with_layers_pivoting_apart_solves_them_one_by_one(monkeypatch):
             for got, want in zip(systems, fresh):
                 assert (got.h0, got.rank) == (want.h0, want.rank), txt
                 assert np.array_equal(got.kernel, want.kernel), txt
+
+
+# ---------------------------------------------------------------------------
+# extensions from the solves kept in the workspaces
+
+HISTORY_PRIMES = (65537,) + oracle.PRIMES
+
+
+def check_stack(geoms, c, done=None):
+    """``_solve`` on the stack equals ``solve_system`` on fresh geometries;
+    ``done``, when given, is left holding the ``_rows`` calls of the stack
+    alone."""
+    wanted = [fresh_system(geom.prime, geom.seed, c) for geom in geoms]
+    if done is not None:
+        done.clear()
+    systems = oracle._solve(geoms, c)
+    for geom, got, want in zip(geoms, systems, wanted):
+        assert (got.h0, got.rank) == (want.h0, want.rank), (c, geom.seed)
+        assert got.kernel.dtype == want.kernel.dtype, (c, geom.seed)
+        assert np.array_equal(got.kernel, want.kernel), (c, geom.seed)
+    return systems
+
+
+@st.composite
+def history_walks(draw):
+    """A prime, a stack of 1-5 fresh geometries and a walk of classes of
+    one degree, up to 12 points of multiplicity at most 3: each class is
+    drawn afresh or grown from one solved 1-12 steps before, so its best
+    base lies anywhere in the history, or past it."""
+    prime = draw(st.sampled_from(HISTORY_PRIMES))
+    seeds = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    d = draw(st.integers(1, 5))
+    mult = st.integers(1, 3)
+    walk = [draw(st.lists(mult, max_size=12))]
+    for _ in range(draw(st.integers(1, 14))):
+        if draw(st.booleans()):
+            ms = list(walk[-draw(st.integers(1, min(12, len(walk))))])
+            for _ in range(draw(st.integers(0, 3))):
+                if ms and (len(ms) == 12 or draw(st.booleans())):
+                    i = draw(st.integers(0, len(ms) - 1))
+                    ms[i] = min(ms[i] + 1, 3)
+                else:
+                    ms.append(draw(mult))
+        else:
+            ms = draw(st.lists(mult, max_size=12))
+        walk.append(ms)
+    return prime, seeds, d, [tuple(sorted(ms, reverse=True)) for ms in walk]
+
+
+@settings(max_examples=40, deadline=None)
+@given(history_walks())
+def test_history_walks_match_fresh_geometries(case):
+    prime, seeds, d, walk = case
+    geoms = [oracle.build_geometry(prime, seed) for seed in seeds]
+    for mults in walk:
+        check_stack(geoms, ThreefoldClass(d, mults))
+
+
+def test_history_base_back_and_evicted(monkeypatch):
+    # the base L3(4; 2, 1) solved `back` solves before L3(4; 2^2, 1), with
+    # classes of another degree between: extended while it is one of the
+    # last _HISTORY solves, from scratch once it has been evicted
+    base, grown = ThreefoldClass(4, (2, 1)), ThreefoldClass(4, (2, 2, 1))
+    done = spy_done(monkeypatch)
+    for back in range(2, oracle._HISTORY + 3):
+        geoms = [oracle.build_geometry(WARM_PRIME, seed) for seed in (0, 1, 2)]
+        check_stack(geoms, base)
+        for i in range(back - 1):
+            check_stack(geoms, ThreefoldClass(3, (1,) * i))
+        check_stack(geoms, grown, done)
+        assert done == [base.mults if back <= oracle._HISTORY else ()], back
+
+
+def test_history_picks_the_base_with_the_most_rows(monkeypatch):
+    geoms = [oracle.build_geometry(WARM_PRIME, seed) for seed in (0, 1)]
+    done = spy_done(monkeypatch)
+    for mults in ((2, 2, 2), (3, 1, 1), (2, 1), (1, 1, 1), (5,), (4, 4)):
+        check_stack(geoms, ThreefoldClass(4, mults))
+    # (2, 2, 2) and (3, 1, 1) hold 12 rows each: the newer one is taken
+    check_stack(geoms, ThreefoldClass(4, (3, 2, 2, 1)), done)
+    assert done == [(3, 1, 1)]
+    # an empty kernel, (5,), over more rows, (4, 4) with 5 forms left
+    systems = check_stack(geoms, ThreefoldClass(4, (5, 4)), done)
+    assert done == [(5,)] and systems[0].h0 == 0
+    # the most rows: (3, 2, 2, 1) has 17, with (2, 2, 2) still kept
+    check_stack(geoms, ThreefoldClass(4, (3, 3, 2, 1, 1)), done)
+    assert done == [(3, 2, 2, 1)]
+    assert [s.mults for s, _ in oracle._workspace(geoms[1]).solves][:2] == [(3, 1, 1), (2, 1)]
+
+
+def test_stack_of_one_after_a_deeper_stack_and_back(monkeypatch):
+    # a stack of one on the first geometry extends layer 0 of a deeper
+    # solve; the deeper stack then extends its own solve, now retired, with
+    # no row to add, and its memo hit returns the rebuilt kernel
+    geoms = [oracle.build_geometry(WARM_PRIME, seed) for seed in (0, 1, 2)]
+    first = ThreefoldClass(4, (2, 1, 1))
+    check_stack(geoms, first)
+    solution = oracle._workspace(geoms[0]).last[0]
+    done = spy_done(monkeypatch)
+    check_stack(geoms[:1], ThreefoldClass(4, (2, 2, 1, 1)), done)
+    assert done == [first.mults]
+    assert solution.kernels is None and solution.block.dtype == np.int32
+    assert oracle._workspace(geoms[1]).last[0] is solution
+    check_stack(geoms, first, done)
+    assert done == [first.mults]
+    check_stack(geoms, first, done)
+    assert done == []
+    # a stack whose first geometry never saw the solve starts from scratch
+    check_stack(geoms[1:], ThreefoldClass(4, (2, 2, 1, 1)), done)
+    assert done == [()]
+
+
+def test_retired_solves_keep_int32_pivot_columns():
+    oracle.get_geometry.cache_clear()
+    c = parse_class("L3(6; 3, 2^4, 1^3)")
+    oracle.run_battery(c)
+    geoms = [oracle.get_geometry(p, seed) for p in oracle.PRIMES for seed in oracle.DEFAULT_SEEDS]
+    for geom in geoms:
+        solves = oracle._workspace(geom).solves
+        assert len(solves) == 1 and solves[0][0].block is None and solves[0][0].kernels is not None
+    kernels = {}
+    for txt in ("L3(6; 3, 2^4, 1^4)", "L3(6; 2^3)", "L3(6; 3^2, 2^4, 1^4)", "L3(6; 3^10)"):
+        for prime in oracle.PRIMES:
+            stack = [oracle.get_geometry(prime, seed) for seed in oracle.DEFAULT_SEEDS]
+            kernels[txt, prime] = [s.kernel for s in oracle._solve(stack, parse_class(txt))]
+    n_cols = math.comb(6 + 3, 3)
+    for geom in geoms:
+        solves = list(oracle._workspace(geom).solves)
+        assert len(solves) == 5 and solves[-1][0].block is None
+        for solution, layer in solves[:-1]:
+            h0 = solution.free.size
+            assert solution.kernels is None
+            assert solution.block.dtype == np.int32
+            assert solution.block.shape == (len(oracle.DEFAULT_SEEDS), h0, n_cols - h0)
+    for prime in oracle.PRIMES:
+        stack = [oracle.get_geometry(prime, seed) for seed in oracle.DEFAULT_SEEDS]
+        solution = oracle._workspace(stack[0]).solves[-2][0]
+        assert solution.mults == parse_class("L3(6; 3^2, 2^4, 1^4)").mults
+        for layer, kernel in enumerate(kernels["L3(6; 3^2, 2^4, 1^4)", prime]):
+            assert np.array_equal(solution.block[layer], kernel[:, solution.pivots])
+            assert np.array_equal(kernel[:, solution.free], np.eye(solution.free.size, dtype=np.int64))
+
+
+def test_warm_sweep_box_pass_counts(monkeypatch):
+    # one warm pass of perfbench's sweep_box without its probes: the
+    # dimension pass on 5 seeds and the probe pass's stack of one per prime
+    classes = [ThreefoldClass(6, tuple(sorted(ms, reverse=True)))
+               for r in range(11) for ms in itertools.combinations_with_replacement((1, 2, 3), r)]
+    assert len(classes) == 286
+
+    def sweep():
+        for c in classes:
+            oracle.run_battery(c)
+            oracle.run_battery(c, seeds=(0,))
+
+    oracle.get_geometry.cache_clear()
+    sweep()
+    done = spy_done(monkeypatch)
+    counts = {"kernels": 0, "rref": 0, "split": 0}
+    kernels, rref = oracle._kernels, gfp.rref_mod
+
+    def kernels_spy(geoms, c):
+        counts["kernels"] += 1
+        return kernels(geoms, c)
+
+    def rref_spy(mat, p):
+        counts["rref"] += 1
+        out = rref(mat, p)
+        counts["split"] += out is None
+        return out
+
+    monkeypatch.setattr(oracle, "_kernels", kernels_spy)
+    monkeypatch.setattr(gfp, "rref_mod", rref_spy)
+    sweep()
+    assert done.count(()) <= 36  # 168 when only the last solve could be extended
+    assert counts == {"kernels": 1716, "rref": 858, "split": 0}
 
 
 # ---------------------------------------------------------------------------
