@@ -1993,7 +1993,7 @@ def test_history_picks_the_base_with_the_most_rows(monkeypatch):
     # an empty kernel, (5,), over more rows, (4, 4) with 5 forms left
     systems = check_stack(geoms, ThreefoldClass(4, (5, 4)), done)
     assert done == [(5,)] and systems[0].h0 == 0
-    # the most rows: (3, 2, 2, 1) has 17, with (2, 2, 2) still kept
+    # the most rows: (3, 2, 2, 1) has 17; this ninth solve then evicts (2, 2, 2)
     check_stack(geoms, ThreefoldClass(4, (3, 3, 2, 1, 1)), done)
     assert done == [(3, 2, 2, 1)]
     assert [s.mults for s, _ in oracle._workspace(geoms[1]).solves][:2] == [(3, 1, 1), (2, 1)]
@@ -2001,8 +2001,8 @@ def test_history_picks_the_base_with_the_most_rows(monkeypatch):
 
 def test_stack_of_one_after_a_deeper_stack_and_back(monkeypatch):
     # a stack of one on the first geometry extends layer 0 of a deeper
-    # solve; the deeper stack then extends its own solve, now retired, with
-    # no row to add, and its memo hit returns the rebuilt kernel
+    # solve and retires it; the deeper stack then extends that retired
+    # solve with no row to add, and solving the class again is a memo hit
     geoms = [oracle.build_geometry(WARM_PRIME, seed) for seed in (0, 1, 2)]
     first = ThreefoldClass(4, (2, 1, 1))
     check_stack(geoms, first)
@@ -2022,34 +2022,33 @@ def test_stack_of_one_after_a_deeper_stack_and_back(monkeypatch):
 
 
 def test_retired_solves_keep_int32_pivot_columns():
+    # one battery on fresh geometries keeps no block; each later solve
+    # retires the one before it to its kernels' pivot columns, as int32
     oracle.get_geometry.cache_clear()
-    c = parse_class("L3(6; 3, 2^4, 1^3)")
-    oracle.run_battery(c)
+    oracle.run_battery(parse_class("L3(6; 3, 2^4, 1^3)"))
     geoms = [oracle.get_geometry(p, seed) for p in oracle.PRIMES for seed in oracle.DEFAULT_SEEDS]
     for geom in geoms:
-        solves = oracle._workspace(geom).solves
-        assert len(solves) == 1 and solves[0][0].block is None and solves[0][0].kernels is not None
-    kernels = {}
-    for txt in ("L3(6; 3, 2^4, 1^4)", "L3(6; 2^3)", "L3(6; 3^2, 2^4, 1^4)", "L3(6; 3^10)"):
+        [(solution, _)] = oracle._workspace(geom).solves
+        assert solution.block is None and solution.kernels is not None
+    returned = {}
+    # the first class again, a memo hit, returns the battery's kernels
+    for txt in ("L3(6; 3, 2^4, 1^3)", "L3(6; 3, 2^4, 1^4)", "L3(6; 2^3)",
+                "L3(6; 3^2, 2^4, 1^4)", "L3(6; 3^10)"):
+        c = parse_class(txt)
         for prime in oracle.PRIMES:
             stack = [oracle.get_geometry(prime, seed) for seed in oracle.DEFAULT_SEEDS]
-            kernels[txt, prime] = [s.kernel for s in oracle._solve(stack, parse_class(txt))]
+            returned[c.mults, prime] = [s.kernel for s in oracle._solve(stack, c)]
     n_cols = math.comb(6 + 3, 3)
     for geom in geoms:
         solves = list(oracle._workspace(geom).solves)
         assert len(solves) == 5 and solves[-1][0].block is None
         for solution, layer in solves[:-1]:
             h0 = solution.free.size
-            assert solution.kernels is None
-            assert solution.block.dtype == np.int32
+            assert solution.kernels is None and solution.block.dtype == np.int32
             assert solution.block.shape == (len(oracle.DEFAULT_SEEDS), h0, n_cols - h0)
-    for prime in oracle.PRIMES:
-        stack = [oracle.get_geometry(prime, seed) for seed in oracle.DEFAULT_SEEDS]
-        solution = oracle._workspace(stack[0]).solves[-2][0]
-        assert solution.mults == parse_class("L3(6; 3^2, 2^4, 1^4)").mults
-        for layer, kernel in enumerate(kernels["L3(6; 3^2, 2^4, 1^4)", prime]):
+            kernel = returned[solution.mults, geom.prime][layer]
             assert np.array_equal(solution.block[layer], kernel[:, solution.pivots])
-            assert np.array_equal(kernel[:, solution.free], np.eye(solution.free.size, dtype=np.int64))
+            assert np.array_equal(kernel[:, solution.free], np.eye(h0, dtype=np.int64))
 
 
 def test_warm_sweep_box_pass_counts(monkeypatch):
