@@ -16,10 +16,13 @@ the earlier panels, and the free rows below them keep their order.  The
 earlier pivot rows take the panel's steps in one product: each loses its
 entries in the panel's pivot columns times the panel's final pivot rows,
 in the panel's columns and, as a transform, right of them.  The columns
-right of the panel then take all of the panel's steps at once, as one
-product of the transform with the pivot rows.  Every matrix takes this
-one route, whatever its shape.  The reduced form and its pivot columns
-are unique, so the result does not depend on the panels.
+right of the panel then take the row move and all of the panel's steps
+at once, as one product of the transform with the pivot rows, in column
+blocks of at most ``_PRODUCT_ENTRIES`` entries; the input is reduced in
+bands of rows of that size.  So no temporary is as large as the matrix.
+Every matrix takes this one route, whatever its shape.  The reduced form
+and its pivot columns are unique, so the result does not depend on the
+panels.
 
 ``rref_mod`` and ``kernel_from_rref`` also take a stack of B matrices of
 one shape, as a (B, rows, cols) array with one modulus; a single matrix is
@@ -40,20 +43,23 @@ adds it to other entries reduces the sum once: ``rref_mod`` for its earlier
 pivot rows and its trailing columns, ``oracle`` for its kernels.  The
 oracle's probe values, like ``matmul_mod``, reduce the product alone.
 
-``reduce_mod`` reduces a whole array in place as ``x - (x // p) * p``.
+``reduce_mod`` reduces an array in place as ``x - (x // p) * p``.
 numpy divides an int64 array by one int through a precomputed reciprocal
 (libdivide, after Granlund and Montgomery, "Division by invariant integers
 using multiplication", 1994), while ``%`` divides entry by entry, so on a
 (5, 84, 84) stack the three calls take about half the time of one ``%``.
 The floor quotient is exact, and x - (x // p) * p lies in [0, p), so
 int64 arithmetic, exact mod 2^64, gets it right even where the product
-wraps: every int64 entry is reduced exactly.  The sites are ``rref_mod``'s
-input, its per-pivot block and its updates of the earlier pivot rows and
-of the trailing columns, the high half of ``product``, the output of
-``matmul_mod`` and the negated coefficients of ``kernel_from_rref``.  On a
-few dozen entries the three calls cost as much as one ``%``, so the pivot
-row, the factors of ``matmul_mod`` and the oracle's elementwise helpers
-keep ``%``.
+wraps: every int64 entry is reduced exactly.  The quotient is a temporary
+of x's size.  The sites are ``rref_mod``'s input bands, its per-pivot
+block and its updates of the earlier pivot rows and of the trailing column
+blocks, the high half of ``product``, the output of ``matmul_mod``, the
+negated coefficients of ``kernel_from_rref``, and in ``oracle`` the pivot
+columns of an extended kernel, ``SystemData.sketch`` and the probe values.
+``oracle._kernels`` negates its reduced coefficients in place instead, as
+p - x with p set back to 0.  On a few dozen entries the three calls cost
+as much as one ``%``, so the pivot row, the factors of ``matmul_mod`` and
+the oracle's elementwise helpers keep ``%``.
 
 Polynomials are Python lists of ints, ascending powers, no trailing zeros
 (the zero polynomial is the empty list).
@@ -197,12 +203,20 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
     its transform columns.  Inside a panel the per-pivot steps run on the
     free rows only.  At the panel's end its pivot rows move up under the
     earlier ones, and those earlier ones take the panel's steps in one
-    product.
+    product.  The input's reduction, and the row move and the update of
+    the columns right of a panel, go in pieces of at most
+    ``_PRODUCT_ENTRIES`` entries, so the elimination allocates nothing of
+    the matrix's size.
     """
     _check_modulus(p)
-    out = reduce_mod(np.asarray(mat, dtype=np.int64), p)
+    out = np.asarray(mat, dtype=np.int64)
     m = out[None] if out.ndim == 2 else out
     nb, rows, cols = m.shape
+    # bands of rows and blocks of columns of at most _PRODUCT_ENTRIES entries
+    band = max(1, _PRODUCT_ENTRIES // (nb * cols or 1))
+    width = max(1, _PRODUCT_ENTRIES // (nb * rows or 1))
+    for r0 in range(0, rows, band):
+        reduce_mod(m[:, r0:r0 + band], p)
     pivots: list[int] = []
     for c0 in range(0, cols, _PANEL):
         start = len(pivots)  # the rows above start are the pivot rows, in pivot order
@@ -247,9 +261,13 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
         if not k:
             continue
         # the panel's pivot rows move up, in pivot order, above the rows still
-        # free, which keep their order
+        # free, which keep their order: only the live rows a to b - 1 change,
+        # as the rows past the last pivot row stay
         moved = mine != list(range(k))
         perm = mine + np.flatnonzero(unused).tolist() if moved else slice(None)
+        if moved:
+            a, b = next(s for s, r in enumerate(mine) if s != r), max(mine) + 1
+            dest, source = slice(start + a, start + b), start + np.array(perm[a:b])
         if start:
             # each earlier pivot row loses its entry in each of the panel's
             # pivot columns times that pivot's final row
@@ -266,14 +284,12 @@ def rref_mod(mat: np.ndarray, p: int) -> Optional[tuple[np.ndarray, list[int]]]:
         transform[:, start:] = panel[:, perm, w:w + k]
         if start:
             transform[:, :start] = steps[:, :, w:] % p
-        if moved:
-            live[:, :, c1:] = live[:, perm, c1:]
-        # replace the pivot rows and add each row's recorded combination of
-        # them, the product in column blocks so that its temporaries stay
-        # small
-        step = max(1, _PRODUCT_ENTRIES // (nb * rows))
-        for b0 in range(c1, cols, step):
-            rest = m[:, :, b0:b0 + step]
+        # move the rows as in the panel, replace the pivot rows and add each
+        # row's recorded combination of them, one column block at a time
+        for b0 in range(c1, cols, width):
+            rest = m[:, :, b0:b0 + width]
+            if moved:
+                rest[:, dest] = rest[:, source]
             update = product(transform, rest[:, start:start + k], p)
             rest[:, start:start + k] = 0
             rest += update

@@ -49,7 +49,10 @@ DEFAULT_POINTS = 16
 DEFAULT_PROBES = 64
 MAX_PROBES = 100_000  # probes per category; their memory and time grow faster than linearly
 MAX_GEOMETRIES = 96  # geometries of one battery, and of the geometry cache
-_MAX_ENTRIES = 2**26  # condition-matrix entries of one prime's stack, 512 MiB of int64
+# condition-matrix entries of one prime's stack, 512 MiB of int64; at its
+# peak the prime's solve holds that stack, its rows in the geometries'
+# tables at 4 bytes an entry, and the int64 kernels
+_MAX_ENTRIES = 2**26
 MAX_DEGREE = 16
 MAX_MULT = 5
 _HISTORY = 8  # solves kept per geometry for later classes to extend
@@ -306,8 +309,10 @@ class _Workspace:
 
     ``tables[d, k]`` holds the degree-d condition rows of order k, the
     C(k+2, 2) rows with |alpha| = k, of the first points that need them,
-    shape (points, C(k+2, 2), N).  A point of multiplicity m needs the
-    orders below m, and a normalized class lists its points by falling
+    shape (points, C(k+2, 2), N), as int32: every entry is reduced below
+    p < ``gfp.MAX_MODULUS`` = 2^31.  ``_rows`` and ``conditions_matrix``
+    return them as int64.  A point of multiplicity m needs the orders
+    below m, and a normalized class lists its points by falling
     multiplicity, so the points that need order k are always the first
     ones: each table grows in points only.  It is the filled prefix of one
     buffer sized for every point of the geometry, so growing copies
@@ -336,7 +341,7 @@ class _Workspace:
         if n < r:
             if not n:
                 shape = (len(geom.points), math.comb(k + 2, 2), monomial_exponents(d).shape[0])
-                self.buffers[d, k] = np.empty(shape, dtype=np.int64)
+                self.buffers[d, k] = np.empty(shape, dtype=np.int32)
             _fill_rows(geom, d, self.buffers[d, k][n:r], n, _mult_rows(k))
             self.tables[d, k] = self.buffers[d, k][:r]
         return self.tables[d, k]
@@ -496,12 +501,15 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     reduced = gfp.rref_mod(coords, p)
     if reduced is None:  # the layers pivot apart
         return [_kernels([g], c)[0] for g in geoms]
-    red, new = reduced
+    new = reduced[1]
     kept = np.ones(free.size, dtype=bool)
     kept[new] = False
-    coeffs = red[:, :len(new)][:, :, kept]
-    np.negative(coeffs, out=coeffs)
-    coeffs = gfp.reduce_mod(coeffs, p).swapaxes(1, 2)
+    coeffs = reduced[0][:, :len(new)][:, :, kept]
+    del coords, reduced  # the reduced matrix goes before the kernel comes
+    # -x mod p in place: p - x, and p back to 0
+    np.subtract(p, coeffs, out=coeffs)
+    coeffs[coeffs == p] = 0
+    coeffs = coeffs.swapaxes(1, 2)
     kernel = np.zeros((n, coeffs.shape[1], n_cols), dtype=np.int64)
     kernel[:, np.arange(coeffs.shape[1]), free[kept]] = 1
     kernel[:, :, free[new]] = coeffs
@@ -1167,7 +1175,8 @@ class _Words:
     picks one of the fibre's n points; for n = 1 or 2 that reads the next
     word ``randrange(2)`` accepts, the words below 2^31.  ``_index`` looks
     up each fibre draw's fibre, the next fibre draw with points and the
-    pick after it, for the walk in ``curve_draw``.
+    pick after it, for the walk in ``curve_draw``; it finds the picks
+    straight from the words, as nothing reads them by rank.
     """
 
     def __init__(self, rng: random.Random, geom: Geometry, reserve: int = 0):
@@ -1272,7 +1281,9 @@ def _index(stack: list) -> None:
                          np.concatenate([ks for _, _, ks in fibres]))
     cuts = [0, *itertools.accumulate(sizes)]
     for words, (before, places, ks), a, b in zip(stack, fibres, cuts, cuts[1:]):
-        _, picks, bits = words.accepted(2)
+        # randrange(2) accepts the words below 2^31 and reads their bit 30
+        picks = np.flatnonzero(words.words < 1 << 31)
+        bits = words.words[picks] >> 30
         npts, after = block[-1][a:b], picks.searchsorted(places, side="right")
         ranks = np.where(npts > 0, np.arange(b - a), b - a)
         following = np.minimum.accumulate(ranks[::-1])[::-1].tolist() + [b - a]

@@ -5,6 +5,7 @@ separately exercises the installed console script through a subprocess.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -103,6 +104,13 @@ def test_classify_general_position_mode(capsys):
     assert obj["verdict_strength"] == "sufficient-only"
 
 
+def test_classify_text_in_general_position_notes_sufficiency(capsys):
+    code, out, _ = run(capsys, "classify", "L3(4; 2, 1^5)", "--mode", "general-position")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[0] == "L3(4; 2, 1^5)  [general-position]"
+    assert out.endswith("\n  note: in this mode the verdicts are sufficient only\n")
+
+
 def test_classify_rejects_plane_class(capsys):
     code, _, err = run(capsys, "classify", "L2(4; 2^3)")
     assert code == 1
@@ -121,6 +129,17 @@ def test_reduce_plane_json(capsys):
     assert obj["status"] == "NotStandard"
     assert obj["result"] == "L2(1; -1^3)"
     assert len(obj["steps"]) == 1
+
+
+def test_reduce_text_lists_each_step(capsys):
+    code, out, _ = run(capsys, "reduce", "L2(5; 3^3)")
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == [
+        "L2(5; 3^3)  ->  plane model L2(5; 3^3) (input)",
+        "  step 0: L2(5; 3^3) -> L2(1; -1^3) on points [0, 1, 2]",
+        "  result: L2(1; -1^3)  [NotStandard]",
+        "  reason: negative multiplicity with no degree-decreasing move left",
+    ]
 
 
 def test_reduce_accepts_space_and_quadric(capsys):
@@ -338,6 +357,17 @@ def test_missing_command(capsys):
     assert "command is required" in err
 
 
+def test_an_invariant_breach_exits_3(capsys, monkeypatch):
+    def breach(*args, **kwargs):
+        raise AssertionError("interpolation rank exceeded the condition count for L3(2; 1)")
+
+    monkeypatch.setattr(oracle, "run_battery", breach)
+    code, out, err = run(capsys, "oracle", "L3(2; 1)", "--trials", "1")
+    assert (code, out) == (cli.EXIT_INVARIANT, "")
+    assert err == ("internal invariant breach: "
+                   "interpolation rank exceeded the condition count for L3(2; 1)\n")
+
+
 def test_unknown_flag(capsys):
     code, _, err = run(capsys, "classify", "L3(1)", "--bogus")
     assert code == 1
@@ -407,6 +437,56 @@ def test_sweep_probeless_rows_have_null_probe_fields(capsys):
         assert row["separation_fired"] is None
         for reason in row["reasons"]:
             assert reason == "nonspecial-but-dimension-deviates"
+
+
+def test_sweep_text_table_at_zero_probes(capsys):
+    code, out, err = run(capsys, "sweep", "--dmax", "1", "--rmax", "1", "--mmax", "1",
+                         "--trials", "1", "--probes", "0")
+    assert code == cli.EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 6 and len({len(line) for line in lines[:5]}) == 1
+    assert lines[0].split() == cli._SWEEP_COLUMNS
+    # the unprobed fields and the empty reason list print as "-"
+    assert lines[1].split() == ["L3(0)", "0", "0", "yes", "true", "false",
+                                "0", "0", "0", "-", "-", "AGREE", "-"]
+    assert lines[-1] == "checked 4 classes: 4 agree, 0 disagree"
+
+
+def test_sweep_text_lists_each_disagreement(capsys):
+    code, out, _ = run(capsys, "sweep", "--dmin", "2", "--dmax", "2", "--rmax", "7",
+                       "--mmax", "1", "--trials", "1", "--probes", "8")
+    assert code == cli.EXIT_DISAGREE
+    lines = out.splitlines()
+    assert lines[-3].split()[-2:] == ["DISAGREE", "free-but-base-witness"]
+    assert lines[-2:] == ["checked 8 classes: 7 agree, 1 disagree", "  DISAGREE: L3(2; 1^7)"]
+
+
+@pytest.mark.parametrize("verdicts, fired, reason", (
+    ({"edim": 10}, (False, False), "nonspecial-but-dimension-deviates"),
+    ({"bpf": False, "very_ample": False}, (False, False), "unfree-but-no-base-witness"),
+    ({}, (False, True), "ample-but-separation-witness"),
+    ({"very_ample": False}, (False, False), "inseparable-but-no-witness"),
+))
+def test_sweep_gives_each_disagreement_its_reason(capsys, monkeypatch, verdicts, fired, reason):
+    # L3(2) agrees: the checkers call it nonspecial with edim 9, free and
+    # very ample, its dimension is 9 and no probe fires.  Each case changes
+    # the verdicts or the probe flags so that one rule disagrees
+    classify, battery = cli.classify, oracle.run_battery
+
+    def flagged(*args, **kwargs):
+        report = battery(*args, **kwargs)
+        return dataclasses.replace(
+            report, base=dataclasses.replace(report.base, fired=fired[0]),
+            separation=dataclasses.replace(report.separation, fired=fired[1]))
+
+    monkeypatch.setattr(cli, "classify", lambda c: dataclasses.replace(classify(c), **verdicts))
+    monkeypatch.setattr(oracle, "run_battery", flagged)
+    code, out, _ = run(capsys, "sweep", "--dmin", "2", "--dmax", "2", "--rmax", "0",
+                       "--trials", "1", "--probes", "1", "--format", "json")
+    assert code == cli.EXIT_DISAGREE
+    [row] = json.loads(out)["rows"]
+    assert (row["class"], row["nonspecial"], row["dim_min"]) == ("L3(2)", "yes", 9)
+    assert row["reasons"] == [reason]
 
 
 def test_sweep_csv_format(capsys):

@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -374,6 +375,41 @@ def test_hunt_no_false_positive_on_free_class():
             g, sysd.kernel, c.d, list(g.points[: c.r]), frozenset(), rng
         )
         assert found == [], txt
+
+
+def test_hunt_returns_nothing_on_its_three_early_exits(monkeypatch):
+    g = geom0()
+    real = oracle._form_values
+    seen = []
+
+    def spy(forms, points, d, p):
+        seen.append(points)
+        return real(forms, points, d, p)
+
+    def unreachable(*args):
+        raise AssertionError("reached past the exit")
+
+    monkeypatch.setattr(oracle, "_form_values", spy)
+    c = parse_class("L3(3; 1^11)")  # curve degree 1: one forced base point
+    kernel, assigned = oracle.solve_system(g, c).kernel, list(g.points[:11])
+    found = oracle.hunt_common_zeros(g, kernel, 3, assigned, frozenset(), random.Random(5))
+    assert len(found) == 1 and found[0] in seen[0]
+    monkeypatch.setattr(oracle, "_form_values", unreachable)
+    # every candidate excluded: no form is evaluated
+    assert oracle.hunt_common_zeros(g, kernel, 3, assigned, frozenset(seen[0]),
+                                    random.Random(5)) == []
+    monkeypatch.setattr(gfp, "rational_roots", unreachable)
+    # no sections, or degree 0: no resultant is formed
+    assert oracle.hunt_common_zeros(g, kernel[:0], 3, assigned, frozenset(), random.Random(5)) == []
+    assert oracle.hunt_common_zeros(g, kernel[:, :1], 0, [], frozenset(), random.Random(5)) == []
+    # the quadrics through eight curve points are the pencil of the curve
+    # itself: every combination vanishes on the whole curve, both
+    # resultants are zero and no fibre is singled out
+    c = parse_class("L3(2; 1^8)")
+    kernel = oracle.solve_system(g, c).kernel
+    assert kernel.shape[0] == 2
+    assert oracle.hunt_common_zeros(g, kernel, 2, list(g.points[:8]), frozenset(),
+                                    random.Random(5)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +834,47 @@ def test_the_row_table_grows_in_depth_and_in_points():
             fresh = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
             assert np.array_equal(oracle.solve_system(geom, asked[-1]).kernel,
                                   oracle.solve_system(fresh, asked[-1]).kernel), (name, mults)
+
+
+def test_the_row_tables_are_int32_and_every_matrix_int64():
+    # every entry is reduced below p < 2^31, so the tables hold int32, half
+    # the bytes of int64, with the same values; the rows, matrices and
+    # kernels read from them stay int64
+    g = oracle.build_geometry(P0, 4)
+    c, wider = parse_class("L3(6; 3, 2^4, 1^3)"), parse_class("L3(6; 3^2, 2^4, 1^4)")
+    kernels = [oracle.solve_system(g, c).kernel, oracle.solve_system(g, wider).kernel]
+    tables = oracle._workspace(g).tables
+    assert set(tables) == {(6, 0), (6, 1), (6, 2)}
+    for (d, k), table in tables.items():
+        assert table.dtype == np.int32
+        rows = np.empty(table.shape, dtype=np.int64)
+        oracle._fill_rows(g, d, rows, 0, math.comb(k + 2, 3))
+        assert np.array_equal(table, rows) and int(rows.max()) >= 2**30
+    mat = oracle.conditions_matrix(g, wider)
+    assert mat.dtype == np.int64 and mat.tolist() == reference_conditions(g, wider)
+    stack = oracle._rows([g], 6, (), wider.mults)
+    assert stack.dtype == np.int64 and stack.shape == (1, *mat.shape)
+    assert gfp.rref_mod(mat, P0)[0].dtype == np.int64
+    # the second kernel extends the first solve
+    assert [k.dtype for k in kernels] == [np.int64] * 2
+
+
+def test_a_cold_stacked_solve_holds_no_full_size_temporary():
+    # L3(16; 5^16) on five fresh geometries of one prime: a (5, 560, 969)
+    # stack of 21.7 MB, 10.9 MB of tables and 17.1 MB of kernels.  The
+    # solve's traced peak was 70.5 MB with int64 tables, full-size
+    # quotients and row moves in rref_mod and a reduced negation of the new
+    # coefficients beside the reduced stack; it is 43.6 MB without them
+    c = parse_class("L3(16; 5^16)")
+    geoms = [oracle.build_geometry(P0, seed) for seed in range(5)]
+    tracemalloc.start()
+    try:
+        systems = oracle._solve(geoms, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.h0 for s in systems] == [441] * 5
+    assert peak < 57e6, peak
 
 
 def test_the_sketch_is_built_once_per_kernel(monkeypatch):
