@@ -50,8 +50,8 @@ DEFAULT_PROBES = 64
 MAX_PROBES = 100_000  # probes per category; their memory and time grow faster than linearly
 MAX_GEOMETRIES = 96  # geometries of one battery, and of the geometry cache
 # condition-matrix entries of one prime's stack, 512 MiB of int64; at its
-# peak the prime's solve holds that stack, its rows in the geometries'
-# tables at 4 bytes an entry, and the int64 kernels
+# peak the prime's solve holds that stack, the same rows in its geometries'
+# point stores at 4 bytes an entry, and the int64 kernels
 _MAX_ENTRIES = 2**26
 MAX_DEGREE = 16
 MAX_MULT = 5
@@ -142,6 +142,8 @@ class Geometry:
 
 def _curve_value(geom: Geometry, pt: Sequence[int]) -> int:
     p = geom.prime
+    # every lifted point lies on xw = yz by construction; this keeps a point
+    # off that quadric from passing on the second quadric alone
     if _quad_eval(_qbar_coeffs(p), pt, p):
         return 1
     return _quad_eval(geom.qprime, pt, p)
@@ -170,6 +172,7 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
             gfp.pscale(gfp.pmul(a, c, prime), -4, prime),
             prime,
         ))
+        # only a squarefree discriminant certifies a smooth curve: draw again
         if not _squarefree_binary_form(delta, 4, prime):
             continue
         geom = Geometry(prime, seed, attempt, qprime, forms, delta, ())
@@ -183,11 +186,13 @@ def build_geometry(prime: int, seed: int, npoints: int = DEFAULT_POINTS) -> Geom
             k = min(npoints - len(points), 64 * npoints - drawn)
             z, ok = words.curve(k)
             drawn += k
+            # a draw fails only after 512 fibres without a point: a new curve
             if not ok.all():
                 break
             points.update(dict.fromkeys(map(tuple, z.tolist())))
         if len(points) == npoints and not any(_curve_value(geom, pt) for pt in points):
             return replace(geom, points=tuple(points))
+    # a bound on the draws, so that no input loops for ever
     raise RuntimeError(f"no smooth configuration found for prime={prime} seed={seed}")
 
 
@@ -307,16 +312,14 @@ def _check_conditions(geoms: Sequence[Geometry], c: ThreefoldClass) -> None:
 class _Workspace:
     """The solver state of one geometry, alive exactly as long as it is.
 
-    ``tables[d, k]`` holds the degree-d condition rows of order k, the
-    C(k+2, 2) rows with |alpha| = k, of the first points that need them,
-    shape (points, C(k+2, 2), N), as int32: every entry is reduced below
+    ``rows[d]`` holds the degree-d condition rows of each point: point i's
+    entry holds its C(m+2, 3) rows, the derivatives of orders below m, for
+    the largest multiplicity m a class has asked of it, shape
+    (C(m+2, 3), N), as int32: every entry is reduced below
     p < ``gfp.MAX_MODULUS`` = 2^31.  ``_rows`` and ``conditions_matrix``
-    return them as int64.  A point of multiplicity m needs the orders
-    below m, and a normalized class lists its points by falling
-    multiplicity, so the points that need order k are always the first
-    ones: each table grows in points only.  It is the filled prefix of one
-    buffer sized for every point of the geometry, so growing copies
-    nothing.  ``solves`` holds the (solution, layer) of the last
+    return them as int64.  ``point_rows`` fills a point again in full when
+    a class asks it for a larger multiplicity, and leaves the other points'
+    arrays as they are.  ``solves`` holds the (solution, layer) of the last
     ``_HISTORY`` classes solved on the geometry, oldest first, and ``last``
     is the newest: its kernel is ``solution.kernels[layer]``, see
     ``_kernels``.  Every older solution keeps only its pivot columns as
@@ -326,44 +329,47 @@ class _Workspace:
     """
 
     def __init__(self) -> None:
-        self.tables: dict[tuple[int, int], np.ndarray] = {}
-        self.buffers: dict[tuple[int, int], np.ndarray] = {}
+        self.rows: dict[int, list] = {}
         self.solves: collections.deque = collections.deque(maxlen=_HISTORY)
 
     @property
     def last(self) -> Optional[tuple]:
         return self.solves[-1] if self.solves else None
 
-    def table(self, geom: Geometry, d: int, k: int, r: int) -> np.ndarray:
-        """The degree-d rows of order k of at least the first r points,
-        grown to them when the table is smaller."""
-        n = len(self.tables.get((d, k), ()))
-        if n < r:
-            if not n:
-                shape = (len(geom.points), math.comb(k + 2, 2), monomial_exponents(d).shape[0])
-                self.buffers[d, k] = np.empty(shape, dtype=np.int32)
-            _fill_rows(geom, d, self.buffers[d, k][n:r], n, _mult_rows(k))
-            self.tables[d, k] = self.buffers[d, k][:r]
-        return self.tables[d, k]
-
-
-def _fill_rows(geom: Geometry, d: int, out: np.ndarray, first: int, start: int) -> None:
-    """Write the degree-d rows start, start + 1, ... of the points first,
-    first + 1, ... into ``out``, shape (points, rows, N): the chart's
-    falling factorials times the monomials of each point's affine
-    coordinates, for all points of one chart at once."""
-    k, stop, p = out.shape[0], start + out.shape[1], geom.prime
-    pts = np.array(geom.points[first:first + k], dtype=np.int64)
-    charts = (pts != 0).argmax(axis=1)
-    for chart in np.unique(charts).tolist():
-        at = np.flatnonzero(charts == chart)
-        ff, index = _chart_rows(d, chart)
-        affine = pts[at]
-        affine[:, chart] = 1
-        vals = monomial_values(affine, d, p)[:, index[start:stop]]
-        vals *= ff[start:stop]
-        vals %= p
-        out[at] = vals
+    def point_rows(self, geom: Geometry, d: int, mults: tuple) -> list:
+        """The degree-d rows of every point, point i's holding at least the
+        orders below mults[i].  The points that hold fewer are filled
+        again: one evaluation of the degree-d monomials per affine chart,
+        times the chart's falling factorials, for each point's new depth."""
+        n_cols = monomial_exponents(d).shape[0]
+        rows = self.rows.get(d)
+        if rows is None:
+            rows = self.rows[d] = [np.empty((0, n_cols), dtype=np.int32)] * len(geom.points)
+        deeper = {i: _mult_rows(m) for i, m in enumerate(mults) if len(rows[i]) < _mult_rows(m)}
+        if not deeper:
+            return rows
+        at, depths = np.array(list(deeper)), np.array(list(deeper.values()))
+        pts = np.array(geom.points, dtype=np.int64)[at]
+        charts = (pts != 0).argmax(axis=1)
+        for chart in np.unique(charts).tolist():
+            mine = charts == chart
+            ff, index = _chart_rows(d, chart)
+            # the kept rows come before the int64 temporaries, so that the
+            # heap can give the temporaries' pages back when they are freed
+            groups = [(depth, np.flatnonzero(depths[mine] == depth))
+                      for depth in np.unique(depths[mine]).tolist()]
+            blocks = [np.empty((len(group), depth, n_cols), dtype=np.int32) for depth, group in groups]
+            affine = pts[mine]
+            affine[:, chart] = 1
+            values = monomial_values(affine, d, geom.prime)
+            for (depth, group), block in zip(groups, blocks):
+                vals = values[group[:, None, None], index[:depth]]
+                vals *= ff[:depth]
+                vals %= geom.prime
+                block[...] = vals
+                for i, point in zip(at[mine][group].tolist(), block):
+                    rows[i] = point
+        return rows
 
 
 _WORKSPACES: "weakref.WeakKeyDictionary[Geometry, _Workspace]" = weakref.WeakKeyDictionary()
@@ -380,37 +386,30 @@ def _rows(geoms: Sequence[Geometry], d: int, done: tuple, mults: tuple) -> np.nd
     """The rows imposing ``mults`` beyond the ``done`` multiplicities, one
     layer per geometry: shape (geometries, rows, N).
 
-    ``done`` and ``mults`` are normalized, ``done`` is no longer than
-    ``mults`` and no entry of it is larger.  The rows come order by order:
-    the points that gain order k, ``done[i] <= k < mults[i]``, are the
-    points from #{i: done[i] > k} to #{i: mults[i] > k}, one slice of the
-    order-k table.  So each layer is one concatenation of at most
-    ``MAX_MULT`` slices, the same slices on every geometry.
+    ``done`` is no longer than ``mults`` and no entry of it is larger.  The
+    rows come point by point: point i gives its orders from ``done[i]`` up
+    to ``mults[i]``, each order's C(k+2, 2) rows in graded order, the same
+    rows on every geometry.
     """
-    spans = [(k, sum(o > k for o in done), sum(m > k for m in mults))
-             for k in range(max(mults, default=0))]
+    done = done + (0,) * (len(mults) - len(done))
+    spans = [(i, _mult_rows(o), _mult_rows(m)) for i, (o, m) in enumerate(zip(done, mults)) if o < m]
     n_cols = monomial_exponents(d).shape[0]
-    n_rows = sum((b - a) * math.comb(k + 2, 2) for k, a, b in spans)
-    out = np.empty((len(geoms), n_rows, n_cols), dtype=np.int64)
-    if not spans:  # a class with no points
+    out = np.empty((len(geoms), sum(b - a for _, a, b in spans), n_cols), dtype=np.int64)
+    if not spans:  # nothing to impose
         return out
     for layer, geom in zip(out, geoms):
-        ws = _workspace(geom)
-        np.concatenate([ws.table(geom, d, k, b)[a:b].reshape(-1, n_cols)
-                        for k, a, b in spans], out=layer)
+        rows = _workspace(geom).point_rows(geom, d, mults)
+        np.concatenate([rows[i][a:b] for i, a, b in spans], out=layer)
     return out
 
 
 def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
     """Stacked interpolation conditions for the class at the sampled
-    points, point by point, each point's rows by order."""
+    points, point by point, each point's rows by order: ``_rows``' stack
+    of one."""
     c = clazz.normalized()
     _check_conditions([geom], c)
-    ws, n_cols = _workspace(geom), monomial_exponents(c.d).shape[0]
-    tables = [ws.table(geom, c.d, k, sum(m > k for m in c.mults))
-              for k in range(max(c.mults, default=0))]
-    blocks = [tables[k][i] for i, m in enumerate(c.mults) for k in range(m)]
-    return np.concatenate([np.empty((0, n_cols), dtype=np.int64), *blocks])
+    return _rows([geom], c.d, (), c.mults)[0]
 
 
 @dataclass(eq=False)
@@ -450,8 +449,8 @@ def _extends(s: _Solution, spaces: list, c: ThreefoldClass) -> bool:
 
 def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     """Kernel basis of the class's conditions on each geometry, all of one
-    prime, as ``kernel_from_rref`` reads it off the reduced
-    ``conditions_matrix``: identity on the free columns.
+    prime, the one of the reduced ``conditions_matrix`` that is identity on
+    the free columns.
 
     The geometries are solved as one stack, whose layers share their pivot
     rows and columns.  A stack of n geometries extends a base: a solve kept
@@ -465,13 +464,13 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     from the identity, every column free, which is the full elimination.
     Each base kernel ``K`` already satisfies every condition but the extra
     rows ``B``, each point's orders from its old multiplicity to its new
-    one.  The forms left are ``N K`` with ``N`` the kernel of ``B K^T``,
-    and ``N K`` is again identity on the free columns (the free columns of
-    ``B K^T`` pick them out of the old ones), so it is exactly the basis a
-    full elimination would give.  As ``K`` is identity on its free
-    columns, ``B K^T`` is ``B`` on those columns plus a product over the
-    pivot columns alone, taken unreduced (``gfp.product``), as ``rref_mod``
-    reduces its input.  ``N`` is read straight off that reduced matrix:
+    one, as ``_rows`` gathers them.  The forms left are ``N K`` with ``N``
+    the kernel of ``B K^T``, and ``N K`` is again identity on the free
+    columns (the free columns of ``B K^T`` pick them out of the old ones),
+    so it is exactly the basis a full elimination would give.  As ``K`` is
+    identity on its free columns, ``B K^T`` is ``B`` on those columns plus
+    a product over the pivot columns alone, taken unreduced
+    (``gfp.product``), as ``rref_mod`` reduces its input.  ``N`` is read straight off that reduced matrix:
     the old free columns that stay free stay identity, those that now
     pivot take the coefficients ``-red[:, kept]^T``, and only K's pivot
     columns need one product, reduced once with the kept rows of ``K``
@@ -594,6 +593,8 @@ def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]
             c, geom.prime, geom.seed, n_cols, n_rows,
             n_cols - h0, h0, h0 - 1, h0 - (vd + 1), vd, max(-1, vd), e, kernel, geom,
         )
+        # the rows cut at most their count from the N forms, so h0 is at least
+        # vdim + 1; fewer forms left can only come from a wrong elimination
         if data.dim < data.edim or data.h1 < 0:
             raise AssertionError(
                 f"interpolation rank exceeded the condition count for {format_class(c)}"

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,8 +269,8 @@ def run_peak(snippet, timeout):
 
 
 def test_a_deep_point_costs_no_more_memory_than_a_simple_one():
-    # the rows of each derivative order are held only for the points that
-    # need them: the quintuple point adds 34 rows, not 34 rows at every point
+    # each point holds the rows of its own multiplicity: the quintuple point
+    # adds 34 rows, not 34 rows at every point
     battery = ("from fatpoints3 import oracle, parse_class\n"
                "report = oracle.run_battery(parse_class({!r}), (65537,), (0,), probes=0)\n"
                "print(report.trials[0].h0)")
@@ -289,6 +290,17 @@ def test_oracle_on_a_thousand_points_stays_in_bounded_memory():
     # the points lie on a quartic curve, so they impose 16 * 4 = 64
     # conditions on degree-16 forms: 969 - 64 forms are left
     assert "dim [904]" in run.stdout
+
+
+def test_deep_points_among_six_hundred_fit_in_a_gib():
+    # three quintuple points among 600 simple ones hold 705 rows per
+    # geometry.  Order tables sized for every point ran out of memory under
+    # this cap, and without it peaked at 1.37 GiB of address space; the
+    # point store peaks at 0.27 GiB
+    run = run_capped(["oracle", "L3(16; 5^3, 1^600)", "--probes", "0"], 2**30, 600)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    assert "dim [814]" in run.stdout
 
 
 @pytest.mark.parametrize("argv, refused", (
@@ -363,6 +375,37 @@ def test_an_invariant_breach_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(oracle, "run_battery", breach)
     code, out, err = run(capsys, "oracle", "L3(2; 1)", "--trials", "1")
+    assert (code, out) == (cli.EXIT_INVARIANT, "")
+    assert err == ("internal invariant breach: "
+                   "interpolation rank exceeded the condition count for L3(2; 1)\n")
+
+
+def no_curve_points(words, count):
+    return np.zeros((count, 4), dtype=np.int64), np.zeros(count, dtype=bool)
+
+
+@pytest.mark.parametrize("target, name, stand_in", (
+    (oracle, "_squarefree_binary_form", lambda *args: False),
+    (oracle._Words, "curve", no_curve_points),
+))
+def test_a_curve_that_is_never_smooth_is_an_error(capsys, monkeypatch, target, name, stand_in):
+    # build_geometry draws a new curve while its discriminant is not
+    # squarefree or its points run out, and gives up after 256 curves
+    # rather than loop for ever
+    oracle.get_geometry.cache_clear()
+    monkeypatch.setattr(target, name, stand_in)
+    code, out, err = run(capsys, "oracle", "L3(2; 1)", "--trials", "1", "--prime", "1073741827")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: no smooth configuration found for prime=1073741827 seed=0\n"
+
+
+def test_a_dimension_below_the_expected_one_is_an_invariant_breach(capsys, monkeypatch):
+    # the rows of a class cut at most their count from the space, so at
+    # least vdim3 + 1 forms are left and fewer mean a wrong elimination; a
+    # virtual dimension one too large stands in for one
+    vdim3 = oracle.vdim3
+    monkeypatch.setattr(oracle, "vdim3", lambda c: vdim3(c) + 1)
+    code, out, err = run(capsys, "oracle", "L3(2; 1)", "--trials", "1", "--probes", "0")
     assert (code, out) == (cli.EXIT_INVARIANT, "")
     assert err == ("internal invariant breach: "
                    "interpolation rank exceeded the condition count for L3(2; 1)\n")

@@ -701,15 +701,16 @@ def test_cache_clear_drops_the_workspace():
     g = oracle.get_geometry(P0, 0)
     oracle.solve_system(g, parse_class("L3(3; 2, 1^4)"))
     ws = oracle._workspace(g)
-    # a double point and simple points: orders 0 and 1 at degree 3
-    assert ws.last is not None and sorted(ws.tables) == [(3, 0), (3, 1)]
+    # a double point and simple points at degree 3: 4 rows, then 1 row each
+    assert ws.last is not None and list(ws.rows) == [3]
+    assert [len(rows) for rows in ws.rows[3]] == [4, 1, 1, 1, 1] + [0] * 11
     refs = (weakref.ref(g), weakref.ref(ws))
     del g, ws
     oracle.get_geometry.cache_clear()
     gc.collect()
     assert all(ref() is None for ref in refs)
     fresh = oracle._workspace(oracle.get_geometry(P0, 0))
-    assert fresh.last is None and not fresh.tables
+    assert fresh.last is None and not fresh.rows
 
 
 def test_the_geometry_cache_keys_on_the_point_count():
@@ -749,16 +750,20 @@ def test_cached_and_fresh_geometries_give_identical_kernels():
             assert np.array_equal(a, b), c
 
 
+def held_rows(geom, d):
+    """How many degree-d rows each point of the geometry holds."""
+    return [len(rows) for rows in oracle._workspace(geom).rows.get(d, [()] * len(geom.points))]
+
+
 def test_growing_the_row_table_matches_a_fresh_solve():
     g = oracle.build_geometry(P0, 4)
-    tables = oracle._workspace(g).tables
     oracle.solve_system(g, parse_class("L3(5; 2^3)"))
-    # only the points in use, at each order
-    assert [tables[5, k].shape[0] for k in (0, 1)] == [3, 3]
+    # only the points in use, each as deep as its multiplicity
+    assert held_rows(g, 5) == [4] * 3 + [0] * 13
     for txt in ("L3(5; 1^16)", "L3(5; 2^3, 1^13)"):
         c = parse_class(txt)
         grown = oracle.solve_system(g, c)
-        assert [tables[5, k].shape[0] for k in (0, 1)] == [16, 3]
+        assert held_rows(g, 5) == [4] * 3 + [1] * 13
         fresh_geom = oracle.build_geometry(P0, 4)
         fresh = oracle.solve_system(fresh_geom, c)
         assert np.array_equal(grown.kernel, fresh.kernel), txt
@@ -768,18 +773,20 @@ def test_growing_the_row_table_matches_a_fresh_solve():
 
 
 def test_the_row_table_grows_in_place():
-    # one buffer per degree and order, sized for every point: growing fills
-    # more of it, and the rows already there are neither copied nor moved
+    # a fill evaluates only the points it deepens: every other point keeps
+    # its row array, the same object, and a deepened point's new array
+    # starts with its old rows
     g = oracle.build_geometry(P0, 4)
-    tables = oracle._workspace(g).tables
     oracle.solve_system(g, parse_class("L3(5; 2^3)"))
-    for txt, sizes in (("L3(5; 2^3, 1^13)", [16, 3]), ("L3(5; 2^8, 1^8)", [16, 8])):
-        first = {k: (tables[5, k].copy(), tables[5, k]) for k in (0, 1)}
+    for txt, deepened, held in (("L3(5; 2^3, 1^13)", range(3, 16), [4] * 3 + [1] * 13),
+                                ("L3(5; 2^8, 1^8)", range(3, 8), [4] * 8 + [1] * 8)):
+        before = list(oracle._workspace(g).rows[5])
         oracle.solve_system(g, parse_class(txt))
-        assert [tables[5, k].shape[0] for k in (0, 1)] == sizes, txt
-        for k, (rows, table) in first.items():
-            assert np.shares_memory(table, tables[5, k])
-            assert np.array_equal(tables[5, k][:len(rows)], rows)
+        after = oracle._workspace(g).rows[5]
+        assert held_rows(g, 5) == held, txt
+        for i, (old, new) in enumerate(zip(before, after)):
+            assert (new is old) == (i not in deepened), (txt, i)
+            assert np.array_equal(new[:len(old)], old)
 
 
 def test_the_row_table_holds_only_the_rows_a_class_reads():
@@ -787,48 +794,46 @@ def test_the_row_table_holds_only_the_rows_a_class_reads():
     # 35 times as many
     g = oracle.build_geometry(TS_PRIME, 0, 300)
     oracle.solve_system(g, parse_class("L3(16; 1^300)"))
-    tables = oracle._workspace(g).tables
-    assert list(tables) == [(16, 0)] and tables[16, 0].shape == (300, 1, 969)
+    assert list(oracle._workspace(g).rows) == [16]
+    assert held_rows(g, 16) == [1] * 300
+    assert sum(rows.nbytes for rows in oracle._workspace(g).rows[16]) == 300 * 969 * 4
     # a quintuple point adds the 34 rows of orders 1 to 4 at that point
     # alone: 301 + 34 rows, not 35 at each of the 301 points
     g = oracle.build_geometry(TS_PRIME, 0, 301)
     assert oracle.solve_system(g, parse_class("L3(16; 5, 1^300)")).h0 == 875
-    tables = oracle._workspace(g).tables
-    assert {key: t.shape[:2] for key, t in tables.items()} == {
-        (16, 0): (301, 1), (16, 1): (1, 3), (16, 2): (1, 6), (16, 3): (1, 10), (16, 4): (1, 15)}
-    assert sum(t.shape[0] * t.shape[1] for t in tables.values()) == 335
+    assert held_rows(g, 16) == [35] + [1] * 300
+    assert sum(rows.nbytes for rows in oracle._workspace(g).rows[16]) == 335 * 969 * 4
 
 
 def test_the_row_table_grows_in_depth_and_in_points():
     # depth, then points, then depth again, and both at once, on points in
     # all four affine charts: every class asked for so far still gets its
-    # pure-Python rows, and the kernel of a fresh geometry.  Depth is a
-    # table of a new order; each order's table holds the points that need
-    # it, given as one count per order
+    # pure-Python rows, and the kernel of a fresh geometry.  Each step gives
+    # the class and then, per point, the largest multiplicity asked of it
+    # so far, whose rows that point holds
     pts = tuple(
         segre_point(s, 1, u, 1, TS_PRIME)
         for s, u in ((3, 5), (7, 0), (0, 11), (0, 0))
     )
     steps = {
-        "depth, points, depth": (((1,), (1,)), ((3,), (1, 1, 1)),
-                                 ((3, 2, 2, 1), (4, 3, 1)), ((5, 4, 2, 1), (4, 3, 2, 2, 1))),
-        "both at once": (((2,), (1, 1)), ((4, 1, 1), (3, 1, 1, 1)), ((1, 1, 1, 1), (4, 1, 1, 1))),
-        "no points": (((), ()),),
-        "points only": (((2, 1), (2, 1)), ((2, 1, 1), (3, 1))),
-        "depth only": (((1, 1), (2,)), ((3, 1), (2, 1, 1))),
+        "depth, points, depth": (((1,), (1, 0, 0, 0)), ((3,), (3, 0, 0, 0)),
+                                 ((3, 2, 2, 1), (3, 2, 2, 1)), ((5, 4, 2, 1), (5, 4, 2, 1))),
+        "both at once": (((2,), (2, 0, 0, 0)), ((4, 1, 1), (4, 1, 1, 0)),
+                         ((1, 1, 1, 1), (4, 1, 1, 1))),
+        "no points": (((), (0, 0, 0, 0)),),
+        "points only": (((2, 1), (2, 1, 0, 0)), ((2, 1, 1), (2, 1, 1, 0))),
+        "depth only": (((1, 1), (1, 1, 0, 0)), ((3, 1), (3, 1, 0, 0))),
     }
     for name, sequence in steps.items():
         geom = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
-        tables = oracle._workspace(geom).tables
         asked = []
-        for mults, sizes in sequence:
+        for mults, deepest in sequence:
             asked.append(ThreefoldClass(4, mults))
             for c in asked:
                 assert oracle.conditions_matrix(geom, c).tolist() == reference_conditions(geom, c)
             assert oracle.conditions_matrix(geom, asked[-1]).shape == (
                 sum(math.comb(m + 2, 3) for m in mults), 35)
-            assert {key: t.shape for key, t in tables.items()} == {
-                (4, k): (n, math.comb(k + 2, 2), 35) for k, n in enumerate(sizes)}, (name, mults)
+            assert held_rows(geom, 4) == [math.comb(m + 2, 3) for m in deepest], (name, mults)
             # solved right after the class before it: extends that memo when
             # the new class contains it
             fresh = dataclasses.replace(oracle.build_geometry(TS_PRIME, 0, 4), points=pts)
@@ -837,26 +842,116 @@ def test_the_row_table_grows_in_depth_and_in_points():
 
 
 def test_the_row_tables_are_int32_and_every_matrix_int64():
-    # every entry is reduced below p < 2^31, so the tables hold int32, half
+    # every entry is reduced below p < 2^31, so the store holds int32, half
     # the bytes of int64, with the same values; the rows, matrices and
-    # kernels read from them stay int64
+    # kernels read from it stay int64
     g = oracle.build_geometry(P0, 4)
     c, wider = parse_class("L3(6; 3, 2^4, 1^3)"), parse_class("L3(6; 3^2, 2^4, 1^4)")
     kernels = [oracle.solve_system(g, c).kernel, oracle.solve_system(g, wider).kernel]
-    tables = oracle._workspace(g).tables
-    assert set(tables) == {(6, 0), (6, 1), (6, 2)}
-    for (d, k), table in tables.items():
-        assert table.dtype == np.int32
-        rows = np.empty(table.shape, dtype=np.int64)
-        oracle._fill_rows(g, d, rows, 0, math.comb(k + 2, 3))
-        assert np.array_equal(table, rows) and int(rows.max()) >= 2**30
+    store = oracle._workspace(g).rows
+    assert list(store) == [6]
+    # every point holds the rows of the wider class, which asks each of
+    # them for the larger multiplicity
+    assert {rows.dtype for rows in store[6]} == {np.dtype(np.int32)}
+    held = np.concatenate(store[6])
+    assert held.tolist() == reference_conditions(g, wider) and int(held.max()) >= 2**30
     mat = oracle.conditions_matrix(g, wider)
-    assert mat.dtype == np.int64 and mat.tolist() == reference_conditions(g, wider)
+    assert mat.dtype == np.int64 and np.array_equal(mat, held)
     stack = oracle._rows([g], 6, (), wider.mults)
     assert stack.dtype == np.int64 and stack.shape == (1, *mat.shape)
     assert gfp.rref_mod(mat, P0)[0].dtype == np.int64
     # the second kernel extends the first solve
     assert [k.dtype for k in kernels] == [np.int64] * 2
+
+
+def test_conditions_matrix_is_the_row_stack_of_one():
+    # one row order, point by point: conditions_matrix is _rows' stack of
+    # one, and the rows beyond a done class are that matrix's rows of each
+    # point from its old multiplicity to its new one
+    c = parse_class("L3(5; 3, 2^2, 1^3)")
+    geoms = [oracle.build_geometry(P0, seed) for seed in (6, 7)]
+    mats = [oracle.conditions_matrix(g, c) for g in geoms]
+    assert np.array_equal(np.stack(mats), oracle._rows(geoms, c.d, (), c.mults))
+    first = np.cumsum([0, *map(oracle._mult_rows, c.mults)])
+    for done in ((), (1,), (2, 2, 1), (3, 1, 1, 1), (3, 2, 2, 1, 1), c.mults):
+        old = done + (0,) * (c.r - len(done))
+        picked = [row for i, (o, m) in enumerate(zip(old, c.mults))
+                  for row in range(first[i] + oracle._mult_rows(o), first[i] + oracle._mult_rows(m))]
+        rows = oracle._rows(geoms, c.d, done, c.mults)
+        assert rows.shape == (2, len(picked), 56), done
+        for layer, mat in zip(rows, mats):
+            assert np.array_equal(layer, mat[picked]), done
+
+
+def test_a_cold_battery_evaluates_the_monomials_once_per_geometry_and_chart(monkeypatch):
+    # a point's rows of every order come from one evaluation of its
+    # monomials, made for all the new points of a chart at once; one per
+    # order took twice the calls here, whose double points need orders 0
+    # and 1
+    c = parse_class("L3(5; 2^5, 1^7)")
+    oracle.get_geometry.cache_clear()
+    geoms = [oracle.get_geometry(p, s) for p in oracle.PRIMES for s in oracle.DEFAULT_SEEDS]
+    charts = sum(len({next(k for k in range(4) if pt[k]) for pt in g.points[:c.r]}) for g in geoms)
+    degrees = []
+    evaluate = oracle.monomial_values
+
+    def counted(z, d, p):
+        degrees.append(d)
+        return evaluate(z, d, p)
+
+    monkeypatch.setattr(oracle, "monomial_values", counted)
+    oracle.run_battery(c, probes=0)
+    assert degrees == [5] * charts and charts >= len(geoms)
+    # warm: every point already holds its rows
+    oracle.run_battery(c, probes=0)
+    assert len(degrees) == charts
+
+
+def test_a_deep_point_leaves_only_its_own_rows_after_the_solve():
+    # L3(16; 5, 1^300) on five geometries of one prime: the kernels hold
+    # 5 x 875 x 969 int64 entries, 32.3 MiB, and each geometry keeps the
+    # 335 rows the class reads, 1.2 MiB of int32.  Order tables sized for
+    # every point held 228.7 MiB after the solve; the point store 40.4 MiB
+    c = parse_class("L3(16; 5, 1^300)")
+    geoms = [oracle.build_geometry(P0, seed, 301) for seed in range(5)]
+    tracemalloc.start()
+    try:
+        systems = oracle._solve(geoms, c)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [s.h0 for s in systems] == [875] * 5
+    assert held < 80 * 2**20, held / 2**20
+
+
+def test_a_point_off_the_fixed_quadric_is_off_the_curve():
+    # every drawn point lies on xw = yz by construction, so build_geometry
+    # never meets this branch; the check keeps a point off that quadric
+    # from passing on the second quadric alone
+    g = geom0()
+    assert oracle._quad_eval(oracle._qbar_coeffs(P0), (1, 0, 0, 1), P0) == 1
+    assert oracle._curve_value(g, (1, 0, 0, 1)) == 1
+    assert [oracle._curve_value(g, pt) for pt in g.points] == [0] * len(g.points)
+
+
+def test_a_tangent_witness_gives_its_point_and_direction(monkeypatch):
+    # a pair category fires first on every class the suites probe, so only
+    # the tangent categories run here.  The quadrics through nine points of
+    # the quartic curve contain it, so both forms of the pencil vanish at
+    # every curve point, and every direction there is flat
+    tangents = tuple(row for row in oracle._SEPARATION_CATEGORIES if row[0].startswith("tangent"))
+    assert [row[0] for row in tangents] == ["tangent-generic", "tangent-on-curve"]
+    monkeypatch.setattr(oracle, "_SEPARATION_CATEGORIES", tangents)
+    g, c = geom0(), parse_class("L3(2; 1^9)")
+    sysd = oracle.solve_system(g, c)
+    report = oracle.probe_separation(g, c, 16, sysd)
+    assert report.fired and [w.kind for w in report.witnesses] == ["tangent-on-curve"]
+    data = report.witnesses[0].data
+    assert sorted(data) == ["direction", "point"]
+    z, v = data["point"], data["direction"]
+    assert oracle._curve_value(g, z) == 0 and z not in map(list, g.points[:9])
+    values = np.stack([oracle.monomial_values(z, 2, P0), oracle.derivative_values(z, v, 2, P0)])
+    assert gfp.rank_mod(gfp.matmul_mod(values, sysd.kernel.T, P0), P0) <= 1
 
 
 def test_a_cold_stacked_solve_holds_no_full_size_temporary():

@@ -1514,6 +1514,9 @@ def test_stacked_rref_mod_named_cases():
     assert check_stacked_rref(alike, p) == list(range(3)) + list(range(PANEL, PANEL + 3))
     assert check_stacked_rref(apart, p) is None
     check_rref(apart[0], p)
+    # a first layer with no pivot at all where the others have one
+    empty_first = stack_matrix("nonzero", "zeroed", 3, 1, 5, p, np.random.default_rng(0))
+    assert check_stacked_rref(empty_first, p) is None
 
 
 FREE_ROW_PRIMES = (65537, 2**31 - 1)
