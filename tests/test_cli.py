@@ -388,7 +388,7 @@ def no_curve_points(words, count):
     (oracle, "_squarefree_binary_form", lambda *args: False),
     (oracle._Words, "curve", no_curve_points),
 ))
-def test_a_curve_that_is_never_smooth_is_an_error(capsys, monkeypatch, target, name, stand_in):
+def test_a_geometry_that_cannot_be_built_is_an_error(capsys, monkeypatch, target, name, stand_in):
     # build_geometry draws a new curve while its discriminant is not
     # squarefree or its points run out, and gives up after 256 curves
     # rather than loop for ever
