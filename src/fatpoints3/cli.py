@@ -504,6 +504,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # a ClassParseError's message already carries the offending position
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE
+        except MemoryError as err:
+            # a class inside the oracle's bounds can still outgrow an address-space limit
+            print(f"error: out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+            return EXIT_USAGE
         except AssertionError as err:
             print(f"internal invariant breach: {err}", file=sys.stderr)
             return EXIT_INVARIANT

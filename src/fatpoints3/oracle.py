@@ -51,7 +51,7 @@ MAX_PROBES = 100_000  # probes per category; their memory and time grow faster t
 MAX_GEOMETRIES = 96  # geometries of one battery, and of the geometry cache
 # condition-matrix entries of one prime's stack, 512 MiB of int64; at its
 # peak the prime's solve holds that stack, the same rows in its geometries'
-# point stores at 4 bytes an entry, and the int64 kernels
+# point stores at 4 bytes an entry, and the int32 kernel blocks
 _MAX_ENTRIES = 2**26
 MAX_DEGREE = 16
 MAX_MULT = 5
@@ -321,11 +321,10 @@ class _Workspace:
     a class asks it for a larger multiplicity, and leaves the other points'
     arrays as they are.  ``solves`` holds the (solution, layer) of the last
     ``_HISTORY`` classes solved on the geometry, oldest first, and ``last``
-    is the newest: its kernel is ``solution.kernels[layer]``, see
-    ``_kernels``.  Every older solution keeps only its pivot columns as
-    int32, at most N^2/4 entries of 4 bytes per geometry, so the older
-    solves hold at most 7 N^2 bytes per geometry, less than the 8 N^2 one
-    int64 kernel may take.
+    is the newest, see ``_kernels``.  Each keeps only its kernel's pivot
+    columns as int32, at most N^2/4 entries of 4 bytes per geometry, so the
+    solves hold at most 8 N^2 bytes per geometry, what one int64 kernel
+    may take.
     """
 
     def __init__(self) -> None:
@@ -414,29 +413,17 @@ def conditions_matrix(geom: Geometry, clazz: ThreefoldClass) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Solution:
-    """One stacked solve: a class and its kernels, shape (geometries, h0, N),
-    which are identity on the same ``free`` columns; ``pivots`` are the
-    others.  Once a newer solve replaces it, ``retire`` keeps only
-    ``block``, the kernels' pivot columns, shape (geometries, h0, N - h0),
-    as int32: every entry is below p < 2^31."""
+    """One stacked solve: a class and its kernels, one per geometry, which
+    are identity on the same ``free`` columns; ``pivots`` are the others.
+    Only ``block`` is kept, the kernels' pivot columns, shape
+    (geometries, h0, N - h0), as int32: every entry is below p < 2^31.
+    ``SystemData.kernel`` builds a whole kernel where one is read."""
 
     d: int
     mults: tuple
-    kernels: Optional[np.ndarray]
     free: np.ndarray
     pivots: np.ndarray
-    block: Optional[np.ndarray] = None
-
-    def retire(self) -> None:
-        if self.kernels is not None:
-            self.block = self.kernels[:, :, self.pivots].astype(np.int32)
-            self.kernels = None
-
-    def pivot_columns(self, n: int) -> np.ndarray:
-        """The pivot columns of the first n kernels, as int64."""
-        if self.kernels is None:
-            return self.block[:n].astype(np.int64)
-        return self.kernels[:n][:, :, self.pivots]
+    block: np.ndarray
 
 
 def _extends(s: _Solution, spaces: list, c: ThreefoldClass) -> bool:
@@ -447,18 +434,18 @@ def _extends(s: _Solution, spaces: list, c: ThreefoldClass) -> bool:
             and all((s, layer) in ws.solves for layer, ws in enumerate(spaces)))
 
 
-def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
+def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[tuple]:
     """Kernel basis of the class's conditions on each geometry, all of one
     prime, the one of the reduced ``conditions_matrix`` that is identity on
-    the free columns.
+    the free columns, as the (solution, layer) that holds it.
 
     The geometries are solved as one stack, whose layers share their pivot
     rows and columns.  A stack of n geometries extends a base: a solve kept
     in their workspaces as its layers 0..n-1, in order, of a class of the
     same degree with no larger multiplicity at any point.  The last solve's
-    kernel is returned at once, before any row is read, for its own class,
-    as for the probe pass's stack of one on the first geometry of a
-    battery, and when it is empty, as no form is left to lose.  Else
+    own layers are returned at once, before any row is read, for its own
+    class, as for the probe pass's stack of one on the first geometry of a
+    battery, and when its kernel is empty, as no form is left to lose.  Else
     the base is the kept solve with an empty kernel or, failing that, the
     most condition rows, the newest on a tie; with none, the stack starts
     from the identity, every column free, which is the full elimination.
@@ -470,21 +457,21 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     so it is exactly the basis a full elimination would give.  As ``K`` is
     identity on its free columns, ``B K^T`` is ``B`` on those columns plus
     a product over the pivot columns alone, taken unreduced
-    (``gfp.product``), as ``rref_mod`` reduces its input.  ``N`` is read straight off that reduced matrix:
-    the old free columns that stay free stay identity, those that now
-    pivot take the coefficients ``-red[:, kept]^T``, and only K's pivot
-    columns need one product, reduced once with the kept rows of ``K``
-    added.  When two layers pivot differently the geometries are solved one
+    (``gfp.product``), as ``rref_mod`` reduces its input.  The new block,
+    ``N K`` on its pivot columns in their sorted order, is read straight
+    off that reduced matrix: the old free columns that now pivot take the
+    coefficients ``-red[:, kept]^T``, and K's pivot columns one product,
+    reduced once with the kept rows of ``K`` added.  No whole kernel is
+    built.  When two layers pivot differently the geometries are solved one
     by one, as stacks of one.  Each solve is kept in its geometries'
-    workspaces, and the one it replaces as their last keeps only its pivot
-    columns.
+    workspaces.
     """
     p, n, n_cols = geoms[0].prime, len(geoms), monomial_exponents(c.d).shape[0]
     spaces = [_workspace(g) for g in geoms]
     last = spaces[0].last and spaces[0].last[0]
-    if (last is not None and last.kernels is not None and _extends(last, spaces, c)
-            and (last.kernels.shape[1] == 0 or last.mults == c.mults)):
-        return list(last.kernels[:n])  # a view: the stack may be a prefix
+    if (last is not None and _extends(last, spaces, c)
+            and (last.free.size == 0 or last.mults == c.mults)):
+        return [(last, layer) for layer in range(n)]  # the stack may be a prefix
     bases = [s for s, layer in reversed(spaces[0].solves) if layer == 0 and _extends(s, spaces, c)]
     base = max(bases, default=None,
                key=lambda s: (s.free.size == 0, sum(map(_mult_rows, s.mults))))
@@ -492,8 +479,7 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
         free, pivots = np.arange(n_cols), np.arange(0)
         coords = _rows(geoms, c.d, (), c.mults)
     else:
-        free, pivots = base.free, base.pivots
-        old = base.pivot_columns(n)
+        free, pivots, old = base.free, base.pivots, base.block[:n]
         rows = _rows(geoms, c.d, base.mults, c.mults)
         coords = gfp.product(rows[:, :, pivots], old.swapaxes(1, 2), p)
         coords += rows[:, :, free]
@@ -504,33 +490,30 @@ def _kernels(geoms: Sequence[Geometry], c: ThreefoldClass) -> list[np.ndarray]:
     kept = np.ones(free.size, dtype=bool)
     kept[new] = False
     coeffs = reduced[0][:, :len(new)][:, :, kept]
-    del coords, reduced  # the reduced matrix goes before the kernel comes
+    del coords, reduced  # the reduced matrix goes before the block comes
     # -x mod p in place: p - x, and p back to 0
     np.subtract(p, coeffs, out=coeffs)
     coeffs[coeffs == p] = 0
     coeffs = coeffs.swapaxes(1, 2)
-    kernel = np.zeros((n, coeffs.shape[1], n_cols), dtype=np.int64)
-    kernel[:, np.arange(coeffs.shape[1]), free[kept]] = 1
-    kernel[:, :, free[new]] = coeffs
+    is_free = np.zeros(n_cols, dtype=bool)
+    is_free[free[kept]] = True
+    new_free, new_pivots = np.flatnonzero(is_free), np.flatnonzero(~is_free)
+    block = np.empty((n, new_free.size, new_pivots.size), dtype=np.int32)
+    block[:, :, np.searchsorted(new_pivots, free[new])] = coeffs
     if pivots.size:
         update = gfp.product(coeffs, old[:, new], p)
         update += old[:, kept]
-        kernel[:, :, pivots] = gfp.reduce_mod(update, p)
-    # shared with the returned SystemData and the next solve on these geometries
-    kernel.flags.writeable = False
-    is_free = np.zeros(n_cols, dtype=bool)
-    is_free[free[kept]] = True
-    solution = _Solution(c.d, c.mults, kernel, np.flatnonzero(is_free), np.flatnonzero(~is_free))
+        block[:, :, np.searchsorted(new_pivots, pivots)] = gfp.reduce_mod(update, p)
+    solution = _Solution(c.d, c.mults, new_free, new_pivots, block)
     for layer, ws in enumerate(spaces):
-        if ws.last and ws.last[0] is not solution:
-            ws.last[0].retire()
         ws.solves.append((solution, layer))
-    return list(kernel)
+    return [(solution, layer) for layer in range(n)]
 
 
 @dataclass
 class SystemData:
-    """One exact interpolation computation for one class on one geometry."""
+    """One exact interpolation computation for one class on one geometry:
+    layer ``layer`` of the stacked ``solution``."""
 
     clazz: ThreefoldClass
     prime: int
@@ -544,8 +527,20 @@ class SystemData:
     vdim: int
     edim: int
     curve_degree: int
-    kernel: np.ndarray
+    solution: _Solution
+    layer: int
     geometry: Geometry
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The kernel basis, shape (h0, N), as read-only int64, built on each
+        read: identity on the solve's free columns, the layer's block on
+        its pivot columns."""
+        kernel = np.zeros((self.h0, self.n_cols), dtype=np.int64)
+        kernel[np.arange(self.h0), self.solution.free] = 1
+        kernel[:, self.solution.pivots] = self.solution.block[self.layer]
+        kernel.flags.writeable = False
+        return kernel
 
     @cached_property
     def sketch(self) -> np.ndarray:
@@ -576,22 +571,24 @@ def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]
     c = clazz.normalized()
     if c.d >= 0:
         _check_conditions(geoms, c)
-        kernels = _kernels(geoms, c)
+        solves = _kernels(geoms, c)
     elif any(m < 0 for m in c.mults):
         raise ValueError("negative multiplicity")
     elif c.d < -3:
         raise ValueError("degree below -3 is outside the model")
-    else:
-        kernels = [np.zeros((0, 0), dtype=np.int64)] * len(geoms)
+    else:  # no monomial: an empty kernel on no column
+        none = np.arange(0)
+        empty = _Solution(c.d, c.mults, none, none, np.zeros((1, 0, 0), dtype=np.int32))
+        solves = [(empty, 0)] * len(geoms)
     vd = vdim3(c)
     e = 4 * c.d - sum(c.mults)
     n_rows = sum(_mult_rows(m) for m in c.mults) if c.d >= 0 else 0
     systems = []
-    for geom, kernel in zip(geoms, kernels):
-        h0, n_cols = kernel.shape
+    for geom, (solution, layer) in zip(geoms, solves):
+        h0, rank = solution.block.shape[1:]
         data = SystemData(
-            c, geom.prime, geom.seed, n_cols, n_rows,
-            n_cols - h0, h0, h0 - 1, h0 - (vd + 1), vd, max(-1, vd), e, kernel, geom,
+            c, geom.prime, geom.seed, h0 + rank, n_rows,
+            rank, h0, h0 - 1, h0 - (vd + 1), vd, max(-1, vd), e, solution, layer, geom,
         )
         # the rows cut at most their count from the N forms, so h0 is at least
         # vdim + 1; fewer forms left can only come from a wrong elimination

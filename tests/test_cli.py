@@ -380,6 +380,28 @@ def test_an_invariant_breach_exits_3(capsys, monkeypatch):
                    "interpolation rank exceeded the condition count for L3(2; 1)\n")
 
 
+def test_running_out_of_memory_is_an_error_line():
+    # L3(16; 5^16) passes the size checks, but its first prime's stack of
+    # (5, 560, 969) int64 rows does not fit in 120 MiB of address space,
+    # neither beside whole int64 kernels nor beside int32 blocks.  Near
+    # 160 MiB OpenBLAS gives up before numpy raises anything
+    run = run_capped(["oracle", "L3(16; 5^16)", "--probes", "0"], 120 * 2**20, 120)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == cli.EXIT_USAGE == 1 and run.stdout == ""
+    assert run.stderr.startswith("error: out of memory: Unable to allocate ")
+    assert run.stderr.count("\n") == 1
+
+
+def test_a_memory_error_without_a_message_is_an_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "run_battery", exhausted)
+    code, out, err = run(capsys, "oracle", "L3(2; 1)", "--trials", "1")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: out of memory: an allocation failed\n"
+
+
 def no_curve_points(words, count):
     return np.zeros((count, 4), dtype=np.int64), np.zeros(count, dtype=bool)
 

@@ -908,10 +908,10 @@ def test_a_cold_battery_evaluates_the_monomials_once_per_geometry_and_chart(monk
 
 
 def test_a_deep_point_leaves_only_its_own_rows_after_the_solve():
-    # L3(16; 5, 1^300) on five geometries of one prime: the kernels hold
-    # 5 x 875 x 969 int64 entries, 32.3 MiB, and each geometry keeps the
-    # 335 rows the class reads, 1.2 MiB of int32.  Order tables sized for
-    # every point held 228.7 MiB after the solve; the point store 40.4 MiB
+    # L3(16; 5, 1^300) on five geometries of one prime: each geometry keeps
+    # the 335 rows the class reads, 1.2 MiB of int32.  Order tables sized
+    # for every point held 228.7 MiB after the solve; the point store
+    # 40.4 MiB beside whole int64 kernels, 9.6 MiB beside int32 blocks
     c = parse_class("L3(16; 5, 1^300)")
     geoms = [oracle.build_geometry(P0, seed, 301) for seed in range(5)]
     tracemalloc.start()
@@ -922,6 +922,47 @@ def test_a_deep_point_leaves_only_its_own_rows_after_the_solve():
         tracemalloc.stop()
     assert [s.h0 for s in systems] == [875] * 5
     assert held < 80 * 2**20, held / 2**20
+
+
+def test_a_solve_keeps_only_the_pivot_columns_of_its_kernels():
+    # the same solve: its 5 x 875 x 969 int64 kernels, 32.3 MiB, held
+    # 40.4 MiB in all; their int32 pivot columns, 5 x 875 x 94, 1.6 MiB,
+    # hold 9.6 MiB with the rows
+    c = parse_class("L3(16; 5, 1^300)")
+    geoms = [oracle.build_geometry(P0, seed, 301) for seed in range(5)]
+    tracemalloc.start()
+    try:
+        systems = oracle._solve(geoms, c)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [s.h0 for s in systems] == [875] * 5
+    assert held < 20 * 2**20, held / 2**20
+
+
+def check_kernel(sysd, expected):
+    """``SystemData.kernel`` is built on each read, equal each time, as
+    read-only int64."""
+    first, second = sysd.kernel, sysd.kernel
+    assert first is not second
+    for kernel in (first, second):
+        assert kernel.dtype == np.int64 and not kernel.flags.writeable
+        assert np.array_equal(kernel, expected), sysd.clazz
+
+
+def test_the_kernel_is_built_from_the_solve_on_each_read():
+    g = geom0()
+    twin = dataclasses.replace(g, points=(g.points[0],) + g.points[:-1])
+    for txt in ("L3(4; 2^3, 1^4)", "L3(2; 1^10)", "L3(6; 3^2, 2)"):
+        c = parse_class(txt)
+        # the twin's repeated point makes the stack pivot apart: two solves
+        systems = oracle._solve([g, twin], c)
+        assert systems[0].solution is not systems[1].solution, txt
+        for geom, sysd in zip((g, twin), systems):
+            check_kernel(sysd, gfp.kernel_mod(oracle.conditions_matrix(geom, c), P0))
+    for sysd in oracle._solve([g, twin], parse_class("L3(-1; 1^2)")):
+        assert (sysd.n_cols, sysd.h0) == (0, 0)
+        check_kernel(sysd, np.zeros((0, 0), dtype=np.int64))
 
 
 def test_a_point_off_the_fixed_quadric_is_off_the_curve():

@@ -1700,8 +1700,21 @@ def fresh_system(prime, seed, c):
     return oracle.solve_system(oracle.build_geometry(prime, seed, max(oracle.DEFAULT_POINTS, c.r)), c)
 
 
+def check_kept(solution, layer, kernel, why=None):
+    """A kept solve holds ``kernel`` on its layer: its int32 block, shape
+    (layers, h0, N - h0), is the kernel's pivot columns, and the kernel is
+    identity on the free columns."""
+    h0, n_cols = kernel.shape
+    columns = np.sort(np.concatenate([solution.free, solution.pivots]))
+    assert solution.block.dtype == np.int32, why
+    assert solution.block.shape == (solution.block.shape[0], h0, n_cols - h0), why
+    assert np.array_equal(columns, np.arange(n_cols)), why
+    assert np.array_equal(kernel[:, solution.free], np.eye(h0, dtype=np.int64)), why
+    assert np.array_equal(kernel[:, solution.pivots], solution.block[layer]), why
+
+
 def check_battery(c, primes, seeds):
-    """``run_battery``'s trials, and the kernel it leaves on each geometry,
+    """``run_battery``'s trials, and the solve it leaves on each geometry,
     equal ``solve_system`` on fresh geometries, one at a time."""
     report = oracle.run_battery(c, primes=primes, seeds=seeds)
     expected = []
@@ -1712,9 +1725,7 @@ def check_battery(c, primes, seeds):
                                                sysd.n_rows, sysd.n_cols))
             geom = oracle.get_geometry(prime, seed, max(oracle.DEFAULT_POINTS, c.r))
             solution, layer = oracle._workspace(geom).last
-            kernel = solution.kernels[layer]
-            assert kernel.dtype == sysd.kernel.dtype, (c, prime, seed)
-            assert np.array_equal(kernel, sysd.kernel), (c, prime, seed)
+            check_kept(solution, layer, sysd.kernel, (c, prime, seed))
     assert report.trials == tuple(expected), c
     return report
 
@@ -1776,10 +1787,10 @@ def test_stack_of_one_extends_the_first_layer_of_a_deeper_stack(monkeypatch):
     oracle.run_battery(first, primes=(WARM_PRIME,), seeds=oracle.DEFAULT_SEEDS)
     geom = oracle.get_geometry(WARM_PRIME, 0)
     solution, layer = oracle._workspace(geom).last
-    assert layer == 0 and len(solution.kernels) == len(oracle.DEFAULT_SEEDS)
+    assert layer == 0 and len(solution.block) == len(oracle.DEFAULT_SEEDS)
     done = spy_done(monkeypatch)
     hit = oracle.solve_system(geom, first)
-    assert np.shares_memory(hit.kernel, solution.kernels[0])
+    assert hit.solution is solution and hit.layer == 0
     extended = oracle.solve_system(geom, grown)
     assert done == [first.mults]  # the hit reads no rows, the extension its own
     for sysd, kernel in zip((hit, extended), expected):
@@ -1790,15 +1801,15 @@ def test_probe_pass_solve_is_a_memo_hit_without_rows(monkeypatch):
     # run_battery(c, seeds=(0,)) after run_battery(c), as a sweep's probe
     # pass follows its dimension pass: each prime's stack of one is layer 0
     # of the dimension pass's stack, of the same class, so _kernels returns
-    # that kernel as it is, before reading any row
+    # that solve and layer as they are, before reading any row
     oracle.get_geometry.cache_clear()
     c = parse_class("L3(4; 2, 1^5)")
     oracle.run_battery(c)
     layer0 = {}
     for prime in oracle.PRIMES:
         solution, layer = oracle._workspace(oracle.get_geometry(prime, 0)).last
-        assert layer == 0 and len(solution.kernels) == len(oracle.DEFAULT_SEEDS)
-        layer0[prime] = solution.kernels[0]
+        assert layer == 0 and len(solution.block) == len(oracle.DEFAULT_SEEDS)
+        layer0[prime] = solution
     done = spy_done(monkeypatch)
     returned = []
     kernels = oracle._kernels
@@ -1813,9 +1824,8 @@ def test_probe_pass_solve_is_a_memo_hit_without_rows(monkeypatch):
     assert done == []
     assert [prime for prime, _ in returned] == list(oracle.PRIMES)
     for prime, out in returned:
-        assert len(out) == 1 and np.shares_memory(out[0], layer0[prime])
-        assert np.array_equal(out[0], layer0[prime])
-    assert [t.h0 for t in report.trials] == [len(layer0[prime]) for prime in oracle.PRIMES]
+        assert len(out) == 1 and out[0][0] is layer0[prime] and out[0][1] == 0
+    assert [t.h0 for t in report.trials] == [layer0[prime].free.size for prime in oracle.PRIMES]
 
 
 def test_extension_product_past_the_float_route(monkeypatch):
@@ -2004,17 +2014,20 @@ def test_history_picks_the_base_with_the_most_rows(monkeypatch):
 
 def test_stack_of_one_after_a_deeper_stack_and_back(monkeypatch):
     # a stack of one on the first geometry extends layer 0 of a deeper
-    # solve and retires it; the deeper stack then extends that retired
-    # solve with no row to add, and solving the class again is a memo hit
+    # solve, which stays kept on all three; the deeper stack then extends
+    # that solve with no row to add, and solving the class again is a memo hit
     geoms = [oracle.build_geometry(WARM_PRIME, seed) for seed in (0, 1, 2)]
     first = ThreefoldClass(4, (2, 1, 1))
-    check_stack(geoms, first)
+    kernels = [s.kernel for s in check_stack(geoms, first)]
     solution = oracle._workspace(geoms[0]).last[0]
     done = spy_done(monkeypatch)
     check_stack(geoms[:1], ThreefoldClass(4, (2, 2, 1, 1)), done)
     assert done == [first.mults]
-    assert solution.kernels is None and solution.block.dtype == np.int32
+    assert oracle._workspace(geoms[0]).last[0] is not solution
     assert oracle._workspace(geoms[1]).last[0] is solution
+    for layer, (geom, kernel) in enumerate(zip(geoms, kernels)):
+        assert (solution, layer) in oracle._workspace(geom).solves
+        check_kept(solution, layer, kernel, layer)
     check_stack(geoms, first, done)
     assert done == [first.mults]
     check_stack(geoms, first, done)
@@ -2024,17 +2037,18 @@ def test_stack_of_one_after_a_deeper_stack_and_back(monkeypatch):
     assert done == [()]
 
 
-def test_retired_solves_keep_int32_pivot_columns():
-    # one battery on fresh geometries keeps no block; each later solve
-    # retires the one before it to its kernels' pivot columns, as int32
+def test_kept_solves_hold_int32_pivot_columns():
+    # every solve, the newest on each geometry too, keeps only its kernels'
+    # pivot columns, as int32 of shape (layers, h0, N - h0)
+    assert [f.name for f in dataclasses.fields(oracle._Solution)] == ["d", "mults", "free", "pivots", "block"]
     oracle.get_geometry.cache_clear()
     oracle.run_battery(parse_class("L3(6; 3, 2^4, 1^3)"))
     geoms = [oracle.get_geometry(p, seed) for p in oracle.PRIMES for seed in oracle.DEFAULT_SEEDS]
     for geom in geoms:
         [(solution, _)] = oracle._workspace(geom).solves
-        assert solution.block is None and solution.kernels is not None
+        assert solution.block.dtype == np.int32
     returned = {}
-    # the first class again, a memo hit, returns the battery's kernels
+    # the first class again, a memo hit, returns the battery's solve
     for txt in ("L3(6; 3, 2^4, 1^3)", "L3(6; 3, 2^4, 1^4)", "L3(6; 2^3)",
                 "L3(6; 3^2, 2^4, 1^4)", "L3(6; 3^10)"):
         c = parse_class(txt)
@@ -2044,14 +2058,11 @@ def test_retired_solves_keep_int32_pivot_columns():
     n_cols = math.comb(6 + 3, 3)
     for geom in geoms:
         solves = list(oracle._workspace(geom).solves)
-        assert len(solves) == 5 and solves[-1][0].block is None
-        for solution, layer in solves[:-1]:
+        assert len(solves) == 5
+        for solution, layer in solves:
             h0 = solution.free.size
-            assert solution.kernels is None and solution.block.dtype == np.int32
             assert solution.block.shape == (len(oracle.DEFAULT_SEEDS), h0, n_cols - h0)
-            kernel = returned[solution.mults, geom.prime][layer]
-            assert np.array_equal(solution.block[layer], kernel[:, solution.pivots])
-            assert np.array_equal(kernel[:, solution.free], np.eye(h0, dtype=np.int64))
+            check_kept(solution, layer, returned[solution.mults, geom.prime][layer], solution.mults)
 
 
 def test_warm_sweep_box_pass_counts(monkeypatch):
