@@ -2040,7 +2040,8 @@ def test_stack_of_one_after_a_deeper_stack_and_back(monkeypatch):
 def test_kept_solves_hold_int32_pivot_columns():
     # every solve, the newest on each geometry too, keeps only its kernels'
     # pivot columns, as int32 of shape (layers, h0, N - h0)
-    assert [f.name for f in dataclasses.fields(oracle._Solution)] == ["d", "mults", "free", "pivots", "block"]
+    fields = [f.name for f in dataclasses.fields(oracle._Solution)]
+    assert fields == ["d", "mults", "free", "pivots", "block"]
     oracle.get_geometry.cache_clear()
     oracle.run_battery(parse_class("L3(6; 3, 2^4, 1^3)"))
     geoms = [oracle.get_geometry(p, seed) for p in oracle.PRIMES for seed in oracle.DEFAULT_SEEDS]
