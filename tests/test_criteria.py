@@ -19,7 +19,7 @@ from fatpoints3.criteria import (
     classify,
     surface_predicate,
 )
-from fatpoints3.divclass import PlaneClass, ThreefoldClass, k_int, parse_class, self_int
+from fatpoints3.divclass import PlaneClass, ThreefoldClass, format_class, k_int, parse_class, self_int
 
 
 def ns(txt):
@@ -156,6 +156,14 @@ def test_ns_certificate_trivial_and_failing():
     assert bad.failed_at == 1
     assert bad.steps[0].surface.k == 1
 
+    # a failing step's terminal names its residual, except for very
+    # ampleness, which names the step's own class
+    for goal, named in ((Goal.NONSPECIAL, "L3(0)"), (Goal.BPF, "L3(0)"),
+                        (Goal.VERY_AMPLE, "L3(2; 1^9)")):
+        bad = build_certificate(parse_class("L3(2; 1^9)"), goal)
+        assert bad.failed_at == 1 and bad.terminal.rule == "aborted: failing step"
+        assert format_class(bad.terminal.clazz) == named
+
 
 def test_ns_certificate_reduces_point_count():
     cert = build_certificate(parse_class("L3(4; 1^11)"), Goal.NONSPECIAL)
@@ -167,9 +175,13 @@ def test_ns_certificate_reduces_point_count():
 
 
 def test_bpf_certificate_small_r_terminal():
-    cert = build_certificate(parse_class("L3(2; 1^7)"), Goal.BPF)
-    assert cert.ok and len(cert.steps) == 0
-    assert "8 points" in cert.terminal.rule
+    for txt in ("L3(2; 1^7)", "L3(2; 1^8)"):
+        cert = build_certificate(parse_class(txt), Goal.BPF)
+        assert cert.ok and len(cert.steps) == 0
+        assert "8 points" in cert.terminal.rule
+    # nine points take the walk
+    cert = build_certificate(parse_class("L3(2; 1^9)"), Goal.BPF)
+    assert len(cert.steps) == 1 and "8 points" not in cert.terminal.rule
 
 
 def test_bpf_certificate_descends():
@@ -244,6 +256,8 @@ def test_certificate_out_of_budget_fails(txt, goal):
 
 def test_certificate_of_exactly_the_budget_passes():
     assert build_certificate(parse_class("L3(1000; 64^9)"), Goal.BPF).ok
+    cert = build_certificate(parse_class("L3(1000; 64^9)"), Goal.NONSPECIAL)
+    assert cert.ok and len(cert.steps) == 64 and format_class(cert.terminal.clazz) == "L3(872)"
     cert = build_certificate(parse_class("L3(300; 64^3)"), Goal.VERY_AMPLE)
     assert cert.ok and len(cert.steps) == 64 and cert.steps[-1].clamped
 
