@@ -6,7 +6,12 @@ anticanonical curve is non-special (sufficient condition, tri-state),
 base point free (iff), or very ample (iff).  ``build_certificate`` replays
 the inductive argument behind each verdict as an explicit chain of
 restriction and residual steps whose per-step predicates are verified
-numerically, so a verdict can be audited step by step.
+numerically, so a verdict can be audited step by step.  The three goals
+share one walk (restrict to the quadric, check the plane model of the
+trace, pass to the residual) and differ only in a few rules: how many steps
+the walk takes, whether a step is clamped and checks its residual's
+non-speciality, which class a failing step's terminal names, and how the
+chain ends.
 
 Point-count thresholds are implemented exactly as stated: the 4d bound is
 enforced from r >= 8 for base-point-freeness but from r >= 9 for the other
@@ -449,15 +454,6 @@ class Certificate:
 _MAX_STEPS = 64
 
 
-def _out_of_budget(goal: Goal, start: ThreefoldClass, steps: list[CertStep],
-                   cur: ThreefoldClass, augmented: tuple[AugmentedCheck, ...] = ()) -> Certificate:
-    """A chain cut off after _MAX_STEPS steps proves nothing: it fails at
-    its last step."""
-    return Certificate(goal, start, tuple(steps),
-                       Terminal(cur, "aborted: step budget exhausted", (), False),
-                       augmented, len(steps))
-
-
 def _bump(c: ThreefoldClass, i: int) -> ThreefoldClass:
     ms = list(c.mults)
     ms[i] += 1
@@ -489,10 +485,6 @@ def _augmented_checks(start: ThreefoldClass) -> tuple[AugmentedCheck, ...]:
                  for i, m in enumerate(ms))
 
 
-def _positive_count(c: ThreefoldClass) -> int:
-    return sum(1 for m in c.mults if m > 0)
-
-
 @functools.lru_cache(maxsize=256)
 def _reduced_step(cur: ThreefoldClass) -> tuple[PlaneClass, ReductionLog, int,
                                                 ThreefoldClass, ThreefoldClass, Verdict]:
@@ -518,111 +510,80 @@ def _make_step(idx: int, cur: ThreefoldClass, goal: Goal, clamped: bool,
                     ns_v if with_ns else None, clamped)
 
 
+def _chain_length(goal: Goal, start: ThreefoldClass) -> int:
+    """How many steps the chain of ``goal`` takes from the normalized
+    ``start`` when no step fails.
+
+    A step lowers every multiplicity by one and drops those that reach
+    zero, so after k steps the positive ones are the m_i > k and, with no
+    negative multiplicity, the smallest is m_r - k.  Non-speciality steps
+    while nine stay positive, m_9 times; freeness m_r times; very ampleness
+    through its clamped step, from a smallest multiplicity of 1, which is
+    step m_r.  With a negative multiplicity very ampleness never clamps, so
+    its chain runs past the budget.
+    """
+    ms = start.mults
+    if goal is Goal.NONSPECIAL:
+        return ms[8] if len(ms) >= 9 else 0
+    if goal is Goal.BPF or ms[-1] > 0:
+        return ms[-1]
+    return _MAX_STEPS + 1
+
+
+def _terminal(goal: Goal, cur: ThreefoldClass) -> Terminal:
+    """The rule that closes a chain which ends at ``cur``, with its checks."""
+    if goal is Goal.NONSPECIAL:
+        return Terminal(cur, "at most 8 points: dimension count for general points of P^3")
+    ok, conds = check_bpf(cur)
+    if goal is Goal.BPF:
+        return Terminal(cur, "smallest multiplicity exhausted: induction on fewer points",
+                        tuple(conds), ok)
+    # the clamped step also needs the residual to stay base point free
+    va_ok, va_conds = check_very_ample(cur)
+    return Terminal(cur, "smallest multiplicity exhausted: residual base point free, "
+                    "induction on fewer points", tuple(conds) + tuple(va_conds), ok and va_ok)
+
+
 def build_certificate(c: ThreefoldClass, goal: Goal) -> Certificate:
     """Replay the inductive argument for the requested property.
 
-    The chain restricts to the quadric, checks the plane-model predicate of
-    the trace, passes to the residual, and repeats until the terminal rule.
-    Non-speciality descends until at most 8 points remain; base-point-
-    freeness repeats the smallest multiplicity's worth of steps and closes
-    by induction on fewer points; very ampleness walks the smallest
-    multiplicity down to its final clamped step and additionally records
-    that every class with one multiplicity bumped stays base point free.
-    If the verdict's inequalities fail, the chain is still built and the
-    first failing step is reported, which is the useful diagnostic.
+    Freeness with at most 8 points and very ampleness with at most 2 close
+    at once, by their base cases.  Every other chain is one walk: restrict
+    to the quadric, check the plane-model predicate of the trace, pass to
+    the residual (d - 2; m - 1), and repeat for ``_chain_length`` steps;
+    ``_terminal`` then closes it.  Freeness and very ampleness also check
+    each step's residual for non-speciality; very ampleness clamps its
+    last step, which exhausts the smallest multiplicity, and records up
+    front that every class with one multiplicity bumped stays base point
+    free (``_augmented_checks``).  A chain that needs more than ``_MAX_STEPS``
+    steps proves nothing and fails at its last step.  If the verdict's
+    inequalities fail, the chain is still built up to the first failing
+    step, which is the useful diagnostic.
     """
     start = c.normalized()
-    if goal is Goal.NONSPECIAL:
-        return _certificate_ns(start)
-    if goal is Goal.BPF:
-        return _certificate_bpf(start)
-    return _certificate_va(start)
-
-
-def _certificate_ns(start: ThreefoldClass) -> Certificate:
-    steps: list[CertStep] = []
-    cur = start
-    while _positive_count(cur) >= 9:
-        if len(steps) == _MAX_STEPS:
-            return _out_of_budget(Goal.NONSPECIAL, start, steps, cur)
-        step = _make_step(len(steps) + 1, cur, Goal.NONSPECIAL, clamped=False, with_ns=False)
-        steps.append(step)
-        if not step.passed:
-            return Certificate(Goal.NONSPECIAL, start, tuple(steps),
-                               Terminal(step.next_class, "aborted: failing step", (), False),
-                               failed_at=step.index)
-        cur = step.next_class
-    term = Terminal(cur, "at most 8 points: dimension count for general points of P^3")
-    return Certificate(Goal.NONSPECIAL, start, tuple(steps), term)
-
-
-def _certificate_bpf(start: ThreefoldClass) -> Certificate:
-    r = start.r
-    if r <= 8:
+    if goal is Goal.BPF and start.r <= 8:
         term = Terminal(start, "at most 8 points: base case for general points of P^3")
-        return Certificate(Goal.BPF, start, (), term)
-    mr = min(start.mults)
-    steps: list[CertStep] = []
-    cur = start
-    for _ in range(mr):
-        if len(steps) == _MAX_STEPS:
-            return _out_of_budget(Goal.BPF, start, steps, cur)
-        step = _make_step(len(steps) + 1, cur, Goal.BPF, clamped=False, with_ns=True)
-        steps.append(step)
-        if not step.passed:
-            return Certificate(Goal.BPF, start, tuple(steps),
-                               Terminal(step.next_class, "aborted: failing step", (), False),
-                               failed_at=step.index)
-        cur = step.next_class
-    ok, conds = check_bpf(cur)
-    term = Terminal(cur, "smallest multiplicity exhausted: induction on fewer points",
-                    tuple(conds), ok)
-    return Certificate(Goal.BPF, start, tuple(steps), term)
-
-
-def _certificate_va(start: ThreefoldClass) -> Certificate:
-    """Very-ampleness chain of a normalized class.
-
-    Up to two points the projection base case decides.  Otherwise the
-    freeness of every one-bumped class is read from the start class's two
-    largest multiplicities, sum and point count (``_augmented_checks``), and
-    the chain walks the smallest multiplicity down to its clamped step; each
-    step's residual takes the verdict-only non-speciality check.  The work
-    per class is linear in r on top of the steps themselves.
-    """
-    r = start.r
-    if r <= 2:
+        return Certificate(goal, start, (), term)
+    if goal is Goal.VERY_AMPLE and start.r <= 2:
         ok, conds = check_very_ample(start)
         term = Terminal(start, "at most 2 points: projection base case", tuple(conds), ok)
-        return Certificate(Goal.VERY_AMPLE, start, (), term)
-
-    augmented = _augmented_checks(start)
-
+        return Certificate(goal, start, (), term)
+    va = goal is Goal.VERY_AMPLE
+    augmented = _augmented_checks(start) if va else ()
+    n = _chain_length(goal, start)
+    with_ns = goal is not Goal.NONSPECIAL
     steps: list[CertStep] = []
     cur = start
-    while True:
+    while len(steps) < n:
         if len(steps) == _MAX_STEPS:
-            return _out_of_budget(Goal.VERY_AMPLE, start, steps, cur, augmented)
-        clamped = min(cur.mults) == 1
-        step = _make_step(len(steps) + 1, cur, Goal.VERY_AMPLE, clamped=clamped, with_ns=True)
+            term = Terminal(cur, "aborted: step budget exhausted", (), False)
+            return Certificate(goal, start, tuple(steps), term, augmented, len(steps))
+        step = _make_step(len(steps) + 1, cur, goal, va and len(steps) + 1 == n, with_ns)
         steps.append(step)
         if not step.passed:
-            return Certificate(Goal.VERY_AMPLE, start, tuple(steps),
-                               Terminal(cur, "aborted: failing step", (), False),
-                               augmented, step.index)
+            # very ampleness names the failing step's own class, the others its
+            # residual; the golden hash pins both
+            term = Terminal(cur if va else step.next_class, "aborted: failing step", (), False)
+            return Certificate(goal, start, tuple(steps), term, augmented, step.index)
         cur = step.next_class
-        if clamped:
-            break
-
-    # The clamped step also needs the residual to stay base point free.
-    bpf_ok, bpf_conds = check_bpf(cur)
-    va_ok, va_conds = check_very_ample(cur)
-    checks = tuple(bpf_conds) + tuple(va_conds)
-    term = Terminal(
-        cur,
-        "smallest multiplicity exhausted: residual base point free, "
-        "induction on fewer points",
-        checks,
-        bpf_ok and va_ok,
-    )
-    return Certificate(Goal.VERY_AMPLE, start, tuple(steps), term, augmented)
+    return Certificate(goal, start, tuple(steps), _terminal(goal, cur), augmented)
