@@ -301,8 +301,6 @@ def _battery_args(args) -> tuple[tuple[int, ...], range]:
     primes = tuple(args.prime) if args.prime else oracle_mod.PRIMES
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    if args.probes < 0:
-        raise UsageError("--probes must not be negative")
     return primes, range(args.seed, args.seed + args.trials)
 
 

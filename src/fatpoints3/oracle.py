@@ -1507,6 +1507,28 @@ _SEPARATION_CATEGORIES = (
 )
 
 
+def _target(target: str) -> tuple:
+    """A probe target's settings: min_h0, the short witness kind, its
+    category table, the curve degrees its exact hunt covers, and the hunt.
+    The table is read at call time, so a test that swaps it is seen."""
+    if target == "base-locus":
+        return 1, "empty-system", _BASE_CATEGORIES, (1,), _base_hunt
+    return 2, "insufficient-sections", _SEPARATION_CATEGORIES, (1, 2), _separation_hunt
+
+
+def _reports(layers: list) -> list[ProbeReport]:
+    """The layers' target probe on a stack, up to its first layer that
+    fired; a hunted curve degree, with d >= 1, runs the hunt on a stack of
+    one only."""
+    pr = layers[0]
+    min_h0, short_kind, categories, hunted, hunt = _target(pr.target)
+    stack = _Stack(layers)
+    reports = stack.scan(min_h0, short_kind, categories)
+    if len(layers) > 1 or reports[0].fired or pr.d < 1 or pr.sysd.curve_degree not in hunted:
+        return reports
+    return [hunt(stack, pr)]
+
+
 def probe_base_locus(
     geom: Geometry,
     clazz: ThreefoldClass,
@@ -1519,25 +1541,20 @@ def probe_base_locus(
     two deepest assigned points, fresh points on the curve, generic points
     of the ambient space, and (only when the curve degree is exactly 1) the
     exact resultant hunt for the single forced curve point.  The stack of
-    one layer of ``_base_reports``.
+    one layer of ``_reports``.
     """
-    return _base_reports([_Probe("base-locus", geom, clazz, nprobes, sysd)])[0]
+    return _reports([_Probe("base-locus", geom, clazz, nprobes, sysd)])[0]
 
 
-def _base_reports(layers: list) -> list[ProbeReport]:
-    """``probe_base_locus`` on a stack, up to its first layer that fired;
-    the hunt runs on a stack of one only."""
-    reports = _Stack(layers).scan(1, "empty-system", _BASE_CATEGORIES)
-    pr = layers[0]
-    if len(layers) > 1 or reports[0].fired or pr.sysd.curve_degree != 1 or pr.d < 1:
-        return reports
+def _base_hunt(stack: _Stack, pr: _Probe) -> ProbeReport:
+    """Curve degree 1: the one curve point the forms all vanish at."""
     found = hunt_common_zeros(
         pr.geom, pr.sysd.kernel, pr.d, pr.assigned, frozenset(), pr.rng("probe-hunt")
     )
     pr.checked["isolated-hunt"] = 1
     if found:
-        return [pr.fired("isolated-on-curve", _point_data(found[0]))]
-    return [pr.quiet(("exact hunt found no unassigned curve point",))]
+        return pr.fired("isolated-on-curve", _point_data(found[0]))
+    return pr.quiet(("exact hunt found no unassigned curve point",))
 
 
 def probe_separation(
@@ -1553,29 +1570,28 @@ def probe_separation(
     curve-degree gated hunts cover the structurally forced failures: a
     degree-1 class has a base point (which defeats every pairing), and a
     degree-2 class identifies each curve point with a partner.  The stack
-    of one layer of ``_separation_reports``.
+    of one layer of ``_reports``.
     """
-    return _separation_reports([_Probe("separation", geom, clazz, nprobes, sysd)])[0]
+    return _reports([_Probe("separation", geom, clazz, nprobes, sysd)])[0]
 
 
-def _separation_reports(layers: list) -> list[ProbeReport]:
-    """``probe_separation`` on a stack, up to its first layer that fired;
-    the hunts run on a stack of one only."""
-    stack = _Stack(layers)
-    reports = stack.scan(2, "insufficient-sections", _SEPARATION_CATEGORIES)
-    pr = layers[0]
-    if len(layers) > 1 or reports[0].fired or pr.d < 1 or pr.sysd.curve_degree not in (1, 2):
-        return reports
+def _verified_pair(stack: _Stack, pr: _Probe, kind: str, z1, z2) -> ProbeReport:
+    """The witness of a pair a hunt built, checked against the whole basis.
+
+    The check never fails: a hunted base point gives a zero row, and a
+    partner z2 of z1 kills every form that vanishes at z1, so the row of z2
+    is a multiple of the row of z1.  A pair that fails it is a fault of the
+    hunt, raised as ``AssertionError``."""
+    pair = np.array([(z1, z2)], dtype=np.int64)
+    if not stack.unseparated(pair, np.zeros(1, dtype=np.int64))[0]:
+        raise AssertionError(f"{pr.tag}: the forms separate a hunted {kind} pair")
+    return pr.fired(kind, _pair_data((z1, z2)))
+
+
+def _separation_hunt(stack: _Stack, pr: _Probe) -> ProbeReport:
+    """Curve degree 1: a base point, which defeats every pairing.  Curve
+    degree 2: a curve point and the partner no form separates it from."""
     p, d, geom, kernel = pr.p, pr.d, pr.geom, pr.sysd.kernel
-
-    def pair_witness(kind: str, z1, z2) -> Optional[list]:
-        pair = np.array([(z1, z2)], dtype=np.int64)
-        if stack.unseparated(pair, np.zeros(1, dtype=np.int64))[0]:
-            return [pr.fired(kind, _pair_data((z1, z2)))]
-        return None
-
-    notes: list[str] = []
-    # a forced base point defeats every pairing
     if pr.sysd.curve_degree == 1:
         found = hunt_common_zeros(
             geom, kernel, d, pr.assigned, frozenset(), pr.rng("sep-hunt-base")
@@ -1583,43 +1599,31 @@ def _separation_reports(layers: list) -> list[ProbeReport]:
         pr.checked["base-point-hunt"] = 1
         if found:
             other = _Words(pr.rng("sep-pair"), geom).point()
-            report = pair_witness("unseparated-base-point", found[0], other)
-            if report:
-                return report
-        notes.append("degree-1 hunt found no base point")
+            return _verified_pair(stack, pr, "unseparated-base-point", found[0], other)
+        return pr.quiet(("degree-1 hunt found no base point",))
 
-    # curve degree 2: each curve point has a partner no form separates
-    if pr.sysd.curve_degree == 2:
-        words = _Words(pr.rng("sep-conjugate"), geom)
-        tried = 0
-        for _ in range(8):
-            z, ok = words.curve(1)
-            z1 = tuple(z[0].tolist())
-            if not ok[0] or z1 in pr.assigned_coords:
-                continue
-            tried += 1
-            pr.checked["conjugate-hunt"] = tried
-            w1 = _form_values(kernel, [z1], d, p)[0]
-            if not w1.any():
-                other = words.point()
-                report = pair_witness("unseparated-base-point", z1, other)
-                if report:
-                    return report
-                continue
-            sub = _vanishing_at(kernel, w1, p)
-            partners = hunt_common_zeros(
-                geom, sub, d, pr.assigned, frozenset([z1]), words
-            )
-            for z2 in partners:
-                report = pair_witness("conjugate-pair", z1, z2)
-                if report:
-                    return report
-            if tried >= 4:
-                break
+    words = _Words(pr.rng("sep-conjugate"), geom)
+    tried = 0
+    for _ in range(8):
+        z, ok = words.curve(1)
+        z1 = tuple(z[0].tolist())
+        if not ok[0] or z1 in pr.assigned_coords:
+            continue
+        tried += 1
         pr.checked["conjugate-hunt"] = tried
-        notes.append("degree-2 hunt found no unseparated pair")
-
-    return [pr.quiet(notes)]
+        w1 = _form_values(kernel, [z1], d, p)[0]
+        if not w1.any():
+            return _verified_pair(stack, pr, "unseparated-base-point", z1, words.point())
+        sub = _vanishing_at(kernel, w1, p)
+        partners = hunt_common_zeros(
+            geom, sub, d, pr.assigned, frozenset([z1]), words
+        )
+        if partners:
+            return _verified_pair(stack, pr, "conjugate-pair", z1, partners[0])
+        if tried >= 4:
+            break
+    pr.checked["conjugate-hunt"] = tried
+    return pr.quiet(("degree-2 hunt found no unseparated pair",))
 
 
 # ---------------------------------------------------------------------------
@@ -1731,29 +1735,30 @@ def run_battery(
     vd, ed = systems[0].vdim, systems[0].edim
     base = separation = None
     if probes > 0:
-        base = _probe_pass(systems, c, probes, "base-locus", _base_reports, (1,))
-        separation = _probe_pass(systems, c, probes, "separation", _separation_reports, (1, 2))
+        base = _probe_pass(systems, c, probes, "base-locus")
+        separation = _probe_pass(systems, c, probes, "separation")
     return OracleReport(
         c, vd, ed, systems[0].curve_degree, tuple(trials),
         min(dims), max(dims), all(x == ed for x in dims), base, separation,
     )
 
 
-def _probe_pass(systems, clazz, nprobes, target, reports, hunted) -> ProbeSummary:
+def _probe_pass(systems, clazz, nprobes, target) -> ProbeSummary:
     """One probe over the battery's geometries in order, up to the first
     that fired: the flags and report the per-geometry loop gave.
 
-    ``reports`` probes a stack of up to _BLOCK // nprobes layers, at least
+    ``_reports`` probes a stack of up to _BLOCK // nprobes layers, at least
     one, so one evaluation of every layer's candidates holds about _BLOCK.
-    A class whose curve degree is in ``hunted``, with d >= 1, goes layer by
+    A class whose curve degree the target hunts, with d >= 1, goes layer by
     layer: its hunt runs per layer and usually fires on the first."""
+    hunted = _target(target)[3]
     size = 1 if clazz.d >= 1 and systems[0].curve_degree in hunted else max(1, _BLOCK // nprobes)
     flags: list[tuple[int, int, bool]] = []
     first: Optional[ProbeReport] = None
     for start in range(0, len(systems), size):
         stack = systems[start:start + size]
-        for sysd, report in zip(stack, reports([_Probe(target, s.geometry, clazz, nprobes, s)
-                                                for s in stack])):
+        for sysd, report in zip(stack, _reports([_Probe(target, s.geometry, clazz, nprobes, s)
+                                                 for s in stack])):
             flags.append((sysd.prime, sysd.seed, report.fired))
             first = report if report.fired else None
         if first:

@@ -198,6 +198,12 @@ def test_oracle_probes_in_text(capsys):
     assert code == 0
     assert "base locus probe: FIRED" in out
     assert "separation probe: FIRED" in out
+    # curve degree 2: no base point, and the conjugate hunt pairs curve points
+    code, out, _ = run(capsys, "oracle", "L3(3; 1^10)", "--prime", "2147483647",
+                       "--trials", "1", "--probes", "16")
+    assert code == 0
+    assert "base locus probe: quiet" in out
+    assert "separation probe: FIRED (conjugate-pair)" in out
 
 
 def test_oracle_rejects_general_position(capsys):
@@ -209,8 +215,9 @@ def test_oracle_rejects_general_position(capsys):
 def test_oracle_argument_validation(capsys):
     code, _, err = run(capsys, "oracle", "L3(2; 1)", "--trials", "0")
     assert code == 1 and "--trials" in err
-    code, _, err = run(capsys, "oracle", "L3(2; 1)", "--probes", "-1")
-    assert code == 1 and "--probes" in err
+    # the oracle refuses a negative probe count; the CLI has no check of its own
+    code, _, err = run(capsys, "oracle", "L3(2)", "--probes", "-1")
+    assert code == 1 and err == "error: probes must not be negative, got -1\n"
     code, _, err = run(capsys, "oracle", "L3(2; 1)", "--prime", "97")
     assert code == 1 and "prime" in err
 

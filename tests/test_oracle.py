@@ -463,6 +463,76 @@ def test_sep_probe_curve_in_base_locus():
 
 
 # ---------------------------------------------------------------------------
+# the hunts' exits, at zero probes, where only a hunt can fire
+
+
+def test_a_curve_in_the_base_locus_leaves_the_degree_one_hunts_quiet():
+    # L3(4; 3^3, 1^6), curve degree 1: every curve point is a base point,
+    # so both resultants vanish and the hunts find nothing
+    g, c = geom0(), parse_class("L3(4; 3^3, 1^6)")
+    kernel = oracle.solve_system(g, c).kernel
+    assert not oracle._form_values(kernel, list(g.points[c.r:]), 4, P0).any()
+    b, s = base("L3(4; 3^3, 1^6)", nprobes=0), sep("L3(4; 3^3, 1^6)", nprobes=0)
+    assert not b.fired and b.checked["isolated-hunt"] == 1
+    assert b.notes == ("exact hunt found no unassigned curve point",)
+    assert not s.fired and s.checked["base-point-hunt"] == 1
+    assert s.notes == ("degree-1 hunt found no base point",)
+
+
+def test_a_restriction_of_rank_one_ends_the_conjugate_hunt_after_four_points():
+    # L3(4; 3^3, 1^5), curve degree 2: the forms restrict to multiples of
+    # one form, so the forms through a curve point vanish on the whole
+    # curve and single out no partner
+    s = sep("L3(4; 3^3, 1^5)", nprobes=0)
+    assert not s.fired and s.checked["conjugate-hunt"] == 4
+    assert s.notes == ("degree-2 hunt found no unseparated pair",)
+
+
+def test_the_conjugate_hunt_pairs_a_base_point_it_draws():
+    # L3(5; 4^3, 1^6), curve degree 2 with the curve in the base locus: the
+    # first curve point drawn has a zero row
+    s = sep("L3(5; 4^3, 1^6)", nprobes=0)
+    assert s.fired and s.checked["conjugate-hunt"] == 1
+    assert s.witnesses[0].kind == "unseparated-base-point"
+    kernel = oracle.solve_system(geom0(), parse_class("L3(5; 4^3, 1^6)")).kernel
+    z1 = tuple(s.witnesses[0].data["pair"][0])
+    assert not oracle._form_values(kernel, [z1], 5, P0).any()
+
+
+def test_the_conjugate_hunt_skips_failed_and_assigned_draws(monkeypatch):
+    # a failed curve draw and a draw of an assigned point, put in front of
+    # the stream's draws, are not tried: the hunt then pairs the stream's
+    # first draw as it did without them
+    fired = sep("L3(3; 1^10)", nprobes=0)
+    assert fired.fired and fired.checked["conjugate-hunt"] == 1
+    real = oracle._Words.curve
+    skipped = [(np.zeros((1, 4), dtype=np.int64), np.array([False])),
+               (np.array([geom0().points[0]], dtype=np.int64), np.array([True]))]
+
+    def curve(words, count):
+        return skipped.pop(0) if count == 1 and skipped else real(words, count)
+
+    monkeypatch.setattr(oracle._Words, "curve", curve)
+    assert sep("L3(3; 1^10)", nprobes=0).to_dict() == fired.to_dict()
+    assert skipped == []
+
+
+@pytest.mark.parametrize("txt", ("L3(3; 1^11)", "L3(3; 1^10)", "L3(5; 4^3, 1^6)"))
+def test_a_hunted_pair_the_forms_separate_is_an_invariant_breach(monkeypatch, capsys, txt):
+    # each hunt's pair (a base point with a random point, a conjugate pair,
+    # a base point the conjugate hunt drew) is checked once more; the
+    # random categories keep their own unseparated test from the table
+    monkeypatch.setattr(oracle._Stack, "unseparated",
+                        lambda stack, pairs, at: np.zeros(len(pairs), dtype=bool))
+    with pytest.raises(AssertionError, match=r"^L3\(.*\): the forms separate a hunted "):
+        sep(txt, nprobes=0)
+    if txt == "L3(3; 1^10)":  # no random category fires first at 16 probes
+        code = cli.main(["oracle", txt, "--trials", "1", "--probes", "16"])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("internal invariant breach: L3(3; 1^10): ")
+
+
+# ---------------------------------------------------------------------------
 # batteries
 
 

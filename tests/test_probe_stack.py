@@ -133,7 +133,7 @@ def test_fresh_curve_rewinds_inside_a_stack(monkeypatch):
     c = parse_class("L3(4; 2, 1^5)")
     geoms = [oracle.get_geometry(p, 0) for p in (65537, 2147483647, 1073741827)]
     monkeypatch.setattr(oracle, "_lift", spy)
-    stacked = oracle._separation_reports([oracle._Probe("separation", g, c, 100, None) for g in geoms])
+    stacked = oracle._reports([oracle._Probe("separation", g, c, 100, None) for g in geoms])
     assert rewinds == [65537]
     rewinds.clear()
     reference = []
