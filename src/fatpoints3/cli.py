@@ -298,6 +298,7 @@ def cmd_vdim(args) -> int:
 
 
 def _battery_args(args) -> tuple[tuple[int, ...], range]:
+    _require_curve_mode(Mode(args.mode))
     primes = tuple(args.prime) if args.prime else oracle_mod.PRIMES
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
@@ -306,7 +307,6 @@ def _battery_args(args) -> tuple[tuple[int, ...], range]:
 
 def cmd_oracle(args) -> int:
     c = _require_space_class(parse_class(args.cls), "oracle")
-    _require_curve_mode(Mode(args.mode))
     primes, seeds = _battery_args(args)
     report = oracle_mod.run_battery(c, primes, seeds, probes=args.probes)
     if args.format == "json":
@@ -429,7 +429,6 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--rmax={args.rmax} outside 0..{SWEEP_CAP_POINTS}")
     if args.mmax < 1 or args.mmax > oracle_mod.MAX_MULT:
         raise UsageError(f"--mmax={args.mmax} outside 1..{oracle_mod.MAX_MULT}")
-    _require_curve_mode(Mode(args.mode))
     primes, seeds = _battery_args(args)
 
     rows = [
@@ -495,10 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not args.command:
                 raise UsageError("a command is required (classify, reduce, vdim, oracle, sweep)")
             return _COMMANDS[args.command](args)
-        except UsageError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        except (ValueError, RuntimeError) as err:
+        except (UsageError, ValueError, RuntimeError) as err:
             # a ClassParseError's message already carries the offending position
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE

@@ -146,24 +146,18 @@ def vdim_quadric(c: QuadricClass) -> int:
 # intersection pairing
 
 
-def _padded(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    n = max(len(u), len(v))
-    return u + (0,) * (n - len(u)), v + (0,) * (n - len(v))
-
-
 def pair(c1: AnyClass, c2: AnyClass) -> int:
     """Intersection number of two classes on the same surface model.
 
     Plane: h^2 = 1, e_i.e_j = -delta_ij.  Quadric: f1.f2 = 1, f1^2 = f2^2 = 0,
-    e_i.e_j = -delta_ij.  Classes with different point counts are zero-padded;
-    mixing the two models is rejected.
+    e_i.e_j = -delta_ij.  Classes with different point counts pair as if
+    zero-padded: ``zip`` stops at the shorter, whose missing entries would
+    add nothing.  Mixing the two models is rejected.
     """
     if isinstance(c1, PlaneClass) and isinstance(c2, PlaneClass):
-        u, v = _padded(c1.mults, c2.mults)
-        return c1.d * c2.d - sum(a * b for a, b in zip(u, v))
+        return c1.d * c2.d - sum(a * b for a, b in zip(c1.mults, c2.mults))
     if isinstance(c1, QuadricClass) and isinstance(c2, QuadricClass):
-        u, v = _padded(c1.mults, c2.mults)
-        return c1.a * c2.b + c1.b * c2.a - sum(a * b for a, b in zip(u, v))
+        return c1.a * c2.b + c1.b * c2.a - sum(a * b for a, b in zip(c1.mults, c2.mults))
     raise TypeError(
         f"cannot pair {type(c1).__name__} with {type(c2).__name__}: "
         "intersection numbers live on a single surface model"
@@ -257,12 +251,9 @@ class ReductionLog:
 def is_standard_form(c: PlaneClass) -> bool:
     """True when d >= m1+m2+m3 for the three largest multiplicities and all
     multiplicities are non-negative (zero-padded below three entries)."""
-    ms = sorted(c.mults, reverse=True)
-    while len(ms) < 3:
-        ms.append(0)
-    if c.mults and min(c.mults) < 0:
+    if min(c.mults, default=0) < 0:
         return False
-    return c.d >= ms[0] + ms[1] + ms[2]
+    return c.d >= sum(sorted(c.mults, reverse=True)[:3])
 
 
 def _top3_indices(mults: tuple[int, ...]) -> tuple[int, int, int]:

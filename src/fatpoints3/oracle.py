@@ -286,11 +286,13 @@ def _mult_rows(m: int) -> int:
 def _check_class(c: ThreefoldClass, layers: int) -> None:
     """Reject a normalized class whose conditions no geometry can hold, or
     whose condition matrices on ``layers`` geometries of one prime would
-    pass ``_MAX_ENTRIES``."""
+    pass ``_MAX_ENTRIES``: the one class gate, at every degree."""
     if any(m < 0 for m in c.mults):
         raise ValueError("negative multiplicity")
-    if c.d < 0 or c.d > MAX_DEGREE:
-        raise ValueError(f"degree {c.d} outside the supported range 0..{MAX_DEGREE}")
+    if c.d < -3:
+        raise ValueError("degree below -3 is outside the model")
+    if c.d > MAX_DEGREE:
+        raise ValueError(f"degree {c.d} outside the supported range -3..{MAX_DEGREE}")
     if any(m > MAX_MULT for m in c.mults):
         raise ValueError(f"multiplicity above the supported bound {MAX_MULT}")
     entries = layers * sum(map(_mult_rows, c.mults)) * math.comb(c.d + 3, 3)
@@ -391,8 +393,10 @@ def _rows(geoms: Sequence[Geometry], d: int, done: tuple, mults: tuple) -> np.nd
     rows on every geometry.
     """
     done = done + (0,) * (len(mults) - len(done))
-    spans = [(i, _mult_rows(o), _mult_rows(m)) for i, (o, m) in enumerate(zip(done, mults)) if o < m]
     n_cols = monomial_exponents(d).shape[0]
+    # a degree with no monomial, below 0, has no condition row
+    spans = [(i, _mult_rows(o), _mult_rows(m)) for i, (o, m) in enumerate(zip(done, mults))
+             if o < m and n_cols]
     out = np.empty((len(geoms), sum(b - a for _, a, b in spans), n_cols), dtype=np.int64)
     if not spans:  # nothing to impose
         return out
@@ -569,30 +573,22 @@ def solve_system(geom: Geometry, clazz: ThreefoldClass) -> SystemData:
 def _solve(geoms: Sequence[Geometry], clazz: ThreefoldClass) -> list[SystemData]:
     """``solve_system`` on each geometry, all of one prime, as one stack."""
     c = clazz.normalized()
-    if c.d >= 0:
-        _check_conditions(geoms, c)
-        solves = _kernels(geoms, c)
-    elif any(m < 0 for m in c.mults):
-        raise ValueError("negative multiplicity")
-    elif c.d < -3:
-        raise ValueError("degree below -3 is outside the model")
-    else:  # no monomial: an empty kernel on no column
-        none = np.arange(0)
-        empty = _Solution(c.d, c.mults, none, none, np.zeros((1, 0, 0), dtype=np.int32))
-        solves = [(empty, 0)] * len(geoms)
+    _check_conditions(geoms, c)
+    solves = _kernels(geoms, c)
     vd = vdim3(c)
     e = 4 * c.d - sum(c.mults)
-    n_rows = sum(_mult_rows(m) for m in c.mults) if c.d >= 0 else 0
+    n_cols = monomial_exponents(c.d).shape[0]
+    n_rows = sum(map(_mult_rows, c.mults)) if n_cols else 0  # as in ``_rows``
     systems = []
     for geom, (solution, layer) in zip(geoms, solves):
         h0, rank = solution.block.shape[1:]
         data = SystemData(
-            c, geom.prime, geom.seed, h0 + rank, n_rows,
+            c, geom.prime, geom.seed, n_cols, n_rows,
             rank, h0, h0 - 1, h0 - (vd + 1), vd, max(-1, vd), e, solution, layer, geom,
         )
         # the rows cut at most their count from the N forms, so h0 is at least
         # vdim + 1; fewer forms left can only come from a wrong elimination
-        if data.dim < data.edim or data.h1 < 0:
+        if data.h1 < 0:
             raise AssertionError(
                 f"interpolation rank exceeded the condition count for {format_class(c)}"
             )
@@ -737,24 +733,19 @@ def hunt_common_zeros(
     xpow = _power_table(xs, d, p)[:, ::-1]  # x^(d-i) in column i
     gammas = np.stack(_fiber_block(geom.forms, p, np.array(xs, dtype=np.int64))[:3], axis=1).tolist()
 
-    def combo_resultant() -> Optional[list[int]]:
+    def combo_resultant() -> list[int]:
         cvec = np.array([rng.randrange(p) for _ in range(sections.shape[0])], dtype=np.int64)
         gg = gfp.matmul_mod(cvec.reshape(1, -1), sections, p).ravel()
         phi = bihom_matrix(gg, d, p)
         fibers = gfp.matmul_mod(xpow, phi, p).tolist()
         vals = [gfp.resultant_formal(gam, sec, 2, d, p) for gam, sec in zip(gammas, fibers)]
-        poly = gfp.pinterp(xs, vals, p)
-        return poly if poly else None
+        return gfp.pinterp(xs, vals, p)
 
-    polys = [combo_resultant() for _ in range(2)]
-    polys = [q for q in polys if q is not None]
-    if not polys:
+    f, h = combo_resultant(), combo_resultant()
+    if not f and not h:
         return []
-
+    g = gfp.pgcd(f, h, p) if f and h else f or h
     assigned_fibers = [_fiber_of(pt, p) for pt in assigned]
-    g = polys[0]
-    for q in polys[1:]:
-        g = gfp.pgcd(g, q, p)
     for k in assigned_fibers:
         if k < p:
             g, _ = gfp.divide_out_root(g, k, p)
@@ -1518,13 +1509,12 @@ def _target(target: str) -> tuple:
 
 def _reports(layers: list) -> list[ProbeReport]:
     """The layers' target probe on a stack, up to its first layer that
-    fired; a hunted curve degree, with d >= 1, runs the hunt on a stack of
-    one only."""
+    fired; a hunted curve degree runs the hunt on a stack of one only."""
     pr = layers[0]
     min_h0, short_kind, categories, hunted, hunt = _target(pr.target)
     stack = _Stack(layers)
     reports = stack.scan(min_h0, short_kind, categories)
-    if len(layers) > 1 or reports[0].fired or pr.d < 1 or pr.sysd.curve_degree not in hunted:
+    if len(layers) > 1 or reports[0].fired or pr.sysd.curve_degree not in hunted:
         return reports
     return [hunt(stack, pr)]
 
@@ -1710,9 +1700,10 @@ def run_battery(
     The dimension pass always covers the full battery, solving the seeds of
     each prime as one stack; probe passes take the geometries in stacks, in
     battery order, and stop at the first firing geometry.
-    A battery of more than ``MAX_GEOMETRIES`` pairs, or whose condition
-    matrices of one prime would hold more than ``_MAX_ENTRIES`` entries, is
-    refused before any geometry is built.
+    A battery of more than ``MAX_GEOMETRIES`` pairs, or of a class that
+    ``_check_class`` refuses at any degree, negative ones included (a bad
+    degree or multiplicity, or condition matrices of one prime past
+    ``_MAX_ENTRIES`` entries), is refused before any geometry is built.
     """
     if not primes or not seeds:
         raise ValueError("a battery needs at least one prime and one seed")
@@ -1721,8 +1712,7 @@ def run_battery(
         raise ValueError(f"a battery has at most {MAX_GEOMETRIES} geometries, got {n}")
     _check_probes(probes)
     c = clazz.normalized()
-    if c.d >= 0:
-        _check_class(c, len(seeds))
+    _check_class(c, len(seeds))
     need = max(DEFAULT_POINTS, c.r)
     systems: list[SystemData] = []
     for prime in primes:
@@ -1749,10 +1739,12 @@ def _probe_pass(systems, clazz, nprobes, target) -> ProbeSummary:
 
     ``_reports`` probes a stack of up to _BLOCK // nprobes layers, at least
     one, so one evaluation of every layer's candidates holds about _BLOCK.
-    A class whose curve degree the target hunts, with d >= 1, goes layer by
-    layer: its hunt runs per layer and usually fires on the first."""
+    A class whose curve degree the target hunts goes layer by layer: its
+    hunt runs per layer and usually fires on the first.  Such a degree, 1
+    or 2, already means d >= 1, as ``_check_class`` refuses a negative
+    multiplicity."""
     hunted = _target(target)[3]
-    size = 1 if clazz.d >= 1 and systems[0].curve_degree in hunted else max(1, _BLOCK // nprobes)
+    size = 1 if systems[0].curve_degree in hunted else max(1, _BLOCK // nprobes)
     flags: list[tuple[int, int, bool]] = []
     first: Optional[ProbeReport] = None
     for start in range(0, len(systems), size):

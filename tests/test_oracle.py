@@ -155,6 +155,32 @@ def test_validation_errors():
         oracle.solve_system(g, ThreefoldClass(-1, (-1,)))
     with pytest.raises(ValueError, match="degree below -3"):
         oracle.solve_system(g, ThreefoldClass(-4, ()))
+    # as at every degree, a class with more points than the geometry is refused
+    too_many = ThreefoldClass(-1, (1,) * (len(g.points) + 1))
+    for entry in (oracle.solve_system, oracle.conditions_matrix):
+        with pytest.raises(ValueError, match="fewer sampled points"):
+            entry(g, too_many)
+
+
+@pytest.mark.parametrize("text, reason", (
+    ("L3(-4)", "degree below -3 is outside the model"),
+    ("L3(-1; -1)", "negative multiplicity"),
+))
+def test_the_battery_gates_a_negative_degree_before_any_geometry(text, reason):
+    oracle.get_geometry.cache_clear()
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        oracle.run_battery(parse_class(text))
+    assert oracle.get_geometry.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("text", ("L3(-1; 1^2)", "L3(-3; 5^3)", "L3(-2)"))
+def test_below_degree_zero_the_conditions_matrix_is_the_empty_system(text):
+    # no monomial, so no condition row: the matrix is the (0, 0) one the
+    # solve's counts describe, and no form is left
+    g, c = geom0(), parse_class(text)
+    sysd = oracle.solve_system(g, c)
+    assert oracle.conditions_matrix(g, c).shape == (sysd.n_rows, sysd.n_cols) == (0, 0)
+    assert sysd.h0 == 0
 
 
 def test_condition_matrices_past_the_entry_bound_are_refused(monkeypatch):
