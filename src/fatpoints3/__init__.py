@@ -5,83 +5,13 @@ ampleness), machine-checkable reduction certificates, and an exact
 finite-field interpolation oracle that cross-checks both.
 """
 
-from .divclass import (
-    ThreefoldClass,
-    QuadricClass,
-    PlaneClass,
-    ReductionLog,
-    ReductionStatus,
-    CremonaStep,
-    ClassParseError,
-    vdim3,
-    edim3,
-    vdim2,
-    vdim_quadric,
-    pair,
-    self_int,
-    k_int,
-    plane_canonical,
-    quadric_canonical,
-    restrict_to_quadric,
-    residual,
-    quadric_to_plane,
-    restricted_plane_class,
-    is_standard_form,
-    cremona_reduce,
-    parse_class,
-    format_class,
-)
-
-from .criteria import (
-    Mode,
-    Verdict,
-    Condition,
-    Classification,
-    Goal,
-    SurfaceCheck,
-    Certificate,
-    check_nonspecial,
-    check_bpf,
-    check_very_ample,
-    classify,
-    surface_predicate,
-    build_certificate,
-)
-
-from .oracle import (
-    PRIMES,
-    DEFAULT_SEEDS,
-    DEFAULT_PROBES,
-    Geometry,
-    SystemData,
-    OracleReport,
-    build_geometry,
-    get_geometry,
-    conditions_matrix,
-    solve_system,
-    probe_base_locus,
-    probe_separation,
-    run_battery,
-)
+from . import criteria, divclass, oracle
+from .divclass import *  # noqa: F401,F403
+from .criteria import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # class models and lattice arithmetic
-    "ThreefoldClass", "QuadricClass", "PlaneClass",
-    "ReductionLog", "ReductionStatus", "CremonaStep", "ClassParseError",
-    "vdim3", "edim3", "vdim2", "vdim_quadric",
-    "pair", "self_int", "k_int", "plane_canonical", "quadric_canonical",
-    "restrict_to_quadric", "residual", "quadric_to_plane",
-    "restricted_plane_class", "is_standard_form", "cremona_reduce",
-    "parse_class", "format_class",
-    # checkers and certificates
-    "Mode", "Verdict", "Condition", "Classification", "Goal",
-    "SurfaceCheck", "Certificate", "check_nonspecial", "check_bpf",
-    "check_very_ample", "classify", "surface_predicate", "build_certificate",
-    # finite-field oracle
-    "PRIMES", "DEFAULT_SEEDS", "DEFAULT_PROBES", "Geometry", "SystemData",
-    "OracleReport", "build_geometry", "get_geometry", "conditions_matrix",
-    "solve_system", "probe_base_locus", "probe_separation", "run_battery",
-    "__version__",
-]
+# each module's own export list, in this order: class models and lattice
+# arithmetic, checkers and certificates, the finite-field oracle
+__all__ = divclass.__all__ + criteria.__all__ + oracle.__all__ + ["__version__"]

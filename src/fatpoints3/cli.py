@@ -98,6 +98,7 @@ def _build_parser() -> _Parser:
                        help=f"probe points per category, {probes_help} (default: %(default)s)")
 
     p = sub.add_parser("classify", help="combinatorial verdicts for a space class")
+    p.set_defaults(run=cmd_classify)
     p.add_argument("cls", metavar="CLASS", help='e.g. "L3(5; 2^5, 1^7)"')
     add_mode(p)
     p.add_argument("--certificates", action="store_true",
@@ -105,19 +106,23 @@ def _build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("reduce", help="quadratic-move reduction of a plane model")
+    p.set_defaults(run=cmd_reduce)
     p.add_argument("cls", metavar="CLASS", help="a plane, quadric, or space class")
     add_common(p)
 
     p = sub.add_parser("vdim", help="expected-dimension bookkeeping")
+    p.set_defaults(run=cmd_vdim)
     p.add_argument("cls", metavar="CLASS")
     add_common(p)
 
     p = sub.add_parser("oracle", help="exact finite-field dimensions and probes")
+    p.set_defaults(run=cmd_oracle)
     p.add_argument("cls", metavar="CLASS")
     add_battery(p, oracle_mod.DEFAULT_PROBES, "0 disables")
     add_common(p)
 
     p = sub.add_parser("sweep", help="compare checkers against the engine on a box")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--dmin", type=int, default=0)
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--rmax", type=int, default=6)
@@ -468,15 +473,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "reduce": cmd_reduce,
-    "vdim": cmd_vdim,
-    "oracle": cmd_oracle,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     shown: set[str] = set()
@@ -493,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv)
             if not args.command:
                 raise UsageError("a command is required (classify, reduce, vdim, oracle, sweep)")
-            return _COMMANDS[args.command](args)
+            return args.run(args)
         except (UsageError, ValueError, RuntimeError) as err:
             # a ClassParseError's message already carries the offending position
             print(f"error: {err}", file=sys.stderr)

@@ -40,6 +40,10 @@ from .divclass import (
     vdim3,
 )
 
+__all__ = ["Mode", "Verdict", "Condition", "Classification", "Goal", "SurfaceCheck", "Certificate",
+           "check_nonspecial", "check_bpf", "check_very_ample", "classify", "surface_predicate",
+           "build_certificate"]
+
 SCHEMA_VERSION = 1
 
 

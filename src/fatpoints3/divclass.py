@@ -20,6 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
+__all__ = ["ThreefoldClass", "QuadricClass", "PlaneClass", "ReductionLog", "ReductionStatus",
+           "CremonaStep", "ClassParseError", "vdim3", "edim3", "vdim2", "vdim_quadric", "pair",
+           "self_int", "k_int", "plane_canonical", "quadric_canonical", "restrict_to_quadric",
+           "residual", "quadric_to_plane", "restricted_plane_class", "is_standard_form",
+           "cremona_reduce", "parse_class", "format_class"]
+
 MAX_MOVES = 1000  # Cremona moves of one reduction; a class of degree below this never needs more
 
 
@@ -35,8 +41,9 @@ def _as_mults(mults: Iterable[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ThreefoldClass:
-    """Degree d surfaces in P^3 with multiplicity >= m_i at the i-th point."""
+class _DegreeClass:
+    """A degree d and multiplicities m_i: the fields, checks and ``r`` that
+    the threefold and plane classes share."""
 
     d: int
     mults: tuple[int, ...] = ()
@@ -48,6 +55,15 @@ class ThreefoldClass:
     @property
     def r(self) -> int:
         return len(self.mults)
+
+
+# Each subclass is decorated again, adding no field, so that its own frozen
+# __setattr__ refuses every name: on a subclass the base's refuses only the
+# fields.  The generated __eq__ compares classes, so a threefold class never
+# equals the plane class with the same numbers.
+@dataclass(frozen=True)
+class ThreefoldClass(_DegreeClass):
+    """Degree d surfaces in P^3 with multiplicity >= m_i at the i-th point."""
 
     def normalized(self) -> "ThreefoldClass":
         """Sort multiplicities non-increasing and drop zero entries; the class
@@ -77,19 +93,8 @@ class QuadricClass:
 
 
 @dataclass(frozen=True)
-class PlaneClass:
+class PlaneClass(_DegreeClass):
     """Class d*h - sum m_i e_i on a blown-up projective plane."""
-
-    d: int
-    mults: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", _as_mults(self.mults))
-        object.__setattr__(self, "d", operator.index(self.d))
-
-    @property
-    def r(self) -> int:
-        return len(self.mults)
 
 
 AnyClass = Union[ThreefoldClass, QuadricClass, PlaneClass]

@@ -35,13 +35,17 @@ import math
 import random
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import gfp
 from .divclass import ThreefoldClass, format_class, vdim3
+
+__all__ = ["PRIMES", "DEFAULT_SEEDS", "DEFAULT_PROBES", "Geometry", "SystemData", "OracleReport",
+           "build_geometry", "get_geometry", "conditions_matrix", "solve_system",
+           "probe_base_locus", "probe_separation", "run_battery"]
 
 PRIMES = (2147483647, 1073741827, 1073741831)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -226,7 +230,6 @@ def monomial_exponents(d: int) -> np.ndarray:
         for b in range(d - a, -1, -1)
         for c in range(d - a - b, -1, -1)
     ]
-    tuples.sort(reverse=True)
     return np.array(tuples, dtype=np.int64)
 
 
@@ -1332,9 +1335,10 @@ def _line_pairs(pr: _Probe, words: _Words) -> np.ndarray:
 
 
 def _fresh(pr: _Probe, words: _Words, curve: bool) -> np.ndarray:
-    """Unassigned draws, curve draws or points of space, at most nprobes of
-    them out of 4 * nprobes.  Each round draws only as many as are still
-    wanted, so none past the last."""
+    """Unassigned draws, curve draws (the on-curve stream) or points of
+    space (the generic one), at most nprobes of them out of 4 * nprobes.
+    Each round draws only as many as are still wanted, so none past the
+    last."""
     found, drawn, want = [np.zeros((0, 4), dtype=np.int64)], 0, pr.nprobes
     while want and drawn < 4 * pr.nprobes:
         k = min(want, 4 * pr.nprobes - drawn)
@@ -1342,14 +1346,6 @@ def _fresh(pr: _Probe, words: _Words, curve: bool) -> np.ndarray:
         found.append(z[ok & pr.unassigned(z)])
         drawn, want = drawn + k, want - len(found[-1])
     return np.concatenate(found)
-
-
-def _curve_points(pr: _Probe, words: _Words) -> np.ndarray:
-    return _fresh(pr, words, True)
-
-
-def _generic_points(pr: _Probe, words: _Words) -> np.ndarray:
-    return _fresh(pr, words, False)
 
 
 # curve draws one round of ``_fresh_curve`` reads ahead
@@ -1474,9 +1470,9 @@ _EVERY, _EVERY_IF_ANY, _TO_WITNESS = "every", "every-if-any", "to-witness"
 _BASE_CATEGORIES = (
     ("on-line", "probe-line", _line_points,
      _Stack.vanishing, _line_point_data, _EVERY_IF_ANY, True, None),
-    ("on-curve", "probe-curve", _curve_points,
+    ("on-curve", "probe-curve", partial(_fresh, curve=True),
      _Stack.vanishing, _point_data, _EVERY_IF_ANY, False, lambda pr: 8 * pr.nprobes + 64),
-    ("generic", "probe-generic", _generic_points,
+    ("generic", "probe-generic", partial(_fresh, curve=False),
      _Stack.vanishing, _point_data, _EVERY, False, None),
 )
 _SEPARATION_CATEGORIES = (
@@ -1500,21 +1496,22 @@ _SEPARATION_CATEGORIES = (
 
 def _target(target: str) -> tuple:
     """A probe target's settings: min_h0, the short witness kind, its
-    category table, the curve degrees its exact hunt covers, and the hunt.
+    category table, and its exact hunt keyed by the curve degree it covers.
     The table is read at call time, so a test that swaps it is seen."""
     if target == "base-locus":
-        return 1, "empty-system", _BASE_CATEGORIES, (1,), _base_hunt
-    return 2, "insufficient-sections", _SEPARATION_CATEGORIES, (1, 2), _separation_hunt
+        return 1, "empty-system", _BASE_CATEGORIES, {1: _base_hunt}
+    return 2, "insufficient-sections", _SEPARATION_CATEGORIES, {1: _base_pair_hunt, 2: _conjugate_hunt}
 
 
 def _reports(layers: list) -> list[ProbeReport]:
     """The layers' target probe on a stack, up to its first layer that
     fired; a hunted curve degree runs the hunt on a stack of one only."""
     pr = layers[0]
-    min_h0, short_kind, categories, hunted, hunt = _target(pr.target)
+    min_h0, short_kind, categories, hunts = _target(pr.target)
     stack = _Stack(layers)
     reports = stack.scan(min_h0, short_kind, categories)
-    if len(layers) > 1 or reports[0].fired or pr.sysd.curve_degree not in hunted:
+    hunt = hunts.get(pr.sysd.curve_degree)
+    if len(layers) > 1 or reports[0].fired or hunt is None:
         return reports
     return [hunt(stack, pr)]
 
@@ -1536,15 +1533,22 @@ def probe_base_locus(
     return _reports([_Probe("base-locus", geom, clazz, nprobes, sysd)])[0]
 
 
+def _base_point(pr: _Probe, label: str, key: str) -> Optional[tuple]:
+    """Curve degree 1: the one unassigned curve point the forms all vanish
+    at, hunted with the stream ``label`` and counted under ``key``, or None."""
+    found = hunt_common_zeros(
+        pr.geom, pr.sysd.kernel, pr.d, pr.assigned, frozenset(), pr.rng(label)
+    )
+    pr.checked[key] = 1
+    return found[0] if found else None
+
+
 def _base_hunt(stack: _Stack, pr: _Probe) -> ProbeReport:
     """Curve degree 1: the one curve point the forms all vanish at."""
-    found = hunt_common_zeros(
-        pr.geom, pr.sysd.kernel, pr.d, pr.assigned, frozenset(), pr.rng("probe-hunt")
-    )
-    pr.checked["isolated-hunt"] = 1
-    if found:
-        return pr.fired("isolated-on-curve", _point_data(found[0]))
-    return pr.quiet(("exact hunt found no unassigned curve point",))
+    z = _base_point(pr, "probe-hunt", "isolated-hunt")
+    if z is None:
+        return pr.quiet(("exact hunt found no unassigned curve point",))
+    return pr.fired("isolated-on-curve", _point_data(z))
 
 
 def probe_separation(
@@ -1578,20 +1582,18 @@ def _verified_pair(stack: _Stack, pr: _Probe, kind: str, z1, z2) -> ProbeReport:
     return pr.fired(kind, _pair_data((z1, z2)))
 
 
-def _separation_hunt(stack: _Stack, pr: _Probe) -> ProbeReport:
-    """Curve degree 1: a base point, which defeats every pairing.  Curve
-    degree 2: a curve point and the partner no form separates it from."""
-    p, d, geom, kernel = pr.p, pr.d, pr.geom, pr.sysd.kernel
-    if pr.sysd.curve_degree == 1:
-        found = hunt_common_zeros(
-            geom, kernel, d, pr.assigned, frozenset(), pr.rng("sep-hunt-base")
-        )
-        pr.checked["base-point-hunt"] = 1
-        if found:
-            other = _Words(pr.rng("sep-pair"), geom).point()
-            return _verified_pair(stack, pr, "unseparated-base-point", found[0], other)
+def _base_pair_hunt(stack: _Stack, pr: _Probe) -> ProbeReport:
+    """Curve degree 1: a base point, which defeats every pairing."""
+    z = _base_point(pr, "sep-hunt-base", "base-point-hunt")
+    if z is None:
         return pr.quiet(("degree-1 hunt found no base point",))
+    other = _Words(pr.rng("sep-pair"), pr.geom).point()
+    return _verified_pair(stack, pr, "unseparated-base-point", z, other)
 
+
+def _conjugate_hunt(stack: _Stack, pr: _Probe) -> ProbeReport:
+    """Curve degree 2: a curve point and the partner no form separates it from."""
+    p, d, geom, kernel = pr.p, pr.d, pr.geom, pr.sysd.kernel
     words = _Words(pr.rng("sep-conjugate"), geom)
     tried = 0
     for _ in range(8):
@@ -1743,8 +1745,8 @@ def _probe_pass(systems, clazz, nprobes, target) -> ProbeSummary:
     hunt runs per layer and usually fires on the first.  Such a degree, 1
     or 2, already means d >= 1, as ``_check_class`` refuses a negative
     multiplicity."""
-    hunted = _target(target)[3]
-    size = 1 if systems[0].curve_degree in hunted else max(1, _BLOCK // nprobes)
+    hunts = _target(target)[3]
+    size = 1 if systems[0].curve_degree in hunts else max(1, _BLOCK // nprobes)
     flags: list[tuple[int, int, bool]] = []
     first: Optional[ProbeReport] = None
     for start in range(0, len(systems), size):

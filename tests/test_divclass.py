@@ -258,6 +258,20 @@ def test_records_store_numpy_integers_as_python_ints(make):
     assert all(type(v) is int for v in (*degrees, *mults))
 
 
+def test_threefold_and_plane_records_stay_apart():
+    # the two share one base record, yet each stays its own frozen
+    # dataclass; the integer checks of both are the two tests above
+    space, plane = ThreefoldClass(2, (1,)), PlaneClass(2, (1,))
+    assert space != plane and plane != space
+    assert len({space, plane}) == 2
+    for c, name in ((space, "ThreefoldClass"), (plane, "PlaneClass")):
+        assert repr(c) == name + "(d=2, mults=(1,))"
+        assert [f.name for f in dataclasses.fields(c)] == ["d", "mults"]
+        for field in ("d", "mults", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(c, field, 3)
+
+
 def test_random_roundtrip_property():
     rng = random.Random(12345)
     for _ in range(300):
@@ -380,3 +394,18 @@ def test_format_bumps_on_random_starts():
         c = ThreefoldClass(rng.randrange(-3, 12), mults)
         assert divclass._format_bumps(c) == [format_class(bumped(c, i)) for i in range(c.r)]
     assert divclass._format_bumps(ThreefoldClass(3, ())) == []
+
+
+def test_the_package_republishes_each_modules_export_list():
+    # the package's export list is the modules' own, in order;
+    # tests/test_cli.py::test_public_contract pins the names themselves
+    import fatpoints3
+    from fatpoints3 import criteria, oracle
+
+    modules = (divclass, criteria, oracle)
+    names = [n for module in modules for n in module.__all__]
+    assert fatpoints3.__all__ == names + ["__version__"]
+    assert len(set(fatpoints3.__all__)) == len(fatpoints3.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fatpoints3, name) is getattr(module, name), name

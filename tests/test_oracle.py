@@ -543,6 +543,28 @@ def test_the_conjugate_hunt_skips_failed_and_assigned_draws(monkeypatch):
     assert skipped == []
 
 
+@pytest.mark.parametrize("txt, e, sizes", (
+    ("L3(2; 1^8)", 0, (3, 3)),
+    ("L3(2; 1^7)", 1, (1, 1)),
+    ("L3(3; 1^10)", 2, (3, 1)),
+    ("L3(3; 1^9)", 3, (3, 3)),
+))
+def test_a_probe_goes_layer_by_layer_where_its_target_hunts_the_curve_degree(monkeypatch, txt, e, sizes):
+    # at 16 probes the three primes of one seed form one stack, unless the
+    # target's hunt table holds the class's curve degree: the base-locus
+    # probe hunts degree 1, the separation probe degrees 1 and 2
+    first, real = {}, oracle._reports
+
+    def spy(layers):
+        first.setdefault(layers[0].target, len(layers))
+        return real(layers)
+
+    monkeypatch.setattr(oracle, "_reports", spy)
+    assert oracle.run_battery(parse_class(txt), seeds=(0,), probes=16).curve_degree == e
+    for target, size in zip(("base-locus", "separation"), sizes):
+        assert first[target] == (1 if e in oracle._target(target)[3] else 3) == size
+
+
 @pytest.mark.parametrize("txt", ("L3(3; 1^11)", "L3(3; 1^10)", "L3(5; 4^3, 1^6)"))
 def test_a_hunted_pair_the_forms_separate_is_an_invariant_breach(monkeypatch, capsys, txt):
     # each hunt's pair (a base point with a random point, a conjugate pair,
